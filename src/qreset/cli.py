@@ -45,13 +45,12 @@ from .sweep import (
     BoundsError,
     SolverError,
     SweepGrid,
-    _check_bounds,
-    _point_record,
     find_entropy_peak_rate,
     find_inflection,
     mc_validate,
     optimize_concurrence,
     run_sweep,
+    sweep_records,
     timeseries,
 )
 from .twospin import TwoSpinParams
@@ -161,12 +160,20 @@ def _json_value(v) -> str:
         return format_float(float(v))
     if isinstance(v, str):
         return json.dumps(v)
+    if isinstance(v, np.ndarray):
+        return _matrix_pairs_json(v)
     raise TypeError(f"unsupported report value {v!r}")
 
 
 def _write_report(pairs, stream) -> None:
-    body = ", ".join(f'"{k}": {_json_value(v)}' for k, v in pairs)
-    stream.write("{" + body + "}\n")
+    # one write per value: a d = 256 ness_matrix is a 3 MB string, and
+    # joining the report first would hold several copies of it at once
+    sep = "{"
+    for k, v in pairs:
+        stream.write(f'{sep}"{k}": ')
+        stream.write(_json_value(v))
+        sep = ", "
+    stream.write("}\n")
 
 
 def _matrix_pairs_json(m: np.ndarray) -> str:
@@ -200,16 +207,17 @@ def _cmd_ness(args) -> int:
             pairs.append(("entropy_subsystem_a", von_neumann_entropy(reduced)))
         if sys_.dim == 4:
             pairs.append(("concurrence", concurrence(rho).value))
+        pairs.append(("ness_matrix", rho))
         with _out_stream(args.out) as f:
-            body = ", ".join(f'"{k}": {_json_value(v)}' for k, v in pairs)
-            f.write("{" + body + f', "ness_matrix": {_matrix_pairs_json(rho)}' + "}\n")
+            _write_report(pairs, f)
         return EXIT_OK
 
     p = _resolve_params(args)
     if p.r <= 0:
         raise ValueError("stationary observables need a positive reset rate")
-    observables = _parse_observables(args.observables)
-    rec = _check_bounds(_point_record(p.R, p.alpha, observables))
+    grid = SweepGrid(r_values=(p.R,), alpha_values=(p.alpha,),
+                     observables=_parse_observables(args.observables))
+    (rec,) = sweep_records(grid)
     with _out_stream(args.out) as f:
         RecordWriter(f, args.format).write(rec)
     return EXIT_OK
@@ -347,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid-r", required=True, help="lo:hi:n[:log]")
     sp.add_argument("--grid-alpha", required=True, help="lo:hi:n[:log]")
     sp.add_argument("--observables", default=",".join(ALL_OBSERVABLES))
-    sp.add_argument("--threads", type=int, default=None)
+    sp.add_argument("--threads", type=int, default=None,
+                    help=f"validated but without effect, as is {THREADS_ENV}")
     common_output(sp)
     sp.set_defaults(func=_cmd_sweep)
 

@@ -5,6 +5,10 @@ All routines operate on square complex numpy arrays of modest dimension
 products, Hermitian eigendecomposition and the positive-semidefinite
 matrix square root.  Inputs are validated against the module tolerances;
 violations raise ValueError instead of propagating garbage downstream.
+
+``psd_sqrt_stack`` is the square root's one body: it works on a stack of
+matrices with shape (..., d, d) and trusts its input, as stacks built from a
+validated system may be.  ``psd_sqrt`` validates one matrix and calls it.
 """
 
 from __future__ import annotations
@@ -74,8 +78,9 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (a + a^dagger) / 2; removes round-off asymmetry."""
-    return (a + a.conj().T) / 2
+    """Hermitian part (a + a^dagger) / 2 of a matrix or of each matrix in a
+    (..., d, d) stack; removes round-off asymmetry."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
 def is_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
@@ -111,11 +116,22 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     """
     a = as_cmatrix(a)
     require_hermitian(a, "psd_sqrt input")
+    return psd_sqrt_stack(a)
+
+
+def psd_sqrt_stack(a: np.ndarray) -> np.ndarray:
+    """Square root of each Hermitian PSD matrix in a (..., d, d) stack.
+
+    The input is trusted to be finite and Hermitian.  The PSD check comes
+    with the eigendecomposition and is kept for every member: one smallest
+    eigenvalue below ``-PSD_CLIP_TOL`` anywhere in the stack raises.
+    """
     w, v = np.linalg.eigh(a)
-    if w[0] < -PSD_CLIP_TOL:
-        raise ValueError(f"matrix is not PSD: smallest eigenvalue {w[0]:.3e}")
-    w[w < PSD_NULL_RTOL * max(w[-1], 0.0)] = 0.0
-    return hermitize((v * np.sqrt(w)) @ v.conj().T)
+    lowest = float(w[..., 0].min(initial=0.0))
+    if lowest < -PSD_CLIP_TOL:
+        raise ValueError(f"matrix is not PSD: smallest eigenvalue {lowest:.3e}")
+    w[w < PSD_NULL_RTOL * np.maximum(w[..., -1:], 0.0)] = 0.0
+    return hermitize((v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 def as_density_matrix(rho) -> np.ndarray:
@@ -125,7 +141,15 @@ def as_density_matrix(rho) -> np.ndarray:
     tr = np.trace(m)
     if abs(tr - 1.0) > TRACE_ATOL:
         raise ValueError(f"density matrix trace is {tr}, expected 1")
-    w = np.linalg.eigvalsh(m)
-    if w[0] < -PSD_CLIP_TOL:
-        raise ValueError(f"density matrix not PSD: eigenvalue {w[0]:.3e}")
+    require_psd(m, "density matrix")
     return m
+
+
+def require_psd(a: np.ndarray, what: str = "matrix") -> None:
+    """Raise unless a Hermitian matrix, or each matrix of a (..., d, d)
+    stack, is finite with no eigenvalue below ``-PSD_CLIP_TOL``."""
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{what} entries must be finite")
+    lowest = float(np.linalg.eigvalsh(a)[..., 0].min(initial=0.0))
+    if lowest < -PSD_CLIP_TOL:
+        raise ValueError(f"{what} not PSD: eigenvalue {lowest:.3e}")

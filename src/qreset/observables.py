@@ -2,6 +2,12 @@
 
 von Neumann entropy, Uhlmann fidelity (general and pure-reference),
 purity, and the two-qubit concurrence in Wootters' closed form.
+
+Purity, pure-state fidelity and concurrence each have one body that works
+on a (..., d, d) stack of density matrices (``purity_stack``,
+``fidelity_pure_stack``, ``concurrence_stack``).  Those bodies trust their
+input, as stacks built from a validated system may be; the one-matrix
+functions validate their argument and call them.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from .cmatrix import (
     TRACE_ATOL,
     as_cmatrix,
     as_density_matrix,
-    psd_sqrt,
+    psd_sqrt_stack,
     require_hermitian,
 )
 from .reset_core import SubsystemSplit, partial_trace
@@ -47,8 +53,12 @@ def von_neumann_entropy(rho) -> float:
 
 def purity(rho) -> float:
     """tr(rho^2); one for pure states, 1/dim for maximally mixed."""
-    rho = as_density_matrix(rho)
-    return float(np.trace(rho @ rho).real)
+    return float(purity_stack(as_density_matrix(rho)))
+
+
+def purity_stack(rho: np.ndarray) -> np.ndarray:
+    """tr(rho^2) of each matrix in a (..., d, d) stack."""
+    return np.trace(rho @ rho, axis1=-2, axis2=-1).real
 
 
 def fidelity(rho, sigma) -> float:
@@ -64,7 +74,7 @@ def fidelity(rho, sigma) -> float:
     sigma = as_density_matrix(sigma)
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    crossed = psd_sqrt(rho) @ psd_sqrt(sigma)
+    crossed = psd_sqrt_stack(rho) @ psd_sqrt_stack(sigma)
     f = float(np.linalg.svd(crossed, compute_uv=False).sum()) ** 2
     return min(max(f, 0.0), 1.0)
 
@@ -78,10 +88,17 @@ def fidelity_pure(rho, psi) -> float:
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"state vector norm is {norm}, expected 1")
-    val = complex(psi.conj() @ rho @ psi)
-    if abs(val.imag) > 1e-12:
-        raise ValueError(f"expectation has imaginary part {val.imag:.3e}")
-    return min(max(val.real, 0.0), 1.0)
+    return float(fidelity_pure_stack(rho, psi))
+
+
+def fidelity_pure_stack(rho: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """<psi| rho |psi> for each matrix in a (..., d, d) stack and a unit
+    vector psi; an expectation with an imaginary part raises."""
+    val = psi.conj() @ rho @ psi
+    worst = float(np.max(np.abs(val.imag), initial=0.0))
+    if worst > 1e-12:
+        raise ValueError(f"expectation has imaginary part {worst:.3e}")
+    return np.clip(val.real, 0.0, 1.0)
 
 
 def spin_flip(rho) -> np.ndarray:
@@ -114,13 +131,23 @@ def concurrence(rho) -> ConcurrenceValue:
     .. [1] https://en.wikipedia.org/wiki/Concurrence_(quantum_computing)
     """
     rho = as_density_matrix(rho)
-    if rho.shape[0] != 4:
+    values, mu = concurrence_stack(rho)
+    return ConcurrenceValue(value=float(values), mu=tuple(float(m) for m in mu))
+
+
+def concurrence_stack(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concurrence of each two-qubit density matrix in a (..., 4, 4) stack.
+
+    Returns the values and, along a last axis of four, the descending
+    spectra mu (see :func:`concurrence`).
+    """
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"concurrence needs a two-qubit (4x4) state, got {rho.shape}")
     flipped = _SPIN_FLIP_OP @ rho.conj() @ _SPIN_FLIP_OP
-    crossed = psd_sqrt(rho) @ psd_sqrt(flipped)
+    crossed = psd_sqrt_stack(rho) @ psd_sqrt_stack(flipped)
     mu = np.linalg.svd(crossed, compute_uv=False)
-    value = max(0.0, float(mu[0] - mu[1] - mu[2] - mu[3]))
-    return ConcurrenceValue(value=value, mu=tuple(float(m) for m in mu))
+    gap = mu[..., 0] - mu[..., 1] - mu[..., 2] - mu[..., 3]
+    return np.where(gap > 0.0, gap, 0.0), mu
 
 
 def concurrence_pure(rho, split: SubsystemSplit) -> float:

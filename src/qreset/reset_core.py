@@ -16,6 +16,12 @@ of rho_r(t) is
 
 and its t -> infinity limit is rho0_{EE'} * r/(r + i omega) off the
 diagonal with diagonal elements frozen at rho0_{EE}.
+
+``ness_density_stack`` and ``reset_density_stack`` are the one body of each
+state: they return a (n, d, d) stack over n rates or n times of one system,
+in one vectorised step.  ``ness_density`` and ``reset_density`` are the
+one-matrix views of them.  The system was validated when it was built, so
+the stacks are not validated again.
 """
 
 from __future__ import annotations
@@ -26,10 +32,10 @@ from typing import Literal
 import numpy as np
 
 from .cmatrix import (
+    HermitianEigensystem,
     as_cmatrix,
     as_density_matrix,
     frobenius,
-    hermitian_eig,
     hermitize,
     require_hermitian,
 )
@@ -85,7 +91,7 @@ class QuantumSystem:
         self.hamiltonian = h
         self.rho0 = rho
         self.dim = h.shape[0]
-        self.eigensystem = hermitian_eig(h)
+        self.eigensystem = HermitianEigensystem(*np.linalg.eigh(h))
         v = self.eigensystem.eigenvectors
         # rho0 expressed in the energy basis; every producer below starts here.
         self._rho0_energy = v.conj().T @ rho @ v
@@ -95,8 +101,14 @@ class QuantumSystem:
             arr.flags.writeable = False
 
     def _to_computational(self, rho_energy: np.ndarray) -> np.ndarray:
+        """Energy-basis matrix, or (..., d, d) stack, to the computational basis."""
         v = self.eigensystem.eigenvectors
         return hermitize(v @ rho_energy @ v.conj().T)
+
+    def _omega(self) -> np.ndarray:
+        """Pairwise energy differences E - E'."""
+        energies = self.eigensystem.eigenvalues
+        return energies[:, None] - energies[None, :]
 
 
 def _check_time(t: float) -> float:
@@ -117,26 +129,36 @@ def unitary_evolve(sys: QuantumSystem, t: float) -> np.ndarray:
     return sys._to_computational(rho_e)
 
 
-def _renewal_kernel(rate: float, omega: np.ndarray, t: float) -> np.ndarray:
-    s = rate + 1j * omega
+def _renewal_kernel(rate: float, omega: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Kernel over a (n, 1, 1) column of times and the (d, d) frequencies."""
+    s = np.broadcast_to(rate + 1j * omega, t.shape[:-2] + omega.shape)
+    t = np.broadcast_to(t, s.shape)
     kernel = np.empty(s.shape, dtype=complex)
     small = np.abs(s) * t < KERNEL_SERIES_CUTOFF
-    kernel[small] = 1.0 - s[small] * t + rate * t
+    ts = t[small]
+    kernel[small] = 1.0 - s[small] * ts + rate * ts
     big = ~small
-    decay = np.exp(-s[big] * t)
-    kernel[big] = decay + rate * (1.0 - decay) / s[big]
+    sb, tb = s[big], t[big]
+    decay = np.exp(-sb * tb)
+    kernel[big] = decay + rate * (1.0 - decay) / sb
     return kernel
 
 
 def reset_density(sys: QuantumSystem, reset: ResetSpec, t: float) -> np.ndarray:
     """Density matrix at time t under resetting, via the renewal form."""
-    t = _check_time(t)
-    if t == 0.0:
-        return sys.rho0.copy()
-    energies = sys.eigensystem.eigenvalues
-    omega = energies[:, None] - energies[None, :]
-    rho_e = sys._rho0_energy * _renewal_kernel(reset.rate, omega, t)
-    return sys._to_computational(rho_e)
+    return reset_density_stack(sys, reset.rate, np.array([_check_time(t)]))[0]
+
+
+def reset_density_stack(sys: QuantumSystem, rate: float, t) -> np.ndarray:
+    """(n, d, d) stack of the density matrices at the n times ``t`` under
+    resetting at ``rate``; rho0 itself at t = 0."""
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 1 or not np.all(np.isfinite(t) & (t >= 0.0)):
+        raise ValueError("times must be a 1-d array of finite values >= 0")
+    kernel = _renewal_kernel(rate, sys._omega(), t[:, None, None])
+    rho = sys._to_computational(sys._rho0_energy * kernel)
+    rho[t == 0.0] = sys.rho0
+    return rho
 
 
 def ness_density(sys: QuantumSystem, reset: ResetSpec) -> np.ndarray:
@@ -147,13 +169,20 @@ def ness_density(sys: QuantumSystem, reset: ResetSpec) -> np.ndarray:
     t -> infinity and rate -> 0 do not commute).  Eigenvalue pairs within
     the system's degeneracy tolerance take the diagonal branch.
     """
-    if reset.rate <= 0.0:
+    return ness_density_stack(sys, np.array([reset.rate]))[0]
+
+
+def ness_density_stack(sys: QuantumSystem, rates) -> np.ndarray:
+    """(n, d, d) stack of the stationary density matrices at the n ``rates``,
+    each finite and strictly positive (see :func:`ness_density`)."""
+    rates = np.asarray(rates, dtype=float)
+    if rates.ndim != 1 or not np.all(np.isfinite(rates) & (rates > 0.0)):
         raise ValueError("stationary state requires a strictly positive reset rate")
-    energies = sys.eigensystem.eigenvalues
-    omega = energies[:, None] - energies[None, :]
-    factor = np.ones(omega.shape, dtype=complex)
+    omega = sys._omega()
     off = np.abs(omega) > sys.degeneracy_tol
-    factor[off] = reset.rate / (reset.rate + 1j * omega[off])
+    column = rates[:, None]
+    factor = np.ones((rates.size,) + omega.shape, dtype=complex)
+    factor[:, off] = column / (column + 1j * omega[off])
     return sys._to_computational(sys._rho0_energy * factor)
 
 

@@ -93,20 +93,25 @@ def document_to_matrix(doc) -> np.ndarray:
     if "dim" not in doc or "matrix" not in doc:
         raise ValueError("matrix document needs 'dim' and 'matrix' fields")
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    # exact types, not isinstance: JSON true/false load as bool, an int subclass
+    if type(dim) is not int or dim < 1:
         raise ValueError(f"'dim' must be a positive integer, got {dim!r}")
     entries = doc["matrix"]
     if not isinstance(entries, list) or len(entries) != dim * dim:
         raise ValueError(f"'matrix' must hold exactly dim^2 = {dim * dim} entries")
     flat = np.empty(dim * dim, dtype=complex)
-    for k, pair in enumerate(entries):
-        if (
-            not isinstance(pair, (list, tuple))
-            or len(pair) != 2
-            or not all(isinstance(x, (int, float)) for x in pair)
-        ):
-            raise ValueError(f"entry {k} is not a [re, im] pair: {pair!r}")
-        flat[k] = complex(pair[0], pair[1])
+    try:
+        for k, pair in enumerate(entries):
+            if (
+                not isinstance(pair, (list, tuple))
+                or len(pair) != 2
+                or type(pair[0]) not in (int, float)
+                or type(pair[1]) not in (int, float)
+            ):
+                raise ValueError(f"entry {k} is not a [re, im] pair: {pair!r}")
+            flat[k] = complex(pair[0], pair[1])
+    except OverflowError:
+        raise ValueError(f"entry {k} holds an integer too large for a float") from None
     m = flat.reshape(dim, dim)
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix entries must be finite")

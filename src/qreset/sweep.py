@@ -3,20 +3,30 @@ resetting model: grid evaluation of the stationary observables, golden-
 section maximization of concurrence and of the finite-time entropy over
 the reset rate, the entropy-inflection (spinodal-like) point in the
 (rate, coupling) plane, and Monte Carlo cross-validation of the engine.
+
+A sweep is evaluated one coupling row at a time: every rate of a row
+shares one Hamiltonian, so a row builds one validated system and gets its
+purity and concurrence from one stack of stationary states.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import twospin
-from .observables import concurrence, fidelity_pure, purity
-from .reset_core import ResetSpec, ness_density, reset_density
+from .cmatrix import require_psd
+from .observables import concurrence_stack, fidelity_pure_stack, purity_stack
+from .reset_core import (
+    ResetSpec,
+    ness_density,
+    ness_density_stack,
+    reset_density,
+    reset_density_stack,
+)
 from .trajectories import TrajectoryConfig, estimate_density
 from .twospin import TwoSpinParams
 
@@ -98,20 +108,28 @@ class ObservableRecord:
 FIELD_NAMES = tuple(f.name for f in fields(ObservableRecord))
 
 
-def _point_record(r: float, alpha: float, observables: Sequence[str]) -> ObservableRecord:
-    p = TwoSpinParams.from_dimensionless(r, alpha)
-    rec = ObservableRecord(r=r, alpha=alpha)
-    if "entropy" in observables:
-        rec.entropy = twospin.entropy_ness(p)
-    if "fidelity" in observables:
-        rec.fidelity = twospin.fidelity_ness(p)
+def _row_records(grid: SweepGrid, alpha: float) -> list[ObservableRecord]:
+    """Records of one coupling row, in ascending rate order."""
+    observables = grid.observables
+    records = [ObservableRecord(r=r, alpha=alpha) for r in grid.r_values]
+    if "entropy" in observables or "fidelity" in observables:
+        for rec in records:
+            p = TwoSpinParams.from_dimensionless(rec.r, alpha)
+            if "entropy" in observables:
+                rec.entropy = twospin.entropy_ness(p)
+            if "fidelity" in observables:
+                rec.fidelity = twospin.fidelity_ness(p)
     if "purity" in observables or "concurrence" in observables:
-        rho = ness_density(twospin.quantum_system(p), ResetSpec(p.r))
+        # the Hamiltonian does not depend on the rate
+        sys = twospin.quantum_system(TwoSpinParams.from_dimensionless(0.0, alpha))
+        rhos = ness_density_stack(sys, grid.r_values)
         if "purity" in observables:
-            rec.purity = purity(rho)
+            for rec, v in zip(records, purity_stack(rhos).tolist()):
+                rec.purity = v
         if "concurrence" in observables:
-            rec.concurrence = concurrence(rho).value
-    return rec
+            for rec, v in zip(records, concurrence_stack(rhos)[0].tolist()):
+                rec.concurrence = v
+    return records
 
 
 def _check_bounds(rec: ObservableRecord) -> ObservableRecord:
@@ -124,19 +142,18 @@ def _check_bounds(rec: ObservableRecord) -> ObservableRecord:
 
 
 def sweep_records(grid: SweepGrid, threads: int = 1) -> list[ObservableRecord]:
-    """Evaluate the grid, alpha-outer / rate-inner row-major order."""
-    points = [(r, a) for a in grid.alpha_values for r in grid.r_values]
-    job = lambda pt: _point_record(pt[0], pt[1], grid.observables)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(job, points))
-    else:
-        records = [job(pt) for pt in points]
+    """Evaluate the grid, alpha-outer / rate-inner row-major order.
+
+    ``threads`` is accepted for compatibility and has no effect: a row is
+    one vectorised evaluation, and a thread pool over points was slower.
+    """
+    records = [rec for alpha in grid.alpha_values for rec in _row_records(grid, alpha)]
     return [_check_bounds(rec) for rec in records]
 
 
 def run_sweep(grid: SweepGrid, sink, threads: int = 1) -> int:
-    """Evaluate the grid and write each record to ``sink``; returns count."""
+    """Evaluate the grid and write each record to ``sink``; returns count.
+    ``threads`` has no effect (see :func:`sweep_records`)."""
     n = 0
     for rec in sweep_records(grid, threads=threads):
         sink.write(rec)
@@ -160,18 +177,20 @@ def timeseries(
     bad = set(observables) - {"entropy", "fidelity"}
     if bad:
         raise ValueError(f"timeseries supports entropy/fidelity, got {sorted(bad)}")
-    need_engine = "fidelity" in observables
-    sys = twospin.quantum_system(p) if need_engine else None
-    out = []
-    for t in ts:
-        rec = ObservableRecord(r=p.R, alpha=p.alpha, t=t)
-        if "entropy" in observables:
-            rec.entropy = twospin.entropy_at_time(t, p)
-        if need_engine:
-            rho = reset_density(sys, ResetSpec(p.r), t / p.omega)
-            rec.fidelity = fidelity_pure(rho, twospin.DOWN_DOWN)
-        out.append(_check_bounds(rec))
-    return out
+    out = [ObservableRecord(r=p.R, alpha=p.alpha, t=t) for t in ts]
+    if "entropy" in observables:
+        for rec in out:
+            rec.entropy = twospin.entropy_at_time(rec.t, p)
+    if "fidelity" in observables:
+        sys = twospin.quantum_system(p)
+        t_phys = np.array(ts, dtype=float) / p.omega
+        rhos = reset_density_stack(sys, p.r, t_phys)
+        # the phases omega*t carry no digits once |omega t| nears 1/eps, and
+        # the matrix is then no state: check every member
+        require_psd(rhos, "finite-time density matrix")
+        for rec, v in zip(out, fidelity_pure_stack(rhos, twospin.DOWN_DOWN).tolist()):
+            rec.fidelity = v
+    return [_check_bounds(rec) for rec in out]
 
 
 # ---------------------------------------------------------------------------
@@ -187,15 +206,26 @@ class OptimizeResult:
     flag: str  # "interior", "boundary", or "degenerate"
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tolerance must be finite and > 0, got {tol}")
+
+
 def golden_section_max(
     f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-8
 ) -> tuple[float, float]:
-    """Maximize a unimodal function on [lo, hi] to absolute x-tolerance tol."""
+    """Maximize a unimodal function on [lo, hi] to absolute x-tolerance tol.
+
+    Stops early once the bracket no longer shrinks: near one ulp of width
+    rounding can keep it fixed, so a tol below that would never be met.
+    """
+    _check_tol(tol)
     a, b = float(lo), float(hi)
     c = b - (b - a) * _INVPHI
     d = a + (b - a) * _INVPHI
     fc, fd = f(c), f(d)
     while b - a > tol:
+        width = b - a
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - (b - a) * _INVPHI
@@ -204,6 +234,8 @@ def golden_section_max(
             a, c, fc = c, d, fd
             d = a + (b - a) * _INVPHI
             fd = f(d)
+        if b - a >= width:
+            break
     x = 0.5 * (a + b)
     return x, f(x)
 
@@ -220,6 +252,7 @@ def _bracketed_max(
     Flags the result "boundary" when the best probe sits on an endpoint and
     "degenerate" when the function is flat over all probes.
     """
+    _check_tol(tol)
     xs = np.geomspace(lo, hi, probes)
     vals = [f(x) for x in xs]
     if max(vals) - min(vals) < 1e-14:

@@ -29,6 +29,11 @@ from .observables import concurrence
 from .reset_core import QuantumSystem, ResetSpec, ness_density
 
 LN2 = math.log(2.0)
+LN8 = math.log(8.0)
+
+# scaling_function takes its two-term large-z form above this z: the
+# neglected terms are smaller by a factor ~1/z^2 = 1e-300.
+SCALING_ASYMPTOTE_Z = 1e150
 
 # Computational-basis order: |uu>, |ud>, |du>, |dd>.
 DOWN_DOWN = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
@@ -259,9 +264,16 @@ def scaling_function(z: float) -> float:
         F = h ln2 - (1 - h) log1p(-h) + h log1p(4 z^2),
 
     a sum of non-negative terms, so there is no cancellation for any z >= 0.
+    Beyond z = 1e150, where 4 z^2 nears overflow and h underflow, the two-term
+    form is exact to round-off and is evaluated without forming z^2.  It
+    turns subnormal near z = 1e155 and rounds to 0 near z = 1e163; F(inf) = 0.
     """
     if z < 0:
         raise ValueError(f"z must be >= 0, got {z}")
+    if z > SCALING_ASYMPTOTE_Z:
+        if math.isinf(z):
+            return 0.0
+        return (2.0 * math.log(z) + 1.0 + LN8) / (8.0 * z) / z
     z2 = 4.0 * z * z
     h = 0.5 / (1.0 + z2)
     return h * LN2 - (1.0 - h) * math.log1p(-h) + h * math.log1p(z2)

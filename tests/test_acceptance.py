@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 The lines are emitted with capture suspended so they appear in any pytest
-run.  The Monte Carlo criterion takes ~15 s; everything else completes in
-seconds.
+run.  The Monte Carlo criterion takes 11-16 s (four runs on a 2-core x86-64
+host, Python 3.11, numpy 2.4); everything else completes in seconds.
 """
 
 import numpy as np

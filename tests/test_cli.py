@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import qreset
 
 from qreset.cli import main
 from qreset.serialize import save_matrix
@@ -14,6 +19,16 @@ def run(args):
 
 def read(path):
     return path.read_bytes()
+
+
+def run_process(args, timeout):
+    """Run the CLI in a fresh interpreter; fails the test if it is still
+    running after ``timeout`` seconds."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(qreset.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-m", "qreset.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 class TestNess:
@@ -75,6 +90,19 @@ class TestNess:
         assert run(
             ["ness", "--hamiltonian", str(hpath), "--rho0", str(rpath), "--r", "1"]
         ) == 4
+
+    @pytest.mark.parametrize("doc", [
+        {"dim": True, "matrix": [[1.0, 0.0]]},
+        {"dim": 1, "matrix": [[True, False]]},
+    ])
+    def test_generic_rejects_boolean_documents(self, tmp_path, capsys, doc):
+        hpath = tmp_path / "h.json"
+        rpath = tmp_path / "rho.json"
+        hpath.write_text(json.dumps(doc))
+        save_matrix(np.eye(1, dtype=complex), rpath)
+        rc = run(["ness", "--hamiltonian", str(hpath), "--rho0", str(rpath), "--r", "1"])
+        assert rc == 4
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_generic_missing_file(self, tmp_path):
         assert run(
@@ -201,6 +229,12 @@ class TestOptimize:
     def test_bad_bounds(self):
         assert run(["optimize", "--alpha", "2", "--r-bounds", "5:1"]) == 4
 
+    def test_zero_tolerance_rejected_promptly(self):
+        proc = run_process(["optimize", "--alpha", "1", "--r-bounds", "0.1:1",
+                            "--tol", "0"], timeout=5)
+        assert proc.returncode == 4
+        assert "Traceback" not in proc.stderr
+
 
 class TestCritical:
     def test_default_box(self, capsys):
@@ -219,6 +253,14 @@ class TestPeakR:
     def test_basic(self, capsys):
         assert run(["peak-r", "--t", "5", "--r-bounds", "0.001:3"]) == 0
         report = json.loads(capsys.readouterr().out)
+        assert report["flag"] == "interior"
+        assert report["r_star"] == pytest.approx(0.266278, abs=1e-4)
+
+    def test_tolerance_below_one_ulp_terminates(self):
+        proc = run_process(["peak-r", "--t", "5", "--r-bounds", "0.001:3",
+                            "--tol", "1e-300"], timeout=5)
+        assert proc.returncode == 0
+        report = json.loads(proc.stdout)
         assert report["flag"] == "interior"
         assert report["r_star"] == pytest.approx(0.266278, abs=1e-4)
 

@@ -11,6 +11,7 @@ from qreset.cmatrix import (
     kron,
     mat_mul,
     psd_sqrt,
+    psd_sqrt_stack,
     trace,
 )
 
@@ -215,6 +216,20 @@ class TestPsdSqrt:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             psd_sqrt(np.diag([1.0, -0.1]).astype(complex))
+
+    def test_stack_equals_one_by_one(self):
+        rng = np.random.default_rng(10)
+        stack = np.array([random_density(rng, 4) for _ in range(6)])
+        roots = psd_sqrt_stack(stack.copy())
+        for rho, root in zip(stack, roots):
+            assert np.array_equal(root, psd_sqrt(rho))
+
+    def test_stack_with_one_indefinite_member_raises(self):
+        rng = np.random.default_rng(11)
+        stack = np.array([random_density(rng, 4) for _ in range(5)])
+        stack[3] = np.diag([0.7, 0.4, 0.0, -0.1]).astype(complex)
+        with pytest.raises(ValueError, match="not PSD"):
+            psd_sqrt_stack(stack)
 
 
 class TestDensityValidation:

@@ -8,8 +8,10 @@ from qreset.reset_core import (
     ResetSpec,
     SubsystemSplit,
     ness_density,
+    ness_density_stack,
     partial_trace,
     reset_density,
+    reset_density_stack,
     unitary_evolve,
 )
 from qreset.twospin import TwoSpinParams, quantum_system, reduced_state
@@ -221,6 +223,38 @@ class TestNessDensity:
         tiny = 1e-8 * np.linalg.norm(sys.hamiltonian)
         rho_e = to_energy(ness_density(sys, ResetSpec(tiny)))
         assert np.abs(rho_e[off]).max() <= 1e-7
+
+
+class TestStacks:
+    """Each stack member equals, bit for bit, the one-matrix function."""
+
+    def test_ness_density_stack(self):
+        for alpha in (0.0, 0.7, 12.0):
+            sys = two_spin_system(1.0, alpha)
+            rates = np.geomspace(1e-3, 1e3, 9)
+            stack = ness_density_stack(sys, rates)
+            assert stack.shape == (9, 4, 4)
+            for rate, rho in zip(rates, stack):
+                assert np.array_equal(rho, ness_density(sys, ResetSpec(float(rate))))
+
+    def test_reset_density_stack(self):
+        sys = two_spin_system(0.4, 1.5)
+        ts = np.array([0.0, 1e-12, 0.3, 2.0, 40.0])
+        stack = reset_density_stack(sys, 0.4, ts)
+        assert np.array_equal(stack[0], sys.rho0)
+        for t, rho in zip(ts, stack):
+            assert np.array_equal(rho, reset_density(sys, ResetSpec(0.4), float(t)))
+
+    def test_stacks_reject_bad_arguments(self):
+        sys = two_spin_system()
+        with pytest.raises(ValueError):
+            ness_density_stack(sys, [1.0, 0.0])
+        with pytest.raises(ValueError):
+            ness_density_stack(sys, [1.0, np.nan])
+        with pytest.raises(ValueError):
+            reset_density_stack(sys, 1.0, [0.5, -1.0])
+        with pytest.raises(ValueError):
+            reset_density_stack(sys, 1.0, [np.inf])
 
 
 class TestPartialTrace:

@@ -106,6 +106,23 @@ class TestMatrixInterchange:
         with pytest.raises(ValueError):
             document_to_matrix({"dim": 1, "matrix": [[float("inf"), 0.0]]})
 
+    def test_rejects_boolean_dim_and_entries(self):
+        # JSON true/false load as bool, a subclass of int
+        with pytest.raises(ValueError):
+            document_to_matrix({"dim": True, "matrix": [[1.0, 0.0]]})
+        with pytest.raises(ValueError):
+            document_to_matrix({"dim": 1, "matrix": [[True, False]]})
+        with pytest.raises(ValueError):
+            document_to_matrix({"dim": 1, "matrix": [[1.0, False]]})
+
+    def test_rejects_integer_beyond_float_range(self):
+        with pytest.raises(ValueError):
+            document_to_matrix({"dim": 1, "matrix": [[10**400, 0]]})
+
+    def test_accepts_integer_entries(self):
+        m = document_to_matrix({"dim": 1, "matrix": [[2, -1]]})
+        assert m[0, 0] == 2.0 - 1.0j
+
     def test_load_quantum_system_validates(self, tmp_path):
         hpath = tmp_path / "h.json"
         rpath = tmp_path / "rho.json"

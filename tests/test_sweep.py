@@ -3,6 +3,8 @@ import io
 import numpy as np
 import pytest
 
+from qreset.observables import concurrence, fidelity_pure, purity
+from qreset.reset_core import ResetSpec, ness_density, reset_density
 from qreset.serialize import RecordWriter
 from qreset.sweep import (
     BoundsError,
@@ -19,7 +21,15 @@ from qreset.sweep import (
     sweep_records,
     timeseries,
 )
-from qreset.twospin import LN2, TwoSpinParams
+from qreset.twospin import (
+    DOWN_DOWN,
+    LN2,
+    TwoSpinParams,
+    entropy_at_time,
+    entropy_ness,
+    fidelity_ness,
+    quantum_system,
+)
 
 
 class TestSweepGrid:
@@ -95,6 +105,46 @@ class TestRunSweep:
         assert sweep_records(grid, threads=1) == sweep_records(grid, threads=4)
 
 
+class TestStackedEqualsPointwise:
+    """The row-stacked engine reproduces, bit for bit, records built point
+    by point from the public one-matrix functions."""
+
+    def test_sweep_records(self):
+        # alpha = 0 takes the degeneracy branch of the stationary state
+        grid = SweepGrid(
+            r_values=tuple(np.geomspace(1e-3, 1e3, 31)),
+            alpha_values=(0.0, 0.05, 0.5, 1.0, 2.5, 6.0, 12.0),
+        )
+        expected = []
+        for alpha in grid.alpha_values:
+            for r in grid.r_values:
+                p = TwoSpinParams.from_dimensionless(r, alpha)
+                rho = ness_density(quantum_system(p), ResetSpec(p.r))
+                expected.append(ObservableRecord(
+                    r=r, alpha=alpha, entropy=entropy_ness(p),
+                    fidelity=fidelity_ness(p), purity=purity(rho),
+                    concurrence=concurrence(rho).value,
+                ))
+        assert sweep_records(grid) == expected
+
+    def test_timeseries_fidelity(self):
+        for R, alpha, omega in ((0.7, 1.3, 1.0), (1e-3, 12.0, 1.0), (2.0, 0.0, 2.5)):
+            p = TwoSpinParams(omega=omega, j=alpha * omega, r=R * omega)
+            ts = np.linspace(0.0, 25.0, 101)
+            sys = quantum_system(p)
+            expected = [
+                ObservableRecord(
+                    r=p.R, alpha=p.alpha, t=float(t), entropy=entropy_at_time(float(t), p),
+                    fidelity=fidelity_pure(
+                        reset_density(sys, ResetSpec(p.r), float(t) / p.omega), DOWN_DOWN),
+                )
+                for t in ts
+            ]
+            recs = timeseries(p, ts, observables=("entropy", "fidelity"))
+            assert recs == expected
+            assert recs[0].t == 0.0 and recs[0].fidelity == 1.0
+
+
 class TestTimeseries:
     def test_starts_at_zero_entropy(self):
         p = TwoSpinParams.from_dimensionless(0.5, 0.0)
@@ -137,8 +187,37 @@ class TestTimeseries:
         with pytest.raises(ValueError):
             timeseries(p, [2.0, 1.0])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("R, t_max", [(0.0, 1e300), (1.0, 1e308)])
+    def test_rejects_states_beyond_phase_precision(self, R, t_max):
+        # |omega t| >> 1/eps leaves the renewal phases without digits: the
+        # matrices are not states (R = 0) or not finite (omega t overflows)
+        p = TwoSpinParams.from_dimensionless(R, 1.0)
+        with pytest.raises(ValueError):
+            timeseries(p, [0.0, t_max / 2, t_max], observables=("fidelity",))
+
 
 class TestGoldenSection:
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), float("inf")])
+    def test_rejects_bad_tolerance(self, tol):
+        with pytest.raises(ValueError):
+            golden_section_max(lambda x: -x * x, -1.0, 1.0, tol=tol)
+        with pytest.raises(ValueError):
+            optimize_concurrence(2.0, 0.01, 10.0, tol=tol)
+
+    def test_tolerance_below_one_ulp_terminates(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            if len(calls) > 1000:
+                raise RuntimeError("golden section does not terminate")
+            return -(x - 1.3) ** 2
+
+        x, _ = golden_section_max(f, 0.0, 3.0, tol=1e-300)
+        assert x == pytest.approx(1.3, abs=1e-8)
+        assert len(calls) < 200
+
     def test_quadratic(self):
         x, v = golden_section_max(lambda x: -(x - 1.3) ** 2, 0.0, 3.0, tol=1e-10)
         assert x == pytest.approx(1.3, abs=1e-8)
@@ -275,10 +354,10 @@ class TestBoundsEnforcement:
     def test_run_sweep_aborts_on_violation(self, monkeypatch):
         import qreset.sweep as sweep_mod
 
-        def broken(r, alpha, observables):
-            return ObservableRecord(r=r, alpha=alpha, fidelity=1.5)
+        def broken(grid, alpha):
+            return [ObservableRecord(r=r, alpha=alpha, fidelity=1.5) for r in grid.r_values]
 
-        monkeypatch.setattr(sweep_mod, "_point_record", broken)
+        monkeypatch.setattr(sweep_mod, "_row_records", broken)
         grid = SweepGrid(r_values=(1.0,), alpha_values=(0.0,))
         with pytest.raises(BoundsError):
             sweep_records(grid)

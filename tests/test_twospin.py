@@ -298,18 +298,42 @@ class TestScalingFunction:
     def test_large_z_asymptote_trend(self):
         # leading form (ln z)/(4 z^2): the ratio's excess over 1 is the
         # known subleading fraction (1 + ln 8)/(2 ln z), decaying slowly
+        # (ln z / 4z) / z: 4 z^2 itself overflows beyond z ~ 6.7e153
+        def leading(z):
+            return np.log(z) / (4.0 * z) / z
+
         def ratio(z):
-            return scaling_function(z) / (np.log(z) / (4.0 * z * z))
+            return scaling_function(z) / leading(z)
 
         # frozen references at z=50 and z=1e8, computed independently with mpmath
         assert ratio(50.0) == pytest.approx(1.3934570792735116, abs=1e-10)
         assert ratio(1e8) == pytest.approx(1.0835865293059496868, abs=1e-10)
-        zs = (50.0, 1e3, 1e6, 1e8)
-        excesses = [ratio(z) - 1.0 for z in zs]
+        zs = (50.0, 1e3, 1e6, 1e8, 1e154, 1e200)
+        assert all(np.isfinite(scaling_function(z)) and scaling_function(z) >= 0.0
+                   for z in zs)
+        # at z = 1e200 both F (about 1.2e-398) and the leading form lie below
+        # the smallest subnormal double, so F rounds to 0 and has no ratio
+        assert scaling_function(1e200) == 0.0
+        trend = [z for z in zs if leading(z) >= np.finfo(float).tiny]
+        assert trend == [50.0, 1e3, 1e6, 1e8, 1e154]
+        excesses = [ratio(z) - 1.0 for z in trend]
         assert all(e > 0 for e in excesses)
         assert excesses == sorted(excesses, reverse=True)
-        for z, e in zip(zs, excesses):
+        for z, e in zip(trend, excesses):
             assert e == pytest.approx((1.0 + np.log(8.0)) / (2.0 * np.log(z)), rel=0.2)
+
+    def test_infinite_z(self):
+        assert scaling_function(float("inf")) == 0.0
+
+    def test_two_term_form_up_to_underflow(self):
+        # A2(z) = (2 ln z + 1 + ln 8)/(8 z^2) stays >= 1e-300 up to z ~ 3e150,
+        # across the switch to the asymptotic branch at z = 1e150
+        def two_term(z):
+            return (2.0 * np.log(z) + 1.0 + np.log(8.0)) / (8.0 * z) / z
+
+        for z in (1e12, 1e50, 1e100, 1e150, 1.5e150, 3e150):
+            assert two_term(z) >= 1e-300
+            assert abs(scaling_function(z) / two_term(z) - 1.0) <= 1e-6
 
     def test_collapse_of_exact_entropy(self):
         for z in (0.1, 1.0, 10.0):
