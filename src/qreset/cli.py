@@ -420,6 +420,12 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OverflowError as exc:
+        # the closed forms run in float math, which raises where numpy
+        # would return inf
+        print(f"error: parameters beyond floating-point range ({exc})",
+              file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def console_main() -> None:

@@ -48,6 +48,9 @@ DEGENERACY_RTOL = 1e-9
 # renewal kernel (removable singularity; avoids catastrophic cancellation).
 KERNEL_SERIES_CUTOFF = 1e-8
 
+# exp(-x) is exactly 0.0 in double precision for every x above this.
+DECAY_UNDERFLOW = 746.0
+
 
 @dataclass(frozen=True)
 class ResetSpec:
@@ -134,12 +137,19 @@ def _renewal_kernel(rate: float, omega: np.ndarray, t: np.ndarray) -> np.ndarray
     s = np.broadcast_to(rate + 1j * omega, t.shape[:-2] + omega.shape)
     t = np.broadcast_to(t, s.shape)
     kernel = np.empty(s.shape, dtype=complex)
-    small = np.abs(s) * t < KERNEL_SERIES_CUTOFF
-    ts = t[small]
-    kernel[small] = 1.0 - s[small] * ts + rate * ts
-    big = ~small
-    sb, tb = s[big], t[big]
-    decay = np.exp(-sb * tb)
+    # products that overflow to inf compare correctly; an overflowed phase
+    # omega t makes exp nan, which is either zeroed below or left for the
+    # caller's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        small = np.abs(s) * t < KERNEL_SERIES_CUTOFF
+        ts = t[small]
+        kernel[small] = 1.0 - s[small] * ts + rate * ts
+        big = ~small
+        sb, tb = s[big], t[big]
+        decay = np.exp(-sb * tb)
+        # exp(-(r + i omega) t) is exactly 0 once r t passes the underflow
+        # bound, whatever the phase
+        decay[rate * tb > DECAY_UNDERFLOW] = 0.0
     kernel[big] = decay + rate * (1.0 - decay) / sb
     return kernel
 

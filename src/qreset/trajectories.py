@@ -1,19 +1,28 @@
 """Stochastic-trajectory estimator for the resetting dynamics.
 
-Simulates the wavefunction protocol literally: unitary evolution
-interrupted at Poisson times, each interruption restarting from the
-initial pure state.  Ensemble-averaging the projectors |psi><psi| gives
-an unbiased estimate of the renewal density matrix, which validates the
-spectral engine without sharing any of its algebra.
+Each trajectory evolves unitarily from the initial pure state and restarts
+from it at Poisson times.  Resets erase history, so the state at t_final is
+exp(-iH tau)|psi0> with tau the age of the last reset (t_final when there
+was none).  By time reversal of the Poisson process, tau is distributed as
+min(Exp(rate), t_final): the estimator draws that age directly instead of
+the whole event list, so its cost per trajectory does not grow with
+rate * t_final.  Ensemble-averaging the projectors |psi><psi| gives an
+unbiased estimate of the renewal density matrix, which validates the
+spectral engine without sharing any of its algebra.  The literal sampler
+(``sample_reset_times`` and ``evolve_trajectory``) stays as the oracle the
+tests check the age sampler and the estimator against.
 
-Reproducibility contract: trajectory ``i`` draws from its own generator
-seeded by (master_seed, i), and accumulation runs in fixed-size chunks in
-trajectory-index order, so results are bit-identical for a given config
-no matter how the work would be scheduled.
+Reproducibility contract: trajectories run in chunks of ``_CHUNK``.  Chunk
+k draws all ``_CHUNK`` of its ages from one generator seeded by
+(master_seed, k) and uses the first ones it needs, so trajectory i depends
+only on (master_seed, i // _CHUNK, i % _CHUNK), an n-trajectory ensemble
+is a prefix of every larger one, and results are bit-identical for a given
+config.  A zero rate or a zero t_final draws nothing.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +30,9 @@ import numpy as np
 from .reset_core import QuantumSystem
 
 _CHUNK = 1024
+# Largest (m, d, d) complex block of projectors formed at once; at least
+# one projector per block, so d = 1024 takes 16 MB.
+_BLOCK_BYTES = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -82,13 +94,6 @@ def _pure_state_of(sys: QuantumSystem) -> np.ndarray:
     return v[:, -1].copy()
 
 
-def _evolve_pure(sys: QuantumSystem, psi0: np.ndarray, tau: float) -> np.ndarray:
-    energies, v = sys.eigensystem
-    coeffs = v.conj().T @ psi0
-    psi = v @ (coeffs * np.exp(-1j * energies * tau))
-    return psi / np.linalg.norm(psi)
-
-
 def evolve_trajectory(sys: QuantumSystem, resets, t_final: float) -> np.ndarray:
     """Final state of one trajectory with the given reset times.
 
@@ -102,57 +107,75 @@ def evolve_trajectory(sys: QuantumSystem, resets, t_final: float) -> np.ndarray:
                         or resets[-1] >= t_final):
         raise ValueError("reset times must be ascending within (0, t_final)")
     psi0 = _pure_state_of(sys)
-    last = float(resets[-1]) if resets.size else 0.0
-    return _evolve_pure(sys, psi0, t_final - last)
+    tau = t_final - (float(resets[-1]) if resets.size else 0.0)
+    energies, v = sys.eigensystem
+    psi = v @ ((v.conj().T @ psi0) * np.exp(-1j * energies * tau))
+    return psi / np.linalg.norm(psi)
 
 
-def estimate_density(sys: QuantumSystem, cfg: TrajectoryConfig) -> TrajectoryEstimate:
-    """Monte Carlo estimate of the renewal density matrix at t_final.
+def reset_age_chunks(cfg: TrajectoryConfig) -> Iterator[np.ndarray]:
+    """Ages of the last reset at cfg.t_final of trajectories 0 .. n_traj-1,
+    one array per chunk of ``_CHUNK`` (see the reproducibility contract)."""
+    for k, start in enumerate(range(0, cfg.n_traj, _CHUNK)):
+        m = min(_CHUNK, cfg.n_traj - start)
+        if cfg.rate == 0.0 or cfg.t_final == 0.0:
+            yield np.full(m, cfg.t_final)
+            continue
+        stream = np.random.default_rng([cfg.master_seed, k])
+        ages = stream.exponential(1.0 / cfg.rate, _CHUNK)
+        yield np.minimum(ages, cfg.t_final)[:m]
 
-    Averages |psi><psi| over cfg.n_traj independent trajectories.  Entries
-    that are deterministic (e.g. a zero rate) come back with zero standard
-    error.
+
+def density_from_ages(sys: QuantumSystem, age_chunks: Iterable) -> TrajectoryEstimate:
+    """Ensemble mean of the projectors of exp(-iH tau)|psi0> over the ages
+    tau, given as an iterable of 1-d arrays.
+
+    The ages are taken in blocks of up to ``_CHUNK``, fewer where the
+    (m, d, d) projectors of a block would exceed ``_BLOCK_BYTES``; the
+    blocks reuse one buffer.  Entries that are deterministic (e.g. a zero
+    rate) come back with exactly zero standard error.
     """
     psi0 = _pure_state_of(sys)
     energies, v = sys.eigensystem
     coeffs = v.conj().T @ psi0
+    vt = v.T
     d = sys.dim
-
-    def sample(i):
-        stream = np.random.default_rng([cfg.master_seed, i])
-        times = sample_reset_times(cfg.rate, cfg.t_final, stream)
-        tau = cfg.t_final - (float(times[-1]) if times.size else 0.0)
-        psi = v @ (coeffs * np.exp(-1j * energies * tau))
-        psi /= np.linalg.norm(psi)
-        return np.outer(psi, psi.conj())
+    rows = min(_CHUNK, max(1, _BLOCK_BYTES // (16 * d * d)))
+    buf = np.empty((rows, d, d), dtype=complex)
 
     # Accumulate deviations from the first sample: sums of (x - shift) and
     # (x - shift)^2 stay free of the catastrophic cancellation the plain
     # sum-of-squares formula hits when the spread is tiny (zero-rate runs
     # must come back with exactly zero variance).
-    shift = sample(0)
+    shift = None
     total_dev = np.zeros((d, d), dtype=complex)
-    total_sq_re = np.zeros((d, d), dtype=float)
-    total_sq_im = np.zeros((d, d), dtype=float)
-
-    n = cfg.n_traj
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        part_dev = np.zeros((d, d), dtype=complex)
-        part_sq_re = np.zeros((d, d), dtype=float)
-        part_sq_im = np.zeros((d, d), dtype=float)
-        for i in range(start, stop):
-            dev = sample(i) - shift
-            part_dev += dev
-            part_sq_re += dev.real**2
-            part_sq_im += dev.imag**2
-        total_dev += part_dev
-        total_sq_re += part_sq_re
-        total_sq_im += part_sq_im
+    # squared real and imaginary parts, interleaved as in a complex array
+    total_sq = np.zeros((d, 2 * d), dtype=float)
+    n = 0
+    for ages in age_chunks:
+        ages = np.asarray(ages, dtype=float)
+        for start in range(0, ages.size, rows):
+            tau = ages[start:start + rows]
+            psi = np.exp(np.multiply.outer(tau, -1j * energies))
+            psi *= coeffs
+            psi = psi @ vt
+            psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+            dev = np.multiply(psi[:, :, None], psi.conj()[:, None, :],
+                              out=buf[:tau.size])
+            if shift is None:
+                shift = dev[0].copy()
+            dev -= shift
+            total_dev += dev.sum(axis=0)
+            parts = dev.view(float)
+            total_sq += np.square(parts, out=parts).sum(axis=0)
+            n += tau.size
+    if n == 0:
+        raise ValueError("no ages to average over")
 
     mean_dev = total_dev / n
     rho_hat = shift + mean_dev
     if n > 1:
+        total_sq_re, total_sq_im = total_sq[:, 0::2], total_sq[:, 1::2]
         var_re = np.clip(total_sq_re / n - mean_dev.real**2, 0.0, None) * n / (n - 1)
         var_im = np.clip(total_sq_im / n - mean_dev.imag**2, 0.0, None) * n / (n - 1)
         stderr_re = np.sqrt(var_re / n)
@@ -163,3 +186,12 @@ def estimate_density(sys: QuantumSystem, cfg: TrajectoryConfig) -> TrajectoryEst
     return TrajectoryEstimate(
         rho_hat=rho_hat, stderr_re=stderr_re, stderr_im=stderr_im, n_traj=n
     )
+
+
+def estimate_density(sys: QuantumSystem, cfg: TrajectoryConfig) -> TrajectoryEstimate:
+    """Monte Carlo estimate of the renewal density matrix at t_final.
+
+    Averages |psi><psi| over cfg.n_traj independent trajectories, each
+    evolved for its age of the last reset (see ``reset_age_chunks``).
+    """
+    return density_from_ages(sys, reset_age_chunks(cfg))

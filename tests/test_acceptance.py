@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 The lines are emitted with capture suspended so they appear in any pytest
-run.  The Monte Carlo criterion takes 11-16 s (four runs on a 2-core x86-64
-host, Python 3.11, numpy 2.4); everything else completes in seconds.
+run.  The Monte Carlo criterion takes about 2 s (2-core x86-64 host,
+Python 3.11, numpy 2.4); everything else completes in seconds.
 """
 
 import numpy as np
@@ -181,12 +181,18 @@ def test_criterion_08_monte_carlo_validation(reporter):
         est = estimate_density(sys_, cfg)
         z_re, z_im = standardized_deviations(est, exact)
         ok &= float(max(z_re.max(), z_im.max())) <= 5.0
+    # the error at one n is the mean over 32 master seeds: at a single seed
+    # it scatters enough to move the fitted slope out of its window about
+    # half the time, for a correct estimator
     exact3 = reset_density(sys_, ResetSpec(1.0), 3.0)
     devs = []
     for n in (1000, 10_000, 100_000):
-        cfg = TrajectoryConfig(n_traj=n, master_seed=MC_SEED, t_final=3.0, rate=1.0)
-        est = estimate_density(sys_, cfg)
-        devs.append(float(np.abs(est.rho_hat - exact3).max()))
+        errs = []
+        for seed in range(MC_SEED, MC_SEED + 32):
+            cfg = TrajectoryConfig(n_traj=n, master_seed=seed, t_final=3.0, rate=1.0)
+            est = estimate_density(sys_, cfg)
+            errs.append(float(np.abs(est.rho_hat - exact3).max()))
+        devs.append(float(np.mean(errs)))
     slope = float(np.polyfit(np.log10([1e3, 1e4, 1e5]), np.log10(devs), 1)[0])
     ok &= -0.6 <= slope <= -0.4
     reporter.criterion(8, f"Monte Carlo validation (error slope {slope:.2f})", ok)

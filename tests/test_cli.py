@@ -193,6 +193,14 @@ class TestSweep:
             ["sweep", "--grid-r", "0:1:2:log", "--grid-alpha", "0:1:2"]
         ) == 4
 
+    def test_rates_beyond_float_range_rejected(self):
+        proc = run_process(["sweep", "--grid-r", "1e100:1e300:3:log",
+                            "--grid-alpha", "0:1:2", "--observables", "entropy"],
+                           timeout=10)
+        assert proc.returncode == 4
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestTimeseries:
     def test_basic(self, tmp_path):
@@ -212,6 +220,13 @@ class TestTimeseries:
         assert float(first[2]) == 0.0   # t
         assert float(first[3]) == 0.0   # entropy
         assert float(first[4]) == 1.0   # fidelity
+
+    def test_settles_on_stationary_state_at_huge_times(self, capsys):
+        assert run(["timeseries", "--R", "1", "--grid-t", "0:1e308:3",
+                    "--observables", "fidelity"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1].split(",")
+        assert float(last[2]) == 1e308
+        assert float(last[4]) == pytest.approx(0.65, abs=1e-12)
 
 
 class TestOptimize:
@@ -264,6 +279,13 @@ class TestPeakR:
         assert report["flag"] == "interior"
         assert report["r_star"] == pytest.approx(0.266278, abs=1e-4)
 
+    def test_bounds_beyond_float_range_rejected(self):
+        proc = run_process(["peak-r", "--t", "5", "--r-bounds", "1e-300:1e300"],
+                           timeout=10)
+        assert proc.returncode == 4
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestMcValidate:
     def test_passes(self, capsys):
@@ -300,6 +322,14 @@ class TestMcValidate:
             ]
         )
         assert rc == 0
+
+    @pytest.mark.parametrize("against", ["ness", "reset"])
+    def test_huge_rate_times_t_is_bounded(self, against):
+        # the literal event list would hold ~1e12 reset times per trajectory
+        proc = run_process(["mc-validate", "--R", "1", "--alpha", "1", "--t", "1e12",
+                            "--ntraj", "1000", "--against", against], timeout=5)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["passed"] is True
 
 
 class TestParsing:
