@@ -5,14 +5,10 @@ Ising model solved in closed form and a stochastic-trajectory validator.
 
 from .cmatrix import (
     HermitianEigensystem,
-    adjoint,
     as_cmatrix,
     as_density_matrix,
     hermitian_eig,
-    kron,
-    mat_mul,
     psd_sqrt,
-    trace,
 )
 from .observables import (
     ConcurrenceValue,
@@ -34,6 +30,7 @@ from .reset_core import (
     unitary_evolve,
 )
 from .serialize import (
+    ObservableRecord,
     RecordWriter,
     load_matrix,
     load_quantum_system,
@@ -41,7 +38,6 @@ from .serialize import (
 )
 from .sweep import (
     CriticalPoint,
-    ObservableRecord,
     OptimizeResult,
     SweepGrid,
     find_entropy_peak_rate,

@@ -30,7 +30,7 @@ Carlo mismatch), 3 solver failure, 4 configuration or I/O error.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import os
 import sys
 from contextlib import contextmanager
@@ -39,7 +39,7 @@ import numpy as np
 
 from .observables import concurrence, fidelity, purity, von_neumann_entropy
 from .reset_core import ResetSpec, SubsystemSplit, ness_density, partial_trace
-from .serialize import RecordWriter, format_float, load_quantum_system
+from .serialize import RecordWriter, load_quantum_system, write_json
 from .sweep import (
     ALL_OBSERVABLES,
     BoundsError,
@@ -128,18 +128,18 @@ def _resolve_params(args) -> TwoSpinParams:
     return TwoSpinParams.from_dimensionless(args.R, alpha)
 
 
-def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
+def _check_threads(args) -> None:
+    # --threads and QRESET_THREADS have no effect, but a bad value is an error
+    if args.threads is not None:
         if args.threads < 1:
             raise ValueError("--threads must be >= 1")
-        return args.threads
+        return
     env = os.environ.get(THREADS_ENV)
     if env:
         try:
-            return max(1, int(env))
+            int(env)
         except ValueError:
             raise ValueError(f"invalid {THREADS_ENV} value {env!r}") from None
-    return 1
 
 
 @contextmanager
@@ -149,39 +149,6 @@ def _out_stream(path):
     else:
         with open(path, "w", newline="") as f:
             yield f
-
-
-def _json_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format_float(float(v))
-    if isinstance(v, str):
-        return json.dumps(v)
-    if isinstance(v, np.ndarray):
-        return _matrix_pairs_json(v)
-    raise TypeError(f"unsupported report value {v!r}")
-
-
-def _write_report(pairs, stream) -> None:
-    # one write per value: a d = 256 ness_matrix is a 3 MB string, and
-    # joining the report first would hold several copies of it at once
-    sep = "{"
-    for k, v in pairs:
-        stream.write(f'{sep}"{k}": ')
-        stream.write(_json_value(v))
-        sep = ", "
-    stream.write("}\n")
-
-
-def _matrix_pairs_json(m: np.ndarray) -> str:
-    cells = ", ".join(
-        f"[{format_float(float(v.real))}, {format_float(float(v.imag))}]"
-        for v in m.reshape(-1)
-    )
-    return "[" + cells + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +176,7 @@ def _cmd_ness(args) -> int:
             pairs.append(("concurrence", concurrence(rho).value))
         pairs.append(("ness_matrix", rho))
         with _out_stream(args.out) as f:
-            _write_report(pairs, f)
+            write_json(pairs, f)
         return EXIT_OK
 
     p = _resolve_params(args)
@@ -229,9 +196,9 @@ def _cmd_sweep(args) -> int:
         alpha_values=tuple(_parse_grid(args.grid_alpha, "--grid-alpha")),
         observables=_parse_observables(args.observables),
     )
-    threads = _resolve_threads(args)
+    _check_threads(args)
     with _out_stream(args.out) as f:
-        run_sweep(grid, RecordWriter(f, args.format), threads=threads)
+        run_sweep(grid, RecordWriter(f, args.format))
     return EXIT_OK
 
 
@@ -251,7 +218,7 @@ def _cmd_optimize(args) -> int:
     lo, hi = _parse_bounds(args.r_bounds, "--r-bounds")
     res = optimize_concurrence(args.alpha, lo, hi, tol=args.tol)
     with _out_stream(args.out) as f:
-        _write_report(
+        write_json(
             [
                 ("alpha", float(args.alpha)),
                 ("r_star", res.x),
@@ -270,7 +237,7 @@ def _cmd_critical(args) -> int:
     r_lo, r_hi, a_lo, a_hi = (float(x) for x in parts)
     cp = find_inflection(r_lo, r_hi, a_lo, a_hi)
     with _out_stream(args.out) as f:
-        _write_report(
+        write_json(
             [
                 ("r_c", cp.r_c),
                 ("alpha_c", cp.alpha_c),
@@ -287,7 +254,7 @@ def _cmd_peak_r(args) -> int:
     alpha = args.alpha if args.alpha is not None else 0.0
     res = find_entropy_peak_rate(args.t, alpha, lo, hi, tol=args.tol)
     with _out_stream(args.out) as f:
-        _write_report(
+        write_json(
             [
                 ("t", float(args.t)),
                 ("alpha", float(alpha)),
@@ -311,7 +278,7 @@ def _cmd_mc_validate(args) -> int:
         threshold=args.threshold,
     )
     with _out_stream(args.out) as f:
-        _write_report(
+        write_json(
             [
                 ("R", p.R),
                 ("alpha", p.alpha),
@@ -400,8 +367,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # one parser per process: parsing leaves it unchanged, and building it
+    # costs about as much as a small job
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -417,7 +391,7 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OverflowError as exc:

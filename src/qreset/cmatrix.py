@@ -1,10 +1,11 @@
 """Dense complex linear algebra for small Hermitian problems.
 
-All routines operate on square complex numpy arrays of modest dimension
-(two-qubit scale, nothing beyond ~64): products, adjoints, Kronecker
-products, Hermitian eigendecomposition and the positive-semidefinite
+All routines operate on square complex numpy arrays of modest dimension:
+validation, Hermitian eigendecomposition and the positive-semidefinite
 matrix square root.  Inputs are validated against the module tolerances;
 violations raise ValueError instead of propagating garbage downstream.
+This module is the one place that says what a valid density matrix is
+(``density_spectrum``).
 
 ``psd_sqrt_stack`` is the square root's one body: it works on a stack of
 matrices with shape (..., d, d) and trusts its input, as stacks built from a
@@ -52,44 +53,17 @@ def as_cmatrix(a) -> np.ndarray:
     return m
 
 
-def frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
-
-
-def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two equal-dimension square matrices."""
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b
-
-
-def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
-
-
-def trace(a: np.ndarray) -> complex:
-    return complex(np.trace(a))
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, first factor's index slowest (block) order."""
-    return np.kron(a, b)
-
-
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Hermitian part (a + a^dagger) / 2 of a matrix or of each matrix in a
     (..., d, d) stack; removes round-off asymmetry."""
     return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
-def is_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
-    return frobenius(a - a.conj().T) <= rtol * max(frobenius(a), 1e-300)
-
-
 def require_hermitian(a: np.ndarray, what: str = "matrix") -> None:
-    if not is_hermitian(a):
-        dev = frobenius(a - a.conj().T)
+    """Raise unless ``a`` is Hermitian to ``HERMITICITY_RTOL`` (relative,
+    Frobenius)."""
+    dev = float(np.linalg.norm(a - a.conj().T))
+    if not dev <= HERMITICITY_RTOL * max(float(np.linalg.norm(a)), 1e-300):
         raise ValueError(f"{what} is not Hermitian (deviation {dev:.3e})")
 
 
@@ -127,29 +101,43 @@ def psd_sqrt_stack(a: np.ndarray) -> np.ndarray:
     eigenvalue below ``-PSD_CLIP_TOL`` anywhere in the stack raises.
     """
     w, v = np.linalg.eigh(a)
-    lowest = float(w[..., 0].min(initial=0.0))
-    if lowest < -PSD_CLIP_TOL:
-        raise ValueError(f"matrix is not PSD: smallest eigenvalue {lowest:.3e}")
+    _require_psd_spectrum(w, "psd_sqrt input")
     w[w < PSD_NULL_RTOL * np.maximum(w[..., -1:], 0.0)] = 0.0
     return hermitize((v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 def as_density_matrix(rho) -> np.ndarray:
     """Validate ``rho`` as a density matrix: Hermitian, PSD, unit trace."""
+    return density_spectrum(rho)[0]
+
+
+def density_spectrum(rho) -> tuple[np.ndarray, np.ndarray]:
+    """Validate ``rho`` as a density matrix (Hermitian, PSD, unit trace).
+
+    Returns the validated copy and its ascending eigenvalues clamped into
+    [0, 1]; the PSD check and the spectrum come from one ``eigvalsh``.
+    """
     m = as_cmatrix(rho)
     require_hermitian(m, "density matrix")
     tr = np.trace(m)
     if abs(tr - 1.0) > TRACE_ATOL:
         raise ValueError(f"density matrix trace is {tr}, expected 1")
-    require_psd(m, "density matrix")
-    return m
+    return m, np.clip(require_psd(m, "density matrix"), 0.0, 1.0)
 
 
-def require_psd(a: np.ndarray, what: str = "matrix") -> None:
+def require_psd(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     """Raise unless a Hermitian matrix, or each matrix of a (..., d, d)
-    stack, is finite with no eigenvalue below ``-PSD_CLIP_TOL``."""
+    stack, is finite with no eigenvalue below ``-PSD_CLIP_TOL``; returns
+    the ascending eigenvalues."""
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{what} entries must be finite")
-    lowest = float(np.linalg.eigvalsh(a)[..., 0].min(initial=0.0))
+    w = np.linalg.eigvalsh(a)
+    _require_psd_spectrum(w, what)
+    return w
+
+
+def _require_psd_spectrum(w: np.ndarray, what: str) -> None:
+    # ascending eigenvalues along the last axis, one row per stack member
+    lowest = float(w[..., 0].min(initial=0.0))
     if lowest < -PSD_CLIP_TOL:
         raise ValueError(f"{what} not PSD: eigenvalue {lowest:.3e}")

@@ -16,14 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmatrix import (
-    PSD_CLIP_TOL,
-    TRACE_ATOL,
-    as_cmatrix,
-    as_density_matrix,
-    psd_sqrt_stack,
-    require_hermitian,
-)
+from .cmatrix import as_density_matrix, density_spectrum, psd_sqrt_stack
 from .reset_core import SubsystemSplit, partial_trace
 
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
@@ -31,22 +24,9 @@ _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 _SPIN_FLIP_OP = np.kron(_SIGMA_Y, _SIGMA_Y).real
 
 
-def _density_eigenvalues(rho) -> np.ndarray:
-    """Spectrum of a validated density matrix, clamped into [0, 1]."""
-    rho = as_cmatrix(rho)
-    require_hermitian(rho, "density matrix")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > TRACE_ATOL:
-        raise ValueError(f"density matrix trace is {tr}, expected 1")
-    w = np.linalg.eigvalsh(rho)
-    if w[0] < -PSD_CLIP_TOL:
-        raise ValueError(f"density matrix not PSD: eigenvalue {w[0]:.3e}")
-    return np.clip(w, 0.0, 1.0)
-
-
 def von_neumann_entropy(rho) -> float:
     """-tr(rho ln rho) in nats, with the 0 ln 0 = 0 convention."""
-    w = _density_eigenvalues(rho)
+    _, w = density_spectrum(rho)
     w = w[w > 0.0]
     return float(-np.sum(w * np.log(w)))
 

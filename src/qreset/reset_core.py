@@ -35,7 +35,6 @@ from .cmatrix import (
     HermitianEigensystem,
     as_cmatrix,
     as_density_matrix,
-    frobenius,
     hermitize,
     require_hermitian,
 )
@@ -98,7 +97,7 @@ class QuantumSystem:
         v = self.eigensystem.eigenvectors
         # rho0 expressed in the energy basis; every producer below starts here.
         self._rho0_energy = v.conj().T @ rho @ v
-        self.degeneracy_tol = DEGENERACY_RTOL * max(frobenius(h), 1e-300)
+        self.degeneracy_tol = DEGENERACY_RTOL * max(float(np.linalg.norm(h)), 1e-300)
         for arr in (self.hamiltonian, self.rho0, self._rho0_energy,
                     self.eigensystem.eigenvalues, self.eigensystem.eigenvectors):
             arr.flags.writeable = False

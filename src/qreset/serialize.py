@@ -1,7 +1,10 @@
-"""Record output (CSV / JSON lines) and the matrix interchange format.
+"""Every output format: observable records (CSV / JSON lines), JSON
+reports and the matrix interchange format.
 
 Floats are printed with 17 significant digits so every value round-trips
 losslessly and identical invocations produce byte-identical files.
+``write_json`` writes every JSON object: a report, a JSON-lines record and
+an interchange document alike.
 
 Matrix interchange document (JSON):
 
@@ -12,18 +15,75 @@ with exactly dim*dim [real, imaginary] pairs in row-major order.
 
 from __future__ import annotations
 
+import io
 import json
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .cmatrix import as_cmatrix
 from .reset_core import QuantumSystem
-from .sweep import FIELD_NAMES, ObservableRecord
 
+
+@dataclass
+class ObservableRecord:
+    """One output row; fields not requested stay None."""
+
+    r: float
+    alpha: float
+    t: float | None = None
+    entropy: float | None = None
+    fidelity: float | None = None
+    purity: float | None = None
+    concurrence: float | None = None
+
+
+FIELD_NAMES = tuple(f.name for f in fields(ObservableRecord))
 CSV_HEADER = ",".join(FIELD_NAMES)
 
 
 def format_float(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _json_value(v) -> str:
+    if isinstance(v, float):
+        return format_float(v)
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, np.floating):
+        return format_float(float(v))
+    if isinstance(v, str):
+        return json.dumps(v)
+    if isinstance(v, np.ndarray):
+        # a complex matrix: its entries as row-major [re, im] pairs
+        cells = ", ".join(
+            f"[{format_float(float(z.real))}, {format_float(float(z.imag))}]"
+            for z in v.reshape(-1)
+        )
+        return "[" + cells + "]"
+    raise TypeError(f"unsupported JSON value {v!r}")
+
+
+def write_json(pairs, stream) -> None:
+    """Write the (key, value) ``pairs`` as one line ``{"key": value, ...}``.
+
+    Values may be floats, ints, bools, strings or complex matrices.  One
+    write per value: a d = 256 ness_matrix is a 3 MB string, and joining
+    the line first would hold several copies of it at once.
+    """
+    sep = "{"
+    for k, v in pairs:
+        stream.write(f'{sep}"{k}": ')
+        stream.write(_json_value(v))
+        sep = ", "
+    stream.write("}\n")
+
+
+def _present_fields(rec: ObservableRecord) -> list[tuple[str, float]]:
+    return [(name, v) for name in FIELD_NAMES if (v := getattr(rec, name)) is not None]
 
 
 def csv_line(rec: ObservableRecord) -> str:
@@ -35,12 +95,11 @@ def csv_line(rec: ObservableRecord) -> str:
 
 
 def jsonl_line(rec: ObservableRecord) -> str:
-    parts = []
-    for name in FIELD_NAMES:
-        v = getattr(rec, name)
-        if v is not None:
-            parts.append(f'"{name}": {format_float(v)}')
-    return "{" + ", ".join(parts) + "}"
+    """The record as a JSON object without its newline; absent fields are
+    left out."""
+    buf = io.StringIO()
+    write_json(_present_fields(rec), buf)
+    return buf.getvalue()[:-1]
 
 
 class RecordWriter:
@@ -56,8 +115,10 @@ class RecordWriter:
             stream.write(CSV_HEADER + "\n")
 
     def write(self, rec: ObservableRecord) -> None:
-        line = csv_line(rec) if self.fmt == "csv" else jsonl_line(rec)
-        self.stream.write(line + "\n")
+        if self.fmt == "csv":
+            self.stream.write(csv_line(rec) + "\n")
+        else:
+            write_json(_present_fields(rec), self.stream)
         self.count += 1
 
 
@@ -77,14 +138,6 @@ def parse_records_csv(text: str) -> list[ObservableRecord]:
         }
         out.append(ObservableRecord(**kwargs))
     return out
-
-
-def matrix_to_document(m: np.ndarray) -> dict:
-    m = np.asarray(m, dtype=complex)
-    return {
-        "dim": int(m.shape[0]),
-        "matrix": [[float(v.real), float(v.imag)] for v in m.reshape(-1)],
-    }
 
 
 def document_to_matrix(doc) -> np.ndarray:
@@ -119,9 +172,10 @@ def document_to_matrix(doc) -> np.ndarray:
 
 
 def save_matrix(m: np.ndarray, path) -> None:
+    """Write a square, finite matrix as an interchange document."""
+    m = as_cmatrix(m)
     with open(path, "w") as f:
-        json.dump(matrix_to_document(m), f)
-        f.write("\n")
+        write_json([("dim", m.shape[0]), ("matrix", m)], f)
 
 
 def load_matrix(path) -> np.ndarray:

@@ -12,7 +12,7 @@ purity and concurrence from one stack of stationary states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -27,6 +27,7 @@ from .reset_core import (
     reset_density,
     reset_density_stack,
 )
+from .serialize import ObservableRecord
 from .trajectories import TrajectoryConfig, estimate_density
 from .twospin import TwoSpinParams
 
@@ -80,34 +81,6 @@ class SweepGrid:
         object.__setattr__(self, "observables", canonical)
 
 
-@dataclass
-class ObservableRecord:
-    """One output row; fields not requested stay None."""
-
-    r: float
-    alpha: float
-    t: float | None = None
-    entropy: float | None = None
-    fidelity: float | None = None
-    purity: float | None = None
-    concurrence: float | None = None
-
-    def bounds_violations(self) -> list[str]:
-        out = []
-        if self.entropy is not None and not (
-            -UNIT_BOUND_SLACK <= self.entropy <= math.log(2.0) + ENTROPY_BOUND_SLACK
-        ):
-            out.append(f"entropy {self.entropy} outside [0, ln 2]")
-        for name in ("fidelity", "purity", "concurrence"):
-            v = getattr(self, name)
-            if v is not None and not (-UNIT_BOUND_SLACK <= v <= 1.0 + UNIT_BOUND_SLACK):
-                out.append(f"{name} {v} outside [0, 1]")
-        return out
-
-
-FIELD_NAMES = tuple(f.name for f in fields(ObservableRecord))
-
-
 def _row_records(grid: SweepGrid, alpha: float) -> list[ObservableRecord]:
     """Records of one coupling row, in ascending rate order."""
     observables = grid.observables
@@ -133,7 +106,17 @@ def _row_records(grid: SweepGrid, alpha: float) -> list[ObservableRecord]:
 
 
 def _check_bounds(rec: ObservableRecord) -> ObservableRecord:
-    violations = rec.bounds_violations()
+    """Return ``rec``, or raise BoundsError if an observable lies outside
+    its theoretical range (entropy in [0, ln 2], the others in [0, 1])."""
+    violations = []
+    if rec.entropy is not None and not (
+        -UNIT_BOUND_SLACK <= rec.entropy <= math.log(2.0) + ENTROPY_BOUND_SLACK
+    ):
+        violations.append(f"entropy {rec.entropy} outside [0, ln 2]")
+    for name in ("fidelity", "purity", "concurrence"):
+        v = getattr(rec, name)
+        if v is not None and not (-UNIT_BOUND_SLACK <= v <= 1.0 + UNIT_BOUND_SLACK):
+            violations.append(f"{name} {v} outside [0, 1]")
     if violations:
         raise BoundsError(
             f"record at (r={rec.r}, alpha={rec.alpha}): " + "; ".join(violations)
@@ -141,21 +124,16 @@ def _check_bounds(rec: ObservableRecord) -> ObservableRecord:
     return rec
 
 
-def sweep_records(grid: SweepGrid, threads: int = 1) -> list[ObservableRecord]:
-    """Evaluate the grid, alpha-outer / rate-inner row-major order.
-
-    ``threads`` is accepted for compatibility and has no effect: a row is
-    one vectorised evaluation, and a thread pool over points was slower.
-    """
+def sweep_records(grid: SweepGrid) -> list[ObservableRecord]:
+    """Evaluate the grid, alpha-outer / rate-inner row-major order."""
     records = [rec for alpha in grid.alpha_values for rec in _row_records(grid, alpha)]
     return [_check_bounds(rec) for rec in records]
 
 
-def run_sweep(grid: SweepGrid, sink, threads: int = 1) -> int:
-    """Evaluate the grid and write each record to ``sink``; returns count.
-    ``threads`` has no effect (see :func:`sweep_records`)."""
+def run_sweep(grid: SweepGrid, sink) -> int:
+    """Evaluate the grid and write each record to ``sink``; returns count."""
     n = 0
-    for rec in sweep_records(grid, threads=threads):
+    for rec in sweep_records(grid):
         sink.write(rec)
         n += 1
     return n
@@ -451,16 +429,21 @@ def mc_validate(
 ) -> McValidationReport:
     """Run the trajectory estimator and compare it entrywise to the exact
     density matrix at rescaled time t (or to the stationary one)."""
+    if not (math.isfinite(threshold) and threshold > 0.0):
+        raise ValueError(f"threshold must be finite and > 0, got {threshold}")
     sys = twospin.quantum_system(p)
     t_phys = t / p.omega
     cfg = TrajectoryConfig(n_traj=n_traj, master_seed=seed, t_final=t_phys, rate=p.r)
-    estimate = estimate_density(sys, cfg)
     if against == "reset":
         exact = reset_density(sys, ResetSpec(p.r), t_phys)
     elif against == "ness":
         exact = ness_density(sys, ResetSpec(p.r))
     else:
         raise ValueError(f"against must be 'reset' or 'ness', got {against!r}")
+    # as in timeseries: once |omega t| nears 1/eps the phases carry no
+    # digits and the exact matrix is no state (or not even finite)
+    require_psd(exact, "exact density matrix")
+    estimate = estimate_density(sys, cfg)
     z_re, z_im = standardized_deviations(estimate, exact)
     worst = float(max(z_re.max(), z_im.max()))
     return McValidationReport(

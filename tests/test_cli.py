@@ -8,6 +8,7 @@ import pytest
 
 import qreset
 
+from qreset import cli
 from qreset.cli import main
 from qreset.serialize import save_matrix
 from qreset.twospin import TwoSpinParams, hamiltonian
@@ -331,6 +332,24 @@ class TestMcValidate:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["passed"] is True
 
+    def test_non_finite_exact_matrix_is_config_error(self, capsys):
+        # at rate 0 the phases omega t overflow: the exact matrix is no state
+        rc = run(["mc-validate", "--R", "0", "--alpha", "1", "--t", "1e308",
+                  "--ntraj", "10"])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.out == ""
+        assert captured.err.startswith("error: exact density matrix")
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])
+    def test_rejects_bad_threshold(self, capsys, threshold):
+        rc = run(["mc-validate", "--R", "1", "--alpha", "1", "--t", "1",
+                  "--ntraj", "10", "--threshold", threshold])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.out == ""
+        assert captured.err.startswith("error: threshold must be finite and > 0")
+
 
 class TestParsing:
     def test_unknown_command(self):
@@ -341,3 +360,51 @@ class TestParsing:
 
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0
+
+    def test_parser_is_built_once(self, monkeypatch):
+        calls = []
+        build = cli.build_parser
+
+        def counted():
+            calls.append(1)
+            return build()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counted)
+        assert run(["ness", "--R", "1", "--alpha", "1"]) == 0
+        assert run(["frobnicate"]) == 4
+        assert run(["ness", "--R", "2", "--alpha", "1"]) == 0
+        assert len(calls) == 1
+        cli._parser.cache_clear()
+
+    def test_reused_parser_gives_the_same_results(self, capsys):
+        bad = [
+            ["frobnicate"],
+            ["sweep", "--grid-r", "0.5:1:2"],
+            ["ness", "--R", "1", "--bogus"],
+            ["sweep", "--grid-r", "0.5:1:2", "--grid-alpha", "0:1:2", "--format", "xml"],
+            ["sweep", "--grid-r", "0:1:2", "--grid-alpha", "0:1:2"],
+            ["ness", "--R", "1", "--omega", "1"],
+            [],
+        ]
+        good = [
+            ["ness", "--R", "1", "--alpha", "1"],
+            ["sweep", "--grid-r", "0.5:1:2", "--grid-alpha", "0:1:2", "--format", "jsonl"],
+            ["optimize", "--alpha", "2", "--r-bounds", "0.01:10", "--tol", "1e-6"],
+            ["mc-validate", "--R", "1", "--alpha", "1", "--t", "1", "--ntraj", "50"],
+        ]
+
+        def results(order):
+            cli._parser.cache_clear()
+            out = {}
+            for argv in order:
+                rc = run(argv)
+                captured = capsys.readouterr()
+                out[tuple(argv)] = (rc, captured.out, captured.err)
+            return out
+
+        bad_first = results(bad + good)
+        good_first = results(good + bad)
+        assert bad_first == good_first
+        assert all(rc == 4 and err for rc, _, err in (bad_first[tuple(a)] for a in bad))
+        assert all(rc == 0 and out for rc, out, _ in (bad_first[tuple(a)] for a in good))

@@ -3,32 +3,18 @@ import pytest
 
 from qreset.cmatrix import (
     HermitianEigensystem,
-    adjoint,
     as_cmatrix,
     as_density_matrix,
+    density_spectrum,
     hermitian_eig,
     hermitize,
-    kron,
-    mat_mul,
     psd_sqrt,
     psd_sqrt_stack,
-    trace,
 )
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-
-# sigma_y (x) sigma_y expanded by hand: anti-diagonal (-1, 1, 1, -1)
-SYSY = np.array(
-    [
-        [0, 0, 0, -1],
-        [0, 0, 1, 0],
-        [0, 1, 0, 0],
-        [-1, 0, 0, 0],
-    ],
-    dtype=complex,
-)
 
 
 def random_hermitian(rng, dim):
@@ -64,73 +50,6 @@ class TestValidation:
         out = as_cmatrix(src)
         out[0, 0] = 5.0
         assert src[0, 0] == 1.0
-
-
-class TestMatMul:
-    def test_identity(self):
-        assert np.array_equal(mat_mul(I2, I2), I2)
-
-    def test_pauli_involution(self):
-        assert np.allclose(mat_mul(SY, SY), I2, atol=1e-15)
-
-    def test_spin_flip_involution(self):
-        assert np.allclose(mat_mul(SYSY, SYSY), I4, atol=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            mat_mul(I2, I4)
-
-    def test_trace_cyclicity(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            assert abs(trace(mat_mul(a, b)) - trace(mat_mul(b, a))) < 1e-13
-
-
-class TestAdjoint:
-    def test_identity(self):
-        assert np.array_equal(adjoint(I2), I2)
-
-    def test_sigma_y_hermitian(self):
-        assert np.array_equal(adjoint(SY), SY)
-
-    def test_diag_imag(self):
-        assert np.array_equal(
-            adjoint(np.diag([1j, -1j])), np.diag([-1j, 1j])
-        )
-
-
-class TestTrace:
-    def test_identity(self):
-        assert trace(I4) == 4.0
-
-    def test_sigma_y(self):
-        assert trace(SY) == 0.0
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(I2, I2), I4)
-
-    def test_sigma_y_pair(self):
-        assert np.allclose(kron(SY, SY), SYSY, atol=0)
-
-    def test_projector_blocks(self):
-        assert np.array_equal(
-            kron(np.diag([1.0, 0.0]).astype(complex), I2),
-            np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex),
-        )
-
-    def test_associativity(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            lhs = kron(kron(a, b), c)
-            rhs = kron(a, kron(b, c))
-            assert np.abs(lhs - rhs).max() < 1e-15 * max(np.abs(lhs).max(), 1.0)
 
 
 class TestHermitianEig:
@@ -244,3 +163,31 @@ class TestDensityValidation:
     def test_rejects_non_psd(self):
         with pytest.raises(ValueError):
             as_density_matrix(np.diag([1.5, -0.5]).astype(complex))
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            as_density_matrix(np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex))
+
+    def test_spectrum_is_clamped_and_ascending(self):
+        # eigenvalues just below zero (inside PSD_CLIP_TOL) are round-off
+        m, w = density_spectrum(np.diag([1.0 + 1e-12, -1e-12]).astype(complex))
+        assert np.array_equal(w, [0.0, 1.0])
+        assert np.array_equal(m, np.diag([1.0 + 1e-12, -1e-12]))
+
+    def test_one_eigvalsh_per_validated_matrix(self, monkeypatch):
+        import qreset.cmatrix as cmatrix_mod
+        from qreset.observables import von_neumann_entropy
+
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(cmatrix_mod.np.linalg, "eigvalsh", counted)
+        rho = random_density(np.random.default_rng(12), 4)
+        as_density_matrix(rho)
+        density_spectrum(rho)
+        von_neumann_entropy(rho)
+        assert calls == [(4, 4)] * 3
