@@ -37,11 +37,18 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .observables import concurrence, fidelity, purity, von_neumann_entropy
+from .cmatrix import as_density_matrix
+from .observables import (
+    concurrence_stack,
+    fidelity_stack,
+    purity_stack,
+    von_neumann_entropy,
+)
 from .reset_core import ResetSpec, SubsystemSplit, ness_density, partial_trace
 from .serialize import RecordWriter, load_quantum_system, write_json
 from .sweep import (
     ALL_OBSERVABLES,
+    CURVATURE_STEP,
     BoundsError,
     SolverError,
     SweepGrid,
@@ -93,6 +100,27 @@ def _parse_bounds(spec: str, name: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise ValueError(f"{name} must look like lo:hi, got {spec!r}")
     return float(parts[0]), float(parts[1])
+
+
+def _parse_box(spec: str) -> tuple[float, float, float, float]:
+    parts = spec.split(":")
+    if len(parts) != 4:
+        raise ValueError(f"--box must look like rlo:rhi:alo:ahi, got {spec!r}")
+    try:
+        r_lo, r_hi, a_lo, a_hi = (float(x) for x in parts)
+    except ValueError:
+        raise ValueError(f"cannot parse --box spec {spec!r}") from None
+    # the solver's finite differences step CURVATURE_STEP below alpha_lo
+    if not (
+        all(np.isfinite((r_lo, r_hi, a_lo, a_hi)))
+        and 0.0 < r_lo < r_hi
+        and CURVATURE_STEP <= a_lo < a_hi
+    ):
+        raise ValueError(
+            f"--box needs finite 0 < rlo < rhi and {CURVATURE_STEP:g} <= alo < ahi, "
+            f"got {spec!r}"
+        )
+    return r_lo, r_hi, a_lo, a_hi
 
 
 def _parse_observables(spec: str, allowed=ALL_OBSERVABLES) -> tuple[str, ...]:
@@ -161,19 +189,20 @@ def _cmd_ness(args) -> int:
         if args.r is None or args.r <= 0:
             raise ValueError("generic mode needs a positive --r")
         sys_ = load_quantum_system(args.hamiltonian, args.rho0)
-        rho = ness_density(sys_, ResetSpec(args.r))
+        # validated once here; sys_.rho0 was validated when sys_ was built
+        rho = as_density_matrix(ness_density(sys_, ResetSpec(args.r)))
         pairs = [
             ("dim", sys_.dim),
             ("rate", float(args.r)),
-            ("purity", purity(rho)),
-            ("fidelity_rho0", fidelity(rho, sys_.rho0)),
+            ("purity", float(purity_stack(rho))),
+            ("fidelity_rho0", float(fidelity_stack(rho, sys_.rho0))),
         ]
         if args.split:
             da, db = (int(x) for x in args.split.split(":"))
             reduced = partial_trace(rho, SubsystemSplit(da, db), "A")
             pairs.append(("entropy_subsystem_a", von_neumann_entropy(reduced)))
         if sys_.dim == 4:
-            pairs.append(("concurrence", concurrence(rho).value))
+            pairs.append(("concurrence", float(concurrence_stack(rho)[0])))
         pairs.append(("ness_matrix", rho))
         with _out_stream(args.out) as f:
             write_json(pairs, f)
@@ -231,10 +260,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_critical(args) -> int:
-    parts = args.box.split(":")
-    if len(parts) != 4:
-        raise ValueError(f"--box must look like rlo:rhi:alo:ahi, got {args.box!r}")
-    r_lo, r_hi, a_lo, a_hi = (float(x) for x in parts)
+    r_lo, r_hi, a_lo, a_hi = _parse_box(args.box)
     cp = find_inflection(r_lo, r_hi, a_lo, a_hi)
     with _out_stream(args.out) as f:
         write_json(

@@ -14,6 +14,7 @@ validated system may be.  ``psd_sqrt`` validates one matrix and calls it.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -59,12 +60,24 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
+def max_entry(a: np.ndarray) -> float:
+    """Largest magnitude of a real or imaginary part of an entry of ``a``
+    (nan if any part is nan).  Norms of ``a`` divided by it are at most
+    about the matrix size, so they cannot overflow."""
+    parts = np.ascontiguousarray(a, dtype=complex).view(float)
+    return float(np.abs(parts).max(initial=0.0))
+
+
 def require_hermitian(a: np.ndarray, what: str = "matrix") -> None:
     """Raise unless ``a`` is Hermitian to ``HERMITICITY_RTOL`` (relative,
-    Frobenius)."""
-    dev = float(np.linalg.norm(a - a.conj().T))
-    if not dev <= HERMITICITY_RTOL * max(float(np.linalg.norm(a)), 1e-300):
-        raise ValueError(f"{what} is not Hermitian (deviation {dev:.3e})")
+    Frobenius), judged on ``a`` scaled by its largest entry."""
+    scale = max_entry(a)
+    if not math.isfinite(scale):
+        raise ValueError(f"{what} entries must be finite")
+    b = a / max(scale, 1e-300)
+    dev = float(np.linalg.norm(b - b.conj().T))
+    if not dev <= HERMITICITY_RTOL * float(np.linalg.norm(b)):
+        raise ValueError(f"{what} is not Hermitian (deviation {dev * scale:.3e})")
 
 
 def hermitian_eig(a: np.ndarray) -> HermitianEigensystem:

@@ -3,11 +3,12 @@
 von Neumann entropy, Uhlmann fidelity (general and pure-reference),
 purity, and the two-qubit concurrence in Wootters' closed form.
 
-Purity, pure-state fidelity and concurrence each have one body that works
-on a (..., d, d) stack of density matrices (``purity_stack``,
-``fidelity_pure_stack``, ``concurrence_stack``).  Those bodies trust their
-input, as stacks built from a validated system may be; the one-matrix
-functions validate their argument and call them.
+Purity, fidelity (general and pure-reference) and concurrence each have one
+body that works on a (..., d, d) stack of density matrices
+(``purity_stack``, ``fidelity_stack``, ``fidelity_pure_stack``,
+``concurrence_stack``).  Those bodies trust their input, as stacks built
+from a validated system may be; the one-matrix functions validate their
+arguments and call them.
 """
 
 from __future__ import annotations
@@ -54,9 +55,15 @@ def fidelity(rho, sigma) -> float:
     sigma = as_density_matrix(sigma)
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
+    return float(fidelity_stack(rho, sigma))
+
+
+def fidelity_stack(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Uhlmann fidelity (see :func:`fidelity`) of each pair of density
+    matrices in two (..., d, d) stacks of one shape."""
     crossed = psd_sqrt_stack(rho) @ psd_sqrt_stack(sigma)
-    f = float(np.linalg.svd(crossed, compute_uv=False).sum()) ** 2
-    return min(max(f, 0.0), 1.0)
+    f = np.linalg.svd(crossed, compute_uv=False).sum(axis=-1) ** 2
+    return np.clip(f, 0.0, 1.0)
 
 
 def fidelity_pure(rho, psi) -> float:

@@ -36,6 +36,7 @@ from .cmatrix import (
     as_cmatrix,
     as_density_matrix,
     hermitize,
+    max_entry,
     require_hermitian,
 )
 
@@ -97,7 +98,9 @@ class QuantumSystem:
         v = self.eigensystem.eigenvectors
         # rho0 expressed in the energy basis; every producer below starts here.
         self._rho0_energy = v.conj().T @ rho @ v
-        self.degeneracy_tol = DEGENERACY_RTOL * max(float(np.linalg.norm(h)), 1e-300)
+        # the Frobenius norm of h, taken of h scaled so that it cannot overflow
+        scale = max(max_entry(h), 1e-300)
+        self.degeneracy_tol = DEGENERACY_RTOL * scale * float(np.linalg.norm(h / scale))
         for arr in (self.hamiltonian, self.rho0, self._rho0_energy,
                     self.eigensystem.eigenvalues, self.eigensystem.eigenvectors):
             arr.flags.writeable = False

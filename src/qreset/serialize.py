@@ -10,7 +10,15 @@ Matrix interchange document (JSON):
 
     {"dim": 4, "matrix": [[re, im], [re, im], ...]}
 
-with exactly dim*dim [real, imaginary] pairs in row-major order.
+with exactly dim*dim [real, imaginary] pairs in row-major order.  The
+loader raises ValueError (exit 4 from the command line) on a document that
+is not such an object, on a 'dim' that is not a positive JSON integer, on
+the wrong number of entries, on an entry that is not a two-element pair, on
+a part that is not a JSON number (true/false included), on an integer
+beyond float range and on a non-finite value (1e999 loads as inf).  Each
+entry fault but a non-finite value names the index of the first bad entry.
+A system built from two documents then checks the Hamiltonian is Hermitian,
+relative to its largest entry, and the state a density matrix.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -46,6 +55,10 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+# one matrix entry; "%.17g" formats exactly as format_float
+_PAIR = "[%.17g, %.17g]"
+
+
 def _json_value(v) -> str:
     if isinstance(v, float):
         return format_float(v)
@@ -58,12 +71,10 @@ def _json_value(v) -> str:
     if isinstance(v, str):
         return json.dumps(v)
     if isinstance(v, np.ndarray):
-        # a complex matrix: its entries as row-major [re, im] pairs
-        cells = ", ".join(
-            f"[{format_float(float(z.real))}, {format_float(float(z.imag))}]"
-            for z in v.reshape(-1)
-        )
-        return "[" + cells + "]"
+        # a complex matrix: its entries as row-major [re, im] pairs, by one
+        # template over the flat real and imaginary parts
+        parts = np.ravel(v.astype(complex, copy=False)).view(float).tolist()
+        return "[" + ", ".join([_PAIR] * (len(parts) // 2)) % tuple(parts) + "]"
     raise TypeError(f"unsupported JSON value {v!r}")
 
 
@@ -140,35 +151,56 @@ def parse_records_csv(text: str) -> list[ObservableRecord]:
     return out
 
 
+# exact types, not isinstance: JSON true/false load as bool, an int subclass
+_PAIR_TYPES = {list, tuple}
+_NUMBER_TYPES = {int, float}
+
+
 def document_to_matrix(doc) -> np.ndarray:
     if not isinstance(doc, dict):
         raise ValueError("matrix document must be a JSON object")
     if "dim" not in doc or "matrix" not in doc:
         raise ValueError("matrix document needs 'dim' and 'matrix' fields")
     dim = doc["dim"]
-    # exact types, not isinstance: JSON true/false load as bool, an int subclass
     if type(dim) is not int or dim < 1:
         raise ValueError(f"'dim' must be a positive integer, got {dim!r}")
     entries = doc["matrix"]
     if not isinstance(entries, list) or len(entries) != dim * dim:
         raise ValueError(f"'matrix' must hold exactly dim^2 = {dim * dim} entries")
-    flat = np.empty(dim * dim, dtype=complex)
+    # bulk checks over all entries; the loop that names the bad one runs only
+    # on failure
+    if not (
+        set(map(type, entries)) <= _PAIR_TYPES
+        and set(map(len, entries)) == {2}
+        and set(map(type, values := list(chain.from_iterable(entries)))) <= _NUMBER_TYPES
+    ):
+        k = next(k for k, pair in enumerate(entries) if not _is_pair(pair))
+        raise ValueError(f"entry {k} is not a [re, im] pair: {entries[k]!r}")
     try:
-        for k, pair in enumerate(entries):
-            if (
-                not isinstance(pair, (list, tuple))
-                or len(pair) != 2
-                or type(pair[0]) not in (int, float)
-                or type(pair[1]) not in (int, float)
-            ):
-                raise ValueError(f"entry {k} is not a [re, im] pair: {pair!r}")
-            flat[k] = complex(pair[0], pair[1])
+        flat = np.array(values, dtype=float)
     except OverflowError:
+        k = next(k for k, pair in enumerate(entries) if not _fits_float(pair))
         raise ValueError(f"entry {k} holds an integer too large for a float") from None
-    m = flat.reshape(dim, dim)
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.all(np.isfinite(flat)):
         raise ValueError("matrix entries must be finite")
-    return m
+    return flat.view(complex).reshape(dim, dim)
+
+
+def _is_pair(pair) -> bool:
+    return (
+        type(pair) in _PAIR_TYPES
+        and len(pair) == 2
+        and type(pair[0]) in _NUMBER_TYPES
+        and type(pair[1]) in _NUMBER_TYPES
+    )
+
+
+def _fits_float(pair) -> bool:
+    try:
+        float(pair[0]), float(pair[1])
+    except OverflowError:
+        return False
+    return True
 
 
 def save_matrix(m: np.ndarray, path) -> None:

@@ -10,6 +10,7 @@ import qreset
 
 from qreset import cli
 from qreset.cli import main
+from qreset.observables import fidelity, purity
 from qreset.serialize import save_matrix
 from qreset.twospin import TwoSpinParams, hamiltonian
 
@@ -104,6 +105,56 @@ class TestNess:
         rc = run(["ness", "--hamiltonian", str(hpath), "--rho0", str(rpath), "--r", "1"])
         assert rc == 4
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_generic_rejects_non_hermitian_whose_norm_overflows(self, tmp_path):
+        hpath = tmp_path / "h.json"
+        rpath = tmp_path / "rho.json"
+        hpath.write_text(
+            '{"dim": 2, "matrix": [[1e300, 0], [1e300, 0], [-1e300, 0], [1e300, 0]]}')
+        save_matrix(np.diag([1.0, 0.0]).astype(complex), rpath)
+        proc = run_process(
+            ["ness", "--hamiltonian", str(hpath), "--rho0", str(rpath), "--r", "1"],
+            timeout=30)
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        # the error line and nothing else: no numpy overflow warning
+        assert proc.stderr.startswith("error: hamiltonian is not Hermitian")
+        assert proc.stderr.count("\n") == 1
+
+    def test_huge_coupling_writes_nothing_to_stderr(self):
+        proc = run_process(["ness", "--R", "1", "--alpha", "1e200",
+                            "--observables", "purity,concurrence"], timeout=30)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
+    def test_generic_validates_the_stationary_state_once(self, tmp_path, monkeypatch):
+        import qreset.cmatrix as cmatrix_mod
+
+        hpath = tmp_path / "h.json"
+        rpath = tmp_path / "rho.json"
+        rng = np.random.default_rng(61)
+        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        save_matrix((a + a.conj().T) / 2, hpath)
+        rho0 = np.zeros((8, 8), dtype=complex)
+        rho0[0, 0] = 1.0
+        save_matrix(rho0, rpath)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(m):
+            calls.append(m.shape)
+            return eigvalsh(m)
+
+        monkeypatch.setattr(cmatrix_mod.np.linalg, "eigvalsh", counted)
+        out = tmp_path / "report.json"
+        assert run(["ness", "--hamiltonian", str(hpath), "--rho0", str(rpath),
+                    "--r", "0.7", "--split", "2:4", "--out", str(out)]) == 0
+        # rho0 when the system is built, the stationary state, its reduction
+        assert calls == [(8, 8), (8, 8), (2, 2)]
+        report = json.loads(out.read_text())
+        rho = np.array(report["ness_matrix"]).view(complex).reshape(8, 8)
+        assert report["purity"] == purity(rho)
+        assert report["fidelity_rho0"] == fidelity(rho, rho0)
 
     def test_generic_missing_file(self, tmp_path):
         assert run(
@@ -260,6 +311,28 @@ class TestCritical:
         assert report["alpha_c"] == pytest.approx(1.27, abs=0.01)
         assert report["residual_slope"] < 1e-7
         assert report["residual_curvature"] < 1e-7
+
+    @pytest.mark.parametrize("box", [
+        "0.05:0.3:2:0.8",      # reversed alpha bounds
+        "1e-9:1e9:0:1e9",      # alpha_lo below the finite-difference step
+        "0.3:0.05:0.8:2",      # reversed rate bounds
+        "0:0.3:0.8:2",         # rate bound not positive
+        "0.05:inf:0.8:2",
+        "0.05:0.3:nan:2",
+        "0.05:0.3:0.8",
+        "0.05:0.3:0.8:x",
+    ])
+    def test_bad_box_is_config_error(self, capsys, box):
+        assert run(["critical", "--box", box]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "--box" in captured.err
+
+    def test_alpha_bound_at_the_step_passes_parsing(self, capsys):
+        # the solver then finds no bracket in this box (exit 3), but the box
+        # itself is valid
+        assert run(["critical", "--box", "0.05:0.3:0.001:2.0"]) == 3
+        assert "--box" not in capsys.readouterr().err
 
     def test_unbracketed_box_is_solver_failure(self):
         assert run(["critical", "--box", "0.2:0.3:0.8:2.0"]) == 3

@@ -8,8 +8,10 @@ from qreset.cmatrix import (
     density_spectrum,
     hermitian_eig,
     hermitize,
+    max_entry,
     psd_sqrt,
     psd_sqrt_stack,
+    require_hermitian,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -50,6 +52,36 @@ class TestValidation:
         out = as_cmatrix(src)
         out[0, 0] = 5.0
         assert src[0, 0] == 1.0
+
+
+class TestRequireHermitian:
+    def test_rejects_non_hermitian_whose_norm_overflows(self):
+        # both Frobenius norms of the unscaled matrix overflow to inf
+        a = np.array([[1e300, 1e300], [-1e300, 1e300]], dtype=complex)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            require_hermitian(a)
+
+    def test_accepts_hermitian_near_float_max(self):
+        big = 1.7e308
+        a = np.array([[big, big - 1j * big], [big + 1j * big, -big]])
+        require_hermitian(a)  # no overflow warning either (warnings are errors)
+
+    def test_judged_relative_to_largest_entry(self):
+        # an unscaled norm floor once accepted this subnormal matrix
+        with pytest.raises(ValueError, match="not Hermitian"):
+            require_hermitian(np.array([[0.0, 1e-311], [0.0, 0.0]], dtype=complex))
+        require_hermitian(np.array([[1e-311, 0.0], [0.0, -1e-311]], dtype=complex))
+        require_hermitian(np.zeros((3, 3), dtype=complex))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            require_hermitian(np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex))
+
+    def test_max_entry(self):
+        assert max_entry(np.array([[1.0 - 3j, -2.0], [0.5j, 2.5]])) == 3.0
+        assert max_entry(np.zeros((2, 2))) == 0.0
+        assert np.isnan(max_entry(np.array([[1.0, np.nan]])))
 
 
 class TestHermitianEig:

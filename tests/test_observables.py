@@ -6,6 +6,7 @@ from qreset.observables import (
     concurrence_pure,
     fidelity,
     fidelity_pure,
+    fidelity_stack,
     purity,
     spin_flip,
     von_neumann_entropy,
@@ -118,6 +119,19 @@ class TestFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             fidelity(np.eye(2, dtype=complex) / 2, np.eye(4, dtype=complex) / 4)
+
+    def test_stack_equals_one_by_one(self):
+        rng = np.random.default_rng(35)
+        rhos = np.array([random_density(rng, 8, rank) for rank in (1, 3, 8, 8)])
+        sigmas = np.array([random_density(rng, 8, rank) for rank in (8, 2, 1, 8)])
+        stacked = fidelity_stack(rhos, sigmas)
+        assert stacked.shape == (4,)
+        assert stacked.tolist() == [fidelity(r, s) for r, s in zip(rhos, sigmas)]
+
+    def test_stack_keeps_the_psd_check(self):
+        bad = np.diag([1.2, -0.2]).astype(complex)
+        with pytest.raises(ValueError, match="not PSD"):
+            fidelity_stack(np.array([np.eye(2) / 2, bad]), np.array([np.eye(2) / 2] * 2))
 
 
 class TestFidelityPure:

@@ -54,6 +54,20 @@ class TestQuantumSystem:
         with pytest.raises(ValueError):
             QuantumSystem(np.eye(2, dtype=complex), np.eye(4, dtype=complex) / 4)
 
+    def test_degeneracy_tolerance_is_relative_and_finite(self):
+        from qreset.reset_core import DEGENERACY_RTOL
+
+        rng = np.random.default_rng(44)
+        h = hermitize(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        rho0 = np.eye(6, dtype=complex) / 6
+        tol = QuantumSystem(h, rho0).degeneracy_tol
+        assert tol == pytest.approx(DEGENERACY_RTOL * np.linalg.norm(h), rel=1e-15)
+        # the unscaled norm of this h overflows; its scaled one does not
+        huge = QuantumSystem(h * 1e306, rho0).degeneracy_tol
+        assert np.isfinite(huge)
+        assert huge == pytest.approx(tol * 1e306, rel=1e-14)
+        assert QuantumSystem(np.zeros((6, 6)), rho0).degeneracy_tol == 0.0
+
     def test_immutable(self):
         sys = two_spin_system()
         with pytest.raises(ValueError):

@@ -115,6 +115,31 @@ class TestWriteJson:
         )
         assert rec.chunks == ['{"a": ', "1", ', "ness_matrix": ', f"[{pairs}]", "}\n"]
 
+    def test_matrix_bytes_equal_per_value_formatting(self):
+        rng = np.random.default_rng(60)
+        flat = rng.normal(size=2 * 256 * 256) * 10.0 ** rng.integers(-20, 20, size=2 * 256 * 256)
+        special = [5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, -0.0, 0.0,
+                   2.0**60, -(2.0**60), 1e16, 1.0 / 3.0, 1.7976931348623157e308, 1.0]
+        idx = rng.choice(flat.size, size=(20, len(special)), replace=False)
+        flat[idx] = special
+        m = flat.view(complex).reshape(256, 256)
+        reference = "[" + ", ".join(
+            f"[{format_float(float(z.real))}, {format_float(float(z.imag))}]"
+            for z in m.reshape(-1)
+        ) + "]"
+        buf = io.StringIO()
+        write_json([("m", m)], buf)
+        assert buf.getvalue() == '{"m": ' + reference + "}\n"
+
+    def test_real_and_strided_matrices_write_as_complex(self):
+        m = np.arange(16.0).reshape(4, 4)
+        for a, z in ((m, m.astype(complex)), (m.T, m.T.astype(complex)),
+                     (m[::2, ::2], np.ascontiguousarray(m[::2, ::2], dtype=complex))):
+            got, want = io.StringIO(), io.StringIO()
+            write_json([("m", a)], got)
+            write_json([("m", z)], want)
+            assert got.getvalue() == want.getvalue()
+
     def test_rejects_unknown_value_type(self):
         with pytest.raises(TypeError):
             write_json([("x", object())], io.StringIO())
@@ -211,6 +236,60 @@ class TestMatrixInterchange:
     def test_accepts_integer_entries(self):
         m = document_to_matrix({"dim": 1, "matrix": [[2, -1]]})
         assert m[0, 0] == 2.0 - 1.0j
+
+    @pytest.mark.parametrize("bad, message", [
+        ([1.0], "entry 2 is not a [re, im] pair"),
+        ([1.0, 0.0, 0.0], "entry 2 is not a [re, im] pair"),
+        ("ab", "entry 2 is not a [re, im] pair"),
+        ([1.0, "0"], "entry 2 is not a [re, im] pair"),
+        ([None, 0.0], "entry 2 is not a [re, im] pair"),
+        (None, "entry 2 is not a [re, im] pair"),
+        ([0.0, True], "entry 2 is not a [re, im] pair"),
+        ([10**400, 0], "entry 2 holds an integer too large for a float"),
+        ([0, -(10**400)], "entry 2 holds an integer too large for a float"),
+        ([float("inf"), 0.0], "matrix entries must be finite"),
+        ([0.0, float("nan")], "matrix entries must be finite"),
+    ])
+    def test_rejection_table(self, bad, message):
+        entries = [[0.5, 0.0], [0, 1], bad, [0.5, -0.0]]
+        with pytest.raises(ValueError) as err:
+            document_to_matrix({"dim": 2, "matrix": entries})
+        assert str(err.value).startswith(message)
+
+    def test_names_the_first_bad_entry(self):
+        entries = [[0.5, 0.0], [1.0], [True, 0], [10**400, 0]]
+        with pytest.raises(ValueError, match="^entry 1 is not"):
+            document_to_matrix({"dim": 2, "matrix": entries})
+        entries = [[0.5, 0.0], [1.0, 10**309], [1.0, 0], [-(10**400), 0]]
+        with pytest.raises(ValueError, match="^entry 1 holds an integer"):
+            document_to_matrix({"dim": 2, "matrix": entries})
+
+    def test_exponent_beyond_float_range_loads_as_inf_and_is_rejected(self):
+        doc = json.loads('{"dim": 1, "matrix": [[1e999, 0]]}')
+        assert doc["matrix"][0][0] == float("inf")
+        with pytest.raises(ValueError, match="must be finite"):
+            document_to_matrix(doc)
+
+    def test_accepts_tuple_pairs(self):
+        m = document_to_matrix({"dim": 2, "matrix": [(1, 0.5), [2.0, 0], (0, -1), [3, 4]]})
+        assert np.array_equal(m, np.array([[1 + 0.5j, 2], [-1j, 3 + 4j]]))
+
+    def test_integer_entries_convert_as_float_does(self):
+        ints = [2**53 + 1, -(2**60) - 1, 10**20 + 7, 2**1023, 3]
+        entries = [[ints[k], -ints[4 - k]] for k in range(4)]
+        m = document_to_matrix({"dim": 2, "matrix": entries})
+        expected = [complex(float(re), float(im)) for re, im in entries]
+        assert m.reshape(-1).tolist() == expected
+
+    def test_round_trip_d256_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(256)
+        m = rng.normal(size=(256, 256)) * 10.0 ** rng.integers(-300, 300, size=(256, 256))
+        m = m + 1j * rng.normal(size=(256, 256))
+        path = tmp_path / "m.json"
+        save_matrix(m, path)
+        back = load_matrix(path)
+        assert back.shape == (256, 256)
+        assert np.array_equal(back.view(np.int64), m.view(np.int64))
 
     def test_load_quantum_system_validates(self, tmp_path):
         hpath = tmp_path / "h.json"
