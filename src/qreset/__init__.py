@@ -61,6 +61,7 @@ from .twospin import (
     concurrence_ness,
     entropy_at_time,
     entropy_ness,
+    entropy_ness_alpha_derivatives,
     entropy_zero_reset,
     fidelity_ness,
     hamiltonian,

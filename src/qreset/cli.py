@@ -48,10 +48,10 @@ from .reset_core import ResetSpec, SubsystemSplit, ness_density, partial_trace
 from .serialize import RecordWriter, load_quantum_system, write_json
 from .sweep import (
     ALL_OBSERVABLES,
-    CURVATURE_STEP,
     BoundsError,
     SolverError,
     SweepGrid,
+    check_box,
     find_entropy_peak_rate,
     find_inflection,
     mc_validate,
@@ -107,20 +107,14 @@ def _parse_box(spec: str) -> tuple[float, float, float, float]:
     if len(parts) != 4:
         raise ValueError(f"--box must look like rlo:rhi:alo:ahi, got {spec!r}")
     try:
-        r_lo, r_hi, a_lo, a_hi = (float(x) for x in parts)
+        box = tuple(float(x) for x in parts)
     except ValueError:
         raise ValueError(f"cannot parse --box spec {spec!r}") from None
-    # the solver's finite differences step CURVATURE_STEP below alpha_lo
-    if not (
-        all(np.isfinite((r_lo, r_hi, a_lo, a_hi)))
-        and 0.0 < r_lo < r_hi
-        and CURVATURE_STEP <= a_lo < a_hi
-    ):
-        raise ValueError(
-            f"--box needs finite 0 < rlo < rhi and {CURVATURE_STEP:g} <= alo < ahi, "
-            f"got {spec!r}"
-        )
-    return r_lo, r_hi, a_lo, a_hi
+    try:
+        check_box(*box)
+    except ValueError as exc:
+        raise ValueError(f"--box {spec!r}: {exc}") from None
+    return box
 
 
 def _parse_observables(spec: str, allowed=ALL_OBSERVABLES) -> tuple[str, ...]:

@@ -6,7 +6,8 @@ the reset rate, the entropy-inflection (spinodal-like) point in the
 
 A sweep is evaluated one coupling row at a time: every rate of a row
 shares one Hamiltonian, so a row builds one validated system and gets its
-purity and concurrence from one stack of stationary states.
+purity and concurrence from one stack of stationary states.  The
+concurrence optimizer does the same for its one coupling.
 """
 
 from __future__ import annotations
@@ -219,7 +220,7 @@ def golden_section_max(
 
 
 def _bracketed_max(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], Sequence[float]],
     lo: float,
     hi: float,
     tol: float,
@@ -227,28 +228,33 @@ def _bracketed_max(
 ) -> OptimizeResult:
     """Geometric probe of [lo, hi] to bracket the peak, then golden section.
 
+    ``f`` maps a 1-D float array of points to their values: the probes go in
+    one call, and golden section passes its points as one-element arrays.
     Flags the result "boundary" when the best probe sits on an endpoint and
     "degenerate" when the function is flat over all probes.
     """
     _check_tol(tol)
     xs = np.geomspace(lo, hi, probes)
-    vals = [f(x) for x in xs]
-    if max(vals) - min(vals) < 1e-14:
-        return OptimizeResult(x=lo, value=vals[0], flag="degenerate")
+    vals = np.asarray(f(xs), dtype=float)
+    if vals.max() - vals.min() < 1e-14:
+        return OptimizeResult(x=lo, value=float(vals[0]), flag="degenerate")
     i = int(np.argmax(vals))
     if i == 0 or i == probes - 1:
-        return OptimizeResult(x=float(xs[i]), value=vals[i], flag="boundary")
-    x, v = golden_section_max(f, float(xs[i - 1]), float(xs[i + 1]), tol)
+        return OptimizeResult(x=float(xs[i]), value=float(vals[i]), flag="boundary")
+    one = lambda x: float(f(np.array([x]))[0])
+    x, v = golden_section_max(one, float(xs[i - 1]), float(xs[i + 1]), tol)
     return OptimizeResult(x=x, value=v, flag="interior")
 
 
 def optimize_concurrence(
     alpha: float, r_lo: float, r_hi: float, tol: float = 1e-8
 ) -> OptimizeResult:
-    """Maximize the stationary concurrence over the reset rate at fixed coupling."""
-    if not (0 < r_lo < r_hi):
-        raise ValueError(f"need 0 < r_lo < r_hi, got ({r_lo}, {r_hi})")
-    f = lambda r: twospin.concurrence_ness(TwoSpinParams.from_dimensionless(r, alpha))
+    """Maximize the stationary concurrence over the reset rate at fixed coupling;
+    H does not depend on the rate, so one system serves every evaluation."""
+    if not (0 < r_lo < r_hi < math.inf):
+        raise ValueError(f"need finite 0 < r_lo < r_hi, got ({r_lo}, {r_hi})")
+    sys = twospin.quantum_system(TwoSpinParams.from_dimensionless(0.0, alpha))
+    f = lambda rates: concurrence_stack(ness_density_stack(sys, rates))[0]
     return _bracketed_max(f, r_lo, r_hi, tol)
 
 
@@ -258,47 +264,30 @@ def find_entropy_peak_rate(
     """Maximize the finite-time entropy over the reset rate at fixed time."""
     if t <= 0:
         raise ValueError(f"need t > 0, got {t}")
-    if not (0 < r_lo < r_hi):
-        raise ValueError(f"need 0 < r_lo < r_hi, got ({r_lo}, {r_hi})")
-    f = lambda r: twospin.entropy_at_time(t, TwoSpinParams.from_dimensionless(r, alpha))
+    if not (0 < r_lo < r_hi < math.inf):
+        raise ValueError(f"need finite 0 < r_lo < r_hi, got ({r_lo}, {r_hi})")
+    p = lambda r: TwoSpinParams.from_dimensionless(r, alpha)
+    f = lambda rates: [twospin.entropy_at_time(t, p(r)) for r in rates]
     return _bracketed_max(f, r_lo, r_hi, tol)
 
 
 # ---------------------------------------------------------------------------
 # Entropy inflection point
 
-# First-derivative step: central difference, one Richardson extrapolation.
-SLOPE_STEP = 1e-5
-# Second-derivative step.  Larger than the slope step on purpose: the
-# second difference divides round-off by h^2, so h = 1e-5 would leave
-# ~1e-6 of noise, swamping the 1e-7 residual target; h = 1e-3 keeps both
-# truncation (after Richardson) and round-off near 1e-10.
-CURVATURE_STEP = 1e-3
+_SCAN_POINTS = 65  # coupling nodes scanned per rate for the largest slope
+_JACOBIAN_STEP = 6e-6  # relative central-difference step of the Jacobian
+_NEWTON_RTOL = 1e-13  # a relative Newton step this small is round-off
+_MAX_SOLVER_STEPS = 200
 
 
-def entropy_alpha_slope(r: float, alpha: float, h: float = SLOPE_STEP) -> float:
-    """d(stationary entropy)/d(alpha) at fixed rate, finite differences."""
-    s = twospin.entropy_ness
-
-    def central(hh):
-        pa = TwoSpinParams.from_dimensionless(r, alpha + hh)
-        ma = TwoSpinParams.from_dimensionless(r, alpha - hh)
-        return (s(pa) - s(ma)) / (2.0 * hh)
-
-    return (4.0 * central(h / 2.0) - central(h)) / 3.0
+def entropy_alpha_slope(r: float, alpha: float) -> float:
+    """d(stationary entropy)/d(alpha) at fixed rate, in closed form."""
+    return twospin.entropy_ness_alpha_derivatives(r, alpha)[0]
 
 
-def entropy_alpha_curvature(r: float, alpha: float, h: float = CURVATURE_STEP) -> float:
-    """d^2(stationary entropy)/d(alpha)^2 at fixed rate, finite differences."""
-    s = twospin.entropy_ness
-
-    def second(hh):
-        mid = s(TwoSpinParams.from_dimensionless(r, alpha))
-        pa = s(TwoSpinParams.from_dimensionless(r, alpha + hh))
-        ma = s(TwoSpinParams.from_dimensionless(r, alpha - hh))
-        return (pa - 2.0 * mid + ma) / (hh * hh)
-
-    return (4.0 * second(h / 2.0) - second(h)) / 3.0
+def entropy_alpha_curvature(r: float, alpha: float) -> float:
+    """d^2(stationary entropy)/d(alpha)^2 at fixed rate, in closed form."""
+    return twospin.entropy_ness_alpha_derivatives(r, alpha)[1]
 
 
 @dataclass(frozen=True)
@@ -308,35 +297,48 @@ class CriticalPoint:
     residuals: tuple[float, float]  # (|dS/dalpha|, |d2S/dalpha2|) at the point
 
 
-def _first_sign_change(f, lo, hi, n=64):
-    xs = np.linspace(lo, hi, n + 1)
-    prev = f(float(xs[0]))
-    for i in range(1, n + 1):
-        cur = f(float(xs[i]))
-        if prev == 0.0:
-            return float(xs[i - 1]), float(xs[i - 1])
-        if prev * cur < 0:
-            return float(xs[i - 1]), float(xs[i])
-        prev = cur
-    return None
+def check_box(r_lo: float, r_hi: float, alpha_lo: float, alpha_hi: float) -> None:
+    """Raise ValueError unless find_inflection's box is finite with
+    0 < r_lo < r_hi and 0 <= alpha_lo < alpha_hi."""
+    box = (r_lo, r_hi, alpha_lo, alpha_hi)
+    if not (all(map(math.isfinite, box)) and 0.0 < r_lo < r_hi and 0.0 <= alpha_lo < alpha_hi):
+        raise ValueError("box needs finite 0 < r_lo < r_hi and 0 <= alpha_lo < alpha_hi, "
+                         f"got {box}")
 
 
-def _bisect(f, lo, hi, iters=80):
-    if lo == hi:
-        return lo
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _slope_peak(r: float, alphas: list[float]) -> tuple[float, float]:
+    """(slope, alpha) at the largest finite dS/dalpha over the coupling nodes
+    at rate r: at an end, or at an interior maximum, bisected to where the
+    curvature falls through zero.  (-inf, nan) if no slope is finite."""
+    curv = [entropy_alpha_curvature(r, a) for a in alphas]
+    candidates = [alphas[0], alphas[-1]]
+    for lo, hi, c_lo, c_hi in zip(alphas, alphas[1:], curv, curv[1:]):
+        if c_lo > 0.0 >= c_hi:
+            mid = lo + 0.5 * (hi - lo)
+            while lo < mid < hi:
+                lo, hi = (mid, hi) if entropy_alpha_curvature(r, mid) > 0.0 else (lo, mid)
+                mid = lo + 0.5 * (hi - lo)
+            candidates.append(mid)
+    slopes = [(s, a) for a in candidates if math.isfinite(s := entropy_alpha_slope(r, a))]
+    return max(slopes, default=(-math.inf, math.nan))
+
+
+def _newton_step(r: float, alpha: float) -> tuple[float, float] | None:
+    """2-D Newton step towards dS/dalpha = d2S/dalpha2 = 0, the Jacobian from
+    central differences of the closed forms; None unless finite."""
+    hr, ha = _JACOBIAN_STEP * r, _JACOBIAN_STEP * max(alpha, 1.0)
+    if not hr > 0.0:
+        return None
+    f = lambda x, y: (entropy_alpha_slope(x, y), entropy_alpha_curvature(x, y))
+    (s, c), (s_rp, c_rp), (s_rm, c_rm) = f(r, alpha), f(r + hr, alpha), f(r - hr, alpha)
+    (s_ap, c_ap), (s_am, c_am) = f(r, alpha + ha), f(r, alpha - ha)
+    j11, j21 = (s_rp - s_rm) / (2.0 * hr), (c_rp - c_rm) / (2.0 * hr)
+    j12, j22 = (s_ap - s_am) / (2.0 * ha), (c_ap - c_am) / (2.0 * ha)
+    det = j11 * j22 - j12 * j21
+    if not (math.isfinite(det) and det != 0.0):
+        return None
+    step = ((c * j12 - s * j22) / det, (s * j21 - c * j11) / det)
+    return step if all(math.isfinite(d) for d in step) else None
 
 
 def find_inflection(
@@ -348,43 +350,47 @@ def find_inflection(
     """Locate the point where the entropy's minimum and maximum in the
     coupling merge into an inflection: dS/dalpha = d2S/dalpha2 = 0.
 
-    Nested 1-D solves: for each rate, bisect the curvature to its zero
-    crossing in the coupling box (the slope is maximal there); then bisect
-    the slope at that crossing over the rate.  Below the critical rate the
-    slope between minimum and maximum is positive, above it negative.
+    Both residuals are closed forms, solved to round-off.  The largest slope
+    over the coupling box is positive below the critical rate (between the
+    minimum and maximum) and negative above it, so its sign change brackets
+    the rate.  A 2-D Newton step is taken while it stays in the box and the
+    bracket and halves the last step; else the bracket is bisected (in log
+    while wider than a factor 4) and Newton restarts from the largest slope
+    at the midpoint.  SolverError without a sign change, or if the bracket
+    collapses before Newton converges.
     """
-
-    def alpha_star(r):
-        g = lambda a: entropy_alpha_curvature(r, a)
-        bracket = _first_sign_change(g, alpha_lo, alpha_hi)
-        if bracket is None:
-            return None
-        return _bisect(g, bracket[0], bracket[1])
-
-    def peak_slope(r):
-        a = alpha_star(r)
-        if a is not None:
-            return entropy_alpha_slope(r, a)
-        # curvature has no zero in the box: the slope has no interior
-        # maximum, so its sign is decided by a coarse scan
-        return max(
-            entropy_alpha_slope(r, a) for a in np.linspace(alpha_lo, alpha_hi, 33)
-        )
-
-    if peak_slope(r_lo) * peak_slope(r_hi) >= 0:
+    check_box(r_lo, r_hi, alpha_lo, alpha_hi)
+    # nodes even in log1p(alpha), so a box over decades still resolves alpha ~ 1
+    nodes = np.expm1(np.linspace(math.log1p(alpha_lo), math.log1p(alpha_hi), _SCAN_POINTS))
+    alphas = [alpha_lo, *nodes[1:-1].tolist(), alpha_hi]
+    slope, alpha = _slope_peak(r_lo, alphas)
+    rising = slope > 0.0
+    if rising == (_slope_peak(r_hi, alphas)[0] > 0.0):
         raise SolverError(
             "no slope sign change over the rate interval: the inflection "
             f"point is not bracketed by ({r_lo}, {r_hi})"
         )
-    r_c = _bisect(peak_slope, r_lo, r_hi, iters=60)
-    a_c = alpha_star(r_c)
-    if a_c is None:
-        raise SolverError("curvature zero vanished at the critical rate")
-    residuals = (
-        abs(entropy_alpha_slope(r_c, a_c)),
-        abs(entropy_alpha_curvature(r_c, a_c)),
-    )
-    return CriticalPoint(r_c=r_c, alpha_c=a_c, residuals=residuals)
+    a, b, r, last = r_lo, r_hi, r_lo, math.inf
+    for _ in range(_MAX_SOLVER_STEPS):
+        step = _newton_step(r, alpha)
+        if step is not None:
+            size = max(abs(step[0]) / r, abs(step[1]) / max(alpha, 1.0))
+            r_new, alpha_new = r + step[0], alpha + step[1]
+            if a < r_new < b and alpha_lo <= alpha_new <= alpha_hi and size < 0.5 * last:
+                r, alpha, last = r_new, alpha_new, size
+                if size <= _NEWTON_RTOL:
+                    residuals = (abs(entropy_alpha_slope(r, alpha)),
+                                 abs(entropy_alpha_curvature(r, alpha)))
+                    return CriticalPoint(r_c=r, alpha_c=alpha, residuals=residuals)
+                continue
+        r = math.sqrt(a) * math.sqrt(b) if b > 4.0 * a else a + 0.5 * (b - a)
+        if not a < r < b:
+            break
+        slope, alpha = _slope_peak(r, alphas)
+        a, b = (r, b) if (slope > 0.0) == rising else (a, r)
+        last = math.inf
+    raise SolverError(f"Newton iteration did not converge inside the box "
+                      f"{(r_lo, r_hi, alpha_lo, alpha_hi)}")
 
 
 # ---------------------------------------------------------------------------

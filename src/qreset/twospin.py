@@ -238,6 +238,56 @@ def entropy_ness(p: TwoSpinParams) -> float:
     return _entropy_from_y(math.sqrt(min(max(y_sq, 0.0), 1.0)))
 
 
+# Below this u = y^2 the entropy's u-derivatives take their two-term
+# Taylor series (the closed forms divide by y and by u); the next terms are
+# below u^2 ~ 1e-16 of the first.
+_SERIES_U = 1e-8
+
+
+def entropy_ness_alpha_derivatives(R: float, alpha: float) -> tuple[float, float]:
+    """(dS/dalpha, d2S/dalpha2) of the stationary spin-1 entropy, closed form.
+
+    S depends on (R, alpha) through u = y^2 (see entropy_ness), rational in
+    Q = R^2 and A = alpha^2:
+
+        u = 1 - v,  v = p s (2 - s) - 4A / P^2,
+
+    with p = 1/(1 + Q), P = 4A + Q + 4, k = A Q p^2 and s = 1/(1 + 4k).  Then
+    dS/du = -atanh(y)/(2y), and the alpha derivatives follow by the chain
+    rule from du/dA and d2u/dA2.  Every factor is bounded, so nothing
+    overflows while R and alpha stay below ~1e150, and v is formed directly,
+    so atanh(y) = log1p(y) - log(v)/2 keeps its digits as y rounds to 1.
+    Even in R, odd (slope) and even (curvature) in alpha, and the rate -> 0+
+    limit at R = 0.  Never raises: nan where v <= 0 (a state pure to
+    round-off), for non-finite input, or beyond that range.
+    """
+    q = R * R
+    a = alpha * alpha
+    w = 1.0 / (4.0 * a + q + 4.0)
+    p = 1.0 / (1.0 + q)
+    qp2 = q * p * p
+    k = a * qp2
+    s = 1.0 / (1.0 + 4.0 * k)
+    v = p * s * (2.0 - s) - 4.0 * a * w * w
+    if not v > 0.0:
+        return math.nan, math.nan
+    t2 = 32.0 * p * qp2 * s * s * s
+    u_a = 4.0 * ((q + 4.0 - 4.0 * a) * w) * w * w + t2 * k
+    u_aa = 64.0 * ((2.0 * a - q - 4.0) * w) * w * w * w + t2 * qp2 * (1.0 - 8.0 * k) * s
+    u = 1.0 - v
+    # at_y = atanh(y)/y and s_uu = d2S/du2.  1/v - at_y cancels to ~eps/u,
+    # but s_uu is then multiplied by (du/dalpha)^2, which is O(u) too.
+    if u < _SERIES_U:
+        at_y, s_uu = 1.0 + u / 3.0, -1.0 / 6.0 - 0.2 * u
+    else:
+        y = math.sqrt(u)
+        at_y = (math.log1p(y) - 0.5 * math.log(v)) / y
+        s_uu = -0.25 * (1.0 / v - at_y) / u
+    s_u = -0.5 * at_y
+    du = 2.0 * alpha * u_a
+    return s_u * du, s_uu * du * du + s_u * (4.0 * a * u_aa + 2.0 * u_a)
+
+
 def entropy_zero_reset(alpha: float) -> float:
     """Stationary spin-1 entropy in the rate -> 0+ limit.
 

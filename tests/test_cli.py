@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from qreset import cli
 from qreset.cli import main
 from qreset.observables import fidelity, purity
 from qreset.serialize import save_matrix
+from qreset.sweep import entropy_alpha_curvature, entropy_alpha_slope
 from qreset.twospin import TwoSpinParams, hamiltonian
 
 
@@ -23,14 +25,14 @@ def read(path):
     return path.read_bytes()
 
 
-def run_process(args, timeout):
+def run_process(args, timeout, interpreter_flags=()):
     """Run the CLI in a fresh interpreter; fails the test if it is still
     running after ``timeout`` seconds."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(qreset.__file__))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run([sys.executable, "-m", "qreset.cli", *args], env=env,
-                          capture_output=True, text=True, timeout=timeout)
+    return subprocess.run([sys.executable, *interpreter_flags, "-m", "qreset.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=timeout)
 
 
 class TestNess:
@@ -314,7 +316,7 @@ class TestCritical:
 
     @pytest.mark.parametrize("box", [
         "0.05:0.3:2:0.8",      # reversed alpha bounds
-        "1e-9:1e9:0:1e9",      # alpha_lo below the finite-difference step
+        "0.05:0.3:-0.1:2",     # negative alpha bound
         "0.3:0.05:0.8:2",      # reversed rate bounds
         "0:0.3:0.8:2",         # rate bound not positive
         "0.05:inf:0.8:2",
@@ -329,13 +331,43 @@ class TestCritical:
         assert captured.err.startswith("error:") and "--box" in captured.err
 
     def test_alpha_bound_at_the_step_passes_parsing(self, capsys):
-        # the solver then finds no bracket in this box (exit 3), but the box
-        # itself is valid
-        assert run(["critical", "--box", "0.05:0.3:0.001:2.0"]) == 3
-        assert "--box" not in capsys.readouterr().err
+        # the curvature's first zero above alpha = 0.001 is a slope minimum;
+        # the solver passes it and finds the genuine point
+        assert run(["critical", "--box", "0.05:0.3:0.001:2.0"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["residual_slope"] <= 1e-12
+        assert report["residual_curvature"] <= 1e-12
+        r, alpha = report["r_c"], report["alpha_c"]
+        assert abs(entropy_alpha_slope(r, alpha)) <= 1e-12
+        assert abs(entropy_alpha_curvature(r, alpha)) <= 1e-12
+
+    @pytest.mark.parametrize("box", [
+        "1e-9:1e9:0:1e9",
+        "1e-6:1e6:0:1e3",
+        "5e-324:1.7e308:0:1.7e308",
+        "2:3:5:6",             # holds no inflection point
+    ])
+    def test_extreme_box_exits_0_or_3(self, box):
+        proc = run_process(["critical", "--box", box], timeout=20,
+                           interpreter_flags=("-W", "error"))
+        assert proc.returncode in (0, 3)
+        assert "Traceback" not in proc.stderr
+        if proc.returncode == 0:
+            report = json.loads(proc.stdout)
+            assert max(report["residual_slope"], report["residual_curvature"]) <= 1e-12
+        else:
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("solver failure:")
 
     def test_unbracketed_box_is_solver_failure(self):
         assert run(["critical", "--box", "0.2:0.3:0.8:2.0"]) == 3
+
+    def test_fresh_process_finishes_within_two_seconds(self):
+        start = time.perf_counter()
+        proc = run_process(["critical"], timeout=30)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0
+        assert elapsed < 2.0
 
 
 class TestPeakR:

@@ -1,7 +1,10 @@
 import io
+import math
 
 import numpy as np
 import pytest
+
+from qreset import sweep, twospin
 
 from qreset.observables import concurrence, fidelity_pure, purity
 from qreset.reset_core import ResetSpec, ness_density, reset_density
@@ -10,6 +13,8 @@ from qreset.sweep import (
     BoundsError,
     SolverError,
     SweepGrid,
+    check_box,
+    entropy_alpha_curvature,
     entropy_alpha_slope,
     find_entropy_peak_rate,
     find_inflection,
@@ -25,6 +30,7 @@ from qreset.twospin import (
     DOWN_DOWN,
     LN2,
     TwoSpinParams,
+    concurrence_ness,
     entropy_at_time,
     entropy_ness,
     fidelity_ness,
@@ -265,6 +271,44 @@ class TestOptimizeConcurrence:
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
             optimize_concurrence(1.0, 1.0, 0.5)
+        with pytest.raises(ValueError):
+            optimize_concurrence(1.0, 0.5, math.inf)
+
+    @pytest.mark.parametrize("alpha", [0.0, 2.0, 3.3, 7.0, 10.0, 11.5])
+    def test_equals_the_point_by_point_path_bit_for_bit(self, monkeypatch, alpha):
+        # every value the stacked objective hands the optimizer, and the
+        # optimum, equal those of one system and one state per rate
+        seen = []
+        bracketed_max = sweep._bracketed_max
+
+        def recording(f, lo, hi, tol):
+            def g(rates):
+                values = f(rates)
+                seen.append((np.array(rates), np.array(values)))
+                return values
+
+            return bracketed_max(g, lo, hi, tol)
+
+        monkeypatch.setattr(sweep, "_bracketed_max", recording)
+        res = optimize_concurrence(alpha, 0.01, 10.0)
+        point = lambda r: concurrence_ness(TwoSpinParams.from_dimensionless(r, alpha))
+        assert len(seen[0][0]) == 65
+        for rates, values in seen:
+            assert values.tolist() == [point(float(r)) for r in rates]
+        ref = bracketed_max(lambda rates: [point(r) for r in rates], 0.01, 10.0, 1e-8)
+        assert (res.x, res.value, res.flag) == (ref.x, ref.value, ref.flag)
+
+    def test_builds_one_system_per_solve(self, monkeypatch):
+        built = []
+
+        class Counting(twospin.QuantumSystem):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(twospin, "QuantumSystem", Counting)
+        optimize_concurrence(2.0, 0.01, 10.0)
+        assert len(built) == 1
 
 
 class TestEntropyPeakRate:
@@ -301,6 +345,76 @@ class TestEntropyPeakRate:
             find_entropy_peak_rate(0.0, 0.0, 0.1, 1.0)
 
 
+# (R, alpha, dS/dalpha, d2S/dalpha2) from 60-digit arithmetic on the
+# stationary entropy's closed form, differentiated numerically
+ALPHA_DERIVATIVE_REFERENCE = [
+    (0.1, 1.0, -0.0028624277349724340392, 0.056302125775329808771),
+    (0.2, 1.5, -0.049152207358683623885, -0.060540036241342807759),
+    (1.0, 0.5, -0.12979035325629670175, -0.26566109214840717736),
+    (3.0, 7.0, -0.0026480035167969265428, 0.00095460749789143988686),
+    (0.05, 30.0, -0.0088263412282111537685, 0.00057465794593222577311),
+    # u = y^2 small: 2.6e-5, then below 1e-8 (the series branch)
+    (0.001, 0.01, -0.0024990206298635292205, -0.24970631484049059879),
+    (1e-6, 1e-4, -0.000024999999020829189146, -0.24999997062495939741),
+    (1e-9, 1e-7, -2.4999999999999019698e-8, -0.24999999999997062496),
+    # 1 - u ~ 1e-8: y nearly 1
+    (10000.0, 2.0, -7.9227869785279063996e-15, -3.9613910179727585812e-15),
+]
+# root of dS/dalpha = d2S/dalpha2 = 0 in the default box, same arithmetic
+CRITICAL_REFERENCE = (0.12364917511714784248, 1.27823757772657340072)
+
+
+class TestEntropyAlphaDerivatives:
+    @pytest.mark.parametrize("R, alpha, slope, curvature", ALPHA_DERIVATIVE_REFERENCE)
+    def test_high_precision_reference(self, R, alpha, slope, curvature):
+        assert entropy_alpha_slope(R, alpha) == pytest.approx(slope, rel=1e-12)
+        assert entropy_alpha_curvature(R, alpha) == pytest.approx(curvature, rel=1e-12)
+
+    @pytest.mark.parametrize("R, alpha", [(0.12, 1.3), (0.5, 0.2), (2.0, 4.0)])
+    def test_matches_finite_differences_of_the_entropy(self, R, alpha):
+        s = lambda a: entropy_ness(TwoSpinParams.from_dimensionless(R, a))
+        h = 1e-4
+        slope = (s(alpha + h) - s(alpha - h)) / (2 * h)
+        curvature = (s(alpha + h) - 2 * s(alpha) + s(alpha - h)) / (h * h)
+        assert entropy_alpha_slope(R, alpha) == pytest.approx(slope, abs=1e-7)
+        assert entropy_alpha_curvature(R, alpha) == pytest.approx(curvature, abs=1e-5)
+
+    def test_parity_in_alpha(self):
+        for R, alpha in [(0.1, 1.0), (3.0, 7.0)]:
+            assert entropy_alpha_slope(R, -alpha) == -entropy_alpha_slope(R, alpha)
+            assert entropy_alpha_curvature(R, -alpha) == entropy_alpha_curvature(R, alpha)
+        assert entropy_alpha_slope(0.3, 0.0) == 0.0
+        assert entropy_alpha_curvature(0.3, 0.0) < 0.0
+
+    @pytest.mark.parametrize("R", [5e-324, 1e-300, 1e-160, 1e-9, 1.0, 1e9, 1e77, 1e149])
+    @pytest.mark.parametrize("alpha", [0.0, 5e-324, 1e-9, 1.0, 1e9, 1e77, 1e149])
+    def test_finite_over_the_representable_range(self, R, alpha):
+        # y rounds to 1 at large R, 1 - u reaches ~1e-298, u rounds to 0
+        # at small R and alpha: none of it may raise or leave a non-finite value
+        assert math.isfinite(entropy_alpha_slope(R, alpha))
+        assert math.isfinite(entropy_alpha_curvature(R, alpha))
+
+    @pytest.mark.parametrize("R", [1e-9, 1.0, 1e160, 1e300, 1.7e308])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1e160, 1.7e308])
+    def test_never_raises_beyond_it(self, R, alpha):
+        for value in (entropy_alpha_slope(R, alpha), entropy_alpha_curvature(R, alpha)):
+            assert isinstance(value, float)
+
+    @pytest.mark.parametrize("R, alpha", [(math.nan, 1.0), (math.inf, 1.0),
+                                          (1.0, math.nan), (1.0, math.inf)])
+    def test_non_finite_input_gives_nan(self, R, alpha):
+        assert math.isnan(entropy_alpha_slope(R, alpha))
+        assert math.isnan(entropy_alpha_curvature(R, alpha))
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_zero_rate_is_the_vanishing_rate_limit(self, alpha):
+        h = 1e-4
+        s = twospin.entropy_zero_reset
+        slope = (s(alpha + h) - s(alpha - h)) / (2 * h)
+        assert entropy_alpha_slope(0.0, alpha) == pytest.approx(slope, abs=1e-7)
+        assert entropy_alpha_slope(-1e-3, alpha) == entropy_alpha_slope(1e-3, alpha)
+
+
 class TestFindInflection:
     def test_default_box(self):
         cp = find_inflection()
@@ -314,6 +428,31 @@ class TestFindInflection:
         assert cp.r_c == pytest.approx(0.123649, abs=1e-5)
         assert cp.alpha_c == pytest.approx(1.278238, abs=1e-5)
 
+    def test_high_precision_reference(self):
+        cp = find_inflection()
+        assert cp.r_c == pytest.approx(CRITICAL_REFERENCE[0], abs=1e-12)
+        assert cp.alpha_c == pytest.approx(CRITICAL_REFERENCE[1], abs=1e-12)
+        assert max(cp.residuals) <= 1e-12
+        assert cp.residuals == (
+            abs(entropy_alpha_slope(cp.r_c, cp.alpha_c)),
+            abs(entropy_alpha_curvature(cp.r_c, cp.alpha_c)),
+        )
+
+    @pytest.mark.parametrize("box", [
+        (0.05, 0.3, 0.0, 2.0),
+        (0.05, 0.3, 0.001, 2.0),     # the first curvature zero has negative slope
+        (0.1, 0.13, 1.2, 1.3),       # the slope's maximum leaves through alpha edges
+        (0.12364, 0.12366, 1.278, 1.2785),
+        (5e-324, 0.3, 0.8, 2.0),     # Newton is not tried at a subnormal rate
+        (1e-9, 1e9, 0.0, 1e9),
+        (1e-6, 1e6, 0.0, 1e3),
+    ])
+    def test_every_box_around_the_point_finds_it(self, box):
+        cp = find_inflection(*box)
+        assert cp.r_c == pytest.approx(CRITICAL_REFERENCE[0], abs=1e-13)
+        assert cp.alpha_c == pytest.approx(CRITICAL_REFERENCE[1], abs=1e-12)
+        assert max(cp.residuals) <= 1e-12
+
     def test_slope_negative_above_critical_rate(self):
         cp = find_inflection()
         for alpha in np.linspace(0.8, 2.0, 13):
@@ -322,6 +461,40 @@ class TestFindInflection:
     def test_unbracketed_box_raises(self):
         with pytest.raises(SolverError):
             find_inflection(r_lo=0.2, r_hi=0.3)
+
+    @pytest.mark.parametrize("box", [
+        (2.0, 3.0, 5.0, 6.0),
+        (0.1, 0.3, 1.5, 2.0),
+        (5e-324, 1.7e308, 0.0, 1.7e308),
+    ])
+    def test_box_without_the_point_raises_solver_error(self, box):
+        with pytest.raises(SolverError):
+            find_inflection(*box)
+
+    @pytest.mark.parametrize("box", [
+        (0.05, 0.3, 2.0, 0.8),
+        (0.3, 0.05, 0.8, 2.0),
+        (0.0, 0.3, 0.8, 2.0),
+        (0.05, 0.3, -0.1, 2.0),
+        (0.05, 0.3, 0.8, 0.8),
+        (0.05, math.inf, 0.8, 2.0),
+        (0.05, 0.3, math.nan, 2.0),
+    ])
+    def test_invalid_box_raises_value_error(self, box):
+        with pytest.raises(ValueError):
+            check_box(*box)
+        with pytest.raises(ValueError):
+            find_inflection(*box)
+
+    def test_evaluation_budget(self, monkeypatch):
+        # the nested finite-difference solver this replaced made ~24k
+        # entropy evaluations on the default box
+        calls = []
+        for name in ("entropy_alpha_slope", "entropy_alpha_curvature"):
+            real = getattr(sweep, name)
+            monkeypatch.setattr(sweep, name, lambda r, a, f=real: calls.append(1) or f(r, a))
+        find_inflection()
+        assert len(calls) < 1000
 
 
 class TestMcValidate:
