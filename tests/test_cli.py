@@ -298,6 +298,13 @@ class TestOptimize:
     def test_bad_bounds(self):
         assert run(["optimize", "--alpha", "2", "--r-bounds", "5:1"]) == 4
 
+    @pytest.mark.parametrize("command", [["optimize", "--alpha", "2"], ["peak-r", "--t", "5"]])
+    def test_infinite_rate_bound_is_config_error(self, command):
+        proc = run_process([*command, "--r-bounds", "0.01:inf"], timeout=20,
+                           interpreter_flags=("-W", "error"))
+        assert proc.returncode == 4
+        assert proc.stderr == "error: need finite 0 < r_lo < r_hi, got (0.01, inf)\n"
+
     def test_zero_tolerance_rejected_promptly(self):
         proc = run_process(["optimize", "--alpha", "1", "--r-bounds", "0.1:1",
                             "--tol", "0"], timeout=5)
