@@ -30,11 +30,10 @@ from .reset_core import (
     unitary_evolve,
 )
 from .serialize import (
-    ObservableRecord,
-    RecordWriter,
     load_matrix,
     load_quantum_system,
     save_matrix,
+    write_table,
 )
 from .sweep import (
     CriticalPoint,
@@ -44,7 +43,6 @@ from .sweep import (
     find_inflection,
     mc_validate,
     optimize_concurrence,
-    run_sweep,
     sweep_records,
     timeseries,
 )

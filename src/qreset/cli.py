@@ -33,7 +33,6 @@ import argparse
 import functools
 import os
 import sys
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -45,7 +44,7 @@ from .observables import (
     von_neumann_entropy,
 )
 from .reset_core import ResetSpec, SubsystemSplit, ness_density, partial_trace
-from .serialize import RecordWriter, load_quantum_system, write_json
+from .serialize import load_quantum_system, write_json, write_table
 from .sweep import (
     ALL_OBSERVABLES,
     BoundsError,
@@ -56,7 +55,6 @@ from .sweep import (
     find_inflection,
     mc_validate,
     optimize_concurrence,
-    run_sweep,
     sweep_records,
     timeseries,
 )
@@ -66,8 +64,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_CONFIG = 4
-
-THREADS_ENV = "QRESET_THREADS"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -150,27 +146,22 @@ def _resolve_params(args) -> TwoSpinParams:
     return TwoSpinParams.from_dimensionless(args.R, alpha)
 
 
-def _check_threads(args) -> None:
-    # --threads and QRESET_THREADS have no effect, but a bad value is an error
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ValueError("--threads must be >= 1")
-        return
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            int(env)
-        except ValueError:
-            raise ValueError(f"invalid {THREADS_ENV} value {env!r}") from None
-
-
-@contextmanager
-def _out_stream(path):
+def _emit(path, write, data, *options) -> None:
+    """``write(data, stream, *options)`` to stdout, or to the file ``path``,
+    which is removed again if writing fails and this call created it (a
+    path that existed, such as /dev/null, is never removed)."""
     if path is None or path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", newline="") as f:
-            yield f
+        write(data, sys.stdout, *options)
+        return
+    created = not os.path.lexists(path)
+    f = open(path, "w", newline="")
+    try:
+        with f:
+            write(data, f, *options)
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +189,7 @@ def _cmd_ness(args) -> int:
         if sys_.dim == 4:
             pairs.append(("concurrence", float(concurrence_stack(rho)[0])))
         pairs.append(("ness_matrix", rho))
-        with _out_stream(args.out) as f:
-            write_json(pairs, f)
+        _emit(args.out, write_json, pairs)
         return EXIT_OK
 
     p = _resolve_params(args)
@@ -207,9 +197,7 @@ def _cmd_ness(args) -> int:
         raise ValueError("stationary observables need a positive reset rate")
     grid = SweepGrid(r_values=(p.R,), alpha_values=(p.alpha,),
                      observables=_parse_observables(args.observables))
-    (rec,) = sweep_records(grid)
-    with _out_stream(args.out) as f:
-        RecordWriter(f, args.format).write(rec)
+    _emit(args.out, write_table, sweep_records(grid), args.format)
     return EXIT_OK
 
 
@@ -219,9 +207,10 @@ def _cmd_sweep(args) -> int:
         alpha_values=tuple(_parse_grid(args.grid_alpha, "--grid-alpha")),
         observables=_parse_observables(args.observables),
     )
-    _check_threads(args)
-    with _out_stream(args.out) as f:
-        run_sweep(grid, RecordWriter(f, args.format))
+    # --threads has no effect, but a bad value is an error
+    if args.threads is not None and args.threads < 1:
+        raise ValueError("--threads must be >= 1")
+    _emit(args.out, write_table, sweep_records(grid), args.format)
     return EXIT_OK
 
 
@@ -229,43 +218,31 @@ def _cmd_timeseries(args) -> int:
     p = _resolve_params(args)
     t_values = _parse_grid(args.grid_t, "--grid-t")
     observables = _parse_observables(args.observables, allowed=("entropy", "fidelity"))
-    records = timeseries(p, t_values, observables)
-    with _out_stream(args.out) as f:
-        writer = RecordWriter(f, args.format)
-        for rec in records:
-            writer.write(rec)
+    _emit(args.out, write_table, timeseries(p, t_values, observables), args.format)
     return EXIT_OK
 
 
 def _cmd_optimize(args) -> int:
     lo, hi = _parse_bounds(args.r_bounds, "--r-bounds")
     res = optimize_concurrence(args.alpha, lo, hi, tol=args.tol)
-    with _out_stream(args.out) as f:
-        write_json(
-            [
-                ("alpha", float(args.alpha)),
-                ("r_star", res.x),
-                ("c_star", res.value),
-                ("flag", res.flag),
-            ],
-            f,
-        )
+    _emit(args.out, write_json, [
+        ("alpha", float(args.alpha)),
+        ("r_star", res.x),
+        ("c_star", res.value),
+        ("flag", res.flag),
+    ])
     return EXIT_OK
 
 
 def _cmd_critical(args) -> int:
     r_lo, r_hi, a_lo, a_hi = _parse_box(args.box)
     cp = find_inflection(r_lo, r_hi, a_lo, a_hi)
-    with _out_stream(args.out) as f:
-        write_json(
-            [
-                ("r_c", cp.r_c),
-                ("alpha_c", cp.alpha_c),
-                ("residual_slope", cp.residuals[0]),
-                ("residual_curvature", cp.residuals[1]),
-            ],
-            f,
-        )
+    _emit(args.out, write_json, [
+        ("r_c", cp.r_c),
+        ("alpha_c", cp.alpha_c),
+        ("residual_slope", cp.residuals[0]),
+        ("residual_curvature", cp.residuals[1]),
+    ])
     return EXIT_OK
 
 
@@ -273,17 +250,13 @@ def _cmd_peak_r(args) -> int:
     lo, hi = _parse_bounds(args.r_bounds, "--r-bounds")
     alpha = args.alpha if args.alpha is not None else 0.0
     res = find_entropy_peak_rate(args.t, alpha, lo, hi, tol=args.tol)
-    with _out_stream(args.out) as f:
-        write_json(
-            [
-                ("t", float(args.t)),
-                ("alpha", float(alpha)),
-                ("r_star", res.x),
-                ("s_star", res.value),
-                ("flag", res.flag),
-            ],
-            f,
-        )
+    _emit(args.out, write_json, [
+        ("t", float(args.t)),
+        ("alpha", float(alpha)),
+        ("r_star", res.x),
+        ("s_star", res.value),
+        ("flag", res.flag),
+    ])
     return EXIT_OK
 
 
@@ -297,20 +270,16 @@ def _cmd_mc_validate(args) -> int:
         against=args.against,
         threshold=args.threshold,
     )
-    with _out_stream(args.out) as f:
-        write_json(
-            [
-                ("R", p.R),
-                ("alpha", p.alpha),
-                ("t", report.t),
-                ("n_traj", report.n_traj),
-                ("compared_to", report.compared_to),
-                ("max_std_dev", report.max_std_dev),
-                ("threshold", report.threshold),
-                ("passed", report.passed),
-            ],
-            f,
-        )
+    _emit(args.out, write_json, [
+        ("R", p.R),
+        ("alpha", p.alpha),
+        ("t", report.t),
+        ("n_traj", report.n_traj),
+        ("compared_to", report.compared_to),
+        ("max_std_dev", report.max_std_dev),
+        ("threshold", report.threshold),
+        ("passed", report.passed),
+    ])
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
@@ -343,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid-alpha", required=True, help="lo:hi:n[:log]")
     sp.add_argument("--observables", default=",".join(ALL_OBSERVABLES))
     sp.add_argument("--threads", type=int, default=None,
-                    help=f"validated but without effect, as is {THREADS_ENV}")
+                    help="validated (>= 1) but without effect")
     common_output(sp)
     sp.set_defaults(func=_cmd_sweep)
 

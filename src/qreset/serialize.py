@@ -1,10 +1,10 @@
-"""Every output format: observable records (CSV / JSON lines), JSON
-reports and the matrix interchange format.
+"""Every output format: observable tables (CSV / JSON lines), JSON reports
+and the matrix interchange format.
 
 Floats are printed with 17 significant digits so every value round-trips
 losslessly and identical invocations produce byte-identical files.
-``write_json`` writes every JSON object: a report, a JSON-lines record and
-an interchange document alike.
+``write_json`` writes every JSON report and interchange document, and
+``write_table`` every observable table.
 
 Matrix interchange document (JSON):
 
@@ -23,9 +23,8 @@ relative to its largest entry, and the state a density matrix.
 
 from __future__ import annotations
 
-import io
 import json
-from dataclasses import dataclass, fields
+import math
 from itertools import chain
 
 import numpy as np
@@ -34,20 +33,8 @@ from .cmatrix import as_cmatrix
 from .reset_core import QuantumSystem
 
 
-@dataclass
-class ObservableRecord:
-    """One output row; fields not requested stay None."""
-
-    r: float
-    alpha: float
-    t: float | None = None
-    entropy: float | None = None
-    fidelity: float | None = None
-    purity: float | None = None
-    concurrence: float | None = None
-
-
-FIELD_NAMES = tuple(f.name for f in fields(ObservableRecord))
+# the columns of an observable table, in output order
+FIELD_NAMES = ("r", "alpha", "t", "entropy", "fidelity", "purity", "concurrence")
 CSV_HEADER = ",".join(FIELD_NAMES)
 
 
@@ -78,13 +65,25 @@ def _json_value(v) -> str:
     raise TypeError(f"unsupported JSON value {v!r}")
 
 
+def _is_finite(v) -> bool:
+    if isinstance(v, np.ndarray):
+        return bool(np.isfinite(v).all())
+    return not isinstance(v, (float, np.floating)) or math.isfinite(v)
+
+
 def write_json(pairs, stream) -> None:
     """Write the (key, value) ``pairs`` as one line ``{"key": value, ...}``.
 
-    Values may be floats, ints, bools, strings or complex matrices.  One
-    write per value: a d = 256 ness_matrix is a 3 MB string, and joining
-    the line first would hold several copies of it at once.
+    Values may be floats, ints, bools, strings or complex matrices.  A
+    non-finite number has no JSON form: it raises ValueError before any byte
+    is written.  One write per value: a d = 256 ness_matrix is a 3 MB
+    string, and joining the line first would hold several copies of it at
+    once.
     """
+    pairs = list(pairs)
+    for k, v in pairs:
+        if not _is_finite(v):
+            raise ValueError(f"{k} is not finite, and JSON has no such number")
     sep = "{"
     for k, v in pairs:
         stream.write(f'{sep}"{k}": ')
@@ -93,62 +92,26 @@ def write_json(pairs, stream) -> None:
     stream.write("}\n")
 
 
-def _present_fields(rec: ObservableRecord) -> list[tuple[str, float]]:
-    return [(name, v) for name in FIELD_NAMES if (v := getattr(rec, name)) is not None]
-
-
-def csv_line(rec: ObservableRecord) -> str:
-    cells = []
-    for name in FIELD_NAMES:
-        v = getattr(rec, name)
-        cells.append("" if v is None else format_float(v))
-    return ",".join(cells)
-
-
-def jsonl_line(rec: ObservableRecord) -> str:
-    """The record as a JSON object without its newline; absent fields are
-    left out."""
-    buf = io.StringIO()
-    write_json(_present_fields(rec), buf)
-    return buf.getvalue()[:-1]
-
-
-class RecordWriter:
-    """Writes records to a text stream in the chosen format."""
-
-    def __init__(self, stream, fmt: str = "csv"):
-        if fmt not in ("csv", "jsonl"):
-            raise ValueError(f"format must be 'csv' or 'jsonl', got {fmt!r}")
-        self.stream = stream
-        self.fmt = fmt
-        self.count = 0
-        if fmt == "csv":
-            stream.write(CSV_HEADER + "\n")
-
-    def write(self, rec: ObservableRecord) -> None:
-        if self.fmt == "csv":
-            self.stream.write(csv_line(rec) + "\n")
-        else:
-            write_json(_present_fields(rec), self.stream)
-        self.count += 1
-
-
-def parse_records_csv(text: str) -> list[ObservableRecord]:
-    """Inverse of the CSV writer (used for round-trip checks)."""
-    lines = text.strip().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("missing or unexpected CSV header")
-    out = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != len(FIELD_NAMES):
-            raise ValueError(f"expected {len(FIELD_NAMES)} cells, got {len(cells)}")
-        kwargs = {
-            name: (float(c) if c != "" else None)
-            for name, c in zip(FIELD_NAMES, cells)
-        }
-        out.append(ObservableRecord(**kwargs))
-    return out
+def write_table(table, stream, fmt: str = "csv") -> None:
+    """Write an observable table, a dict of equal-length float columns keyed
+    by names from FIELD_NAMES, one line per row: CSV under the full header
+    with absent columns blank, or JSON lines with the present fields only.
+    Values are formatted as format_float does, by one row template."""
+    if fmt not in ("csv", "jsonl"):
+        raise ValueError(f"format must be 'csv' or 'jsonl', got {fmt!r}")
+    names = [name for name in FIELD_NAMES if name in table]
+    if len(names) != len(table):
+        raise ValueError(f"table columns must be from {FIELD_NAMES}, got {tuple(table)}")
+    columns = [np.asarray(table[name], dtype=float) for name in names]
+    if len({c.shape for c in columns}) > 1 or not all(np.isfinite(c).all() for c in columns):
+        raise ValueError("table columns must be finite and of equal length")
+    if fmt == "csv":
+        stream.write(CSV_HEADER + "\n")
+        row = ",".join("%.17g" if name in table else "" for name in FIELD_NAMES)
+    else:
+        row = "{" + ", ".join(f'"{name}": %.17g' for name in names) + "}"
+    row += "\n"
+    stream.writelines(row % values for values in zip(*(c.tolist() for c in columns)))
 
 
 # exact types, not isinstance: JSON true/false load as bool, an int subclass

@@ -28,7 +28,6 @@ from .reset_core import (
     reset_density,
     reset_density_stack,
 )
-from .serialize import ObservableRecord
 from .trajectories import TrajectoryConfig, estimate_density
 from .twospin import TwoSpinParams
 
@@ -41,13 +40,18 @@ UNIT_BOUND_SLACK = 1e-12
 # when standardizing Monte Carlo deviations; see mc_validate.
 STDERR_FLOOR = 1e-12
 
+# At zero rate every trajectory is the same, and an entry is exact up to the
+# round-off of the phases E t: at most 0.26 eps max|E| t was seen for
+# t = 1e3 .. 1e9.  mc_validate allows PHASE_ROUNDOFF eps max|E| t.
+PHASE_ROUNDOFF = 4.0
+
 
 class SolverError(RuntimeError):
     """A root or maximum could not be bracketed / located."""
 
 
 class BoundsError(RuntimeError):
-    """An emitted record violated its theoretical observable bounds."""
+    """An observable table row violated its theoretical observable bounds."""
 
 
 @dataclass(frozen=True)
@@ -82,70 +86,62 @@ class SweepGrid:
         object.__setattr__(self, "observables", canonical)
 
 
-def _row_records(grid: SweepGrid, alpha: float) -> list[ObservableRecord]:
-    """Records of one coupling row, in ascending rate order."""
-    observables = grid.observables
-    records = [ObservableRecord(r=r, alpha=alpha) for r in grid.r_values]
-    if "entropy" in observables or "fidelity" in observables:
-        for rec in records:
-            p = TwoSpinParams.from_dimensionless(rec.r, alpha)
-            if "entropy" in observables:
-                rec.entropy = twospin.entropy_ness(p)
-            if "fidelity" in observables:
-                rec.fidelity = twospin.fidelity_ness(p)
-    if "purity" in observables or "concurrence" in observables:
-        # the Hamiltonian does not depend on the rate
-        sys = twospin.quantum_system(TwoSpinParams.from_dimensionless(0.0, alpha))
-        rhos = ness_density_stack(sys, grid.r_values)
-        if "purity" in observables:
-            for rec, v in zip(records, purity_stack(rhos).tolist()):
-                rec.purity = v
-        if "concurrence" in observables:
-            for rec, v in zip(records, concurrence_stack(rhos)[0].tolist()):
-                rec.concurrence = v
-    return records
+# theoretical range of each observable column, with its rounding slack
+_UNIT_RANGE = (-UNIT_BOUND_SLACK, 1.0 + UNIT_BOUND_SLACK, "[0, 1]")
+_BOUNDS = {"entropy": (-UNIT_BOUND_SLACK, math.log(2.0) + ENTROPY_BOUND_SLACK, "[0, ln 2]"),
+           "fidelity": _UNIT_RANGE, "purity": _UNIT_RANGE, "concurrence": _UNIT_RANGE}
 
 
-def _check_bounds(rec: ObservableRecord) -> ObservableRecord:
-    """Return ``rec``, or raise BoundsError if an observable lies outside
-    its theoretical range (entropy in [0, ln 2], the others in [0, 1])."""
-    violations = []
-    if rec.entropy is not None and not (
-        -UNIT_BOUND_SLACK <= rec.entropy <= math.log(2.0) + ENTROPY_BOUND_SLACK
-    ):
-        violations.append(f"entropy {rec.entropy} outside [0, ln 2]")
-    for name in ("fidelity", "purity", "concurrence"):
-        v = getattr(rec, name)
-        if v is not None and not (-UNIT_BOUND_SLACK <= v <= 1.0 + UNIT_BOUND_SLACK):
-            violations.append(f"{name} {v} outside [0, 1]")
-    if violations:
-        raise BoundsError(
-            f"record at (r={rec.r}, alpha={rec.alpha}): " + "; ".join(violations)
-        )
-    return rec
+def _check_bounds(table: dict[str, np.ndarray]) -> None:
+    """Raise BoundsError, naming the first bad row and all its violations,
+    if an observable column leaves its theoretical range (entropy in
+    [0, ln 2], the others in [0, 1]); nan counts as outside."""
+    bad = {name: ~((lo <= table[name]) & (table[name] <= hi))
+           for name, (lo, hi, _) in _BOUNDS.items() if name in table}
+    rows = np.flatnonzero(np.any(list(bad.values()), axis=0))
+    if rows.size:
+        i = rows[0]
+        violations = [f"{name} {float(table[name][i])} outside {_BOUNDS[name][2]}"
+                      for name in bad if bad[name][i]]
+        raise BoundsError(f"record at (r={float(table['r'][i])}, "
+                          f"alpha={float(table['alpha'][i])}): " + "; ".join(violations))
 
 
-def sweep_records(grid: SweepGrid) -> list[ObservableRecord]:
-    """Evaluate the grid, alpha-outer / rate-inner row-major order."""
-    records = [rec for alpha in grid.alpha_values for rec in _row_records(grid, alpha)]
-    return [_check_bounds(rec) for rec in records]
-
-
-def run_sweep(grid: SweepGrid, sink) -> int:
-    """Evaluate the grid and write each record to ``sink``; returns count."""
-    n = 0
-    for rec in sweep_records(grid):
-        sink.write(rec)
-        n += 1
-    return n
+def sweep_records(grid: SweepGrid) -> dict[str, np.ndarray]:
+    """The grid's observable table: columns r, alpha and the grid's
+    observables, alpha-outer / rate-inner row-major order."""
+    observables, n_r = grid.observables, len(grid.r_values)
+    table = {"r": np.tile(grid.r_values, len(grid.alpha_values)),
+             "alpha": np.repeat(grid.alpha_values, n_r)}
+    table.update((name, np.empty(n_r * len(grid.alpha_values))) for name in observables)
+    for k, alpha in enumerate(grid.alpha_values):
+        row = slice(k * n_r, (k + 1) * n_r)
+        if "entropy" in observables or "fidelity" in observables:
+            for i, r in enumerate(grid.r_values, k * n_r):
+                p = TwoSpinParams.from_dimensionless(r, alpha)
+                if "entropy" in observables:
+                    table["entropy"][i] = twospin.entropy_ness(p)
+                if "fidelity" in observables:
+                    table["fidelity"][i] = twospin.fidelity_ness(p)
+        if "purity" in observables or "concurrence" in observables:
+            # the Hamiltonian does not depend on the rate
+            sys = twospin.quantum_system(TwoSpinParams.from_dimensionless(0.0, alpha))
+            rhos = ness_density_stack(sys, grid.r_values)
+            if "purity" in observables:
+                table["purity"][row] = purity_stack(rhos)
+            if "concurrence" in observables:
+                table["concurrence"][row] = concurrence_stack(rhos)[0]
+    _check_bounds(table)
+    return table
 
 
 def timeseries(
     p: TwoSpinParams,
     t_values: Iterable[float],
     observables: Sequence[str] = ("entropy",),
-) -> list[ObservableRecord]:
-    """Finite-time records at the given ascending rescaled times.
+) -> dict[str, np.ndarray]:
+    """The observable table at the given ascending rescaled times: columns
+    r, alpha, t and the requested observables.
 
     Entropy comes from the closed form; fidelity (against the initial
     all-down state) from the spectral engine at the matching physical time.
@@ -156,20 +152,19 @@ def timeseries(
     bad = set(observables) - {"entropy", "fidelity"}
     if bad:
         raise ValueError(f"timeseries supports entropy/fidelity, got {sorted(bad)}")
-    out = [ObservableRecord(r=p.R, alpha=p.alpha, t=t) for t in ts]
+    table = {"r": np.full(len(ts), p.R), "alpha": np.full(len(ts), p.alpha),
+             "t": np.array(ts, dtype=float)}
     if "entropy" in observables:
-        for rec in out:
-            rec.entropy = twospin.entropy_at_time(rec.t, p)
+        table["entropy"] = np.array([twospin.entropy_at_time(t, p) for t in ts], dtype=float)
     if "fidelity" in observables:
         sys = twospin.quantum_system(p)
-        t_phys = np.array(ts, dtype=float) / p.omega
-        rhos = reset_density_stack(sys, p.r, t_phys)
+        rhos = reset_density_stack(sys, p.r, table["t"] / p.omega)
         # the phases omega*t carry no digits once |omega t| nears 1/eps, and
         # the matrix is then no state: check every member
         require_psd(rhos, "finite-time density matrix")
-        for rec, v in zip(out, fidelity_pure_stack(rhos, twospin.DOWN_DOWN).tolist()):
-            rec.fidelity = v
-    return [_check_bounds(rec) for rec in out]
+        table["fidelity"] = fidelity_pure_stack(rhos, twospin.DOWN_DOWN)
+    _check_bounds(table)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +429,9 @@ def mc_validate(
     threshold: float = 5.0,
 ) -> McValidationReport:
     """Run the trajectory estimator and compare it entrywise to the exact
-    density matrix at rescaled time t (or to the stationary one)."""
+    density matrix at rescaled time t (or to the stationary one).  The
+    floor of standardized_deviations is STDERR_FLOOR, or the phase round-off
+    PHASE_ROUNDOFF * eps * max|E| * t / omega if that is larger."""
     if not (math.isfinite(threshold) and threshold > 0.0):
         raise ValueError(f"threshold must be finite and > 0, got {threshold}")
     sys = twospin.quantum_system(p)
@@ -450,7 +447,9 @@ def mc_validate(
     # digits and the exact matrix is no state (or not even finite)
     require_psd(exact, "exact density matrix")
     estimate = estimate_density(sys, cfg)
-    z_re, z_im = standardized_deviations(estimate, exact)
+    max_energy = float(np.max(np.abs(sys.eigensystem[0])))
+    floor = max(STDERR_FLOOR, PHASE_ROUNDOFF * np.finfo(float).eps * max_energy * t_phys)
+    z_re, z_im = standardized_deviations(estimate, exact, floor)
     worst = float(max(z_re.max(), z_im.max()))
     return McValidationReport(
         max_std_dev=worst,

@@ -9,7 +9,7 @@ import pytest
 
 import qreset
 
-from qreset import cli
+from qreset import cli, sweep
 from qreset.cli import main
 from qreset.observables import fidelity, purity
 from qreset.serialize import save_matrix
@@ -186,27 +186,13 @@ class TestSweep:
         assert run(args + ["--out", str(out2), "--threads", "4"]) == 0
         assert read(out1) == read(out2)
 
-    def test_env_threads_used_when_flag_absent(self, tmp_path, monkeypatch):
-        out1 = tmp_path / "a.csv"
-        monkeypatch.setenv("QRESET_THREADS", "3")
-        args = ["sweep", "--grid-r", "0.5:1:2", "--grid-alpha", "0:1:2",
-                "--out", str(out1)]
-        assert run(args) == 0
-
-    def test_bad_env_threads(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QRESET_THREADS", "many")
-        assert run(
-            ["sweep", "--grid-r", "0.5:1:2", "--grid-alpha", "0:1:2"]
-        ) == 4
-
-    def test_flag_wins_over_env(self, tmp_path, monkeypatch):
-        # an unusable env value is ignored when --threads is given
-        monkeypatch.setenv("QRESET_THREADS", "many")
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
         out = tmp_path / "a.csv"
-        assert run(
-            ["sweep", "--grid-r", "0.5:1:2", "--grid-alpha", "0:1:2",
-             "--threads", "2", "--out", str(out)]
-        ) == 0
+        assert run(["sweep", "--grid-r", "0.5:1:2", "--grid-alpha", "0:1:2",
+                    "--threads", threads, "--out", str(out)]) == 4
+        assert capsys.readouterr().err == "error: --threads must be >= 1\n"
+        assert not out.exists()
 
     def test_row_count(self, tmp_path):
         out = tmp_path / "grid.csv"
@@ -254,6 +240,48 @@ class TestSweep:
         assert proc.returncode == 4
         assert "error:" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestFailingRunsWriteNothing:
+    CASES = [
+        (["sweep", "--grid-r", "1e100:1e300:3:log", "--grid-alpha", "0:1:2",
+          "--observables", "entropy"], 4),
+        (["ness", "--R", "1e200", "--alpha", "1"], 2),
+    ]
+
+    @pytest.mark.parametrize("args, code", CASES)
+    def test_no_file_with_out(self, tmp_path, capsys, args, code):
+        out = tmp_path / "never.csv"
+        assert run(args + ["--out", str(out)]) == code
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("args, code", CASES)
+    def test_empty_stdout_without_out(self, capsys, args, code):
+        assert run(args) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:" if code == 4 else "validation failure:")
+
+    def test_failed_write_removes_the_file(self, tmp_path, capsys, monkeypatch):
+        # a report that write_json cannot write leaves neither a file nor
+        # a partial line on stdout
+        report = sweep.McValidationReport(max_std_dev=float("inf"), threshold=5.0,
+                                          passed=False, n_traj=10, t=1.0, compared_to="reset")
+        monkeypatch.setattr(cli, "mc_validate", lambda *args, **kwargs: report)
+        argv = ["mc-validate", "--R", "1", "--alpha", "1", "--t", "1", "--ntraj", "10"]
+        out = tmp_path / "report.json"
+        assert run(argv + ["--out", str(out)]) == 4
+        assert not out.exists()
+        assert run(argv) == 4
+        # a path that existed before the run, such as /dev/null, is not removed
+        existing = tmp_path / "existing.json"
+        existing.write_text("{}\n")
+        assert run(argv + ["--out", str(existing)]) == 4
+        assert existing.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: max_std_dev is not finite, and JSON has no such number\n" * 3
 
 
 class TestTimeseries:
@@ -443,6 +471,15 @@ class TestMcValidate:
                             "--ntraj", "1000", "--against", against], timeout=5)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["passed"] is True
+
+    @pytest.mark.parametrize("t", ["1e5", "1e6"])
+    def test_zero_rate_at_long_times_passes(self, capsys, t):
+        rc = run(["mc-validate", "--R", "0", "--alpha", "1", "--t", t, "--ntraj", "10"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.count("\n") == 1
+        report = json.loads(out)
+        assert report["passed"] is True and report["max_std_dev"] == 0
 
     def test_non_finite_exact_matrix_is_config_error(self, capsys):
         # at rate 0 the phases omega t overflow: the exact matrix is no state

@@ -1,23 +1,32 @@
+import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
 from qreset.serialize import (
     CSV_HEADER,
-    ObservableRecord,
-    RecordWriter,
-    csv_line,
+    FIELD_NAMES,
     document_to_matrix,
     format_float,
-    jsonl_line,
     load_matrix,
     load_quantum_system,
-    parse_records_csv,
     save_matrix,
     write_json,
+    write_table,
 )
+
+
+def table_of(**columns):
+    return {name: np.array(values, dtype=float) for name, values in columns.items()}
+
+
+def written(table, fmt):
+    buf = io.StringIO()
+    write_table(table, buf, fmt)
+    return buf.getvalue()
 
 
 class TestFloatFormatting:
@@ -32,54 +41,88 @@ class TestFloatFormatting:
 
 
 class TestRecordLines:
+    """The bytes of write_table, pinned literally."""
+
     def test_csv_blank_for_absent_fields(self):
-        rec = ObservableRecord(r=1.0, alpha=0.5, entropy=0.25)
-        assert csv_line(rec) == "1,0.5,,0.25,,,"
+        assert written(table_of(r=[1.0], alpha=[0.5], entropy=[0.25]), "csv") == (
+            "r,alpha,t,entropy,fidelity,purity,concurrence\n"
+            "1,0.5,,0.25,,,\n"
+        )
 
     def test_jsonl_writer_matches_line(self):
-        recs = [
-            ObservableRecord(r=0.1, alpha=0.0, entropy=1.0 / 3.0, fidelity=0.65),
-            ObservableRecord(r=2.0, alpha=1.0, t=0.7, concurrence=0.25),
-        ]
-        buf = io.StringIO()
-        w = RecordWriter(buf, "jsonl")
-        for rec in recs:
-            w.write(rec)
-        assert w.count == 2
-        assert buf.getvalue() == "".join(jsonl_line(rec) + "\n" for rec in recs)
-        assert jsonl_line(recs[1]) == (
-            '{"r": 2, "alpha": 1, "t": 0.69999999999999996, "concurrence": 0.25}'
+        # fields follow FIELD_NAMES, whatever the order of the table's keys
+        table = table_of(concurrence=[0.25, 1.0 / 3.0], t=[0.7, 0.0], alpha=[0.0, 1.0],
+                         r=[0.1, 2.0])
+        assert written(table, "jsonl") == (
+            '{"r": 0.10000000000000001, "alpha": 0, "t": 0.69999999999999996, '
+            '"concurrence": 0.25}\n'
+            '{"r": 2, "alpha": 1, "t": 0, "concurrence": 0.33333333333333331}\n'
         )
 
     def test_jsonl_skips_absent_fields(self):
-        rec = ObservableRecord(r=1.0, alpha=0.5, fidelity=0.375)
-        line = jsonl_line(rec)
-        obj = json.loads(line)
-        assert obj == {"r": 1.0, "alpha": 0.5, "fidelity": 0.375}
+        lines = written(table_of(r=[1.0], alpha=[0.5], fidelity=[0.375]), "jsonl").splitlines()
+        assert lines == ['{"r": 1, "alpha": 0.5, "fidelity": 0.375}']
+        assert json.loads(lines[0]) == {"r": 1.0, "alpha": 0.5, "fidelity": 0.375}
+
+    def test_extreme_values_at_seventeen_digits(self):
+        table = table_of(r=[1e308], alpha=[-0.0], entropy=[5e-324], concurrence=[1.0 / 3.0])
+        assert written(table, "csv").splitlines()[1] == (
+            "1e+308,-0,,4.9406564584124654e-324,,,0.33333333333333331"
+        )
+        assert written(table, "jsonl") == (
+            '{"r": 1e+308, "alpha": -0, "entropy": 4.9406564584124654e-324, '
+            '"concurrence": 0.33333333333333331}\n'
+        )
+
+    def test_rows_equal_per_value_formatting(self):
+        rng = np.random.default_rng(52)
+        values = rng.normal(size=(7, 300)) * 10.0 ** rng.integers(-300, 300, size=(7, 300))
+        values[:, :6] = [5e-324, -0.0, 0.0, 2.0**60, 1.7976931348623157e308, 1e16]
+        table = dict(zip(FIELD_NAMES, values))
+        rows = [",".join(format_float(float(v)) for v in row) for row in values.T]
+        assert written(table, "csv") == CSV_HEADER + "\n" + "".join(r + "\n" for r in rows)
 
     def test_writer_counts_and_headers(self):
-        buf = io.StringIO()
-        w = RecordWriter(buf, "csv")
-        w.write(ObservableRecord(r=1.0, alpha=0.0, fidelity=0.65))
-        assert w.count == 1
-        lines = buf.getvalue().splitlines()
+        lines = written(table_of(r=[1.0, 2.0], alpha=[0.0, 0.0], fidelity=[0.65, 0.5]),
+                        "csv").splitlines()
+        assert len(lines) == 3
         assert lines[0] == CSV_HEADER
         assert lines[1].startswith("1,0,,")
+        assert written(table_of(r=[], alpha=[]), "csv") == CSV_HEADER + "\n"
+        assert written(table_of(r=[], alpha=[]), "jsonl") == ""
 
     def test_writer_rejects_unknown_format(self):
-        with pytest.raises(ValueError):
-            RecordWriter(io.StringIO(), "xml")
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="format must be"):
+            write_table(table_of(r=[1.0], alpha=[0.0]), buf, "xml")
+        assert buf.getvalue() == ""
+
+    @pytest.mark.parametrize("table, message", [
+        (table_of(r=[1.0], alpha=[0.0], spin=[0.5]), "table columns must be from"),
+        (table_of(r=[1.0, 2.0], alpha=[0.0]), "finite and of equal length"),
+        (table_of(r=[1.0], alpha=[0.0], entropy=[math.nan]), "finite and of equal length"),
+        (table_of(r=[math.inf], alpha=[0.0]), "finite and of equal length"),
+    ])
+    def test_rejects_bad_tables_before_writing(self, table, message):
+        for fmt in ("csv", "jsonl"):
+            buf = io.StringIO()
+            with pytest.raises(ValueError, match=message):
+                write_table(table, buf, fmt)
+            assert buf.getvalue() == ""
 
     def test_csv_round_trip(self):
-        recs = [
-            ObservableRecord(r=0.1, alpha=0.0, entropy=1.0 / 3.0, fidelity=0.65),
-            ObservableRecord(r=2.0, alpha=1.0, t=0.7, concurrence=0.25),
-        ]
-        buf = io.StringIO()
-        w = RecordWriter(buf, "csv")
-        for rec in recs:
-            w.write(rec)
-        assert parse_records_csv(buf.getvalue()) == recs
+        table = table_of(r=[0.1, 2.0, 5e-324], alpha=[0.0, 1.0, 1e308], t=[0.7, 1.0 / 3.0, 0.0],
+                         concurrence=[0.25, 2.0 / 3.0, -0.0])
+        rows = list(csv.DictReader(io.StringIO(written(table, "csv"))))
+        assert len(rows) == 3
+        for k, row in enumerate(rows):
+            assert list(row) == list(FIELD_NAMES)
+            for name in FIELD_NAMES:
+                if name in table:
+                    back = np.float64(float(row[name]))
+                    assert back.view(np.int64) == table[name][k].view(np.int64)
+                else:
+                    assert row[name] == ""
 
 
 class TestWriteJson:
@@ -143,6 +186,16 @@ class TestWriteJson:
     def test_rejects_unknown_value_type(self):
         with pytest.raises(TypeError):
             write_json([("x", object())], io.StringIO())
+
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf, np.float64(np.nan),
+        np.array([[1.0, 0.0], [0.0, np.inf]]), np.array([[complex(0.0, np.nan)]]),
+    ])
+    def test_non_finite_value_writes_nothing(self, value):
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="^x is not finite"):
+            write_json([("a", 1.0), ("x", value), ("b", "c")], buf)
+        assert buf.getvalue() == ""
 
 
 class TestMatrixInterchange:

@@ -1,4 +1,4 @@
-import io
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +8,6 @@ from qreset import sweep, twospin
 
 from qreset.observables import concurrence, fidelity_pure, purity
 from qreset.reset_core import ResetSpec, ness_density, reset_density
-from qreset.serialize import ObservableRecord, RecordWriter
 from qreset.sweep import (
     BoundsError,
     SolverError,
@@ -21,7 +20,6 @@ from qreset.sweep import (
     golden_section_max,
     mc_validate,
     optimize_concurrence,
-    run_sweep,
     sweep_records,
     timeseries,
     _check_bounds,
@@ -64,13 +62,40 @@ class TestSweepGrid:
         assert g.observables == ("entropy", "concurrence")
 
 
+def table_of(**columns):
+    return {name: np.array(values, dtype=float) for name, values in columns.items()}
+
+
 class TestRecords:
     def test_bounds_flagging(self):
-        rec = ObservableRecord(r=1.0, alpha=0.0, entropy=5.0)
         with pytest.raises(BoundsError):
-            _check_bounds(rec)
-        rec = ObservableRecord(r=1.0, alpha=0.0, fidelity=0.3, purity=1.0)
-        assert _check_bounds(rec) is rec
+            _check_bounds(table_of(r=[1.0], alpha=[0.0], entropy=[5.0]))
+        assert _check_bounds(table_of(r=[1.0], alpha=[0.0], fidelity=[0.3], purity=[1.0])) is None
+
+    def test_names_the_first_bad_row_and_all_its_violations(self):
+        table = table_of(r=[0.5, 1.0, 2.0], alpha=[0.0, 0.25, 3.0], entropy=[0.1, math.nan, 0.9],
+                         fidelity=[0.5, 1.5, 2.0], purity=[0.5, 0.5, -1.0],
+                         concurrence=[0.0, 1.0, 0.0])
+        with pytest.raises(BoundsError) as err:
+            _check_bounds(table)
+        assert str(err.value) == (
+            "record at (r=1.0, alpha=0.25): entropy nan outside [0, ln 2]; "
+            "fidelity 1.5 outside [0, 1]"
+        )
+
+    @pytest.mark.parametrize("name, inside, outside", [
+        ("entropy", (-1e-12, LN2 + 1e-9), (-2e-12, LN2 + 2e-9)),
+        ("fidelity", (-1e-12, 1.0 + 1e-12), (-2e-12, 1.0 + 3e-12)),
+        ("purity", (-1e-12, 1.0 + 1e-12), (-2e-12, 1.0 + 3e-12)),
+        ("concurrence", (-1e-12, 1.0 + 1e-12), (math.nan, math.inf)),
+    ])
+    def test_slack_at_each_bound(self, name, inside, outside):
+        _check_bounds({"r": np.ones(2), "alpha": np.zeros(2), name: np.array(inside)})
+        for k, v in enumerate(outside):
+            column = np.array(inside)
+            column[k] = v
+            with pytest.raises(BoundsError, match=f"^record at \\(r=1.0, alpha=0.0\\): {name} "):
+                _check_bounds({"r": np.ones(2), "alpha": np.zeros(2), name: column})
 
 
 class TestRunSweep:
@@ -78,10 +103,9 @@ class TestRunSweep:
         grid = SweepGrid(
             r_values=(1.0,), alpha_values=(0.0,), observables=("fidelity",)
         )
-        recs = sweep_records(grid)
-        assert len(recs) == 1
-        assert recs[0].fidelity == pytest.approx(0.65, abs=1e-15)
-        assert recs[0].entropy is None
+        table = sweep_records(grid)
+        assert list(table) == ["r", "alpha", "fidelity"]
+        assert table["fidelity"][0] == pytest.approx(0.65, abs=1e-15)
 
     def test_uncoupled_concurrence_is_zero(self):
         grid = SweepGrid(
@@ -89,26 +113,24 @@ class TestRunSweep:
             alpha_values=(0.0,),
             observables=("concurrence",),
         )
-        for rec in sweep_records(grid):
-            assert rec.concurrence <= 1e-10
+        assert np.all(sweep_records(grid)["concurrence"] <= 1e-10)
 
     def test_row_count_and_order(self):
         grid = SweepGrid(
             r_values=(0.5, 1.0), alpha_values=(0.0, 1.0, 2.0),
             observables=("entropy",),
         )
-        sink = RecordWriter(io.StringIO(), "csv")
-        assert run_sweep(grid, sink) == 6
-        recs = sweep_records(grid)
+        table = sweep_records(grid)
+        assert all(c.dtype == np.float64 and c.shape == (6,) for c in table.values())
         # alpha outer, rate inner
-        assert [(r.alpha, r.r) for r in recs] == [
+        assert list(zip(table["alpha"].tolist(), table["r"].tolist())) == [
             (0.0, 0.5), (0.0, 1.0), (1.0, 0.5), (1.0, 1.0), (2.0, 0.5), (2.0, 1.0)
         ]
 
 
 class TestStackedEqualsPointwise:
-    """The row-stacked engine reproduces, bit for bit, records built point
-    by point from the public one-matrix functions."""
+    """The row-stacked engine reproduces, bit for bit, the columns built
+    point by point from the public one-matrix functions."""
 
     def test_sweep_records(self):
         # alpha = 0 takes the degeneracy branch of the stationary state
@@ -116,49 +138,57 @@ class TestStackedEqualsPointwise:
             r_values=tuple(np.geomspace(1e-3, 1e3, 31)),
             alpha_values=(0.0, 0.05, 0.5, 1.0, 2.5, 6.0, 12.0),
         )
-        expected = []
+        expected = {name: [] for name in ("r", "alpha", *grid.observables)}
         for alpha in grid.alpha_values:
             for r in grid.r_values:
                 p = TwoSpinParams.from_dimensionless(r, alpha)
                 rho = ness_density(quantum_system(p), ResetSpec(p.r))
-                expected.append(ObservableRecord(
-                    r=r, alpha=alpha, entropy=entropy_ness(p),
-                    fidelity=fidelity_ness(p), purity=purity(rho),
-                    concurrence=concurrence(rho).value,
-                ))
-        assert sweep_records(grid) == expected
+                for name, v in (("r", r), ("alpha", alpha), ("entropy", entropy_ness(p)),
+                                ("fidelity", fidelity_ness(p)), ("purity", purity(rho)),
+                                ("concurrence", concurrence(rho).value)):
+                    expected[name].append(v)
+        table = sweep_records(grid)
+        assert list(table) == list(expected)
+        for name, column in expected.items():
+            assert np.array_equal(table[name], column), name
 
     def test_timeseries_fidelity(self):
         for R, alpha, omega in ((0.7, 1.3, 1.0), (1e-3, 12.0, 1.0), (2.0, 0.0, 2.5)):
             p = TwoSpinParams(omega=omega, j=alpha * omega, r=R * omega)
             ts = np.linspace(0.0, 25.0, 101)
             sys = quantum_system(p)
-            expected = [
-                ObservableRecord(
-                    r=p.R, alpha=p.alpha, t=float(t), entropy=entropy_at_time(float(t), p),
-                    fidelity=fidelity_pure(
-                        reset_density(sys, ResetSpec(p.r), float(t) / p.omega), DOWN_DOWN),
-                )
-                for t in ts
-            ]
-            recs = timeseries(p, ts, observables=("entropy", "fidelity"))
-            assert recs == expected
-            assert recs[0].t == 0.0 and recs[0].fidelity == 1.0
+            expected = {
+                "r": [p.R] * ts.size,
+                "alpha": [p.alpha] * ts.size,
+                "t": ts.tolist(),
+                "entropy": [entropy_at_time(float(t), p) for t in ts],
+                "fidelity": [
+                    fidelity_pure(reset_density(sys, ResetSpec(p.r), float(t) / p.omega), DOWN_DOWN)
+                    for t in ts
+                ],
+            }
+            # observables come out in canonical order, whatever the request's
+            table = timeseries(p, ts, observables=("fidelity", "entropy"))
+            assert list(table) == list(expected)
+            for name, column in expected.items():
+                assert np.array_equal(table[name], column), name
+            assert table["t"][0] == 0.0 and table["fidelity"][0] == 1.0
 
 
 class TestTimeseries:
     def test_starts_at_zero_entropy(self):
         p = TwoSpinParams.from_dimensionless(0.5, 0.0)
-        recs = timeseries(p, [0.0, 1.0])
-        assert recs[0].t == 0.0
-        assert recs[0].entropy == 0.0
+        table = timeseries(p, [0.0, 1.0])
+        assert list(table) == ["r", "alpha", "t", "entropy"]
+        assert table["t"][0] == 0.0
+        assert table["entropy"][0] == 0.0
 
     def test_long_time_reaches_stationary_value(self):
         from qreset.twospin import entropy_ness
 
         p = TwoSpinParams.from_dimensionless(0.5, 0.0)
-        recs = timeseries(p, [100.0])
-        assert abs(recs[0].entropy - entropy_ness(p)) < 1e-8
+        table = timeseries(p, [100.0])
+        assert abs(table["entropy"][0] - entropy_ness(p)) < 1e-8
 
     def test_uncoupled_matches_simple_closed_form(self):
         def oracle(R, t):
@@ -173,15 +203,15 @@ class TestTimeseries:
             return s
 
         p = TwoSpinParams.from_dimensionless(0.7, 0.0)
-        ts = np.linspace(0.0, 12.0, 25)
-        for rec in timeseries(p, ts):
-            assert abs(rec.entropy - oracle(0.7, rec.t)) <= 1e-12
+        table = timeseries(p, np.linspace(0.0, 12.0, 25))
+        for t, entropy in zip(table["t"], table["entropy"]):
+            assert abs(entropy - oracle(0.7, t)) <= 1e-12
 
     def test_fidelity_observable(self):
         p = TwoSpinParams.from_dimensionless(1.0, 1.0)
-        recs = timeseries(p, [0.0, 2.0], observables=("entropy", "fidelity"))
-        assert recs[0].fidelity == pytest.approx(1.0, abs=1e-12)
-        assert 0.0 <= recs[1].fidelity <= 1.0
+        table = timeseries(p, [0.0, 2.0], observables=("entropy", "fidelity"))
+        assert table["fidelity"][0] == pytest.approx(1.0, abs=1e-12)
+        assert 0.0 <= table["fidelity"][1] <= 1.0
 
     def test_rejects_unsorted_times(self):
         p = TwoSpinParams.from_dimensionless(1.0, 0.0)
@@ -202,9 +232,8 @@ class TestTimeseries:
         # at R t = 1e308 the phases omega t overflow, but exp(-R t) is
         # exactly 0 and the state is the stationary one to round-off
         p = TwoSpinParams.from_dimensionless(1.0, alpha)
-        recs = timeseries(p, [0.0, 5e307, 1e308], observables=("fidelity",))
-        for rec in recs[1:]:
-            assert rec.fidelity == pytest.approx(fidelity_ness(p), abs=1e-12)
+        table = timeseries(p, [0.0, 5e307, 1e308], observables=("fidelity",))
+        assert table["fidelity"][1:] == pytest.approx([fidelity_ness(p)] * 2, abs=1e-12)
 
 
 class TestGoldenSection:
@@ -526,15 +555,48 @@ class TestMcValidate:
         with pytest.raises(ValueError):
             mc_validate(p, t=1.0, n_traj=10, seed=0, against="exact")
 
+    @pytest.mark.parametrize("t", [1e5, 1e6])
+    def test_zero_rate_passes_at_long_times(self, t):
+        # the trajectories are identical, so every standard error is 0 and
+        # only the round-off of the phases E t separates them from the exact
+        # matrix
+        p0 = TwoSpinParams(omega=1.0, j=1.0, r=0.0)
+        report = mc_validate(p0, t=t, n_traj=10, seed=0)
+        assert report.passed
+        assert report.max_std_dev == 0.0
+
+    @pytest.mark.parametrize("offset, passed", [(0.5, True), (1.5, False)])
+    def test_deterministic_entries_are_held_to_the_phase_roundoff(
+            self, monkeypatch, offset, passed):
+        p0 = TwoSpinParams(omega=2.0, j=2.0, r=0.0)
+        t = 1e6  # rescaled; the physical time is t / omega
+        energies = quantum_system(p0).eigensystem[0]
+        # the documented tolerance, 4 eps max|E| t at the physical time
+        tol = 4.0 * np.finfo(float).eps * np.abs(energies).max() * t / 2.0
+        assert tol > 100 * sweep.STDERR_FLOOR
+        real = sweep.estimate_density
+
+        def shifted(sys, cfg):
+            est = real(sys, cfg)
+            rho = est.rho_hat.copy()
+            rho[0, 3] += offset * tol
+            return dataclasses.replace(est, rho_hat=rho)
+
+        monkeypatch.setattr(sweep, "estimate_density", shifted)
+        report = mc_validate(p0, t=t, n_traj=10, seed=0)
+        assert report.passed is passed
+        assert report.max_std_dev == (0.0 if passed else math.inf)
+
 
 class TestBoundsEnforcement:
-    def test_run_sweep_aborts_on_violation(self, monkeypatch):
-        import qreset.sweep as sweep_mod
-
-        def broken(grid, alpha):
-            return [ObservableRecord(r=r, alpha=alpha, fidelity=1.5) for r in grid.r_values]
-
-        monkeypatch.setattr(sweep_mod, "_row_records", broken)
+    def test_sweep_aborts_on_violation(self, monkeypatch):
+        monkeypatch.setattr(twospin, "fidelity_ness", lambda p: 1.5)
         grid = SweepGrid(r_values=(1.0,), alpha_values=(0.0,))
-        with pytest.raises(BoundsError):
+        with pytest.raises(BoundsError, match="fidelity 1.5 outside"):
             sweep_records(grid)
+
+    def test_timeseries_aborts_on_violation(self, monkeypatch):
+        monkeypatch.setattr(twospin, "entropy_at_time", lambda t, p: 5.0)
+        p = TwoSpinParams.from_dimensionless(1.0, 0.0)
+        with pytest.raises(BoundsError, match="entropy 5.0 outside"):
+            timeseries(p, [0.0, 1.0])
