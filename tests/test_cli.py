@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -264,24 +265,25 @@ class TestFailingRunsWriteNothing:
         assert captured.err.startswith("error:" if code == 4 else "validation failure:")
 
     def test_failed_write_removes_the_file(self, tmp_path, capsys, monkeypatch):
-        # a report that write_json cannot write leaves neither a file nor
-        # a partial line on stdout
-        report = sweep.McValidationReport(max_std_dev=float("inf"), threshold=5.0,
-                                          passed=False, n_traj=10, t=1.0, compared_to="reset")
-        monkeypatch.setattr(cli, "mc_validate", lambda *args, **kwargs: report)
+        # a write that fails part way, as on a full disk, leaves no file
+        # that the run created; a path that existed before the run, such
+        # as /dev/null, is not removed
+        def failing_write(pairs, stream):
+            stream.write('{"R": ')
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(cli, "write_json", failing_write)
         argv = ["mc-validate", "--R", "1", "--alpha", "1", "--t", "1", "--ntraj", "10"]
         out = tmp_path / "report.json"
         assert run(argv + ["--out", str(out)]) == 4
         assert not out.exists()
-        assert run(argv) == 4
-        # a path that existed before the run, such as /dev/null, is not removed
         existing = tmp_path / "existing.json"
         existing.write_text("{}\n")
         assert run(argv + ["--out", str(existing)]) == 4
         assert existing.exists()
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: max_std_dev is not finite, and JSON has no such number\n" * 3
+        assert captured.err == "error: No space left on device\n" * 2
 
 
 class TestTimeseries:
@@ -480,6 +482,26 @@ class TestMcValidate:
         assert out.count("\n") == 1
         report = json.loads(out)
         assert report["passed"] is True and report["max_std_dev"] == 0
+
+    def test_deterministic_mismatch_is_a_validation_failure(self, tmp_path, monkeypatch):
+        # at rate 0 every entry is deterministic; one that is off is a
+        # failed validation with a report that is valid JSON, not an error
+        real = sweep.estimate_density
+
+        def shifted(sys_, cfg):
+            est = real(sys_, cfg)
+            rho = est.rho_hat.copy()
+            rho[0, 3] += 1e-3
+            return dataclasses.replace(est, rho_hat=rho)
+
+        monkeypatch.setattr(sweep, "estimate_density", shifted)
+        out = tmp_path / "report.json"
+        rc = run(["mc-validate", "--R", "0", "--alpha", "1", "--t", "1", "--ntraj", "10",
+                  "--out", str(out)])
+        assert rc == 2
+        report = json.loads(out.read_text())
+        assert report["passed"] is False
+        assert report["max_std_dev"] == sys.float_info.max
 
     def test_non_finite_exact_matrix_is_config_error(self, capsys):
         # at rate 0 the phases omega t overflow: the exact matrix is no state

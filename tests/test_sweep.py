@@ -585,7 +585,30 @@ class TestMcValidate:
         monkeypatch.setattr(sweep, "estimate_density", shifted)
         report = mc_validate(p0, t=t, n_traj=10, seed=0)
         assert report.passed is passed
-        assert report.max_std_dev == (0.0 if passed else math.inf)
+        # a miss reports the largest finite float, which JSON can hold
+        assert report.max_std_dev == (0.0 if passed else np.finfo(float).max)
+
+    @pytest.mark.parametrize("t, n_traj", [(1e12, 1_000_000), (1e15, 1000)])
+    def test_biased_estimate_fails_at_positive_rate_and_long_times(
+            self, monkeypatch, t, n_traj):
+        # at a positive rate a trajectory's age is min(Exp(r), t), so no
+        # phase round-off grows with t: a 10-stderr bias must fail however
+        # long the run, and be measured in standard errors
+        p = TwoSpinParams.from_dimensionless(1.0, 1.0)
+        real = sweep.estimate_density
+
+        def biased(sys, cfg):
+            est = real(sys, cfg)
+            k = np.unravel_index(np.argmax(est.stderr_re), est.stderr_re.shape)
+            rho = est.rho_hat.copy()
+            rho[k] += 10.0 * est.stderr_re[k]
+            return dataclasses.replace(est, rho_hat=rho)
+
+        monkeypatch.setattr(sweep, "estimate_density", biased)
+        for against in ("reset", "ness"):
+            report = mc_validate(p, t=t, n_traj=n_traj, seed=0, against=against)
+            assert not report.passed
+            assert 5.0 < report.max_std_dev < 20.0
 
 
 class TestBoundsEnforcement:
