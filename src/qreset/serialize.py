@@ -36,6 +36,8 @@ from .reset_core import QuantumSystem
 # the columns of an observable table, in output order
 FIELD_NAMES = ("r", "alpha", "t", "entropy", "fidelity", "purity", "concurrence")
 CSV_HEADER = ",".join(FIELD_NAMES)
+# table rows formatted per write_table chunk
+_WRITE_ROWS = 4096
 
 
 def format_float(x: float) -> str:
@@ -111,7 +113,11 @@ def write_table(table, stream, fmt: str = "csv") -> None:
     else:
         row = "{" + ", ".join(f'"{name}": %.17g' for name in names) + "}"
     row += "\n"
-    stream.writelines(row % values for values in zip(*(c.tolist() for c in columns)))
+    # rows go out in chunks: tolist() of whole columns would hold every
+    # value as a Python float at once
+    for start in range(0, len(columns[0]) if columns else 0, _WRITE_ROWS):
+        chunk = (c[start:start + _WRITE_ROWS].tolist() for c in columns)
+        stream.writelines(row % values for values in zip(*chunk))
 
 
 # exact types, not isinstance: JSON true/false load as bool, an int subclass

@@ -4,10 +4,12 @@ section maximization of concurrence and of the finite-time entropy over
 the reset rate, the entropy-inflection (spinodal-like) point in the
 (rate, coupling) plane, and Monte Carlo cross-validation of the engine.
 
-A sweep is evaluated one coupling row at a time: every rate of a row
-shares one Hamiltonian, so a row builds one validated system and gets its
-purity and concurrence from one stack of stationary states.  The
-concurrence optimizer does the same for its one coupling.
+A sweep is evaluated in blocks of coupling rows, as many as fit a byte
+budget: the entropy and fidelity of a block come from one array closed
+form each; every rate of a row shares one Hamiltonian, so a row builds one
+validated system, and the stationary states of all the block's rows form
+one stack for purity and concurrence.  The concurrence optimizer stacks
+its probes the same way for its one coupling.
 """
 
 from __future__ import annotations
@@ -45,6 +47,13 @@ STDERR_FLOOR = 1e-12
 # seen for t = 1e3 .. 1e9.  mc_validate allows PHASE_ROUNDOFF eps max|E| t,
 # weighted by exp(-r t), the share of trajectories that reach age t.
 PHASE_ROUNDOFF = 4.0
+
+
+# A sweep evaluates as many coupling rows at once as keep their
+# temporaries, about _POINT_BYTES a grid point (mostly the (4, 4) complex
+# stacks of purity and concurrence), within _BLOCK_BYTES.
+_BLOCK_BYTES = 4 * 2**20
+_POINT_BYTES = 2048
 
 
 class SolverError(RuntimeError):
@@ -111,27 +120,31 @@ def _check_bounds(table: dict[str, np.ndarray]) -> None:
 def sweep_records(grid: SweepGrid) -> dict[str, np.ndarray]:
     """The grid's observable table: columns r, alpha and the grid's
     observables, alpha-outer / rate-inner row-major order."""
-    observables, n_r = grid.observables, len(grid.r_values)
-    table = {"r": np.tile(grid.r_values, len(grid.alpha_values)),
+    observables, n_r, n_alpha = grid.observables, len(grid.r_values), len(grid.alpha_values)
+    table = {"r": np.tile(grid.r_values, n_alpha),
              "alpha": np.repeat(grid.alpha_values, n_r)}
-    table.update((name, np.empty(n_r * len(grid.alpha_values))) for name in observables)
-    for k, alpha in enumerate(grid.alpha_values):
-        row = slice(k * n_r, (k + 1) * n_r)
-        if "entropy" in observables or "fidelity" in observables:
-            for i, r in enumerate(grid.r_values, k * n_r):
-                p = TwoSpinParams.from_dimensionless(r, alpha)
-                if "entropy" in observables:
-                    table["entropy"][i] = twospin.entropy_ness(p)
-                if "fidelity" in observables:
-                    table["fidelity"][i] = twospin.fidelity_ness(p)
-        if "purity" in observables or "concurrence" in observables:
-            # the Hamiltonian does not depend on the rate
-            sys = twospin.quantum_system(TwoSpinParams.from_dimensionless(0.0, alpha))
-            rhos = ness_density_stack(sys, grid.r_values)
+    table.update((name, np.empty(n_r * n_alpha)) for name in observables)
+    stacked = "purity" in observables or "concurrence" in observables
+    rows = max(1, _BLOCK_BYTES // (n_r * _POINT_BYTES))
+    for k in range(0, n_alpha, rows):
+        alphas = grid.alpha_values[k:k + rows]
+        block = slice(k * n_r, (k + len(alphas)) * n_r)
+        if "entropy" in observables:
+            table["entropy"][block] = twospin.entropy_ness_array(table["r"][block],
+                                                                 table["alpha"][block])
+        if "fidelity" in observables:
+            table["fidelity"][block] = twospin.fidelity_ness_array(table["r"][block],
+                                                                   table["alpha"][block])
+        if stacked:
+            # the Hamiltonian does not depend on the rate: one system per row
+            rhos = np.concatenate([
+                ness_density_stack(twospin.quantum_system(
+                    TwoSpinParams.from_dimensionless(0.0, alpha)), grid.r_values)
+                for alpha in alphas])
             if "purity" in observables:
-                table["purity"][row] = purity_stack(rhos)
+                table["purity"][block] = purity_stack(rhos)
             if "concurrence" in observables:
-                table["concurrence"][row] = concurrence_stack(rhos)[0]
+                table["concurrence"][block] = concurrence_stack(rhos)[0]
     _check_bounds(table)
     return table
 

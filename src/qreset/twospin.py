@@ -20,6 +20,7 @@ and both its transient and stationary elements are given in closed form.
 
 from __future__ import annotations
 
+import errno
 import math
 from dataclasses import dataclass
 
@@ -226,16 +227,41 @@ def entropy_ness(p: TwoSpinParams) -> float:
         raise ValueError(
             "stationary entropy needs r > 0; use entropy_zero_reset for the limit"
         )
-    R2 = p.R * p.R
-    a2 = p.alpha * p.alpha
-    y_sq = (
-        1.0
-        + 4.0 * a2 / (4.0 * a2 + R2 + 4.0) ** 2
-        - (R2 + 1.0)
-        * ((8.0 * a2 + 2.0) * R2 + R2 * R2 + 1.0)
-        / ((4.0 * a2 + 2.0) * R2 + R2 * R2 + 1.0) ** 2
-    )
-    return _entropy_from_y(math.sqrt(min(max(y_sq, 0.0), 1.0)))
+    return float(entropy_ness_array(np.array([p.R]), np.array([p.alpha]))[0])
+
+
+def entropy_ness_array(R: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Stationary spin-1 entropy at each (R, alpha) of two float arrays of
+    one shape, trusted to hold R > 0 (see entropy_ness).
+
+    Beyond float range it behaves as the float formula always has: a finite
+    factor whose square overflows raises OverflowError, and a rate or
+    coupling whose square is already inf gives nan.  No numpy warning.
+    """
+    with np.errstate(all="ignore"):
+        R2 = R * R
+        a2 = alpha * alpha
+        y_sq = (
+            1.0
+            + 4.0 * a2 / _square(4.0 * a2 + R2 + 4.0)
+            - (R2 + 1.0)
+            * ((8.0 * a2 + 2.0) * R2 + R2 * R2 + 1.0)
+            / _square((4.0 * a2 + 2.0) * R2 + R2 * R2 + 1.0)
+        )
+        y = np.sqrt(np.clip(y_sq, 0.0, 1.0))
+        # _entropy_from_y over the array; log1p(-1) = -inf is skipped at y = 1
+        s = LN2 - 0.5 * (1.0 + y) * np.log1p(y)
+        s -= 0.5 * (1.0 - y) * np.log1p(-y, out=np.zeros_like(y), where=y < 1.0)
+        return np.maximum(s, 0.0)
+
+
+def _square(x: np.ndarray) -> np.ndarray:
+    """x * x, raising OverflowError as float ** 2 does where a finite x's
+    square overflows (an inf x squares to inf)."""
+    sq = x * x
+    if np.any(np.isinf(sq) & np.isfinite(x)):
+        raise OverflowError(errno.ERANGE, "Numerical result out of range")
+    return sq
 
 
 # Below this u = y^2 the entropy's u-derivatives take their two-term
@@ -335,13 +361,21 @@ def fidelity_ness(p: TwoSpinParams) -> float:
     Continuous down to R = 0, where it gives the rate -> 0+ limiting value
     (3 + 4 alpha^2) / (8 (1 + alpha^2)).
     """
-    R2 = p.R * p.R
-    a2 = p.alpha * p.alpha
-    return (
-        1.0
-        - 0.5 * (R2 + 1.0) / (1.0 + R2 * R2 + R2 * (4.0 * a2 + 2.0))
-        - 0.5 / (4.0 * a2 + R2 + 4.0)
-    )
+    return float(fidelity_ness_array(np.array([p.R]), np.array([p.alpha]))[0])
+
+
+def fidelity_ness_array(R: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Stationary fidelity (see fidelity_ness) at each (R, alpha) of two
+    float arrays of one shape.  Squares that overflow to inf give what the
+    float formula gives (nan at R = 1e200), without a numpy warning."""
+    with np.errstate(all="ignore"):
+        R2 = R * R
+        a2 = alpha * alpha
+        return (
+            1.0
+            - 0.5 * (R2 + 1.0) / (1.0 + R2 * R2 + R2 * (4.0 * a2 + 2.0))
+            - 0.5 / (4.0 * a2 + R2 + 4.0)
+        )
 
 
 def concurrence_ness(p: TwoSpinParams) -> float:

@@ -243,6 +243,24 @@ class TestSweep:
         assert "Traceback" not in proc.stderr
 
 
+class TestBeyondFloatRange:
+    # float ** 2 raises where a finite square overflows (exit 4); a rate or
+    # coupling whose square is inf gives nan, a validation failure (exit 2).
+    # Under -W error a numpy warning would end the run in a traceback.
+    @pytest.mark.parametrize("args, code", [
+        (["sweep", "--grid-r", "1e100:1e300:3:log", "--grid-alpha", "0:1:2",
+          "--observables", "entropy"], 4),
+        (["ness", "--R", "1e200", "--alpha", "1"], 2),
+        (["ness", "--R", "1", "--alpha", "1e200"], 2),
+    ])
+    def test_exit_code_without_traceback_or_warning(self, args, code):
+        proc = run_process(args, timeout=30, interpreter_flags=("-W", "error"))
+        assert proc.returncode == code
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "Warning" not in proc.stderr
+
+
 class TestFailingRunsWriteNothing:
     CASES = [
         (["sweep", "--grid-r", "1e100:1e300:3:log", "--grid-alpha", "0:1:2",

@@ -2,10 +2,12 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qreset import serialize
 from qreset.serialize import (
     CSV_HEADER,
     FIELD_NAMES,
@@ -81,6 +83,36 @@ class TestRecordLines:
         table = dict(zip(FIELD_NAMES, values))
         rows = [",".join(format_float(float(v)) for v in row) for row in values.T]
         assert written(table, "csv") == CSV_HEADER + "\n" + "".join(r + "\n" for r in rows)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_chunks_do_not_change_the_bytes(self, monkeypatch, fmt):
+        rng = np.random.default_rng(53)
+        table = dict(zip(("r", "alpha", "entropy", "concurrence"), rng.normal(size=(4, 300))))
+        whole = written(table, fmt)
+        for rows in (1, 7, 299, 300):
+            monkeypatch.setattr(serialize, "_WRITE_ROWS", rows)
+            assert written(table, fmt) == whole
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        # formatting every row at once would hold all 180000 values as
+        # Python floats, about 5.5 MB
+        class Discard:
+            def write(self, text):
+                pass
+
+            def writelines(self, lines):
+                for _ in lines:
+                    pass
+
+        table = {name: np.linspace(0.1, 1.0, 30000)
+                 for name in ("r", "alpha", "entropy", "fidelity", "purity", "concurrence")}
+        tracemalloc.start()
+        try:
+            write_table(table, Discard(), "csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_writer_counts_and_headers(self):
         lines = written(table_of(r=[1.0, 2.0], alpha=[0.0, 0.0], fidelity=[0.65, 0.5]),

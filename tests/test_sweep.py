@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qreset import sweep, twospin
 
-from qreset.observables import concurrence, fidelity_pure, purity
+from qreset.observables import concurrence, concurrence_stack, fidelity_pure, purity
 from qreset.reset_core import ResetSpec, ness_density, reset_density
 from qreset.sweep import (
     BoundsError,
@@ -173,6 +174,42 @@ class TestStackedEqualsPointwise:
             for name, column in expected.items():
                 assert np.array_equal(table[name], column), name
             assert table["t"][0] == 0.0 and table["fidelity"][0] == 1.0
+
+
+class TestRowBlocks:
+    """sweep_records evaluates the grid in blocks of coupling rows sized to
+    sweep._BLOCK_BYTES; the block size changes neither the table nor, past
+    one block, the memory it takes."""
+
+    def test_block_size_does_not_change_the_table(self, monkeypatch):
+        # alpha = 0 takes the degeneracy branch of the stationary state
+        grid = SweepGrid(r_values=tuple(np.geomspace(1e-3, 1e3, 23)),
+                         alpha_values=(0.0, 0.05, 0.5, 1.0, 2.5, 6.0, 12.0))
+        stacks = []
+        counted = lambda rhos: stacks.append(len(rhos)) or concurrence_stack(rhos)
+        monkeypatch.setattr(sweep, "concurrence_stack", counted)
+        tables = []
+        for budget in (1, 10**12):  # one row per block, then the whole grid
+            monkeypatch.setattr(sweep, "_BLOCK_BYTES", budget)
+            tables.append(sweep_records(grid))
+        assert stacks == [23] * 7 + [23 * 7]
+        one_row, whole = tables
+        assert list(one_row) == list(whole)
+        for name in whole:
+            assert one_row[name].tobytes() == whole[name].tobytes(), name
+
+    @pytest.mark.parametrize("n_alpha", [50, 500])
+    def test_temporaries_stay_within_the_budget(self, n_alpha):
+        grid = SweepGrid(r_values=tuple(np.geomspace(0.01, 10.0, 400)),
+                         alpha_values=tuple(np.linspace(0.0, 5.0, n_alpha)))
+        tracemalloc.start()
+        try:
+            table = sweep_records(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table_bytes = sum(column.nbytes for column in table.values())
+        assert peak - table_bytes <= 2 * sweep._BLOCK_BYTES
 
 
 class TestTimeseries:
@@ -613,7 +650,8 @@ class TestMcValidate:
 
 class TestBoundsEnforcement:
     def test_sweep_aborts_on_violation(self, monkeypatch):
-        monkeypatch.setattr(twospin, "fidelity_ness", lambda p: 1.5)
+        monkeypatch.setattr(twospin, "fidelity_ness_array",
+                            lambda R, alpha: np.full(R.shape, 1.5))
         grid = SweepGrid(r_values=(1.0,), alpha_values=(0.0,))
         with pytest.raises(BoundsError, match="fidelity 1.5 outside"):
             sweep_records(grid)

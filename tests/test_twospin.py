@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,10 @@ from qreset.twospin import (
     concurrence_ness,
     entropy_at_time,
     entropy_ness,
+    entropy_ness_array,
     entropy_zero_reset,
     fidelity_ness,
+    fidelity_ness_array,
     hamiltonian,
     quantum_system,
     reduced_state,
@@ -384,6 +388,102 @@ class TestFidelityNess:
                 p = params(R, alpha)
                 rho = ness_density(quantum_system(p), ResetSpec(p.r))
                 assert abs(rho[3, 3].real - fidelity_ness(p)) < 1e-11
+
+
+class TestArrayClosedForms:
+    # S(R, alpha) from the stationary reduced matrix [[up, c], [c*, 1 - up]]
+    # (reduced_state_ness's closed form), evaluated with mpmath at 50 digits
+    # for the binary values of these floats
+    ENTROPY_REFERENCE = [
+        (1e-4, 0.0, "0.6931471755599453510838979"),
+        (1e-4, 1.0, "0.6615632331295415507946095"),
+        (1e-4, 1e3, "0.6924072230952608567530743"),
+        (0.1, 0.0, "0.6881884838510223643975665"),
+        (0.1, 1.3, "0.6566998094501565622560823"),
+        (0.3, 1e3, "0.00002096232287219415620701744"),
+        (1.0, 0.0, "0.4164955306996874507318281"),
+        (1.0, 1.0, "0.3011380592401935431930156"),
+        (2.5, 0.5, "0.1457686762952419674397109"),
+        (10.0, 3.0, "0.01349625255499239728101868"),
+        (5.0, 1e3, "0.000001181995102355776018402183"),
+    ]
+
+    @staticmethod
+    def float_fidelity(R, alpha):
+        # the stationary fidelity as evaluated in float math before the
+        # array body existed
+        R2 = R * R
+        a2 = alpha * alpha
+        return (1.0 - 0.5 * (R2 + 1.0) / (1.0 + R2 * R2 + R2 * (4.0 * a2 + 2.0))
+                - 0.5 / (4.0 * a2 + R2 + 4.0))
+
+    @staticmethod
+    def random_points(n):
+        # about a fifth of them lie where the state is pure to round-off (y = 1)
+        rng = np.random.default_rng(20230714)
+        R = 10.0 ** rng.uniform(-5.0, 10.0, n)
+        alpha = 10.0 ** rng.uniform(-5.0, 10.0, n)
+        alpha[::10] = 0.0
+        return R, alpha
+
+    def test_entropy_matches_the_high_precision_reference(self):
+        R, alpha, ref = zip(*self.ENTROPY_REFERENCE)
+        got = entropy_ness_array(np.array(R), np.array(alpha))
+        expected = np.array(ref, dtype=float)
+        assert np.max(np.abs(got - expected)) <= 1e-15
+
+    def test_scalar_entropy_is_a_view_of_the_array_body(self):
+        R, alpha = self.random_points(200)
+        scalar = [entropy_ness(params(r, a)) for r, a in zip(R.tolist(), alpha.tolist())]
+        assert np.array_equal(entropy_ness_array(R, alpha), scalar)
+        with pytest.raises(ValueError, match="needs r > 0"):
+            entropy_ness(params(0.0, 1.0))
+
+    def test_entropy_within_an_ulp_of_ln2_of_the_float_formula(self):
+        # numpy's log1p and x * x differ from math.log1p and x ** 2 in the
+        # last ulp at most
+        def float_entropy(R, alpha):
+            R2, a2 = R * R, alpha * alpha
+            y_sq = (1.0 + 4.0 * a2 / (4.0 * a2 + R2 + 4.0) ** 2
+                    - (R2 + 1.0) * ((8.0 * a2 + 2.0) * R2 + R2 * R2 + 1.0)
+                    / ((4.0 * a2 + 2.0) * R2 + R2 * R2 + 1.0) ** 2)
+            y = math.sqrt(min(max(y_sq, 0.0), 1.0))
+            s = LN2 - 0.5 * (1.0 + y) * math.log1p(y)
+            if y < 1.0:
+                s -= 0.5 * (1.0 - y) * math.log1p(-y)
+            return max(s, 0.0)
+
+        R, alpha = self.random_points(10**4)
+        expected = [float_entropy(r, a) for r, a in zip(R.tolist(), alpha.tolist())]
+        assert np.max(np.abs(entropy_ness_array(R, alpha) - expected)) <= 4.5e-16
+
+    def test_fidelity_is_bit_identical_to_the_float_formula(self):
+        R, alpha = self.random_points(10**4)
+        expected = [self.float_fidelity(r, a) for r, a in zip(R.tolist(), alpha.tolist())]
+        got = fidelity_ness_array(R, alpha)
+        assert np.array_equal(got.view(np.int64), np.array(expected).view(np.int64))
+        assert [fidelity_ness(params(r, a)) for r, a in zip(R[:200], alpha[:200])] == \
+            expected[:200]
+
+    def test_fidelity_at_zero_rate(self):
+        assert fidelity_ness_array(np.array([0.0]), np.array([0.0]))[0] == 0.375
+
+    def test_square_overflow_raises_as_float_pow_does(self):
+        # R^2 = 1e200 is finite, (R^2 + 4)^2 is not: float ** 2 raises
+        with pytest.raises(OverflowError):
+            entropy_ness_array(np.array([1.0, 1e100]), np.array([0.0, 0.0]))
+        with pytest.raises(OverflowError):
+            entropy_ness_array(np.array([1.0]), np.array([1e100]))
+        # fidelity has no square of a sum and never raises
+        assert np.all(np.isfinite(fidelity_ness_array(np.array([1e100]), np.array([0.0]))))
+
+    @pytest.mark.parametrize("R, alpha", [(1e200, 1.0), (1.0, 1e200)])
+    def test_overflowing_square_gives_nan_without_a_warning(self, R, alpha):
+        # pytest turns warnings into errors: no overflow or invalid warning
+        assert np.isnan(entropy_ness_array(np.array([R]), np.array([alpha]))[0])
+        expected = self.float_fidelity(R, alpha)
+        got = fidelity_ness_array(np.array([R]), np.array([alpha]))[0]
+        assert got == expected or (math.isnan(got) and math.isnan(expected))
 
 
 class TestPurityFidelityIdentity:
