@@ -384,8 +384,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OverflowError as exc:
-        # the closed forms run in float math, which raises where numpy
-        # would return inf
+        # the transient closed form (twospin.reduced_state_reset) uses
+        # float **, which raises where numpy would return inf
         print(f"error: parameters beyond floating-point range ({exc})",
               file=sys.stderr)
         return EXIT_CONFIG

@@ -78,9 +78,10 @@ class SubsystemSplit:
 class QuantumSystem:
     """A Hamiltonian, its cached eigensystem, and an initial density matrix.
 
-    Construction validates the inputs (Hermitian Hamiltonian; Hermitian,
-    PSD, trace-one rho0) and performs the eigendecomposition once.  The
-    instance is immutable afterwards and safe to share across workers.
+    Construction validates the inputs (Hermitian Hamiltonian with a finite
+    energy spread; Hermitian, PSD, trace-one rho0) and performs the
+    eigendecomposition once.  The instance is immutable afterwards and safe
+    to share across workers.
     """
 
     def __init__(self, hamiltonian, rho0):
@@ -95,6 +96,13 @@ class QuantumSystem:
         self.rho0 = rho
         self.dim = h.shape[0]
         self.eigensystem = HermitianEigensystem(*np.linalg.eigh(h))
+        # the frequencies E - E' of _omega must be finite
+        energies = self.eigensystem.eigenvalues
+        with np.errstate(over="ignore"):
+            spread = energies[-1] - energies[0]
+        if not np.isfinite(spread):
+            raise ValueError(f"hamiltonian energy spread E_max - E_min = {spread} "
+                             "is not finite")
         v = self.eigensystem.eigenvectors
         # rho0 expressed in the energy basis; every producer below starts here.
         self._rho0_energy = v.conj().T @ rho @ v

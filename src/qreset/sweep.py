@@ -338,7 +338,7 @@ def _newton_step(r: float, alpha: float) -> tuple[float, float] | None:
     hr, ha = _JACOBIAN_STEP * r, _JACOBIAN_STEP * max(alpha, 1.0)
     if not hr > 0.0:
         return None
-    f = lambda x, y: (entropy_alpha_slope(x, y), entropy_alpha_curvature(x, y))
+    f = twospin.entropy_ness_alpha_derivatives
     (s, c), (s_rp, c_rp), (s_rm, c_rm) = f(r, alpha), f(r + hr, alpha), f(r - hr, alpha)
     (s_ap, c_ap), (s_am, c_am) = f(r, alpha + ha), f(r, alpha - ha)
     j11, j21 = (s_rp - s_rm) / (2.0 * hr), (c_rp - c_rm) / (2.0 * hr)
@@ -388,8 +388,7 @@ def find_inflection(
             if a < r_new < b and alpha_lo <= alpha_new <= alpha_hi and size < 0.5 * last:
                 r, alpha, last = r_new, alpha_new, size
                 if size <= _NEWTON_RTOL:
-                    residuals = (abs(entropy_alpha_slope(r, alpha)),
-                                 abs(entropy_alpha_curvature(r, alpha)))
+                    residuals = tuple(map(abs, twospin.entropy_ness_alpha_derivatives(r, alpha)))
                     return CriticalPoint(r_c=r, alpha_c=alpha, residuals=residuals)
                 continue
         r = math.sqrt(a) * math.sqrt(b) if b > 4.0 * a else a + 0.5 * (b - a)

@@ -20,7 +20,6 @@ and both its transient and stationary elements are given in closed form.
 
 from __future__ import annotations
 
-import errno
 import math
 from dataclasses import dataclass
 
@@ -148,11 +147,33 @@ def reduced_state_ness(p: TwoSpinParams) -> ReducedState:
     return _reduced_ness(p.R, p.alpha)
 
 
+def _ness_factors(R, alpha):
+    """Bounded factors of the stationary reduced state at rate R (the
+    rate -> 0+ limit at R = 0) and coupling alpha, floats or same-shape arrays:
+
+        p = 1/(1 + R^2),  rp = R p,  k = (alpha R p)^2,  s = 1/(1 + 4k),
+        w = 1/(4 alpha^2 + R^2 + 4),  v = p s (2 - s) - 4 (alpha w)^2 = 1 - y^2,
+
+    so up = p s/2, coherence = -alpha w - i R p s/2, and (1 +- y)/2 are the
+    eigenvalues.  Each factor is bounded, and a square that overflows only
+    sends one to its limit 0.  Only * and / are used: floats never raise;
+    arrays need np.errstate.
+    """
+    q = R * R
+    p = 1.0 / (1.0 + q)
+    rp = R * p
+    ar = alpha * rp
+    k = ar * ar
+    s = 1.0 / (1.0 + 4.0 * k)
+    w = 1.0 / (4.0 * alpha * alpha + q + 4.0)
+    aw = alpha * w
+    v = p * s * (2.0 - s) - 4.0 * aw * aw
+    return p, rp, k, s, w, v
+
+
 def _reduced_ness(R: float, a: float) -> ReducedState:
-    denom = 2.0 + 2.0 * R * R * (2.0 + R * R + 4.0 * a * a)
-    up = (1.0 + R * R) / denom
-    coh = -a / (R * R + 4.0 + 4.0 * a * a) - 1j * (R + R**3) / denom
-    return ReducedState(up=up, coherence=coh)
+    p, rp, _, s, w, _ = _ness_factors(R, a)
+    return ReducedState(up=0.5 * p * s, coherence=-a * w - 1j * (0.5 * rp * s))
 
 
 def reduced_state_reset(t: float, p: TwoSpinParams) -> ReducedState:
@@ -234,34 +255,17 @@ def entropy_ness_array(R: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Stationary spin-1 entropy at each (R, alpha) of two float arrays of
     one shape, trusted to hold R > 0 (see entropy_ness).
 
-    Beyond float range it behaves as the float formula always has: a finite
-    factor whose square overflows raises OverflowError, and a rate or
-    coupling whose square is already inf gives nan.  No numpy warning.
+    Finite for every finite R and alpha >= 0, and 0 where the state is pure
+    to round-off (as R -> infinity it tends to rho0).  No numpy warning.
     """
     with np.errstate(all="ignore"):
-        R2 = R * R
-        a2 = alpha * alpha
-        y_sq = (
-            1.0
-            + 4.0 * a2 / _square(4.0 * a2 + R2 + 4.0)
-            - (R2 + 1.0)
-            * ((8.0 * a2 + 2.0) * R2 + R2 * R2 + 1.0)
-            / _square((4.0 * a2 + 2.0) * R2 + R2 * R2 + 1.0)
-        )
-        y = np.sqrt(np.clip(y_sq, 0.0, 1.0))
-        # _entropy_from_y over the array; log1p(-1) = -inf is skipped at y = 1
-        s = LN2 - 0.5 * (1.0 + y) * np.log1p(y)
-        s -= 0.5 * (1.0 - y) * np.log1p(-y, out=np.zeros_like(y), where=y < 1.0)
-        return np.maximum(s, 0.0)
-
-
-def _square(x: np.ndarray) -> np.ndarray:
-    """x * x, raising OverflowError as float ** 2 does where a finite x's
-    square overflows (an inf x squares to inf)."""
-    sq = x * x
-    if np.any(np.isinf(sq) & np.isfinite(x)):
-        raise OverflowError(errno.ERANGE, "Numerical result out of range")
-    return sq
+        v = np.clip(_ness_factors(R, alpha)[5], 0.0, 1.0)
+        # the smaller eigenvalue (1 - y)/2, formed from v so that it keeps
+        # its digits as y rounds to 1
+        lam = 0.5 * v / (1.0 + np.sqrt(1.0 - v))
+        # two non-negative terms, so no cancellation; lam log lam is 0 at 0
+        log_lam = np.log(lam, out=np.zeros_like(lam), where=lam > 0.0)
+        return (lam - 1.0) * np.log1p(-lam) - lam * log_lam
 
 
 # Below this u = y^2 the entropy's u-derivatives take their two-term
@@ -273,30 +277,23 @@ _SERIES_U = 1e-8
 def entropy_ness_alpha_derivatives(R: float, alpha: float) -> tuple[float, float]:
     """(dS/dalpha, d2S/dalpha2) of the stationary spin-1 entropy, closed form.
 
-    S depends on (R, alpha) through u = y^2 (see entropy_ness), rational in
-    Q = R^2 and A = alpha^2:
-
-        u = 1 - v,  v = p s (2 - s) - 4A / P^2,
-
-    with p = 1/(1 + Q), P = 4A + Q + 4, k = A Q p^2 and s = 1/(1 + 4k).  Then
-    dS/du = -atanh(y)/(2y), and the alpha derivatives follow by the chain
-    rule from du/dA and d2u/dA2.  Every factor is bounded, so nothing
-    overflows while R and alpha stay below ~1e150, and v is formed directly,
-    so atanh(y) = log1p(y) - log(v)/2 keeps its digits as y rounds to 1.
+    S depends on (R, alpha) through u = y^2 = 1 - v, with v and its bounded
+    factors p, k, s, w from _ness_factors, rational in Q = R^2 and A =
+    alpha^2.  Then dS/du = -atanh(y)/(2y), and the alpha derivatives follow
+    by the chain rule from du/dA and d2u/dA2.  v is formed directly, so
+    atanh(y) = log1p(y) - log(v)/2 keeps its digits as y rounds to 1.
     Even in R, odd (slope) and even (curvature) in alpha, and the rate -> 0+
-    limit at R = 0.  Never raises: nan where v <= 0 (a state pure to
-    round-off), for non-finite input, or beyond that range.
+    limit at R = 0.  Never raises.  du/dA multiplies Q and A themselves by
+    w, so both are nan where R or alpha exceeds sqrt(max float) ~ 1.34e154
+    and Q or A overflows; also nan for non-finite input and where v rounds
+    to <= 0 (a state pure to round-off).
     """
-    q = R * R
-    a = alpha * alpha
-    w = 1.0 / (4.0 * a + q + 4.0)
-    p = 1.0 / (1.0 + q)
-    qp2 = q * p * p
-    k = a * qp2
-    s = 1.0 / (1.0 + 4.0 * k)
-    v = p * s * (2.0 - s) - 4.0 * a * w * w
+    p, rp, k, s, w, v = _ness_factors(R, alpha)
     if not v > 0.0:
         return math.nan, math.nan
+    q = R * R
+    a = alpha * alpha
+    qp2 = rp * rp
     t2 = 32.0 * p * qp2 * s * s * s
     u_a = 4.0 * ((q + 4.0 - 4.0 * a) * w) * w * w + t2 * k
     u_aa = 64.0 * ((2.0 * a - q - 4.0) * w) * w * w * w + t2 * qp2 * (1.0 - 8.0 * k) * s
@@ -366,16 +363,11 @@ def fidelity_ness(p: TwoSpinParams) -> float:
 
 def fidelity_ness_array(R: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Stationary fidelity (see fidelity_ness) at each (R, alpha) of two
-    float arrays of one shape.  Squares that overflow to inf give what the
-    float formula gives (nan at R = 1e200), without a numpy warning."""
+    float arrays of one shape: 1 - up - w/2 (see _ness_factors), finite for
+    every finite R >= 0 and alpha >= 0, and 1 as R -> infinity."""
     with np.errstate(all="ignore"):
-        R2 = R * R
-        a2 = alpha * alpha
-        return (
-            1.0
-            - 0.5 * (R2 + 1.0) / (1.0 + R2 * R2 + R2 * (4.0 * a2 + 2.0))
-            - 0.5 / (4.0 * a2 + R2 + 4.0)
-        )
+        p, _, _, s, w, _ = _ness_factors(R, alpha)
+        return 1.0 - 0.5 * p * s - 0.5 * w
 
 
 def concurrence_ness(p: TwoSpinParams) -> float:

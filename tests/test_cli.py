@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 
 import qreset
 
-from qreset import cli, sweep
+from qreset import cli, sweep, twospin
 from qreset.cli import main
 from qreset.observables import fidelity, purity
 from qreset.serialize import save_matrix
@@ -234,39 +235,66 @@ class TestSweep:
             ["sweep", "--grid-r", "0:1:2:log", "--grid-alpha", "0:1:2"]
         ) == 4
 
-    def test_rates_beyond_float_range_rejected(self):
+    def test_rates_beyond_float_range_tend_to_the_pure_initial_state(self):
         proc = run_process(["sweep", "--grid-r", "1e100:1e300:3:log",
                             "--grid-alpha", "0:1:2", "--observables", "entropy"],
-                           timeout=10)
-        assert proc.returncode == 4
-        assert "error:" in proc.stderr
-        assert "Traceback" not in proc.stderr
+                           timeout=30, interpreter_flags=("-W", "error"))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        entropy = [float(line.split(",")[3]) for line in proc.stdout.splitlines()[1:]]
+        # the smaller eigenvalue is 1/(4 R^2) to round-off at R = 1e100
+        lam = 0.25 / 1e100 / 1e100
+        assert entropy[0] == pytest.approx(lam * (1.0 - math.log(lam)), rel=1e-12)
+        assert entropy == [entropy[0], 0.0, 0.0] * 2
 
 
 class TestBeyondFloatRange:
-    # float ** 2 raises where a finite square overflows (exit 4); a rate or
-    # coupling whose square is inf gives nan, a validation failure (exit 2).
-    # Under -W error a numpy warning would end the run in a traceback.
-    @pytest.mark.parametrize("args, code", [
-        (["sweep", "--grid-r", "1e100:1e300:3:log", "--grid-alpha", "0:1:2",
-          "--observables", "entropy"], 4),
-        (["ness", "--R", "1e200", "--alpha", "1"], 2),
-        (["ness", "--R", "1", "--alpha", "1e200"], 2),
+    # the stationary closed forms are finite for every finite R and alpha,
+    # and tend to the initial state's values (entropy 0, fidelity 1) as
+    # either grows.  Under -W error a numpy warning would end the run in a
+    # traceback.
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--grid-r", "1e100:1e300:3:log", "--grid-alpha", "0:1:2",
+         "--observables", "entropy"],
+        ["ness", "--R", "1e200", "--alpha", "1"],
+        ["ness", "--R", "1", "--alpha", "1e200"],
     ])
-    def test_exit_code_without_traceback_or_warning(self, args, code):
+    def test_limit_values_without_warning(self, args):
         proc = run_process(args, timeout=30, interpreter_flags=("-W", "error"))
-        assert proc.returncode == code
-        assert proc.stdout == ""
-        assert "Traceback" not in proc.stderr
-        assert "Warning" not in proc.stderr
+        assert (proc.returncode, proc.stderr) == (0, "")
+        header, *lines = proc.stdout.splitlines()
+        for line in lines:
+            row = dict(zip(header.split(","), line.split(",")))
+            if max(float(row["r"]), float(row["alpha"])) >= 1e200:
+                assert float(row["entropy"]) == 0.0
+                assert row["fidelity"] in ("", "1")
+
+    def test_energy_spread_beyond_float_range_is_a_config_error(self, tmp_path):
+        # each energy is finite, E_max - E_min is not
+        hpath, rpath = tmp_path / "h.json", tmp_path / "rho.json"
+        save_matrix(np.diag([1e308, -1e308]), hpath)
+        save_matrix(np.diag([0.0, 1.0]), rpath)
+        for args in (["ness", "--R", "1", "--alpha", "1.7e308",
+                      "--observables", "purity,concurrence"],
+                     ["ness", "--hamiltonian", str(hpath), "--rho0", str(rpath), "--r", "1"]):
+            proc = run_process(args, timeout=30, interpreter_flags=("-W", "error"))
+            assert proc.returncode == 4
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 class TestFailingRunsWriteNothing:
+    # an overflowing phase at zero rate is a configuration error (exit 4);
+    # a stationary entropy of nan fails validation (exit 2)
     CASES = [
-        (["sweep", "--grid-r", "1e100:1e300:3:log", "--grid-alpha", "0:1:2",
-          "--observables", "entropy"], 4),
-        (["ness", "--R", "1e200", "--alpha", "1"], 2),
+        (["timeseries", "--R", "0", "--alpha", "1", "--grid-t", "0:1e308:3",
+          "--observables", "fidelity"], 4),
+        (["ness", "--R", "1", "--alpha", "1"], 2),
     ]
+
+    @pytest.fixture(autouse=True)
+    def nan_stationary_entropy(self, monkeypatch):
+        monkeypatch.setattr(twospin, "entropy_ness_array",
+                            lambda R, alpha: np.full(np.shape(R), np.nan))
 
     @pytest.mark.parametrize("args, code", CASES)
     def test_no_file_with_out(self, tmp_path, capsys, args, code):

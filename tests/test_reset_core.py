@@ -54,6 +54,15 @@ class TestQuantumSystem:
         with pytest.raises(ValueError):
             QuantumSystem(np.eye(2, dtype=complex), np.eye(4, dtype=complex) / 4)
 
+    def test_rejects_an_energy_spread_beyond_float_range(self):
+        # each energy is finite, E_max - E_min is not
+        rho0 = np.diag([1.0, 0.0]).astype(complex)
+        with pytest.raises(ValueError, match="energy spread"):
+            QuantumSystem(np.diag([1e308, -1e308]), rho0)
+        with pytest.raises(ValueError, match="energy spread"):
+            two_spin_system(1.0, 1.7e308)
+        assert QuantumSystem(np.diag([8e307, -8e307]), rho0).dim == 2
+
     def test_degeneracy_tolerance_is_relative_and_finite(self):
         from qreset.reset_core import DEGENERACY_RTOL
 

@@ -554,11 +554,12 @@ class TestFindInflection:
 
     def test_evaluation_budget(self, monkeypatch):
         # the nested finite-difference solver this replaced made ~24k
-        # entropy evaluations on the default box
+        # entropy evaluations on the default box; each evaluation of the
+        # closed form gives both residuals
         calls = []
-        for name in ("entropy_alpha_slope", "entropy_alpha_curvature"):
-            real = getattr(sweep, name)
-            monkeypatch.setattr(sweep, name, lambda r, a, f=real: calls.append(1) or f(r, a))
+        real = twospin.entropy_ness_alpha_derivatives
+        monkeypatch.setattr(twospin, "entropy_ness_alpha_derivatives",
+                            lambda r, a: calls.append(1) or real(r, a))
         find_inflection()
         assert len(calls) < 1000
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -409,17 +410,9 @@ class TestArrayClosedForms:
     ]
 
     @staticmethod
-    def float_fidelity(R, alpha):
-        # the stationary fidelity as evaluated in float math before the
-        # array body existed
-        R2 = R * R
-        a2 = alpha * alpha
-        return (1.0 - 0.5 * (R2 + 1.0) / (1.0 + R2 * R2 + R2 * (4.0 * a2 + 2.0))
-                - 0.5 / (4.0 * a2 + R2 + 4.0))
-
-    @staticmethod
     def random_points(n):
-        # about a fifth of them lie where the state is pure to round-off (y = 1)
+        # about a fifth of them lie where the state is nearly pure, with
+        # entropies from 1e-15 down to 3e-20
         rng = np.random.default_rng(20230714)
         R = 10.0 ** rng.uniform(-5.0, 10.0, n)
         alpha = 10.0 ** rng.uniform(-5.0, 10.0, n)
@@ -439,51 +432,57 @@ class TestArrayClosedForms:
         with pytest.raises(ValueError, match="needs r > 0"):
             entropy_ness(params(0.0, 1.0))
 
-    def test_entropy_within_an_ulp_of_ln2_of_the_float_formula(self):
-        # numpy's log1p and x * x differ from math.log1p and x ** 2 in the
-        # last ulp at most
-        def float_entropy(R, alpha):
-            R2, a2 = R * R, alpha * alpha
-            y_sq = (1.0 + 4.0 * a2 / (4.0 * a2 + R2 + 4.0) ** 2
-                    - (R2 + 1.0) * ((8.0 * a2 + 2.0) * R2 + R2 * R2 + 1.0)
-                    / ((4.0 * a2 + 2.0) * R2 + R2 * R2 + 1.0) ** 2)
-            y = math.sqrt(min(max(y_sq, 0.0), 1.0))
-            s = LN2 - 0.5 * (1.0 + y) * math.log1p(y)
-            if y < 1.0:
-                s -= 0.5 * (1.0 - y) * math.log1p(-y)
-            return max(s, 0.0)
+    @staticmethod
+    def reference(R, alpha):
+        # (entropy, fidelity) from the stationary reduced matrix
+        # [[up, c], [c*, 1 - up]] (reduced_state_ness's closed form),
+        # evaluated with mpmath at 50 digits
+        with mpmath.workdps(50):
+            R, a = mpmath.mpf(R), mpmath.mpf(alpha)
+            denom = 2 * ((1 + R**2) ** 2 + 4 * a**2 * R**2)
+            up = (1 + R**2) / denom
+            c2 = (a / (R**2 + 4 + 4 * a**2)) ** 2 + (R * (1 + R**2) / denom) ** 2
+            v = 4 * (up * (1 - up) - c2)  # 1 - y^2
+            lam = v / (2 * (1 + mpmath.sqrt(1 - v)))  # (1 - y)/2
+            entropy = -(1 - lam) * mpmath.log(1 - lam) - lam * mpmath.log(lam)
+            return float(entropy), float(1 - up - 1 / (2 * (4 * a**2 + R**2 + 4)))
 
-        R, alpha = self.random_points(10**4)
-        expected = [float_entropy(r, a) for r, a in zip(R.tolist(), alpha.tolist())]
-        assert np.max(np.abs(entropy_ness_array(R, alpha) - expected)) <= 4.5e-16
-
-    def test_fidelity_is_bit_identical_to_the_float_formula(self):
-        R, alpha = self.random_points(10**4)
-        expected = [self.float_fidelity(r, a) for r, a in zip(R.tolist(), alpha.tolist())]
-        got = fidelity_ness_array(R, alpha)
-        assert np.array_equal(got.view(np.int64), np.array(expected).view(np.int64))
+    def test_matches_a_50_digit_reference_on_random_points(self):
+        # the bounds are the measured errors of the bounded forms; the
+        # float formulas they replaced were off by 1.8e-15 in entropy (all
+        # digits of the smallest ones) and 2.2e-16 in fidelity
+        R, alpha = self.random_points(2000)
+        entropy, fidelity = map(np.array, zip(*map(self.reference, R.tolist(), alpha.tolist())))
+        got = entropy_ness_array(R, alpha)
+        assert np.max(np.abs(got - entropy)) <= 2.3e-16
+        assert np.max(np.abs(got - entropy) / entropy) <= 6.5 * np.finfo(float).eps
+        assert np.max(np.abs(fidelity_ness_array(R, alpha) - fidelity)) <= 1.7e-16
         assert [fidelity_ness(params(r, a)) for r, a in zip(R[:200], alpha[:200])] == \
-            expected[:200]
+            fidelity_ness_array(R[:200], alpha[:200]).tolist()
 
     def test_fidelity_at_zero_rate(self):
         assert fidelity_ness_array(np.array([0.0]), np.array([0.0]))[0] == 0.375
 
-    def test_square_overflow_raises_as_float_pow_does(self):
-        # R^2 = 1e200 is finite, (R^2 + 4)^2 is not: float ** 2 raises
-        with pytest.raises(OverflowError):
-            entropy_ness_array(np.array([1.0, 1e100]), np.array([0.0, 0.0]))
-        with pytest.raises(OverflowError):
-            entropy_ness_array(np.array([1.0]), np.array([1e100]))
-        # fidelity has no square of a sum and never raises
-        assert np.all(np.isfinite(fidelity_ness_array(np.array([1e100]), np.array([0.0]))))
+    @pytest.mark.parametrize("big", [1e155, 1e200, 1e300, 1.7e308])
+    def test_finite_beyond_the_square_root_of_the_float_range(self, big):
+        # R^2 or alpha^2 overflows; the state still tends to rho0 as R grows
+        R = np.array([big, big, big, 1.0, 1e-3])
+        alpha = np.array([0.0, 1.0, big, big, big])
+        entropy, fidelity = entropy_ness_array(R, alpha), fidelity_ness_array(R, alpha)
+        assert np.all((0.0 <= entropy) & (entropy <= LN2))
+        assert np.all((0.0 <= fidelity) & (fidelity <= 1.0))
+        assert np.array_equal(entropy[:3], [0.0, 0.0, 0.0])
+        assert np.array_equal(fidelity[:3], [1.0, 1.0, 1.0])
+        for r, a in zip(R.tolist(), alpha.tolist()):
+            state = reduced_state_ness(params(r, a))
+            assert math.isfinite(state.up) and np.isfinite(state.coherence)
 
-    @pytest.mark.parametrize("R, alpha", [(1e200, 1.0), (1.0, 1e200)])
-    def test_overflowing_square_gives_nan_without_a_warning(self, R, alpha):
-        # pytest turns warnings into errors: no overflow or invalid warning
-        assert np.isnan(entropy_ness_array(np.array([R]), np.array([alpha]))[0])
-        expected = self.float_fidelity(R, alpha)
-        got = fidelity_ness_array(np.array([R]), np.array([alpha]))[0]
-        assert got == expected or (math.isnan(got) and math.isnan(expected))
+    @pytest.mark.parametrize("z", [1e-3, 0.1, 1.0, 10.0, 1e3])
+    def test_scaling_collapse_at_extreme_coupling(self, z):
+        # alpha = 1e300, R = z 1e-300: alpha^2 overflows, alpha R = z does not
+        got = entropy_ness_array(np.array([z * 1e-300]), np.array([1e300]))[0]
+        expected = scaling_function(z)
+        assert abs(got - expected) <= 2.0 * np.spacing(expected)
 
 
 class TestPurityFidelityIdentity:
