@@ -7,9 +7,11 @@ violations raise ValueError instead of propagating garbage downstream.
 This module is the one place that says what a valid density matrix is
 (``density_spectrum``).
 
-``psd_sqrt_stack`` is the square root's one body: it works on a stack of
-matrices with shape (..., d, d) and trusts its input, as stacks built from a
-validated system may be.  ``psd_sqrt`` validates one matrix and calls it.
+``psd_factor_stack`` is the one body of a PSD matrix's factor V sqrt(w),
+and ``psd_sqrt_stack`` takes the square root from it: both work on a stack
+of matrices with shape (..., d, d) and trust their input, as stacks built
+from a validated system may be.  ``psd_sqrt`` validates one matrix and
+calls the stack body.
 """
 
 from __future__ import annotations
@@ -113,10 +115,19 @@ def psd_sqrt_stack(a: np.ndarray) -> np.ndarray:
     with the eigendecomposition and is kept for every member: one smallest
     eigenvalue below ``-PSD_CLIP_TOL`` anywhere in the stack raises.
     """
+    factor, v = psd_factor_stack(a)
+    return hermitize(factor @ v.conj().swapaxes(-1, -2))
+
+
+def psd_factor_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factor W = V sqrt(w), with W W^dagger = a, of each Hermitian PSD
+    matrix in a (..., d, d) stack, and the eigenvectors V; trusted input
+    and PSD check as in :func:`psd_sqrt_stack`.  Eigenvalues below
+    PSD_NULL_RTOL of the largest flatten to exact zeros."""
     w, v = np.linalg.eigh(a)
     _require_psd_spectrum(w, "psd_sqrt input")
     w[w < PSD_NULL_RTOL * np.maximum(w[..., -1:], 0.0)] = 0.0
-    return hermitize((v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2))
+    return v * np.sqrt(w)[..., None, :], v
 
 
 def as_density_matrix(rho) -> np.ndarray:

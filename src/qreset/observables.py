@@ -6,9 +6,13 @@ purity, and the two-qubit concurrence in Wootters' closed form.
 Purity, fidelity (general and pure-reference) and concurrence each have one
 body that works on a (..., d, d) stack of density matrices
 (``purity_stack``, ``fidelity_stack``, ``fidelity_pure_stack``,
-``concurrence_stack``).  Those bodies trust their input, as stacks built
-from a validated system may be; the one-matrix functions validate their
-arguments and call them.
+``concurrence_stack``).  Purity and concurrence also take a stack of
+factors W, rho = W W^dagger (``purity_factor_stack``,
+``concurrence_factor_stack``), as ``reset_core.ness_factor_stack`` gives
+them; the concurrence is computed from a factor in either case, since
+Wootters' spectrum is the singular values of tau = W^T (sigma_y x sigma_y) W.
+Those bodies trust their input, as stacks built from a validated system
+may be; the one-matrix functions validate their arguments and call them.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmatrix import as_density_matrix, density_spectrum, psd_sqrt_stack
+from .cmatrix import as_density_matrix, density_spectrum, psd_factor_stack, psd_sqrt_stack
 from .reset_core import SubsystemSplit, partial_trace
 
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
@@ -40,6 +44,13 @@ def purity(rho) -> float:
 def purity_stack(rho: np.ndarray) -> np.ndarray:
     """tr(rho^2) of each matrix in a (..., d, d) stack."""
     return np.trace(rho @ rho, axis1=-2, axis2=-1).real
+
+
+def purity_factor_stack(w: np.ndarray) -> np.ndarray:
+    """tr(rho^2) = ||W^dagger W||_F^2 of each rho = W W^dagger, for a
+    (..., d, k) stack of factors W."""
+    gram = w.conj().swapaxes(-1, -2) @ w
+    return np.square(gram.view(float)).reshape(gram.shape[:-2] + (-1,)).sum(axis=-1)
 
 
 def fidelity(rho, sigma) -> float:
@@ -108,14 +119,17 @@ def concurrence(rho) -> ConcurrenceValue:
     """Wootters concurrence of a two-qubit density matrix.
 
     max(0, mu1 - mu2 - mu3 - mu4) over the descending eigenvalues mu_i of
-    sqrt(sqrt(rho) rho_tilde sqrt(rho)).  The mu_i are evaluated as the
-    singular values of sqrt(rho) sqrt(rho_tilde) -- the identical spectrum,
-    real and nonnegative by construction, and free of the sqrt-of-round-off
-    noise that taking a second PSD root of a near-singular product causes.
+    sqrt(sqrt(rho) rho_tilde sqrt(rho)), rho_tilde = S rho* S with
+    S = sigma_y x sigma_y.  For any factor rho = W W^dagger the mu_i are
+    the singular values of tau = W^T S W (the nonzero eigenvalues of
+    rho rho_tilde are those of tau^dagger tau), real and nonnegative by
+    construction.  W = V sqrt(w) comes from one eigendecomposition of rho;
+    no root of rho_tilde is taken.
 
     References
     ----------
-    .. [1] https://en.wikipedia.org/wiki/Concurrence_(quantum_computing)
+    .. [1] W. K. Wootters, "Entanglement of formation of an arbitrary state
+       of two qubits", Phys. Rev. Lett. 80, 2245 (1998).
     """
     rho = as_density_matrix(rho)
     values, mu = concurrence_stack(rho)
@@ -126,13 +140,20 @@ def concurrence_stack(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Concurrence of each two-qubit density matrix in a (..., 4, 4) stack.
 
     Returns the values and, along a last axis of four, the descending
-    spectra mu (see :func:`concurrence`).
+    spectra mu (see :func:`concurrence`).  One eigendecomposition of each
+    matrix, with its PSD check, gives the factor.
     """
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"concurrence needs a two-qubit (4x4) state, got {rho.shape}")
-    flipped = _SPIN_FLIP_OP @ rho.conj() @ _SPIN_FLIP_OP
-    crossed = psd_sqrt_stack(rho) @ psd_sqrt_stack(flipped)
-    mu = np.linalg.svd(crossed, compute_uv=False)
+    return concurrence_factor_stack(psd_factor_stack(rho)[0])
+
+
+def concurrence_factor_stack(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concurrence of each rho = W W^dagger for a (..., 4, 4) stack of
+    factors W: the values and the descending singular values mu of
+    tau = W^T S W (see :func:`concurrence`)."""
+    tau = w.swapaxes(-1, -2) @ (_SPIN_FLIP_OP @ w)
+    mu = np.linalg.svd(tau, compute_uv=False)
     gap = mu[..., 0] - mu[..., 1] - mu[..., 2] - mu[..., 3]
     return np.where(gap > 0.0, gap, 0.0), mu
 

@@ -22,6 +22,15 @@ state: they return a (n, d, d) stack over n rates or n times of one system,
 in one vectorised step.  ``ness_density`` and ``reset_density`` are the
 one-matrix views of them.  The system was validated when it was built, so
 the stacks are not validated again.
+
+For a pure rho0 = |psi><psi| the stationary state has an exact factor,
+rho = W W^dagger.  With c = V^dagger psi the energy-basis state is the
+Cauchy-like matrix c_i conj(c_j) r/(x_i + conj(x_j)) with x_i = r/2 + i E_i,
+and its Cholesky columns are closed forms in products and quotients, so
+W W^dagger is positive semidefinite by construction and observables that
+need a root of rho can take W instead.  ``ness_factor_stack`` takes a
+stack of eigensystems (a system's own, or the closed forms of a sweep's
+rows) and the pure state, and trusts them.
 """
 
 from __future__ import annotations
@@ -175,7 +184,18 @@ def reset_density_stack(sys: QuantumSystem, rate: float, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if t.ndim != 1 or not np.all(np.isfinite(t) & (t >= 0.0)):
         raise ValueError("times must be a 1-d array of finite values >= 0")
-    kernel = _renewal_kernel(rate, sys._omega(), t[:, None, None])
+    if rate == 0.0:
+        # rho0 conjugated by the phases, as in unitary_evolve: PSD to
+        # round-off however inexact the phases exp(-i E t) are.  Once their
+        # round-off eps max|E| t reaches a radian they keep no digits, and
+        # the state is nan.
+        energies = sys.eigensystem.eigenvalues
+        with np.errstate(over="ignore", invalid="ignore"):
+            phase = np.exp(-1j * energies * t[:, None])
+            kernel = phase[:, :, None] * phase.conj()[:, None, :]
+            kernel[np.finfo(float).eps * np.abs(energies).max() * t >= 1.0] = np.nan
+    else:
+        kernel = _renewal_kernel(rate, sys._omega(), t[:, None, None])
     rho = sys._to_computational(sys._rho0_energy * kernel)
     rho[t == 0.0] = sys.rho0
     return rho
@@ -204,6 +224,57 @@ def ness_density_stack(sys: QuantumSystem, rates) -> np.ndarray:
     factor = np.ones((rates.size,) + omega.shape, dtype=complex)
     factor[:, off] = column / (column + 1j * omega[off])
     return sys._to_computational(sys._rho0_energy * factor)
+
+
+def ness_factor_stack(eigensystem: HermitianEigensystem, degeneracy_tol, psi: np.ndarray,
+                      rates: np.ndarray) -> np.ndarray:
+    """(..., n, d, d) factors W, rho = W W^dagger, of the stationary states
+    that reset to the pure state psi at each of the n ``rates``, for the
+    (...) Hamiltonians of a stack of eigensystems (ascending eigenvalues
+    (..., d), eigenvectors (..., d, d)) with degeneracy tolerances (...).
+    Trusted input: finite energy spreads, a unit psi, rates finite and > 0.
+
+    In the energy basis, with c = V^dagger psi and omega_ik = E_i - E_k, the
+    state is c_i conj(c_j) K_ij with K_ik = r/(r + i omega_ik), a Cauchy-like
+    matrix.  Its Cholesky columns are closed forms (Gohberg, Kailath and
+    Olshevsky, Math. Comp. 64, 1557 (1995)):
+
+        W_e[i, k] = c_i^(k) K_ik  (i >= k),   c_i^(k+1) = c_i^(k) U_ik,
+
+    with c^(0) = c and U_ik = i omega_ik/(r + i omega_ik), the generator of
+    the Schur complement.  Energies within the degeneracy tolerance share
+    the lowest energy of their cluster, so their K is exactly 1 and their U
+    exactly 0, as in ness_density_stack; a zero pivot c_k^(k) gives a zero
+    column and leaves c as it is, so a cluster has at most one nonzero
+    column.  K and U are bounded by 1 and only * and / are used, so W is
+    finite for every finite rate > 0.  Returns W = V W_e.
+    """
+    energies, v = eigensystem
+    d = energies.shape[-1]
+    # ascending energies: a cluster is a run of gaps within the tolerance
+    first = np.diff(energies, axis=-1) > np.asarray(degeneracy_tol)[..., None]
+    lowest = np.maximum.accumulate(np.where(first, np.arange(1, d), 0), axis=-1)
+    energies = np.concatenate([energies[..., :1],
+                               np.take_along_axis(energies, lowest, axis=-1)], axis=-1)
+    omega = 1j * (energies[..., None, :, None] - energies[..., None, None, :])
+    r = rates[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # r/r can overflow for a subnormal r; degenerate entries are set below
+        s = r + omega
+        w = r / s
+        update = np.divide(omega, s, out=s)
+    degenerate = omega == 0.0
+    np.copyto(w, 1.0, where=degenerate)
+    np.copyto(update, 0.0, where=degenerate)
+    c = np.repeat((v.conj().swapaxes(-1, -2) @ psi)[..., None, :], rates.size, axis=-2)
+    # w holds K; column k becomes W_e's once column k of K is used
+    for k in range(d):
+        pivot = c[..., k:k + 1] != 0.0
+        w[..., :k, k] = 0.0
+        w[..., k:, k] = np.where(pivot, c[..., k:] * w[..., k:, k], 0.0)
+        c[..., k + 1:] = np.where(pivot, c[..., k + 1:] * update[..., k + 1:, k],
+                                  c[..., k + 1:])
+    return np.matmul(v[..., None, :, :], w, out=update)
 
 
 def partial_trace(

@@ -6,10 +6,11 @@ the reset rate, the entropy-inflection (spinodal-like) point in the
 
 A sweep is evaluated in blocks of coupling rows, as many as fit a byte
 budget: the entropy and fidelity of a block come from one array closed
-form each; every rate of a row shares one Hamiltonian, so a row builds one
-validated system, and the stationary states of all the block's rows form
-one stack for purity and concurrence.  The concurrence optimizer stacks
-its probes the same way for its one coupling.
+form each; every rate of a row shares one Hamiltonian, whose eigensystem
+is a closed form too, and the factors W (rho = W W^dagger) of the
+stationary states of all the block's rows form one stack for purity and
+concurrence; no density matrix is formed.  The concurrence optimizer
+stacks its probes' factors the same way for its one coupling.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ import numpy as np
 
 from . import twospin
 from .cmatrix import require_psd
-from .observables import concurrence_stack, fidelity_pure_stack, purity_stack
+from .observables import concurrence_factor_stack, fidelity_pure_stack, purity_factor_stack
 from .reset_core import (
     ResetSpec,
     ness_density,
-    ness_density_stack,
+    ness_factor_stack,
     reset_density,
     reset_density_stack,
 )
@@ -50,10 +51,12 @@ PHASE_ROUNDOFF = 4.0
 
 
 # A sweep evaluates as many coupling rows at once as keep their
-# temporaries, about _POINT_BYTES a grid point (mostly the (4, 4) complex
-# stacks of purity and concurrence), within _BLOCK_BYTES.
+# temporaries, about _POINT_BYTES a grid point, within _BLOCK_BYTES.  They
+# are (4, 4) complex stacks: the kernel and generator stacks of the factor
+# (one becomes W), then the flipped W and tau of concurrence; tracemalloc
+# measures about 780 bytes a point beyond the table.
 _BLOCK_BYTES = 4 * 2**20
-_POINT_BYTES = 2048
+_POINT_BYTES = 1024
 
 
 class SolverError(RuntimeError):
@@ -136,15 +139,15 @@ def sweep_records(grid: SweepGrid) -> dict[str, np.ndarray]:
             table["fidelity"][block] = twospin.fidelity_ness_array(table["r"][block],
                                                                    table["alpha"][block])
         if stacked:
-            # the Hamiltonian does not depend on the rate: one system per row
-            rhos = np.concatenate([
-                ness_density_stack(twospin.quantum_system(
-                    TwoSpinParams.from_dimensionless(0.0, alpha)), grid.r_values)
-                for alpha in alphas])
+            # the Hamiltonian does not depend on the rate: one closed-form
+            # eigensystem per row
+            factors = ness_factor_stack(*twospin.eigensystem_array(np.array(alphas)),
+                                        twospin.DOWN_DOWN,
+                                        np.array(grid.r_values)).reshape(-1, 4, 4)
             if "purity" in observables:
-                table["purity"][block] = purity_stack(rhos)
+                table["purity"][block] = purity_factor_stack(factors)
             if "concurrence" in observables:
-                table["concurrence"][block] = concurrence_stack(rhos)[0]
+                table["concurrence"][block] = concurrence_factor_stack(factors)[0]
     _check_bounds(table)
     return table
 
@@ -259,11 +262,13 @@ def optimize_concurrence(
     alpha: float, r_lo: float, r_hi: float, tol: float = 1e-8
 ) -> OptimizeResult:
     """Maximize the stationary concurrence over the reset rate at fixed coupling;
-    H does not depend on the rate, so one system serves every evaluation."""
+    H does not depend on the rate, so one eigensystem serves every evaluation."""
     if not (0 < r_lo < r_hi < math.inf):
         raise ValueError(f"need finite 0 < r_lo < r_hi, got ({r_lo}, {r_hi})")
-    sys = twospin.quantum_system(TwoSpinParams.from_dimensionless(0.0, alpha))
-    f = lambda rates: concurrence_stack(ness_density_stack(sys, rates))[0]
+    p = TwoSpinParams.from_dimensionless(0.0, alpha)
+    eigensystem = twospin.eigensystem_array(np.array([p.alpha]))
+    f = lambda rates: concurrence_factor_stack(
+        ness_factor_stack(*eigensystem, twospin.DOWN_DOWN, rates)[0])[0]
     return _bracketed_max(f, r_lo, r_hi, tol)
 
 
@@ -318,18 +323,24 @@ def check_box(r_lo: float, r_hi: float, alpha_lo: float, alpha_hi: float) -> Non
 def _slope_peak(r: float, alphas: list[float]) -> tuple[float, float]:
     """(slope, alpha) at the largest finite dS/dalpha over the coupling nodes
     at rate r: at an end, or at an interior maximum, bisected to where the
-    curvature falls through zero.  (-inf, nan) if no slope is finite."""
-    curv = [entropy_alpha_curvature(r, a) for a in alphas]
-    candidates = [alphas[0], alphas[-1]]
-    for lo, hi, c_lo, c_hi in zip(alphas, alphas[1:], curv, curv[1:]):
-        if c_lo > 0.0 >= c_hi:
+    curvature falls through zero.  (-inf, nan) if no slope is finite.  The
+    closed form gives both derivatives, so each point is evaluated once."""
+    f = twospin.entropy_ness_alpha_derivatives
+    derivatives = [f(r, a) for a in alphas]
+    slopes = [(derivatives[0][0], alphas[0]), (derivatives[-1][0], alphas[-1])]
+    for lo, hi, d_lo, d_hi in zip(alphas, alphas[1:], derivatives, derivatives[1:]):
+        if d_lo[1] > 0.0 >= d_hi[1]:
             mid = lo + 0.5 * (hi - lo)
             while lo < mid < hi:
-                lo, hi = (mid, hi) if entropy_alpha_curvature(r, mid) > 0.0 else (lo, mid)
+                d_mid = f(r, mid)
+                if d_mid[1] > 0.0:
+                    lo, d_lo = mid, d_mid
+                else:
+                    hi, d_hi = mid, d_mid
                 mid = lo + 0.5 * (hi - lo)
-            candidates.append(mid)
-    slopes = [(s, a) for a in candidates if math.isfinite(s := entropy_alpha_slope(r, a))]
-    return max(slopes, default=(-math.inf, math.nan))
+            # the bisection ends on one of its ends
+            slopes.append((d_lo[0] if mid == lo else d_hi[0], mid))
+    return max(((s, a) for s, a in slopes if math.isfinite(s)), default=(-math.inf, math.nan))
 
 
 def _newton_step(r: float, alpha: float) -> tuple[float, float] | None:

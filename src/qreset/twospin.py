@@ -16,6 +16,9 @@ This module is the analytic oracle for the generic spectral engine in
     [[up, coherence], [conj(coherence), 1 - up]]
 
 and both its transient and stationary elements are given in closed form.
+The Hamiltonian's eigensystem is a closed form too (``eigensystem_array``);
+it feeds the engine's stationary factor for the concurrence and purity of
+the two spins.
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .observables import concurrence
-from .reset_core import QuantumSystem, ResetSpec, ness_density
+from .cmatrix import HermitianEigensystem
+from .observables import concurrence_factor_stack
+from .reset_core import DEGENERACY_RTOL, QuantumSystem, ness_factor_stack
 
 LN2 = math.log(2.0)
 LN8 = math.log(8.0)
@@ -115,6 +119,41 @@ def hamiltonian(p: TwoSpinParams) -> np.ndarray:
 def quantum_system(p: TwoSpinParams) -> QuantumSystem:
     """Spectral engine instance: this Hamiltonian with rho0 = |dd><dd|."""
     return QuantumSystem(hamiltonian(p), np.outer(DOWN_DOWN, DOWN_DOWN.conj()))
+
+
+def eigensystem_array(alpha: np.ndarray) -> tuple[HermitianEigensystem, np.ndarray]:
+    """Eigensystems of the unit-field Hamiltonian at each coupling of a float
+    array alpha, trusted to hold finite alpha >= 0, in closed form.
+
+    The energies are -gamma, -alpha, alpha, gamma, ascending along a last
+    axis of four.  The eigenvectors are (|uu> - |dd>)/sqrt2 at -alpha, the
+    singlet (|ud> - |du>)/sqrt2 at alpha, and the symmetric-sector
+    vectors at -gamma and gamma, mixed with the ratio t = gamma - alpha =
+    1/(gamma + alpha).  Also returns the degeneracy tolerances that
+    QuantumSystem takes, DEGENERACY_RTOL ||H||_F with ||H||_F^2 =
+    4 alpha^2 + 2.  ValueError where the energy spread 2 gamma overflows,
+    as QuantumSystem raises.
+    """
+    with np.errstate(over="ignore"):
+        gamma = np.hypot(alpha, 1.0)
+        spread = 2.0 * gamma
+    bad = spread[~np.isfinite(spread)]
+    if bad.size:
+        raise ValueError(f"hamiltonian energy spread E_max - E_min = {bad[0]} "
+                         "is not finite")
+    h = math.sqrt(0.5)
+    t = 1.0 / (gamma + alpha)
+    n = 1.0 / np.sqrt(2.0 + 2.0 * t * t)
+    zero, half = np.zeros_like(n), np.full_like(n, h)
+    # columns -gamma, -alpha, alpha, gamma over the rows |uu>, |ud>, |du>, |dd>
+    vectors = np.stack([np.stack(row, axis=-1) for row in (
+        (n, half, zero, t * n),
+        (-t * n, zero, half, n),
+        (-t * n, zero, -half, n),
+        (n, -half, zero, t * n))], axis=-2)
+    energies = np.stack([-gamma, -alpha, alpha, gamma], axis=-1)
+    tol = DEGENERACY_RTOL * 2.0 * np.hypot(alpha, h)
+    return HermitianEigensystem(energies, vectors.astype(complex)), tol
 
 
 def reduced_state(t: float, p: TwoSpinParams) -> ReducedState:
@@ -373,10 +412,11 @@ def fidelity_ness_array(R: np.ndarray, alpha: np.ndarray) -> np.ndarray:
 def concurrence_ness(p: TwoSpinParams) -> float:
     """Stationary two-spin concurrence.
 
-    No closed form: builds the full 4x4 stationary density matrix with the
-    spectral engine and runs the general Wootters routine on it.
+    No closed form: the factor W of the stationary state (rho = W W^dagger,
+    from the closed-form eigensystem) gives Wootters' spectrum as the
+    singular values of W^T (sigma_y x sigma_y) W.
     """
     if p.r <= 0:
         raise ValueError("stationary concurrence needs r > 0")
-    rho = ness_density(quantum_system(p), ResetSpec(p.r))
-    return concurrence(rho).value
+    w = ness_factor_stack(*eigensystem_array(np.array([p.alpha])), DOWN_DOWN, np.array([p.R]))
+    return float(concurrence_factor_stack(w[0])[0][0])

@@ -520,6 +520,22 @@ class TestMcValidate:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["passed"] is True
 
+    def test_zero_rate_state_stays_a_state_while_the_phases_keep_digits(self):
+        # rho0 conjugated by the phases exp(-i E t) is PSD to round-off
+        # however inexact the phases; the renewal kernel's own phases
+        # (E - E') t once gave an eigenvalue of -4.5e-8 here (exit 4)
+        proc = run_process(["mc-validate", "--R", "0", "--alpha", "1", "--t", "1e9",
+                            "--ntraj", "10", "--seed", "1"],
+                           timeout=30, interpreter_flags=("-W", "error"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["passed"] is True
+        # once eps max|E| t reaches a radian the phases keep no digits
+        proc = run_process(["mc-validate", "--R", "0", "--alpha", "1", "--t", "1e16",
+                            "--ntraj", "10"], timeout=30, interpreter_flags=("-W", "error"))
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("error: exact density matrix")
+
     @pytest.mark.parametrize("t", ["1e5", "1e6"])
     def test_zero_rate_at_long_times_passes(self, capsys, t):
         rc = run(["mc-validate", "--R", "0", "--alpha", "1", "--t", t, "--ntraj", "10"])

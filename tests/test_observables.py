@@ -3,11 +3,15 @@ import pytest
 
 from qreset.observables import (
     concurrence,
+    concurrence_factor_stack,
     concurrence_pure,
+    concurrence_stack,
     fidelity,
     fidelity_pure,
     fidelity_stack,
     purity,
+    purity_factor_stack,
+    purity_stack,
     spin_flip,
     von_neumann_entropy,
 )
@@ -175,6 +179,15 @@ class TestPurity:
                 assert abs(purity(rho) - fidelity_ness(p)) < 1e-10
 
 
+    def test_of_a_factor_equals_that_of_its_state(self):
+        rng = np.random.default_rng(41)
+        for d, k in ((2, 2), (4, 4), (4, 2), (6, 9)):
+            w = rng.normal(size=(5, d, k)) + 1j * rng.normal(size=(5, d, k))
+            w /= np.sqrt(np.sum(np.abs(w) ** 2, axis=(-2, -1)))[:, None, None]
+            rho = w @ w.conj().swapaxes(-1, -2)
+            assert np.abs(purity_factor_stack(w) - purity_stack(rho)).max() <= 1e-15
+
+
 class TestSpinFlip:
     def test_maximally_mixed_fixed(self):
         rho = np.eye(4, dtype=complex) / 4
@@ -245,6 +258,46 @@ class TestConcurrence:
     def test_rejects_wrong_dim(self):
         with pytest.raises(ValueError):
             concurrence(np.eye(2, dtype=complex) / 2)
+
+    @staticmethod
+    def textbook(rho):
+        # Wootters: square roots of the eigenvalues of rho (S rho* S)
+        flip = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+        lam = np.linalg.eigvals(rho @ flip @ rho.conj() @ flip)
+        mu = np.sort(np.sqrt(np.abs(lam)))[::-1]
+        return max(0.0, mu[0] - mu[1] - mu[2] - mu[3])
+
+    def test_matches_the_textbook_evaluation_on_random_mixed_states(self):
+        rng = np.random.default_rng(42)
+        states = [random_density(rng, 4) for _ in range(40)]
+        # mixtures of a random pure state and noise, many of them entangled;
+        # all of full rank, where the textbook roots carry no round-off noise
+        for p in np.linspace(0.0, 0.95, 20):
+            psi = random_pure(rng, 4)
+            states.append(p * projector(psi) + (1.0 - p) * np.eye(4) / 4)
+        values, mu = concurrence_stack(np.array(states))
+        assert np.all(np.diff(mu, axis=-1) <= 0.0) and np.all(mu >= 0.0)
+        expected = [self.textbook(rho) for rho in states]
+        assert np.abs(values - expected).max() <= 1e-13
+        assert np.count_nonzero(values) >= 10
+
+    def test_werner_states(self):
+        # p |Bell><Bell| + (1 - p) 1/4 has concurrence max(0, (3p - 1)/2)
+        for p in np.linspace(0.0, 1.0, 11):
+            rho = p * projector(BELL) + (1.0 - p) * np.eye(4) / 4
+            assert concurrence(rho).value == pytest.approx(max(0.0, 1.5 * p - 0.5), abs=1e-15)
+
+    def test_any_factor_of_a_state_gives_its_concurrence(self):
+        rng = np.random.default_rng(43)
+        for _ in range(10):
+            rho = random_density(rng, 4, rank=int(rng.integers(1, 5)))
+            u = random_unitary(rng, 4)
+            # W and W u factor the same state; tau changes to u^T tau u
+            lam, v = np.linalg.eigh(rho)
+            w = v * np.sqrt(np.clip(lam, 0.0, None))
+            values = [concurrence_factor_stack(x)[0] for x in (w, w @ u)]
+            assert abs(values[0] - values[1]) <= 1e-14
+            assert abs(values[0] - concurrence(rho).value) <= 1e-14
 
 
 class TestConcurrencePure:

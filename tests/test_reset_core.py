@@ -9,6 +9,7 @@ from qreset.reset_core import (
     SubsystemSplit,
     ness_density,
     ness_density_stack,
+    ness_factor_stack,
     partial_trace,
     reset_density,
     reset_density_stack,
@@ -32,6 +33,17 @@ def random_density(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho)
+
+
+def ising_ring(L, g):
+    """Periodic transverse-field Ising chain -sum Z_i Z_i+1 - g sum X_i, spin
+    0 slowest: its translations and reflection make the spectrum degenerate."""
+    states = np.arange(2**L)
+    z = 1.0 - 2.0 * ((states[:, None] >> np.arange(L)[::-1]) & 1)
+    h = np.diag(-np.sum(z * np.roll(z, -1, axis=1), axis=1)).astype(complex)
+    for i in range(L):
+        h[states, states ^ (1 << i)] -= g
+    return h
 
 
 def assert_valid_density(rho, tol=1e-12):
@@ -278,6 +290,54 @@ class TestStacks:
             reset_density_stack(sys, 1.0, [0.5, -1.0])
         with pytest.raises(ValueError):
             reset_density_stack(sys, 1.0, [np.inf])
+
+
+class TestNessFactor:
+    """ness_factor_stack gives W with W W^dagger the stationary state."""
+
+    RATES = np.r_[5e-324, 1e-300, np.geomspace(1e-3, 1e3, 13), 1e300, 1.7e308]
+
+    @staticmethod
+    def pure_systems():
+        """(system, psi) pairs with rho0 = |psi><psi|."""
+        rng = np.random.default_rng(61)
+        for d in (2, 3, 4, 6):
+            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+            psi /= np.linalg.norm(psi)
+            yield QuantumSystem(a + a.conj().T, np.outer(psi, psi.conj())), psi
+        for alpha in (0.0, 2.0):
+            yield two_spin_system(1.0, alpha), DOWN_DOWN
+        for L, g in ((4, 1.0), (5, 0.6)):
+            # a product state tilted off the axes overlaps every symmetry sector
+            one = np.array([np.cos(0.4), np.exp(0.7j) * np.sin(0.4)])
+            psi = np.ones(1, dtype=complex)
+            for _ in range(L):
+                psi = np.kron(psi, one)
+            yield QuantumSystem(ising_ring(L, g), np.outer(psi, psi.conj())), psi
+
+    def factor(self, sys, psi):
+        return ness_factor_stack(sys.eigensystem, sys.degeneracy_tol, psi, self.RATES)
+
+    @pytest.mark.filterwarnings("error")
+    def test_factor_equals_the_density_stack(self):
+        for sys, psi in self.pure_systems():
+            w = self.factor(sys, psi)
+            assert w.shape == (self.RATES.size, sys.dim, sys.dim)
+            rho = w @ w.conj().swapaxes(-1, -2)
+            assert np.abs(rho - ness_density_stack(sys, self.RATES)).max() <= 1e-14
+
+    def test_a_degenerate_cluster_has_at_most_one_nonzero_column(self):
+        seen = 0
+        for sys, psi in self.pure_systems():
+            energies = sys.eigensystem.eigenvalues
+            starts = np.r_[0, np.flatnonzero(np.diff(energies) > sys.degeneracy_tol) + 1]
+            w = self.factor(sys, psi)
+            for lo, hi in zip(starts, np.r_[starts[1:], sys.dim]):
+                nonzero = np.any(w[:, :, lo:hi] != 0.0, axis=1).sum(axis=-1)
+                assert np.all(nonzero <= 1)
+                seen += hi - lo - 1
+        assert seen >= 10  # the rings and the uncoupled pair are degenerate
 
 
 class TestPartialTrace:

@@ -7,8 +7,8 @@ import pytest
 
 from qreset import sweep, twospin
 
-from qreset.observables import concurrence, concurrence_stack, fidelity_pure, purity
-from qreset.reset_core import ResetSpec, ness_density, reset_density
+from qreset.observables import concurrence_factor_stack, fidelity_pure, purity_factor_stack
+from qreset.reset_core import ResetSpec, ness_factor_stack, reset_density
 from qreset.sweep import (
     BoundsError,
     SolverError,
@@ -131,7 +131,8 @@ class TestRunSweep:
 
 class TestStackedEqualsPointwise:
     """The row-stacked engine reproduces, bit for bit, the columns built
-    point by point from the public one-matrix functions."""
+    point by point from the public one-point functions (purity from the
+    factor of the one state)."""
 
     def test_sweep_records(self):
         # alpha = 0 takes the degeneracy branch of the stationary state
@@ -143,10 +144,12 @@ class TestStackedEqualsPointwise:
         for alpha in grid.alpha_values:
             for r in grid.r_values:
                 p = TwoSpinParams.from_dimensionless(r, alpha)
-                rho = ness_density(quantum_system(p), ResetSpec(p.r))
+                factor = ness_factor_stack(*twospin.eigensystem_array(np.array([alpha])),
+                                           DOWN_DOWN, np.array([r]))[0]
                 for name, v in (("r", r), ("alpha", alpha), ("entropy", entropy_ness(p)),
-                                ("fidelity", fidelity_ness(p)), ("purity", purity(rho)),
-                                ("concurrence", concurrence(rho).value)):
+                                ("fidelity", fidelity_ness(p)),
+                                ("purity", float(purity_factor_stack(factor)[0])),
+                                ("concurrence", concurrence_ness(p))):
                     expected[name].append(v)
         table = sweep_records(grid)
         assert list(table) == list(expected)
@@ -186,8 +189,8 @@ class TestRowBlocks:
         grid = SweepGrid(r_values=tuple(np.geomspace(1e-3, 1e3, 23)),
                          alpha_values=(0.0, 0.05, 0.5, 1.0, 2.5, 6.0, 12.0))
         stacks = []
-        counted = lambda rhos: stacks.append(len(rhos)) or concurrence_stack(rhos)
-        monkeypatch.setattr(sweep, "concurrence_stack", counted)
+        counted = lambda factors: stacks.append(len(factors)) or concurrence_factor_stack(factors)
+        monkeypatch.setattr(sweep, "concurrence_factor_stack", counted)
         tables = []
         for budget in (1, 10**12):  # one row per block, then the whole grid
             monkeypatch.setattr(sweep, "_BLOCK_BYTES", budget)
@@ -197,6 +200,18 @@ class TestRowBlocks:
         assert list(one_row) == list(whole)
         for name in whole:
             assert one_row[name].tobytes() == whole[name].tobytes(), name
+
+    def test_no_eigendecomposition_on_the_factor_paths(self, monkeypatch):
+        # the eigensystems are closed forms and the factors need no root of rho
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigendecomposition on a factor path")
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        grid = SweepGrid(r_values=(0.01, 1.0, 100.0), alpha_values=(0.0, 2.0),
+                         observables=("purity", "concurrence"))
+        assert sweep_records(grid)["concurrence"].shape == (6,)
+        assert optimize_concurrence(2.0, 0.01, 10.0).flag == "interior"
 
     @pytest.mark.parametrize("n_alpha", [50, 500])
     def test_temporaries_stay_within_the_budget(self, n_alpha):
@@ -365,16 +380,13 @@ class TestOptimizeConcurrence:
         assert (res.x, res.value, res.flag) == (ref.x, ref.value, ref.flag)
 
     def test_builds_one_system_per_solve(self, monkeypatch):
+        # the closed-form eigensystem of the one coupling serves every probe
         built = []
-
-        class Counting(twospin.QuantumSystem):
-            def __init__(self, *args):
-                built.append(1)
-                super().__init__(*args)
-
-        monkeypatch.setattr(twospin, "QuantumSystem", Counting)
+        real = twospin.eigensystem_array
+        monkeypatch.setattr(twospin, "eigensystem_array",
+                            lambda alpha: built.append(len(alpha)) or real(alpha))
         optimize_concurrence(2.0, 0.01, 10.0)
-        assert len(built) == 1
+        assert built == [1]
 
 
 class TestEntropyPeakRate:
@@ -562,6 +574,18 @@ class TestFindInflection:
                             lambda r, a: calls.append(1) or real(r, a))
         find_inflection()
         assert len(calls) < 1000
+
+    def test_scan_evaluates_each_point_once(self, monkeypatch):
+        # the end nodes give both the curvature sign and the end slopes
+        points = []
+        real = twospin.entropy_ness_alpha_derivatives
+        monkeypatch.setattr(twospin, "entropy_ness_alpha_derivatives",
+                            lambda r, a: points.append((r, a)) or real(r, a))
+        alphas = np.expm1(np.linspace(math.log1p(0.8), math.log1p(2.0), 65)).tolist()
+        for r in (0.05, 0.12, 0.3):
+            points.clear()
+            sweep._slope_peak(r, alphas)
+            assert len(points) == len(set(points)) >= len(alphas)
 
 
 class TestMcValidate:

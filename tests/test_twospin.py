@@ -1,14 +1,17 @@
+import csv
 import math
+import pathlib
 
 import mpmath
 import numpy as np
 import pytest
 
-from qreset.observables import purity, von_neumann_entropy
+from qreset.observables import concurrence_factor_stack, purity, von_neumann_entropy
 from qreset.reset_core import (
     ResetSpec,
     SubsystemSplit,
     ness_density,
+    ness_factor_stack,
     partial_trace,
     reset_density,
     unitary_evolve,
@@ -16,7 +19,9 @@ from qreset.reset_core import (
 from qreset.twospin import (
     LN2,
     TwoSpinParams,
+    DOWN_DOWN,
     concurrence_ness,
+    eigensystem_array,
     entropy_at_time,
     entropy_ness,
     entropy_ness_array,
@@ -520,3 +525,61 @@ class TestConcurrenceNess:
     def test_rejects_zero_rate(self):
         with pytest.raises(ValueError):
             concurrence_ness(params(0.0, 1.0))
+
+
+class TestEigensystemArray:
+    ALPHAS = np.array([0.0, 1e-9, 0.3, 1.0, 2.0, 11.5, 1e8, 1e150, 1e300])
+
+    def test_diagonalises_the_hamiltonian(self):
+        (energies, v), tol = eigensystem_array(self.ALPHAS)
+        assert energies.shape == (9, 4) and v.shape == (9, 4, 4) and tol.shape == (9,)
+        assert np.all(np.diff(energies, axis=-1) >= 0.0)
+        for alpha, e, vec, t in zip(self.ALPHAS, energies, v, tol):
+            h = hamiltonian(params(0.0, alpha))
+            scale = max(alpha, 1.0)
+            assert np.abs(h @ vec - vec * e).max() <= 2e-16 * scale
+            assert np.abs(vec.conj().T @ vec - np.eye(4)).max() <= 4e-16
+            assert t == pytest.approx(quantum_system(params(0.0, alpha)).degeneracy_tol,
+                                      rel=1e-15)
+
+    def test_overflowing_spread_raises_as_the_engine_does(self):
+        with pytest.raises(ValueError, match="spread"):
+            eigensystem_array(np.array([1.0, 1e308]))
+        with pytest.raises(ValueError, match="spread"):
+            quantum_system(params(0.0, 1e308))
+
+    def test_stacked_couplings_equal_one_at_a_time(self):
+        rates = np.geomspace(1e-3, 1e3, 7)
+        stack = ness_factor_stack(*eigensystem_array(self.ALPHAS[:7]), DOWN_DOWN, rates)
+        for alpha, w in zip(self.ALPHAS[:7], stack):
+            one = ness_factor_stack(*eigensystem_array(np.array([alpha])), DOWN_DOWN, rates)
+            assert np.array_equal(w, one[0])
+
+
+class TestConcurrenceReference:
+    """Stationary concurrence against a frozen 50-digit reference
+    (tests/data/make_concurrence_reference.py writes the data).
+
+    The parent of the factor path -- an eigh of rho and of the spin-flipped
+    rho, their square roots and one SVD -- measured a worst error of 1.9e-14
+    on the README ranges and 3.4e-9 on the near-pure states (R = 1e3); the
+    factor of the closed-form eigensystem measures 4.8e-15 and 5.6e-16."""
+
+    DATA = pathlib.Path(__file__).parent / "data" / "concurrence_reference.csv"
+
+    def test_matches_the_50_digit_reference(self):
+        with open(self.DATA, newline="") as f:
+            rows = [(float(r["R"]), float(r["alpha"]), float(r["concurrence"]))
+                    for r in csv.DictReader(f)]
+        assert len(rows) == 620
+        errors = np.array([abs(concurrence_ness(params(R, a)) - c) for R, a, c in rows])
+        near_pure = np.array([R >= 1e2 for R, _, _ in rows])
+        assert near_pure.sum() == 120
+        assert errors[~near_pure].max() <= 1e-14
+        assert errors[near_pure].max() <= 1e-15
+
+    @pytest.mark.filterwarnings("error")
+    def test_uncoupled_pair_is_separable_at_every_rate(self):
+        rates = np.r_[5e-324, np.geomspace(1e-300, 1e300, 61), 1.7e308]
+        w = ness_factor_stack(*eigensystem_array(np.zeros(1)), DOWN_DOWN, rates)[0]
+        assert np.all(concurrence_factor_stack(w)[0] <= 1e-15)
