@@ -54,7 +54,6 @@ from .trajectories import (
     sample_reset_times,
 )
 from .twospin import (
-    ReducedState,
     TwoSpinParams,
     concurrence_ness,
     entropy_at_time,
@@ -64,10 +63,7 @@ from .twospin import (
     fidelity_ness,
     hamiltonian,
     quantum_system,
-    reduced_state,
-    reduced_state_ness,
-    reduced_state_reset,
-    reduced_state_zero_reset,
+    reduced_state_array,
     scaling_function,
 )
 

@@ -383,12 +383,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OverflowError as exc:
-        # the transient closed form (twospin.reduced_state_reset) uses
-        # float **, which raises where numpy would return inf
-        print(f"error: parameters beyond floating-point range ({exc})",
-              file=sys.stderr)
-        return EXIT_CONFIG
 
 
 def console_main() -> None:

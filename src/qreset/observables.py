@@ -6,11 +6,11 @@ purity, and the two-qubit concurrence in Wootters' closed form.
 Purity, fidelity (general and pure-reference) and concurrence each have one
 body that works on a (..., d, d) stack of density matrices
 (``purity_stack``, ``fidelity_stack``, ``fidelity_pure_stack``,
-``concurrence_stack``).  Purity and concurrence also take a stack of
-factors W, rho = W W^dagger (``purity_factor_stack``,
-``concurrence_factor_stack``), as ``reset_core.ness_factor_stack`` gives
-them; the concurrence is computed from a factor in either case, since
-Wootters' spectrum is the singular values of tau = W^T (sigma_y x sigma_y) W.
+``concurrence_stack``).  Concurrence also takes a stack of factors W,
+rho = W W^dagger (``concurrence_factor_stack``), as
+``reset_core.ness_factor_stack`` gives them; it is computed from a factor
+in either case, since Wootters' spectrum is the singular values of
+tau = W^T (sigma_y x sigma_y) W.
 Those bodies trust their input, as stacks built from a validated system
 may be; the one-matrix functions validate their arguments and call them.
 """
@@ -44,13 +44,6 @@ def purity(rho) -> float:
 def purity_stack(rho: np.ndarray) -> np.ndarray:
     """tr(rho^2) of each matrix in a (..., d, d) stack."""
     return np.trace(rho @ rho, axis1=-2, axis2=-1).real
-
-
-def purity_factor_stack(w: np.ndarray) -> np.ndarray:
-    """tr(rho^2) = ||W^dagger W||_F^2 of each rho = W W^dagger, for a
-    (..., d, k) stack of factors W."""
-    gram = w.conj().swapaxes(-1, -2) @ w
-    return np.square(gram.view(float)).reshape(gram.shape[:-2] + (-1,)).sum(axis=-1)
 
 
 def fidelity(rho, sigma) -> float:

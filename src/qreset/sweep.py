@@ -6,11 +6,14 @@ the reset rate, the entropy-inflection (spinodal-like) point in the
 
 A sweep is evaluated in blocks of coupling rows, as many as fit a byte
 budget: the entropy and fidelity of a block come from one array closed
-form each; every rate of a row shares one Hamiltonian, whose eigensystem
-is a closed form too, and the factors W (rho = W W^dagger) of the
-stationary states of all the block's rows form one stack for purity and
-concurrence; no density matrix is formed.  The concurrence optimizer
-stacks its probes' factors the same way for its one coupling.
+form each, and so does the purity, which for the pure initial state
+equals the fidelity to it; every rate of a row shares one Hamiltonian,
+whose eigensystem is a closed form too, and the factors W (rho = W
+W^dagger) of the stationary states of all the block's rows form one stack
+for the concurrence; no density matrix is formed.  The concurrence
+optimizer stacks its probes' factors the same way for its one coupling.
+A time series takes its entropy column, and the entropy peak search its
+probes, from one call of the transient closed form.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from . import twospin
 from .cmatrix import require_psd
-from .observables import concurrence_factor_stack, fidelity_pure_stack, purity_factor_stack
+from .observables import concurrence_factor_stack, fidelity_pure_stack
 from .reset_core import (
     ResetSpec,
     ness_density,
@@ -127,27 +130,26 @@ def sweep_records(grid: SweepGrid) -> dict[str, np.ndarray]:
     table = {"r": np.tile(grid.r_values, n_alpha),
              "alpha": np.repeat(grid.alpha_values, n_r)}
     table.update((name, np.empty(n_r * n_alpha)) for name in observables)
-    stacked = "purity" in observables or "concurrence" in observables
+    # rho0 is pure, so tr rho^2 = <psi0|rho|psi0>: purity is the fidelity
+    from_fidelity = [name for name in ("fidelity", "purity") if name in observables]
     rows = max(1, _BLOCK_BYTES // (n_r * _POINT_BYTES))
     for k in range(0, n_alpha, rows):
         alphas = grid.alpha_values[k:k + rows]
         block = slice(k * n_r, (k + len(alphas)) * n_r)
+        r, alpha = table["r"][block], table["alpha"][block]
         if "entropy" in observables:
-            table["entropy"][block] = twospin.entropy_ness_array(table["r"][block],
-                                                                 table["alpha"][block])
-        if "fidelity" in observables:
-            table["fidelity"][block] = twospin.fidelity_ness_array(table["r"][block],
-                                                                   table["alpha"][block])
-        if stacked:
+            table["entropy"][block] = twospin.entropy_ness_array(r, alpha)
+        if from_fidelity:
+            fidelity = twospin.fidelity_ness_array(r, alpha)
+            for name in from_fidelity:
+                table[name][block] = fidelity
+        if "concurrence" in observables:
             # the Hamiltonian does not depend on the rate: one closed-form
             # eigensystem per row
             factors = ness_factor_stack(*twospin.eigensystem_array(np.array(alphas)),
                                         twospin.DOWN_DOWN,
                                         np.array(grid.r_values)).reshape(-1, 4, 4)
-            if "purity" in observables:
-                table["purity"][block] = purity_factor_stack(factors)
-            if "concurrence" in observables:
-                table["concurrence"][block] = concurrence_factor_stack(factors)[0]
+            table["concurrence"][block] = concurrence_factor_stack(factors)[0]
     _check_bounds(table)
     return table
 
@@ -172,7 +174,7 @@ def timeseries(
     table = {"r": np.full(len(ts), p.R), "alpha": np.full(len(ts), p.alpha),
              "t": np.array(ts, dtype=float)}
     if "entropy" in observables:
-        table["entropy"] = np.array([twospin.entropy_at_time(t, p) for t in ts], dtype=float)
+        table["entropy"] = twospin.entropy_reset_array(table["t"], table["r"], table["alpha"])
     if "fidelity" in observables:
         sys = twospin.quantum_system(p)
         rhos = reset_density_stack(sys, p.r, table["t"] / p.omega)
@@ -275,13 +277,14 @@ def optimize_concurrence(
 def find_entropy_peak_rate(
     t: float, alpha: float, r_lo: float, r_hi: float, tol: float = 1e-8
 ) -> OptimizeResult:
-    """Maximize the finite-time entropy over the reset rate at fixed time."""
-    if t <= 0:
-        raise ValueError(f"need t > 0, got {t}")
+    """Maximize the finite-time entropy over the reset rate at fixed time;
+    the probes of the rate go through the transient closed form in one call."""
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"need finite t > 0, got {t}")
     if not (0 < r_lo < r_hi < math.inf):
         raise ValueError(f"need finite 0 < r_lo < r_hi, got ({r_lo}, {r_hi})")
-    p = lambda r: TwoSpinParams.from_dimensionless(r, alpha)
-    f = lambda rates: [twospin.entropy_at_time(t, p(r)) for r in rates]
+    alpha = TwoSpinParams.from_dimensionless(0.0, alpha).alpha
+    f = lambda rates: twospin.entropy_reset_array(t, rates, alpha)
     return _bracketed_max(f, r_lo, r_hi, tol)
 
 

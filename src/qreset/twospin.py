@@ -15,10 +15,14 @@ This module is the analytic oracle for the generic spectral engine in
 
     [[up, coherence], [conj(coherence), 1 - up]]
 
-and both its transient and stationary elements are given in closed form.
-The Hamiltonian's eigensystem is a closed form too (``eigensystem_array``);
-it feeds the engine's stationary factor for the concurrence and purity of
-the two spins.
+and one bounded array closed form gives its elements at any time, rate
+and coupling (``reduced_state_array``): rate 0 is the reset-free
+evolution, and the long-time limit is the stationary state, whose bounded
+factors (``_ness_factors``) also give the stationary entropy and fidelity
+and, at rate 0, their rate -> 0+ limits.  The finite-time, stationary and
+rate -> 0+ entropies share one body of v = 4 det.  The Hamiltonian's
+eigensystem is a closed form too (``eigensystem_array``); it feeds the
+engine's stationary factor for the concurrence of the two spins.
 """
 
 from __future__ import annotations
@@ -80,28 +84,6 @@ class TwoSpinParams:
         return math.hypot(self.alpha, 1.0)
 
 
-@dataclass(frozen=True)
-class ReducedState:
-    """Single-spin reduced density matrix [[up, c], [c*, 1-up]]."""
-
-    up: float
-    coherence: complex
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.up, self.coherence],
-                [np.conj(self.coherence), 1.0 - self.up],
-            ],
-            dtype=complex,
-        )
-
-    @property
-    def determinant(self) -> float:
-        return self.up * (1.0 - self.up) - abs(self.coherence) ** 2
-
-
 def hamiltonian(p: TwoSpinParams) -> np.ndarray:
     """4x4 Hamiltonian matrix in the |uu>, |ud>, |du>, |dd> basis."""
     j, o2 = p.j, p.omega / 2.0
@@ -156,39 +138,10 @@ def eigensystem_array(alpha: np.ndarray) -> tuple[HermitianEigensystem, np.ndarr
     return HermitianEigensystem(energies, vectors.astype(complex)), tol
 
 
-def reduced_state(t: float, p: TwoSpinParams) -> ReducedState:
-    """Spin-1 reduction of the reset-free evolution at rescaled time t."""
-    a, g = p.alpha, p.gamma
-    up = 0.5 * (
-        1.0
-        - math.cos(a * t) * math.cos(g * t)
-        - (a / g) * math.sin(a * t) * math.sin(g * t)
-    )
-    coh = (
-        -math.sin(g * t)
-        * (a * math.sin(g * t) + 1j * g * math.cos(a * t))
-        / (2.0 * g * g)
-    )
-    return ReducedState(up=up, coherence=complex(coh))
-
-
-def reduced_state_ness(p: TwoSpinParams) -> ReducedState:
-    """Stationary spin-1 reduction; requires a positive reset rate.
-
-    For the rate -> 0+ limit use :func:`reduced_state_zero_reset` -- the
-    stationary matrix is discontinuous there.
-    """
-    if p.r <= 0:
-        raise ValueError(
-            "stationary reduction needs r > 0; use reduced_state_zero_reset "
-            "for the vanishing-rate limit"
-        )
-    return _reduced_ness(p.R, p.alpha)
-
-
 def _ness_factors(R, alpha):
     """Bounded factors of the stationary reduced state at rate R (the
-    rate -> 0+ limit at R = 0) and coupling alpha, floats or same-shape arrays:
+    rate -> 0+ limit at R = 0) and coupling alpha, floats or broadcastable
+    arrays:
 
         p = 1/(1 + R^2),  rp = R p,  k = (alpha R p)^2,  s = 1/(1 + 4k),
         w = 1/(4 alpha^2 + R^2 + 4),  v = p s (2 - s) - 4 (alpha w)^2 = 1 - y^2,
@@ -210,75 +163,78 @@ def _ness_factors(R, alpha):
     return p, rp, k, s, w, v
 
 
-def _reduced_ness(R: float, a: float) -> ReducedState:
-    p, rp, _, s, w, _ = _ness_factors(R, a)
-    return ReducedState(up=0.5 * p * s, coherence=-a * w - 1j * (0.5 * rp * s))
+def reduced_state_array(t, R, alpha):
+    """Spin-1 reduction [[up, coherence], [conj(coherence), 1 - up]] under
+    resetting at rescaled time t, rate R and coupling alpha: broadcastable
+    float arrays, trusted to hold t >= 0, R >= 0 and alpha >= 0.  R = 0 is
+    the reset-free evolution.
 
-
-def reduced_state_reset(t: float, p: TwoSpinParams) -> ReducedState:
-    """Spin-1 reduction under resetting at rescaled time t.
-
-    Stationary part plus an exp(-R t)-damped transient, both in closed form.
+    The stationary part (see _ness_factors) plus an exp(-R t)-damped
+    transient, written in the bounded factors with g = gamma and P = alpha
+    + gamma: the up term's denominator 2 g ((1 + R^2)^2 + 4 alpha^2 R^2) is
+    2 g/(p^2 s), 4 g^2 + R^2 = 1/w, and alpha - g = -1/P.  Only * and / are
+    used, so no square overflows.  The t = 0 rows are rho0 exactly, and
+    where exp(-R t) underflows the state is the stationary one.  nan where a
+    phase such as gamma t overflows while exp(-R t) > 0.  No numpy warning.
     """
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    R, a, g = p.R, p.alpha, p.gamma
-    stat = _reduced_ness(R, a)
-
-    ca, sa = math.cos(a * t), math.sin(a * t)
-    cg, sg = math.cos(g * t), math.sin(g * t)
-
-    up_osc_denom = 8.0 * g**3 * R * R + 2.0 * g * (R * R - 1.0) ** 2
-    up_osc = (
-        -ca * (g * (R * R + 1.0) * cg + R * (2.0 * g * g + R * R - 1.0) * sg)
-        + a * sa * ((R * R - 1.0) * sg + 2.0 * g * R * cg)
-    ) / up_osc_denom
-
-    two_g = 4.0 * g * g + R * R
-    plus, minus = a + g, a - g
-    dplus = plus * plus + R * R
-    dminus = minus * minus + R * R
-    coh_osc = (
-        2.0 * a * R * math.sin(2.0 * g * t) / two_g
-        + 4.0 * a * g * math.cos(2.0 * g * t) / two_g
-        + 1j * minus * minus * math.sin(minus * t) / dminus
-        - 1j * plus * plus * math.sin(plus * t) / dplus
-        - 1j * R * minus * math.cos(minus * t) / dminus
-        + 1j * R * plus * math.cos(plus * t) / dplus
-    ) / (4.0 * g)
-
-    damp = math.exp(-R * t)
-    return ReducedState(
-        up=stat.up + damp * up_osc,
-        coherence=stat.coherence + damp * coh_osc,
-    )
+    with np.errstate(all="ignore"):
+        p, rp, _, s, w, _ = _ness_factors(R, alpha)
+        g = np.hypot(alpha, 1.0)
+        ag, ar, P = alpha / g, alpha * rp, alpha + g
+        t0, damp = t == 0.0, np.exp(-R * t)
+        # a transient damped to 0 takes phase 0: a phase past the float
+        # range would make it nan
+        t = np.where(damp > 0.0, t, 0.0)
+        # every phase is alpha t plus a multiple of t/P (gamma t = alpha t +
+        # t/P, P t = 2 alpha t + t/P): only alpha t carries a large rounding
+        ca, sa = np.cos(alpha * t), np.sin(alpha * t)
+        cb, sb = np.cos(t / P), np.sin(t / P)
+        cg, sg = ca * cb - sa * sb, sa * cb + ca * sb
+        c2a, s2a = ca * ca - sa * sa, 2.0 * sa * ca
+        cp, sp = c2a * cb - s2a * sb, s2a * cb + c2a * sb
+        up_osc = s * (ca * (-0.5 * p * cg - (0.5 * rp / g + ag * ar * p) * sg)
+                      + sa * (0.5 * ag * (1.0 - 2.0 * p) * p * sg + ar * p * cg))
+        coh_re = ag * R * w * sg * cg + alpha * w * (cg * cg - sg * sg)
+        x, y = R * P, R / P
+        coh_im = (_ratio(x) * cb - sb / (1.0 + x * x)
+                  + _ratio(y) * cp - sp / (1.0 + y * y)) / (4.0 * g)
+        up = 0.5 * p * s + damp * up_osc
+        coh = (damp * coh_re - alpha * w) + 1j * (damp * coh_im - 0.5 * rp * s)
+        return np.where(t0, 0.0, up), np.where(t0, 0.0, coh)
 
 
-def reduced_state_zero_reset(alpha: float) -> ReducedState:
-    """Rate -> 0+ limit of the stationary spin-1 reduction."""
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    return ReducedState(
-        up=0.5, coherence=complex(-alpha / (4.0 * (alpha * alpha + 1.0)))
-    )
+def _ratio(x):
+    """x/(1 + x^2) for x >= 0, through 1/x above 1 so that x^2 never overflows."""
+    x = np.where(x > 1.0, 1.0 / x, x)
+    return x / (1.0 + x * x)
 
 
-def _entropy_from_y(y: float) -> float:
-    """Binary-spectrum entropy ln2 - sum over (1 +- y)/2 terms, y in [0, 1]."""
-    y = min(max(float(y), 0.0), 1.0)
-    s = LN2 - 0.5 * (1.0 + y) * math.log1p(y)
-    if y < 1.0:
-        s -= 0.5 * (1.0 - y) * math.log1p(-y)
-    return max(s, 0.0)
+def _spin_entropy(v):
+    """Von Neumann entropy of a spin-1/2 state from v = 4 det = 1 - y^2,
+    the eigenvalues being (1 +- y)/2; v is clipped to [0, 1].  Call inside
+    np.errstate."""
+    v = np.clip(v, 0.0, 1.0)
+    # the smaller eigenvalue (1 - y)/2, formed from v so that it keeps its
+    # digits as y rounds to 1
+    lam = 0.5 * v / (1.0 + np.sqrt(1.0 - v))
+    # two non-negative terms, so no cancellation; lam log lam is 0 at 0
+    log_lam = np.log(lam, out=np.zeros_like(lam), where=lam > 0.0)
+    return (lam - 1.0) * np.log1p(-lam) - lam * log_lam
 
 
-def _entropy_of(state: ReducedState) -> float:
-    return _entropy_from_y(math.sqrt(max(1.0 - 4.0 * state.determinant, 0.0)))
+def entropy_reset_array(t, R, alpha):
+    """Spin-1 entropy under resetting at each (t, R, alpha) of broadcastable
+    float arrays, trusted as reduced_state_array trusts them."""
+    up, coh = reduced_state_array(t, R, alpha)
+    with np.errstate(all="ignore"):
+        return _spin_entropy(4.0 * (up * (1.0 - up) - coh.real * coh.real - coh.imag * coh.imag))
 
 
 def entropy_at_time(t: float, p: TwoSpinParams) -> float:
-    """Spin-1 von Neumann entropy under resetting at rescaled time t."""
-    return _entropy_of(reduced_state_reset(t, p))
+    """Spin-1 von Neumann entropy under resetting at rescaled time t >= 0."""
+    if not t >= 0:
+        raise ValueError(f"time must be >= 0, got {t}")
+    return float(entropy_reset_array(np.array([t]), np.array([p.R]), np.array([p.alpha]))[0])
 
 
 def entropy_ness(p: TwoSpinParams) -> float:
@@ -292,19 +248,14 @@ def entropy_ness(p: TwoSpinParams) -> float:
 
 def entropy_ness_array(R: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Stationary spin-1 entropy at each (R, alpha) of two float arrays of
-    one shape, trusted to hold R > 0 (see entropy_ness).
+    one shape, trusted to hold R >= 0 (see entropy_ness); R = 0 gives the
+    rate -> 0+ limit.
 
     Finite for every finite R and alpha >= 0, and 0 where the state is pure
     to round-off (as R -> infinity it tends to rho0).  No numpy warning.
     """
     with np.errstate(all="ignore"):
-        v = np.clip(_ness_factors(R, alpha)[5], 0.0, 1.0)
-        # the smaller eigenvalue (1 - y)/2, formed from v so that it keeps
-        # its digits as y rounds to 1
-        lam = 0.5 * v / (1.0 + np.sqrt(1.0 - v))
-        # two non-negative terms, so no cancellation; lam log lam is 0 at 0
-        log_lam = np.log(lam, out=np.zeros_like(lam), where=lam > 0.0)
-        return (lam - 1.0) * np.log1p(-lam) - lam * log_lam
+        return _spin_entropy(_ness_factors(R, alpha)[5])
 
 
 # Below this u = y^2 the entropy's u-derivatives take their two-term
@@ -359,7 +310,7 @@ def entropy_zero_reset(alpha: float) -> float:
     """
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    return _entropy_from_y(alpha / (2.0 * (1.0 + alpha * alpha)))
+    return float(entropy_ness_array(np.array([0.0]), np.array([alpha]))[0])
 
 
 def scaling_function(z: float) -> float:

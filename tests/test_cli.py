@@ -282,6 +282,43 @@ class TestBeyondFloatRange:
             assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+class TestTransientBeyondFloatRange:
+    # the transient closed form squares nothing that can overflow: finite
+    # states, and no numpy warning (which -W error would turn into a
+    # traceback)
+    @pytest.mark.parametrize("args", [
+        ["timeseries", "--R", "1", "--alpha", "1e103", "--grid-t", "0:1:2"],
+        ["peak-r", "--t", "1", "--alpha", "1e103", "--r-bounds", "0.1:1"],
+        ["timeseries", "--R", "1e-3", "--alpha", "1e160", "--grid-t", "0:1:2"],
+        ["timeseries", "--R", "1e103", "--alpha", "1", "--grid-t", "0:1:2"],
+        ["timeseries", "--R", "1e160", "--alpha", "1", "--grid-t", "0:1:2"],
+    ])
+    def test_finite_without_warning(self, args):
+        if args[0] == "timeseries":
+            args = args + ["--observables", "entropy"]
+        proc = run_process(args, timeout=30, interpreter_flags=("-W", "error"))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        if args[0] == "peak-r":
+            values = [json.loads(proc.stdout)["s_star"]]
+        else:
+            header, *lines = proc.stdout.splitlines()
+            values = [float(dict(zip(header.split(","), line.split(",")))["entropy"])
+                      for line in lines]
+        assert len(values) >= 1
+        assert all(0.0 <= v <= math.log(2.0) for v in values)
+
+    @pytest.mark.parametrize("args", [
+        ["peak-r", "--t", "1", "--alpha", "-1", "--r-bounds", "0.1:1"],
+        ["peak-r", "--t", "1", "--alpha", "nan", "--r-bounds", "0.1:1"],
+        ["peak-r", "--t", "1", "--alpha", "inf", "--r-bounds", "0.1:1"],
+        ["timeseries", "--R", "1", "--alpha", "nan", "--grid-t", "0:1:2"],
+    ])
+    def test_bad_coupling_is_a_config_error(self, args):
+        proc = run_process(args, timeout=30, interpreter_flags=("-W", "error"))
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 class TestFailingRunsWriteNothing:
     # an overflowing phase at zero rate is a configuration error (exit 4);
     # a stationary entropy of nan fails validation (exit 2)
@@ -357,6 +394,11 @@ class TestTimeseries:
         last = capsys.readouterr().out.splitlines()[-1].split(",")
         assert float(last[2]) == 1e308
         assert float(last[4]) == pytest.approx(0.65, abs=1e-12)
+        # the transient's phases overflow there, but it is damped to 0
+        assert run(["timeseries", "--R", "1", "--alpha", "1", "--grid-t", "0:1e308:3"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1].split(",")
+        assert float(last[3]) == pytest.approx(twospin.entropy_ness(TwoSpinParams(1.0, 1.0, 1.0)),
+                                               abs=1e-15)
 
 
 class TestOptimize:
@@ -469,11 +511,19 @@ class TestPeakR:
         assert report["r_star"] == pytest.approx(0.266278, abs=1e-4)
 
     def test_bounds_beyond_float_range_rejected(self):
-        proc = run_process(["peak-r", "--t", "5", "--r-bounds", "1e-300:1e300"],
+        proc = run_process(["peak-r", "--t", "5", "--r-bounds", "1e-300:inf"],
                            timeout=10)
         assert proc.returncode == 4
         assert "error:" in proc.stderr
         assert "Traceback" not in proc.stderr
+        # bounds at the ends of the float range are no error: the closed form
+        # squares nothing that overflows
+        proc = run_process(["peak-r", "--t", "5", "--r-bounds", "1e-300:1e300"],
+                           timeout=10, interpreter_flags=("-W", "error"))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        report = json.loads(proc.stdout)
+        assert report["flag"] == "interior"
+        assert report["r_star"] == pytest.approx(0.266278, abs=1e-4)
 
 
 class TestMcValidate:

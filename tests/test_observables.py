@@ -10,8 +10,6 @@ from qreset.observables import (
     fidelity_pure,
     fidelity_stack,
     purity,
-    purity_factor_stack,
-    purity_stack,
     spin_flip,
     von_neumann_entropy,
 )
@@ -177,15 +175,6 @@ class TestPurity:
                 p = TwoSpinParams.from_dimensionless(R, alpha)
                 rho = ness_density(quantum_system(p), ResetSpec(p.r))
                 assert abs(purity(rho) - fidelity_ness(p)) < 1e-10
-
-
-    def test_of_a_factor_equals_that_of_its_state(self):
-        rng = np.random.default_rng(41)
-        for d, k in ((2, 2), (4, 4), (4, 2), (6, 9)):
-            w = rng.normal(size=(5, d, k)) + 1j * rng.normal(size=(5, d, k))
-            w /= np.sqrt(np.sum(np.abs(w) ** 2, axis=(-2, -1)))[:, None, None]
-            rho = w @ w.conj().swapaxes(-1, -2)
-            assert np.abs(purity_factor_stack(w) - purity_stack(rho)).max() <= 1e-15
 
 
 class TestSpinFlip:

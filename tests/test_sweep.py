@@ -7,8 +7,8 @@ import pytest
 
 from qreset import sweep, twospin
 
-from qreset.observables import concurrence_factor_stack, fidelity_pure, purity_factor_stack
-from qreset.reset_core import ResetSpec, ness_factor_stack, reset_density
+from qreset.observables import concurrence_factor_stack, fidelity_pure
+from qreset.reset_core import ResetSpec, reset_density
 from qreset.sweep import (
     BoundsError,
     SolverError,
@@ -132,7 +132,7 @@ class TestRunSweep:
 class TestStackedEqualsPointwise:
     """The row-stacked engine reproduces, bit for bit, the columns built
     point by point from the public one-point functions (purity from the
-    factor of the one state)."""
+    stationary fidelity to the pure initial state, which it equals)."""
 
     def test_sweep_records(self):
         # alpha = 0 takes the degeneracy branch of the stationary state
@@ -144,11 +144,8 @@ class TestStackedEqualsPointwise:
         for alpha in grid.alpha_values:
             for r in grid.r_values:
                 p = TwoSpinParams.from_dimensionless(r, alpha)
-                factor = ness_factor_stack(*twospin.eigensystem_array(np.array([alpha])),
-                                           DOWN_DOWN, np.array([r]))[0]
                 for name, v in (("r", r), ("alpha", alpha), ("entropy", entropy_ness(p)),
-                                ("fidelity", fidelity_ness(p)),
-                                ("purity", float(purity_factor_stack(factor)[0])),
+                                ("fidelity", fidelity_ness(p)), ("purity", fidelity_ness(p)),
                                 ("concurrence", concurrence_ness(p))):
                     expected[name].append(v)
         table = sweep_records(grid)
@@ -422,6 +419,23 @@ class TestEntropyPeakRate:
         with pytest.raises(ValueError):
             find_entropy_peak_rate(0.0, 0.0, 0.1, 1.0)
 
+    @pytest.mark.parametrize("t, alpha", [(1.0, -1.0), (1.0, math.nan), (1.0, math.inf),
+                                          (math.nan, 0.0), (math.inf, 0.0)])
+    def test_validates_once_at_entry(self, t, alpha, monkeypatch):
+        calls = []
+        monkeypatch.setattr(twospin, "entropy_reset_array", lambda *a: calls.append(a))
+        with pytest.raises(ValueError):
+            find_entropy_peak_rate(t, alpha, 0.1, 1.0)
+        assert calls == []
+
+    def test_probes_go_in_one_call(self, monkeypatch):
+        sizes = []
+        body = twospin.entropy_reset_array
+        monkeypatch.setattr(twospin, "entropy_reset_array",
+                            lambda t, R, alpha: sizes.append(R.size) or body(t, R, alpha))
+        find_entropy_peak_rate(5.0, 0.3, 1e-3, 3.0)
+        assert sizes[0] == 65 and set(sizes[1:]) == {1}
+
 
 # (R, alpha, dS/dalpha, d2S/dalpha2) from 60-digit arithmetic on the
 # stationary entropy's closed form, differentiated numerically
@@ -682,7 +696,8 @@ class TestBoundsEnforcement:
             sweep_records(grid)
 
     def test_timeseries_aborts_on_violation(self, monkeypatch):
-        monkeypatch.setattr(twospin, "entropy_at_time", lambda t, p: 5.0)
+        monkeypatch.setattr(twospin, "entropy_reset_array",
+                            lambda t, R, alpha: np.full(t.shape, 5.0))
         p = TwoSpinParams.from_dimensionless(1.0, 0.0)
         with pytest.raises(BoundsError, match="entropy 5.0 outside"):
             timeseries(p, [0.0, 1.0])

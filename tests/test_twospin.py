@@ -29,11 +29,9 @@ from qreset.twospin import (
     fidelity_ness,
     fidelity_ness_array,
     hamiltonian,
+    entropy_reset_array,
     quantum_system,
-    reduced_state,
-    reduced_state_ness,
-    reduced_state_reset,
-    reduced_state_zero_reset,
+    reduced_state_array,
     scaling_function,
 )
 
@@ -46,6 +44,17 @@ T_GRID = (0.0, 0.3, 1.0, 3.0, 10.0)
 
 def params(R, alpha):
     return TwoSpinParams.from_dimensionless(R, alpha)
+
+
+def reduced_matrix(t, p):
+    # [[up, c], [c*, 1 - up]] of the transient closed form at rescaled time t
+    up, c = (x.item() for x in reduced_state_array(np.array(t), np.array(p.R), np.array(p.alpha)))
+    return np.array([[up, c], [np.conj(c), 1.0 - up]])
+
+
+def stationary_matrix(p):
+    # exp(-R t) underflows to 0 at R t = 800, leaving the stationary part
+    return reduced_matrix(800.0 / p.R, p)
 
 
 def entropy_alpha0_closed_form(R, t):
@@ -99,45 +108,46 @@ class TestHamiltonian:
 
 
 class TestReducedState:
+    # R = 0 is the reset-free evolution
     def test_t0_is_all_down(self):
-        st = reduced_state(0.0, params(1.0, 1.0))
-        assert st.up == 0.0
-        assert st.coherence == 0.0
+        st = reduced_matrix(0.0, params(0.0, 1.0))
+        assert st[0, 0] == 0.0
+        assert st[0, 1] == 0.0
 
     def test_uncoupled_quarter_period(self):
-        st = reduced_state(np.pi / 2.0, params(1.0, 0.0))
-        assert st.up == pytest.approx(0.5, abs=1e-15)
-        assert st.coherence == pytest.approx(-0.5j, abs=1e-15)
+        st = reduced_matrix(np.pi / 2.0, params(0.0, 0.0))
+        assert st[0, 0] == pytest.approx(0.5, abs=1e-15)
+        assert st[0, 1] == pytest.approx(-0.5j, abs=1e-15)
 
     def test_matches_engine_on_grid(self):
         for alpha in ALPHA_GRID:
-            p = params(1.0, alpha)
+            p = params(0.0, alpha)
             sys = quantum_system(p)
             for t in T_GRID:
                 engine = partial_trace(unitary_evolve(sys, t), SPLIT, "A")
-                assert np.abs(engine - reduced_state(t, p).matrix).max() < 1e-12
+                assert np.abs(engine - reduced_matrix(t, p)).max() < 1e-12
 
 
 class TestReducedStateReset:
     def test_t0_is_all_down(self):
-        st = reduced_state_reset(0.0, params(1.0, 1.0))
-        assert abs(st.up) < 1e-15
-        assert abs(st.coherence) < 1e-15
+        # rho0 exactly, at every rate
+        for R in (0.0, 1.0, 1e200):
+            assert np.array_equal(reduced_matrix(0.0, params(R, 1.0)), [[0.0, 0.0], [0.0, 1.0]])
 
     def test_long_time_reaches_stationary(self):
         for R, alpha in [(0.5, 1.0), (1.0, 0.0), (2.0, 2.0)]:
             p = params(R, alpha)
-            late = reduced_state_reset(60.0 / R, p)
-            stat = reduced_state_ness(p)
-            assert abs(late.up - stat.up) < 1e-10
-            assert abs(late.coherence - stat.coherence) < 1e-10
+            late = reduced_matrix(60.0 / R, p)
+            assert np.abs(late - stationary_matrix(p)).max() < 1e-10
+            # once exp(-R t) underflows, phases past the float range do not matter
+            assert np.array_equal(reduced_matrix(1.7e308, p), stationary_matrix(p))
 
     def test_matches_engine_point(self):
         p = params(1.0, 1.0)
         engine = partial_trace(
             reset_density(quantum_system(p), ResetSpec(1.0), 2.0), SPLIT, "A"
         )
-        assert np.abs(engine - reduced_state_reset(2.0, p).matrix).max() < 1e-10
+        assert np.abs(engine - reduced_matrix(2.0, p)).max() < 1e-10
 
     def test_oracle_equivalence_grid(self):
         # the module's core purpose: closed forms == generic engine
@@ -147,24 +157,19 @@ class TestReducedStateReset:
                 sys = quantum_system(p)
                 spec = ResetSpec(p.r)
                 stat = partial_trace(ness_density(sys, spec), SPLIT, "A")
-                assert np.abs(stat - reduced_state_ness(p).matrix).max() < 1e-10
+                assert np.abs(stat - stationary_matrix(p)).max() < 1e-10
                 for t in T_GRID:
                     transient = partial_trace(unitary_evolve(sys, t), SPLIT, "A")
-                    assert (
-                        np.abs(transient - reduced_state(t, p).matrix).max() < 1e-10
-                    )
+                    assert np.abs(transient - reduced_matrix(t, params(0.0, alpha))).max() < 1e-10
                     resetting = partial_trace(reset_density(sys, spec, t), SPLIT, "A")
-                    assert (
-                        np.abs(resetting - reduced_state_reset(t, p).matrix).max()
-                        < 1e-10
-                    )
+                    assert np.abs(resetting - reduced_matrix(t, p)).max() < 1e-10
 
     def test_reduced_matrix_stays_psd(self):
         for R in R_GRID:
             for alpha in ALPHA_GRID:
                 p = params(R, alpha)
                 for t in T_GRID:
-                    assert reduced_state_reset(t, p).determinant >= -1e-12
+                    assert np.linalg.det(reduced_matrix(t, p)).real >= -1e-12
 
     def test_physical_units_rescaling(self):
         # omega != 1: rescaled closed forms match the engine run in
@@ -175,50 +180,56 @@ class TestReducedStateReset:
             engine = partial_trace(
                 reset_density(sys, ResetSpec(p.r), t / p.omega), SPLIT, "A"
             )
-            assert np.abs(engine - reduced_state_reset(t, p).matrix).max() < 1e-11
+            assert np.abs(engine - reduced_matrix(t, p)).max() < 1e-11
 
 
 class TestReducedStateNess:
     def test_unit_point_values(self):
-        st = reduced_state_ness(params(1.0, 1.0))
-        assert st.up == pytest.approx(0.125, abs=1e-15)
-        assert st.coherence == pytest.approx(-1.0 / 9.0 - 0.125j, abs=1e-15)
+        st = stationary_matrix(params(1.0, 1.0))
+        assert st[0, 0] == pytest.approx(0.125, abs=1e-15)
+        assert st[0, 1] == pytest.approx(-1.0 / 9.0 - 0.125j, abs=1e-15)
 
     def test_fast_reset_pins_all_down(self):
-        st = reduced_state_ness(params(1e6, 1.0))
-        assert abs(st.up) < 1e-11
-        assert abs(st.coherence) < 1e-6
+        st = stationary_matrix(params(1e6, 1.0))
+        assert abs(st[0, 0]) < 1e-11
+        assert abs(st[0, 1]) < 1e-6
 
     def test_rejects_zero_rate(self):
-        with pytest.raises(ValueError):
-            reduced_state_ness(params(0.0, 1.0))
+        # there is no stationary state at R = 0: the one-point view refuses
+        # it and names the rate -> 0+ limit instead
+        with pytest.raises(ValueError, match="entropy_zero_reset"):
+            entropy_ness(params(0.0, 1.0))
 
     def test_small_rate_approaches_zero_reset_limit(self):
-        st = reduced_state_ness(params(1e-6, 1.0))
-        assert st.up == pytest.approx(0.5, abs=1e-11)
-        assert st.coherence == pytest.approx(-0.125, abs=1e-6)
+        st = stationary_matrix(params(1e-6, 1.0))
+        assert st[0, 0] == pytest.approx(0.5, abs=1e-11)
+        assert st[0, 1] == pytest.approx(-0.125, abs=1e-6)
 
 
 class TestZeroResetLimit:
+    # the rate -> 0+ limit of the stationary state: [[1/2, c], [c*, 1/2]]
+    # with c = -alpha/(4 (alpha^2 + 1)), here at R = 1e-300
     def test_uncoupled_is_maximally_mixed(self):
-        st = reduced_state_zero_reset(0.0)
-        assert st.up == 0.5
-        assert st.coherence == 0.0
+        st = stationary_matrix(params(1e-300, 0.0))
+        assert st[0, 0] == 0.5
+        assert abs(st[0, 1]) <= 1e-300
 
     def test_unit_coupling(self):
-        st = reduced_state_zero_reset(1.0)
-        assert st.up == 0.5
-        assert st.coherence == -0.125
+        st = stationary_matrix(params(1e-300, 1.0))
+        assert st[0, 0] == 0.5
+        assert st[0, 1].real == -0.125 and abs(st[0, 1].imag) <= 1e-300
+        assert entropy_zero_reset(1.0) == entropy_ness_array(np.array([0.0]), np.array([1.0]))[0]
 
     def test_strong_coupling_coherence_decays(self):
-        st = reduced_state_zero_reset(1e6)
-        assert abs(st.coherence) < 1e-6
-        assert abs(st.coherence + 1.0 / (4.0 * 1e6)) < 1e-12
+        st = stationary_matrix(params(1e-300, 1e6))
+        assert abs(st[0, 1]) < 1e-6
+        assert abs(st[0, 1] + 1.0 / (4.0 * 1e6)) < 1e-12
 
 
 class TestEntropyAtTime:
     def test_initially_zero(self):
-        assert entropy_at_time(0.0, params(1.0, 1.0)) == 0.0
+        for R in (1.0, 1e200, 0.0):
+            assert entropy_at_time(0.0, params(R, 1.0)) == 0.0
 
     def test_uncoupled_closed_form(self):
         for R in (0.1, 0.5, 1.0, 3.0):
@@ -239,6 +250,54 @@ class TestEntropyAtTime:
         for t in (0.5, 2.0, 8.0):
             reduced = partial_trace(reset_density(sys, ResetSpec(p.r), t), SPLIT, "A")
             assert abs(entropy_at_time(t, p) - von_neumann_entropy(reduced)) < 1e-11
+
+
+class TestTransientArrays:
+    """The transient closed form over arrays: against a frozen 50-digit
+    reference (tests/data/make_transient_reference.py writes the data),
+    beyond the float range of its squares, and as the body of the one-point
+    view.
+
+    The scalar body it replaced measured worst errors of 2.2e-14 on the main
+    points (the phases gamma t and P t rounded), 6.2e-15 on the short
+    times and 1.1e-15 on the near-pure stationary states (R >= 1e2)."""
+
+    DATA = pathlib.Path(__file__).parent / "data" / "transient_reference.csv"
+
+    def test_matches_the_50_digit_reference(self):
+        with open(self.DATA, newline="") as f:
+            rows = np.array([[float(r[k]) for k in ("t", "R", "alpha", "entropy")]
+                             for r in csv.DictReader(f)])
+        assert rows.shape == (2400, 4)
+        t, R, alpha, entropy = rows.T
+        errors = np.abs(entropy_reset_array(t, R, alpha) - entropy)
+        main, short, stationary = errors[:2000], errors[2000:2200], errors[2200:]
+        assert main.max() <= 2.5e-15
+        assert short.max() <= 5e-15
+        assert stationary.max() <= 1e-18
+
+    def test_one_point_view_is_the_array_body(self):
+        rng = np.random.default_rng(7)
+        t, alpha = rng.uniform(0.0, 40.0, 200), rng.uniform(0.0, 12.0, 200)
+        R = 10.0 ** rng.uniform(-3.0, 3.0, 200)
+        scalar = [entropy_at_time(*x) for x in zip(t.tolist(), map(params, R, alpha))]
+        assert np.array_equal(entropy_reset_array(t, R, alpha), scalar)
+        # one time column against scalar rate and coupling broadcasts
+        assert np.array_equal(entropy_reset_array(t, R[0], alpha[0]),
+                              entropy_reset_array(t, np.full(200, R[0]), np.full(200, alpha[0])))
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="time must be >= 0"):
+                entropy_at_time(bad, params(1.0, 1.0))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t, R, alpha", [
+        (1.0, 1.0, 1e103), (1.0, 1e-3, 1e160), (1.0, 1e103, 1.0), (1.0, 1e160, 1.0),
+        (1.0, 1e200, 1.0), (1.0, 0.0, 1e160), (0.5, 1e160, 1e160), (1e308, 1.0, 1.0)])
+    def test_finite_beyond_the_square_root_of_the_float_range(self, t, R, alpha):
+        up, coherence = reduced_state_array(np.array([t]), np.array([R]), np.array([alpha]))
+        assert np.all(np.isfinite(up)) and np.all(np.isfinite(coherence))
+        s = entropy_reset_array(np.array([t]), np.array([R]), np.array([alpha]))
+        assert 0.0 <= s[0] <= LN2
 
 
 class TestEntropyNess:
@@ -398,7 +457,7 @@ class TestFidelityNess:
 
 class TestArrayClosedForms:
     # S(R, alpha) from the stationary reduced matrix [[up, c], [c*, 1 - up]]
-    # (reduced_state_ness's closed form), evaluated with mpmath at 50 digits
+    # (the closed form of _ness_factors), evaluated with mpmath at 50 digits
     # for the binary values of these floats
     ENTROPY_REFERENCE = [
         (1e-4, 0.0, "0.6931471755599453510838979"),
@@ -440,7 +499,7 @@ class TestArrayClosedForms:
     @staticmethod
     def reference(R, alpha):
         # (entropy, fidelity) from the stationary reduced matrix
-        # [[up, c], [c*, 1 - up]] (reduced_state_ness's closed form),
+        # [[up, c], [c*, 1 - up]] (the closed form of _ness_factors),
         # evaluated with mpmath at 50 digits
         with mpmath.workdps(50):
             R, a = mpmath.mpf(R), mpmath.mpf(alpha)
@@ -479,8 +538,7 @@ class TestArrayClosedForms:
         assert np.array_equal(entropy[:3], [0.0, 0.0, 0.0])
         assert np.array_equal(fidelity[:3], [1.0, 1.0, 1.0])
         for r, a in zip(R.tolist(), alpha.tolist()):
-            state = reduced_state_ness(params(r, a))
-            assert math.isfinite(state.up) and np.isfinite(state.coherence)
+            assert np.all(np.isfinite(stationary_matrix(params(r, a))))
 
     @pytest.mark.parametrize("z", [1e-3, 0.1, 1.0, 10.0, 1e3])
     def test_scaling_collapse_at_extreme_coupling(self, z):
