@@ -9,28 +9,37 @@ rho0.  Averaging over reset histories gives the renewal form
 with rho(t) the reset-free evolution.  As t -> infinity this relaxes to a
 mixed stationary state.  Everything here is evaluated spectrally in the
 energy eigenbasis -- no time stepping -- so results are exact to round-off:
-writing omega = E - E' for a pair of eigenvalues, the energy-basis element
-of rho_r(t) is
+writing omega = E - E' for a pair of eigenvalues and phi = exp(-i E t),
+rho_r(t) is rho0 in the energy basis times the kernel
 
-    rho0_{EE'} * [exp(-(r+i omega) t) + r (1 - exp(-(r+i omega) t))/(r+i omega)]
+    K + U exp(-r t) phi phi^dagger,   K = r/(r + i omega),  U = i omega/(r + i omega),
 
-and its t -> infinity limit is rho0_{EE'} * r/(r + i omega) off the
-diagonal with diagonal elements frozen at rho0_{EE}.
+that is rho_ness + exp(-r t) U_t (rho0 - rho_ness) U_t^dagger, and its
+t -> infinity limit is rho0 times K.  Where omega is exactly 0, K is
+exactly 1 and U exactly 0; at rate 0, K is 0 and U is 1.  |K| and |U| are
+at most 1, so the kernel is accurate to round-off at every t.  ``_kernels``
+is the one place that forms K and U.
+
+One degeneracy rule serves every stationary body: energies whose gaps are
+within the system's degeneracy tolerance form a cluster that shares its
+lowest energy (``_clustered``), so within a cluster omega is exactly 0.
+The finite-time state takes the raw energies.
 
 ``ness_density_stack`` and ``reset_density_stack`` are the one body of each
 state: they return a (n, d, d) stack over n rates or n times of one system,
 in one vectorised step.  ``ness_density`` and ``reset_density`` are the
-one-matrix views of them.  The system was validated when it was built, so
-the stacks are not validated again.
+one-matrix views of them, and ``unitary_evolve`` is the rate-0 view.  The
+system was validated when it was built, so the stacks are not validated
+again.
 
 For a pure rho0 = |psi><psi| the stationary state has an exact factor,
 rho = W W^dagger.  With c = V^dagger psi the energy-basis state is the
-Cauchy-like matrix c_i conj(c_j) r/(x_i + conj(x_j)) with x_i = r/2 + i E_i,
-and its Cholesky columns are closed forms in products and quotients, so
-W W^dagger is positive semidefinite by construction and observables that
-need a root of rho can take W instead.  ``ness_factor_stack`` takes a
-stack of eigensystems (a system's own, or the closed forms of a sweep's
-rows) and the pure state, and trusts them.
+Cauchy-like matrix c_i conj(c_j) K_ij, and its Cholesky columns are closed
+forms in products and quotients of K and U, so W W^dagger is positive
+semidefinite by construction and observables that need a root of rho can
+take W instead.  ``ness_factor_stack`` takes a stack of eigensystems (a
+system's own, or the closed forms of a sweep's rows) and the pure state,
+and trusts them.
 """
 
 from __future__ import annotations
@@ -49,16 +58,9 @@ from .cmatrix import (
     require_hermitian,
 )
 
-# Relative spread below which two eigenvalues count as degenerate when
-# applying the piecewise stationary-state formula.
+# Relative spread below which two eigenvalues count as degenerate in the
+# stationary state (see _clustered).
 DEGENERACY_RTOL = 1e-9
-
-# |r + i*omega| * t below this uses the small-argument series for the
-# renewal kernel (removable singularity; avoids catastrophic cancellation).
-KERNEL_SERIES_CUTOFF = 1e-8
-
-# exp(-x) is exactly 0.0 in double precision for every x above this.
-DECAY_UNDERFLOW = 746.0
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,7 @@ class QuantumSystem:
         self.rho0 = rho
         self.dim = h.shape[0]
         self.eigensystem = HermitianEigensystem(*np.linalg.eigh(h))
-        # the frequencies E - E' of _omega must be finite
+        # the frequencies E - E' of the kernels must be finite
         energies = self.eigensystem.eigenvalues
         with np.errstate(over="ignore"):
             spread = energies[-1] - energies[0]
@@ -127,11 +129,6 @@ class QuantumSystem:
         v = self.eigensystem.eigenvectors
         return hermitize(v @ rho_energy @ v.conj().T)
 
-    def _omega(self) -> np.ndarray:
-        """Pairwise energy differences E - E'."""
-        energies = self.eigensystem.eigenvalues
-        return energies[:, None] - energies[None, :]
-
 
 def _check_time(t: float) -> float:
     t = float(t)
@@ -141,36 +138,35 @@ def _check_time(t: float) -> float:
 
 
 def unitary_evolve(sys: QuantumSystem, t: float) -> np.ndarray:
-    """Reset-free density matrix exp(-iHt) rho0 exp(iHt)."""
-    t = _check_time(t)
-    if t == 0.0:
-        return sys.rho0.copy()
-    energies = sys.eigensystem.eigenvalues
-    phase = np.exp(-1j * energies * t)
-    rho_e = sys._rho0_energy * np.outer(phase, phase.conj())
-    return sys._to_computational(rho_e)
+    """Reset-free density matrix exp(-iHt) rho0 exp(iHt): the rate-0 state."""
+    return reset_density_stack(sys, 0.0, np.array([_check_time(t)]))[0]
 
 
-def _renewal_kernel(rate: float, omega: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Kernel over a (n, 1, 1) column of times and the (d, d) frequencies."""
-    s = np.broadcast_to(rate + 1j * omega, t.shape[:-2] + omega.shape)
-    t = np.broadcast_to(t, s.shape)
-    kernel = np.empty(s.shape, dtype=complex)
-    # products that overflow to inf compare correctly; an overflowed phase
-    # omega t makes exp nan, which is either zeroed below or left for the
-    # caller's finiteness check
+def _clustered(energies: np.ndarray, degeneracy_tol) -> np.ndarray:
+    """Ascending energies (..., d) with each cluster -- a run of gaps within
+    the tolerances (...) -- set to its lowest energy."""
+    d = energies.shape[-1]
+    first = np.diff(energies, axis=-1) > np.asarray(degeneracy_tol)[..., None]
+    lowest = np.maximum.accumulate(np.where(first, np.arange(1, d), 0), axis=-1)
+    return np.concatenate([energies[..., :1],
+                           np.take_along_axis(energies, lowest, axis=-1)], axis=-1)
+
+
+def _kernels(energies: np.ndarray, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K = r/(r + i omega) and U = i omega/(r + i omega) over (..., n, d, d)
+    for energies (..., d) and the n rates, omega_ij = E_i - E_j; where omega
+    is exactly 0, K is exactly 1 and U exactly 0."""
+    omega = 1j * (energies[..., None, :, None] - energies[..., None, None, :])
+    r = rates[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        small = np.abs(s) * t < KERNEL_SERIES_CUTOFF
-        ts = t[small]
-        kernel[small] = 1.0 - s[small] * ts + rate * ts
-        big = ~small
-        sb, tb = s[big], t[big]
-        decay = np.exp(-sb * tb)
-        # exp(-(r + i omega) t) is exactly 0 once r t passes the underflow
-        # bound, whatever the phase
-        decay[rate * tb > DECAY_UNDERFLOW] = 0.0
-    kernel[big] = decay + rate * (1.0 - decay) / sb
-    return kernel
+        # r/r can overflow for a subnormal r; degenerate entries are set below
+        s = r + omega
+        k = r / s
+        u = np.divide(omega, s, out=s)
+    degenerate = omega == 0.0
+    np.copyto(k, 1.0, where=degenerate)
+    np.copyto(u, 0.0, where=degenerate)
+    return k, u
 
 
 def reset_density(sys: QuantumSystem, reset: ResetSpec, t: float) -> np.ndarray:
@@ -180,22 +176,27 @@ def reset_density(sys: QuantumSystem, reset: ResetSpec, t: float) -> np.ndarray:
 
 def reset_density_stack(sys: QuantumSystem, rate: float, t) -> np.ndarray:
     """(n, d, d) stack of the density matrices at the n times ``t`` under
-    resetting at ``rate``; rho0 itself at t = 0."""
+    resetting at ``rate`` >= 0; rho0 itself at t = 0.
+
+    The kernel K + U exp(-r t) phi phi^dagger of the module docstring, on
+    the raw energies.  A transient damped to 0 takes the phase at t = 0,
+    since a phase past the float range would make it nan.  Where the
+    transient is not damped to 0 and the round-off eps max|E| t of the
+    phases reaches a radian, they keep no digits, and the state is nan.
+    """
     t = np.asarray(t, dtype=float)
     if t.ndim != 1 or not np.all(np.isfinite(t) & (t >= 0.0)):
         raise ValueError("times must be a 1-d array of finite values >= 0")
-    if rate == 0.0:
-        # rho0 conjugated by the phases, as in unitary_evolve: PSD to
-        # round-off however inexact the phases exp(-i E t) are.  Once their
-        # round-off eps max|E| t reaches a radian they keep no digits, and
-        # the state is nan.
-        energies = sys.eigensystem.eigenvalues
-        with np.errstate(over="ignore", invalid="ignore"):
-            phase = np.exp(-1j * energies * t[:, None])
-            kernel = phase[:, :, None] * phase.conj()[:, None, :]
-            kernel[np.finfo(float).eps * np.abs(energies).max() * t >= 1.0] = np.nan
-    else:
-        kernel = _renewal_kernel(rate, sys._omega(), t[:, None, None])
+    energies = sys.eigensystem.eigenvalues
+    k, u = _kernels(energies, np.array([rate], dtype=float))
+    # products that overflow to inf compare correctly; a phase E t overflows
+    # only where the last step sets the state to nan anyway
+    with np.errstate(over="ignore", invalid="ignore"):
+        damp = np.exp(-rate * t)
+        live = damp > 0.0
+        phase = np.exp(-1j * energies * np.where(live, t, 0.0)[:, None])
+        kernel = k + u * (damp[:, None, None] * phase[:, :, None] * phase.conj()[:, None, :])
+        kernel[live & (np.finfo(float).eps * np.abs(energies).max() * t >= 1.0)] = np.nan
     rho = sys._to_computational(sys._rho0_energy * kernel)
     rho[t == 0.0] = sys.rho0
     return rho
@@ -206,8 +207,8 @@ def ness_density(sys: QuantumSystem, reset: ResetSpec) -> np.ndarray:
 
     Requires a strictly positive rate: at rate zero the finite-time matrix
     keeps oscillating and no stationary state exists (the limits
-    t -> infinity and rate -> 0 do not commute).  Eigenvalue pairs within
-    the system's degeneracy tolerance take the diagonal branch.
+    t -> infinity and rate -> 0 do not commute).  Energies within the
+    system's degeneracy tolerance share one cluster (see _clustered).
     """
     return ness_density_stack(sys, np.array([reset.rate]))[0]
 
@@ -218,12 +219,8 @@ def ness_density_stack(sys: QuantumSystem, rates) -> np.ndarray:
     rates = np.asarray(rates, dtype=float)
     if rates.ndim != 1 or not np.all(np.isfinite(rates) & (rates > 0.0)):
         raise ValueError("stationary state requires a strictly positive reset rate")
-    omega = sys._omega()
-    off = np.abs(omega) > sys.degeneracy_tol
-    column = rates[:, None]
-    factor = np.ones((rates.size,) + omega.shape, dtype=complex)
-    factor[:, off] = column / (column + 1j * omega[off])
-    return sys._to_computational(sys._rho0_energy * factor)
+    k, _ = _kernels(_clustered(sys.eigensystem.eigenvalues, sys.degeneracy_tol), rates)
+    return sys._to_computational(sys._rho0_energy * k)
 
 
 def ness_factor_stack(eigensystem: HermitianEigensystem, degeneracy_tol, psi: np.ndarray,
@@ -234,41 +231,25 @@ def ness_factor_stack(eigensystem: HermitianEigensystem, degeneracy_tol, psi: np
     (..., d), eigenvectors (..., d, d)) with degeneracy tolerances (...).
     Trusted input: finite energy spreads, a unit psi, rates finite and > 0.
 
-    In the energy basis, with c = V^dagger psi and omega_ik = E_i - E_k, the
-    state is c_i conj(c_j) K_ij with K_ik = r/(r + i omega_ik), a Cauchy-like
-    matrix.  Its Cholesky columns are closed forms (Gohberg, Kailath and
-    Olshevsky, Math. Comp. 64, 1557 (1995)):
+    In the energy basis, with c = V^dagger psi, the state is
+    c_i conj(c_j) K_ij, a Cauchy-like matrix.  Its Cholesky columns are
+    closed forms (Gohberg, Kailath and Olshevsky, Math. Comp. 64, 1557
+    (1995)):
 
         W_e[i, k] = c_i^(k) K_ik  (i >= k),   c_i^(k+1) = c_i^(k) U_ik,
 
-    with c^(0) = c and U_ik = i omega_ik/(r + i omega_ik), the generator of
-    the Schur complement.  Energies within the degeneracy tolerance share
-    the lowest energy of their cluster, so their K is exactly 1 and their U
-    exactly 0, as in ness_density_stack; a zero pivot c_k^(k) gives a zero
-    column and leaves c as it is, so a cluster has at most one nonzero
+    with c^(0) = c and U the generator of the Schur complement, both from
+    _kernels on the clustered energies, as in ness_density_stack.  Within a
+    cluster K is exactly 1 and U exactly 0; a zero pivot c_k^(k) gives a
+    zero column and leaves c as it is, so a cluster has at most one nonzero
     column.  K and U are bounded by 1 and only * and / are used, so W is
     finite for every finite rate > 0.  Returns W = V W_e.
     """
     energies, v = eigensystem
-    d = energies.shape[-1]
-    # ascending energies: a cluster is a run of gaps within the tolerance
-    first = np.diff(energies, axis=-1) > np.asarray(degeneracy_tol)[..., None]
-    lowest = np.maximum.accumulate(np.where(first, np.arange(1, d), 0), axis=-1)
-    energies = np.concatenate([energies[..., :1],
-                               np.take_along_axis(energies, lowest, axis=-1)], axis=-1)
-    omega = 1j * (energies[..., None, :, None] - energies[..., None, None, :])
-    r = rates[:, None, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        # r/r can overflow for a subnormal r; degenerate entries are set below
-        s = r + omega
-        w = r / s
-        update = np.divide(omega, s, out=s)
-    degenerate = omega == 0.0
-    np.copyto(w, 1.0, where=degenerate)
-    np.copyto(update, 0.0, where=degenerate)
-    c = np.repeat((v.conj().swapaxes(-1, -2) @ psi)[..., None, :], rates.size, axis=-2)
     # w holds K; column k becomes W_e's once column k of K is used
-    for k in range(d):
+    w, update = _kernels(_clustered(energies, degeneracy_tol), rates)
+    c = np.repeat((v.conj().swapaxes(-1, -2) @ psi)[..., None, :], rates.size, axis=-2)
+    for k in range(energies.shape[-1]):
         pivot = c[..., k:k + 1] != 0.0
         w[..., :k, k] = 0.0
         w[..., k:, k] = np.where(pivot, c[..., k:] * w[..., k:, k], 0.0)

@@ -175,6 +175,11 @@ def timeseries(
              "t": np.array(ts, dtype=float)}
     if "entropy" in observables:
         table["entropy"] = twospin.entropy_reset_array(table["t"], table["r"], table["alpha"])
+        # nan only where a phase overflows while exp(-R t) > 0: a range error
+        nan = np.isnan(table["entropy"])
+        if nan.any():
+            raise ValueError(f"entropy phases beyond floating-point range at "
+                             f"t = {ts[np.argmax(nan)]}")
     if "fidelity" in observables:
         sys = twospin.quantum_system(p)
         rhos = reset_density_stack(sys, p.r, table["t"] / p.omega)

@@ -88,6 +88,24 @@ class TestNess:
         assert report["concurrence"] == pytest.approx(0.2035801390, abs=1e-8)
         assert len(report["ness_matrix"]) == 16
 
+    def test_generic_levels_closer_than_the_tolerance(self, tmp_path):
+        # levels 0.6 degeneracy tolerances apart form one cluster, so the
+        # state at a tiny rate is rho0 itself and PSD
+        from qreset.reset_core import DEGENERACY_RTOL
+
+        hpath = tmp_path / "h.json"
+        rpath = tmp_path / "rho.json"
+        delta = 0.0
+        for _ in range(3):
+            levels = 1.0 + delta * np.arange(4)
+            delta = 0.6 * DEGENERACY_RTOL * np.linalg.norm(levels)
+        save_matrix(np.diag(levels).astype(complex), hpath)
+        save_matrix(np.full((4, 4), 0.25, dtype=complex), rpath)
+        proc = run_process(["ness", "--hamiltonian", str(hpath), "--rho0", str(rpath),
+                            "--r", "1e-12"], timeout=30, interpreter_flags=("-W", "error"))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["purity"] == pytest.approx(1.0, abs=1e-14)
+
     def test_generic_rejects_invalid_rho0(self, tmp_path):
         hpath = tmp_path / "h.json"
         rpath = tmp_path / "rho.json"
@@ -315,6 +333,16 @@ class TestTransientBeyondFloatRange:
     ])
     def test_bad_coupling_is_a_config_error(self, args):
         proc = run_process(args, timeout=30, interpreter_flags=("-W", "error"))
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+    @pytest.mark.parametrize("observables", ["entropy", "fidelity", "entropy,fidelity"])
+    def test_overflowing_phase_is_a_config_error(self, observables):
+        # alpha t overflows at R = 0, where nothing damps the transient
+        proc = run_process(["timeseries", "--R", "0", "--alpha", "1e300",
+                            "--grid-t", "0:1e10:3", "--observables", observables],
+                           timeout=30, interpreter_flags=("-W", "error"))
         assert (proc.returncode, proc.stdout) == (4, "")
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 

@@ -4,6 +4,7 @@ from scipy.linalg import expm
 
 from qreset.cmatrix import hermitize
 from qreset.reset_core import (
+    DEGENERACY_RTOL,
     QuantumSystem,
     ResetSpec,
     SubsystemSplit,
@@ -82,8 +83,6 @@ class TestQuantumSystem:
         assert QuantumSystem(np.diag([8e307, -8e307]), rho0).dim == 2
 
     def test_degeneracy_tolerance_is_relative_and_finite(self):
-        from qreset.reset_core import DEGENERACY_RTOL
-
         rng = np.random.default_rng(44)
         h = hermitize(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
         rho0 = np.eye(6, dtype=complex) / 6
@@ -149,14 +148,10 @@ class TestUnitaryEvolve:
 
 class TestResetDensity:
     def test_rate_zero_equals_unitary(self):
-        sys = two_spin_system()
-        for t in (0.0, 0.9, 4.0):
-            assert (
-                np.abs(
-                    reset_density(sys, ResetSpec(0.0), t) - unitary_evolve(sys, t)
-                ).max()
-                < 1e-13
-            )
+        for sys in (two_spin_system(), two_spin_system(alpha=0.0)):
+            for t in (0.0, 1e-9, 0.9, 4.0, 1e5):
+                assert np.array_equal(reset_density(sys, ResetSpec(0.0), t),
+                                      unitary_evolve(sys, t))
 
     def test_t0_is_rho0(self):
         sys = two_spin_system()
@@ -173,6 +168,38 @@ class TestResetDensity:
             sys = two_spin_system(R, alpha)
             for t in (0.2, 1.0, 7.0):
                 assert_valid_density(reset_density(sys, ResetSpec(R), t))
+
+    @pytest.mark.filterwarnings("error")
+    def test_short_times_are_first_order(self):
+        # rho0 - i t [H, rho0] to round-off, at every rate: the kernel's
+        # terms are bounded by 1, so no series is needed as r t and omega t
+        # go to 0.  The reference is taken in the engine's energy basis,
+        # whose round trip alone costs up to 3e-15 on these systems.
+        ts = np.array([5e-324, 1e-300, 1e-12, 1e-9])
+        rng = np.random.default_rng(61)
+        systems = [two_spin_system(1.0, 1.0), two_spin_system(1.0, 0.0)]
+        for d in (2, 3, 4, 6):
+            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            systems.append(QuantumSystem(a + a.conj().T, random_density(rng, d)))
+        for sys in systems:
+            energies, v = sys.eigensystem
+            rho_e = v.conj().T @ sys.rho0 @ v
+            commutator = (energies[:, None] - energies[None, :]) * rho_e
+            expected = v @ (rho_e - 1j * ts[:, None, None] * commutator) @ v.conj().T
+            for rate in (0.0, 1e-3, 1.0):
+                got = reset_density_stack(sys, rate, ts)
+                assert np.abs(got - expected).max() <= 1e-15
+
+    @pytest.mark.filterwarnings("error")
+    def test_damped_past_underflow_is_the_stationary_state(self):
+        # exp(-r t) is 0 from r t = 746 on, and at t = 1e308 the phases
+        # E t overflow: the transient takes the phase at t = 0 and drops out
+        for alpha in (0.5, 1.0, 3.0):
+            sys = two_spin_system(1.0, alpha)
+            ts = np.array([800.0, 1e300, 1e308])
+            for rate in (1.0, 10.0):
+                assert np.array_equal(reset_density_stack(sys, rate, ts),
+                                      ness_density_stack(sys, np.full(3, rate)))
 
     def test_renewal_consistency(self):
         # reset_density -> ness exponentially: deviation <= C exp(-r t)
@@ -299,7 +326,7 @@ class TestStacks:
 class TestNessFactor:
     """ness_factor_stack gives W with W W^dagger the stationary state."""
 
-    RATES = np.r_[5e-324, 1e-300, np.geomspace(1e-3, 1e3, 13), 1e300, 1.7e308]
+    RATES = np.r_[5e-324, 1e-300, 1e-12, 1e-9, np.geomspace(1e-3, 1e3, 13), 1e300, 1.7e308]
 
     @staticmethod
     def pure_systems():
@@ -319,6 +346,17 @@ class TestNessFactor:
             for _ in range(L):
                 psi = np.kron(psi, one)
             yield QuantumSystem(ising_ring(L, g), np.outer(psi, psi.conj())), psi
+        # four levels 0.6 tolerances apart chain into one cluster, so the
+        # pairs two gaps apart are degenerate too; the tolerance
+        # DEGENERACY_RTOL ||H||_F depends weakly on the spacing
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        delta = 0.0
+        for _ in range(3):
+            levels = 1.0 + delta * np.arange(4)
+            delta = 0.6 * DEGENERACY_RTOL * np.linalg.norm(levels)
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi /= np.linalg.norm(psi)
+        yield QuantumSystem(hermitize((q * levels) @ q.conj().T), np.outer(psi, psi.conj())), psi
 
     def factor(self, sys, psi):
         return ness_factor_stack(sys.eigensystem, sys.degeneracy_tol, psi, self.RATES)
