@@ -1,8 +1,9 @@
 """Parameter sweeps, optimizers, and validation reports for the two-spin
-resetting model: grid evaluation of the stationary observables, golden-
-section maximization of concurrence and of the finite-time entropy over
-the reset rate, the entropy-inflection (spinodal-like) point in the
-(rate, coupling) plane, and Monte Carlo cross-validation of the engine.
+resetting model: grid evaluation of the stationary observables,
+maximization of concurrence and of the finite-time entropy over the reset
+rate in rounds of geometric probes, the entropy-inflection (spinodal-like)
+point in the (rate, coupling) plane, and Monte Carlo cross-validation of
+the engine.
 
 A sweep is evaluated in blocks of coupling rows, as many as fit a byte
 budget: the entropy and fidelity of a block come from one array closed
@@ -11,9 +12,9 @@ equals the fidelity to it; every rate of a row shares one Hamiltonian,
 whose eigensystem is a closed form too, and the factors W (rho = W
 W^dagger) of the stationary states of all the block's rows form one stack
 for the concurrence; no density matrix is formed.  The concurrence
-optimizer stacks its probes' factors the same way for its one coupling.
-A time series takes its entropy column, and the entropy peak search its
-probes, from one call of the transient closed form.
+optimizer stacks each round's probe factors the same way for its one
+coupling.  A time series takes its entropy column, and the entropy peak
+search each round of probes, from one call of the transient closed form.
 """
 
 from __future__ import annotations
@@ -165,21 +166,20 @@ def timeseries(
     Entropy comes from the closed form; fidelity (against the initial
     all-down state) from the spectral engine at the matching physical time.
     """
-    ts = [float(t) for t in t_values]
-    if ts != sorted(ts) or any(t < 0 or not np.isfinite(t) for t in ts):
+    t = np.fromiter(t_values, dtype=float)
+    if not (np.all(np.isfinite(t)) and np.all(t >= 0.0) and np.all(np.diff(t) >= 0.0)):
         raise ValueError("t values must be finite, >= 0, ascending")
     bad = set(observables) - {"entropy", "fidelity"}
     if bad:
         raise ValueError(f"timeseries supports entropy/fidelity, got {sorted(bad)}")
-    table = {"r": np.full(len(ts), p.R), "alpha": np.full(len(ts), p.alpha),
-             "t": np.array(ts, dtype=float)}
+    table = {"r": np.full(t.size, p.R), "alpha": np.full(t.size, p.alpha), "t": t}
     if "entropy" in observables:
         table["entropy"] = twospin.entropy_reset_array(table["t"], table["r"], table["alpha"])
         # nan only where a phase overflows while exp(-R t) > 0: a range error
         nan = np.isnan(table["entropy"])
         if nan.any():
             raise ValueError(f"entropy phases beyond floating-point range at "
-                             f"t = {ts[np.argmax(nan)]}")
+                             f"t = {float(t[np.argmax(nan)])}")
     if "fidelity" in observables:
         sys = twospin.quantum_system(p)
         rhos = reset_density_stack(sys, p.r, table["t"] / p.omega)
@@ -194,9 +194,6 @@ def timeseries(
 # ---------------------------------------------------------------------------
 # 1-D maximization
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 @dataclass(frozen=True)
 class OptimizeResult:
     x: float
@@ -209,35 +206,6 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be finite and > 0, got {tol}")
 
 
-def golden_section_max(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-8
-) -> tuple[float, float]:
-    """Maximize a unimodal function on [lo, hi] to absolute x-tolerance tol.
-
-    Stops early once the bracket no longer shrinks: near one ulp of width
-    rounding can keep it fixed, so a tol below that would never be met.
-    """
-    _check_tol(tol)
-    a, b = float(lo), float(hi)
-    c = b - (b - a) * _INVPHI
-    d = a + (b - a) * _INVPHI
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        width = b - a
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * _INVPHI
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * _INVPHI
-            fd = f(d)
-        if b - a >= width:
-            break
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def _bracketed_max(
     f: Callable[[np.ndarray], Sequence[float]],
     lo: float,
@@ -245,24 +213,33 @@ def _bracketed_max(
     tol: float,
     probes: int = 65,
 ) -> OptimizeResult:
-    """Geometric probe of [lo, hi] to bracket the peak, then golden section.
+    """Maximize f over [lo, hi] in rounds of geometric probes.
 
-    ``f`` maps a 1-D float array of points to their values: the probes go in
-    one call, and golden section passes its points as one-element arrays.
-    Flags the result "boundary" when the best probe sits on an endpoint and
-    "degenerate" when the function is flat over all probes.
+    ``f`` maps a 1-D float array of points to their values; each round
+    passes it ``probes`` points spread geometrically over the bracket, at
+    first [lo, hi].  The maximum of a unimodal f lies between the neighbours
+    of the best probe, which become the next bracket.  The rounds stop once
+    the best probe is within tol/2 of both neighbours, or once the next
+    probes would repeat a float (the bracket is a few ulps wide).  The result
+    is the best probe of all rounds.  The first round sets the flag:
+    "degenerate" when f is flat over its probes, "boundary" when the best
+    probe is an endpoint, else "interior".
     """
     _check_tol(tol)
-    xs = np.geomspace(lo, hi, probes)
-    vals = np.asarray(f(xs), dtype=float)
-    if vals.max() - vals.min() < 1e-14:
-        return OptimizeResult(x=lo, value=float(vals[0]), flag="degenerate")
-    i = int(np.argmax(vals))
-    if i == 0 or i == probes - 1:
-        return OptimizeResult(x=float(xs[i]), value=float(vals[i]), flag="boundary")
-    one = lambda x: float(f(np.array([x]))[0])
-    x, v = golden_section_max(one, float(xs[i - 1]), float(xs[i + 1]), tol)
-    return OptimizeResult(x=x, value=v, flag="interior")
+    xs, best = np.geomspace(lo, hi, probes), None
+    while True:
+        vals = np.asarray(f(xs), dtype=float)
+        i = int(np.argmax(vals))
+        if best is None and vals.max() - vals.min() < 1e-14:
+            return OptimizeResult(x=lo, value=float(vals[0]), flag="degenerate")
+        if best is None and i in (0, probes - 1):
+            return OptimizeResult(x=float(xs[i]), value=float(vals[i]), flag="boundary")
+        if best is None or vals[i] > best.value:
+            best = OptimizeResult(x=float(xs[i]), value=float(vals[i]), flag="interior")
+        x, a, b = xs[i], xs[max(i - 1, 0)], xs[min(i + 1, probes - 1)]
+        xs = np.geomspace(a, b, probes)
+        if max(x - a, b - x) <= 0.5 * tol or not np.all(np.diff(xs) > 0.0):
+            return best
 
 
 def optimize_concurrence(

@@ -18,7 +18,6 @@ from qreset.sweep import (
     entropy_alpha_slope,
     find_entropy_peak_rate,
     find_inflection,
-    golden_section_max,
     mc_validate,
     optimize_concurrence,
     sweep_records,
@@ -267,6 +266,13 @@ class TestTimeseries:
         with pytest.raises(ValueError):
             timeseries(p, [2.0, 1.0])
 
+    @pytest.mark.parametrize("ts", [[-1.0, 0.0], [0.0, math.nan], [0.0, 1.0, math.inf],
+                                    (t for t in [0.0, 2.0, 1.0])])
+    def test_rejects_negative_non_finite_or_unsorted_times(self, ts):
+        p = TwoSpinParams.from_dimensionless(1.0, 0.0)
+        with pytest.raises(ValueError, match="t values must be finite, >= 0, ascending"):
+            timeseries(p, ts)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("R, t_max", [(0.0, 1e300)])
     def test_rejects_states_beyond_phase_precision(self, R, t_max):
@@ -285,31 +291,85 @@ class TestTimeseries:
         assert table["fidelity"][1:] == pytest.approx([fidelity_ness(p)] * 2, abs=1e-12)
 
 
-class TestGoldenSection:
+class TestBracketedMax:
     @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), float("inf")])
     def test_rejects_bad_tolerance(self, tol):
         with pytest.raises(ValueError):
-            golden_section_max(lambda x: -x * x, -1.0, 1.0, tol=tol)
+            sweep._bracketed_max(lambda x: -x * x, 0.5, 2.0, tol)
         with pytest.raises(ValueError):
             optimize_concurrence(2.0, 0.01, 10.0, tol=tol)
+        with pytest.raises(ValueError):
+            find_entropy_peak_rate(5.0, 0.3, 1e-3, 3.0, tol=tol)
 
     def test_tolerance_below_one_ulp_terminates(self):
-        calls = []
+        sizes = []
 
         def f(x):
-            calls.append(x)
-            if len(calls) > 1000:
-                raise RuntimeError("golden section does not terminate")
+            sizes.append(len(x))
+            if len(sizes) > 100:
+                raise RuntimeError("the probe rounds do not terminate")
             return -(x - 1.3) ** 2
 
-        x, _ = golden_section_max(f, 0.0, 3.0, tol=1e-300)
-        assert x == pytest.approx(1.3, abs=1e-8)
-        assert len(calls) < 200
+        res = sweep._bracketed_max(f, 0.01, 10.0, tol=1e-300)
+        assert res.x == pytest.approx(1.3, rel=4 * np.finfo(float).eps)
+        assert set(sizes) == {65} and len(sizes) <= 10
 
-    def test_quadratic(self):
-        x, v = golden_section_max(lambda x: -(x - 1.3) ** 2, 0.0, 3.0, tol=1e-10)
-        assert x == pytest.approx(1.3, abs=1e-8)
-        assert v == pytest.approx(0.0, abs=1e-15)
+    @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-10])
+    @pytest.mark.parametrize("peak", [0.0123, 1.3, 7.77])
+    def test_quadratic(self, peak, tol):
+        res = sweep._bracketed_max(lambda x: -(x - peak) ** 2, 0.01, 10.0, tol)
+        assert res.flag == "interior"
+        assert abs(res.x - peak) <= tol / 2
+        assert res.value == -(res.x - peak) ** 2
+
+
+def recorded_solve(monkeypatch, solve, *args, **kwargs):
+    """The solve's result and the (points, values) of every objective call
+    its _bracketed_max makes."""
+    seen = []
+    bracketed_max = sweep._bracketed_max
+
+    def recording(f, lo, hi, tol):
+        def g(rates):
+            values = f(rates)
+            seen.append((np.array(rates), np.array(values)))
+            return values
+
+        return bracketed_max(g, lo, hi, tol)
+
+    monkeypatch.setattr(sweep, "_bracketed_max", recording)
+    return solve(*args, **kwargs), seen
+
+
+class TestProbeRounds:
+    @pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-300])
+    @pytest.mark.parametrize("solve, args", [
+        (optimize_concurrence, (3.3, 0.01, 10.0)),
+        (optimize_concurrence, (7.0, 0.01, 10.0)),
+        (optimize_concurrence, (11.5, 0.01, 10.0)),
+        (find_entropy_peak_rate, (5.0, 0.3, 1e-3, 3.0)),
+        (find_entropy_peak_rate, (3.0, 0.0, 1e-3, 3.0)),
+        (find_entropy_peak_rate, (8.0, 0.45, 1e-3, 3.0)),
+    ])
+    def test_reports_the_best_probe(self, monkeypatch, solve, args, tol):
+        res, seen = recorded_solve(monkeypatch, solve, *args, tol=tol)
+        rates = np.concatenate([r for r, _ in seen])
+        values = np.concatenate([v for _, v in seen])
+        assert res.flag == "interior"
+        assert res.value == values.max()
+        assert res.x in rates[values == res.value]
+        assert all(len(r) == 65 for r, _ in seen) and len(seen) <= 10
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-300])
+    def test_bracket_over_600_decades_finds_the_interior_peak(self, monkeypatch, tol):
+        # the peak sits near 0.07, hundreds of decades from either end; the
+        # constants are the 50-digit maximiser and maximum
+        res, seen = recorded_solve(monkeypatch, optimize_concurrence,
+                                   7.0, 1e-300, 1e300, tol=tol)
+        assert res.flag == "interior"
+        assert res.x == pytest.approx(0.071060783086884616, abs=5e-9)
+        assert res.value == pytest.approx(0.49369797516266893, abs=1e-15)
+        assert res.value == max(v.max() for _, v in seen)
 
 
 class TestOptimizeConcurrence:
@@ -356,19 +416,8 @@ class TestOptimizeConcurrence:
     def test_equals_the_point_by_point_path_bit_for_bit(self, monkeypatch, alpha):
         # every value the stacked objective hands the optimizer, and the
         # optimum, equal those of one system and one state per rate
-        seen = []
         bracketed_max = sweep._bracketed_max
-
-        def recording(f, lo, hi, tol):
-            def g(rates):
-                values = f(rates)
-                seen.append((np.array(rates), np.array(values)))
-                return values
-
-            return bracketed_max(g, lo, hi, tol)
-
-        monkeypatch.setattr(sweep, "_bracketed_max", recording)
-        res = optimize_concurrence(alpha, 0.01, 10.0)
+        res, seen = recorded_solve(monkeypatch, optimize_concurrence, alpha, 0.01, 10.0)
         point = lambda r: concurrence_ness(TwoSpinParams.from_dimensionless(r, alpha))
         assert len(seen[0][0]) == 65
         for rates, values in seen:
@@ -434,7 +483,7 @@ class TestEntropyPeakRate:
         monkeypatch.setattr(twospin, "entropy_reset_array",
                             lambda t, R, alpha: sizes.append(R.size) or body(t, R, alpha))
         find_entropy_peak_rate(5.0, 0.3, 1e-3, 3.0)
-        assert sizes[0] == 65 and set(sizes[1:]) == {1}
+        assert set(sizes) == {65} and len(sizes) <= 10
 
 
 # (R, alpha, dS/dalpha, d2S/dalpha2) from 60-digit arithmetic on the
