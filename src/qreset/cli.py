@@ -36,10 +36,9 @@ import sys
 
 import numpy as np
 
-from .cmatrix import as_density_matrix
 from .observables import (
     concurrence_stack,
-    fidelity_stack,
+    fidelity_factor_stack,
     purity_stack,
     von_neumann_entropy,
 )
@@ -173,16 +172,24 @@ def _cmd_ness(args) -> int:
             raise ValueError("generic mode needs both --hamiltonian and --rho0")
         if args.r is None or args.r <= 0:
             raise ValueError("generic mode needs a positive --r")
+        two_spin = [flag for flag, value in (("--R", args.R), ("--alpha", args.alpha),
+                                             ("--omega", args.omega), ("--j", args.j))
+                    if value is not None]
+        if two_spin:
+            raise ValueError(f"{', '.join(two_spin)}: two-spin flags have no effect "
+                             "with --hamiltonian and --rho0")
         sys_ = load_quantum_system(args.hamiltonian, args.rho0)
-        # validated once here; sys_.rho0 was validated when sys_ was built
-        rho = as_density_matrix(ness_density(sys_, ResetSpec(args.r)))
+        # sys_ validated rho0 when it was built, and the stationary state is
+        # rho0 (Hermitian, PSD, unit trace) in the energy basis times a PSD
+        # kernel with unit diagonal, hermitized: it is not validated again
+        rho = ness_density(sys_, ResetSpec(args.r))
         pairs = [
             ("dim", sys_.dim),
             ("rate", float(args.r)),
             ("purity", float(purity_stack(rho))),
-            ("fidelity_rho0", float(fidelity_stack(rho, sys_.rho0))),
+            ("fidelity_rho0", float(fidelity_factor_stack(rho, sys_.rho0_factor))),
         ]
-        if args.split:
+        if args.split is not None:
             da, db = (int(x) for x in args.split.split(":"))
             reduced = partial_trace(rho, SubsystemSplit(da, db), "A")
             pairs.append(("entropy_subsystem_a", von_neumann_entropy(reduced)))
@@ -192,6 +199,8 @@ def _cmd_ness(args) -> int:
         _emit(args.out, write_json, pairs)
         return EXIT_OK
 
+    if args.split is not None:
+        raise ValueError("--split needs the generic mode's --hamiltonian and --rho0")
     p = _resolve_params(args)
     if p.r <= 0:
         raise ValueError("stationary observables need a positive reset rate")
@@ -289,6 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qreset", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    tol_help = ("tolerance on the rate (default 1e-8); below about 1e-8 relative to "
+                "r_star the objective is flat to round-off, and the result is only as "
+                "good as that round-off allows")
 
     def common_output(sp, formats=True):
         sp.add_argument("--out", default=None, help="output path (default stdout)")
@@ -303,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rho0", default=None,
                     help="interchange file with the initial density matrix")
     sp.add_argument("--split", default=None,
-                    help="dimA:dimB bipartition for the subsystem entropy")
+                    help="dimA:dimB bipartition for the subsystem entropy "
+                         "(generic mode only)")
     common_output(sp)
     sp.set_defaults(func=_cmd_ness)
 
@@ -326,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("optimize", help="maximize concurrence over the rate")
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--r-bounds", required=True, help="lo:hi")
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--tol", type=float, default=1e-8, help=tol_help)
     common_output(sp, formats=False)
     sp.set_defaults(func=_cmd_optimize)
 
@@ -339,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=float, required=True, help="rescaled time")
     sp.add_argument("--alpha", type=float, default=None)
     sp.add_argument("--r-bounds", required=True, help="lo:hi")
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--tol", type=float, default=1e-8, help=tol_help)
     common_output(sp, formats=False)
     sp.set_defaults(func=_cmd_peak_r)
 

@@ -11,7 +11,9 @@ This module is the one place that says what a valid density matrix is
 and ``psd_sqrt_stack`` takes the square root from it: both work on a stack
 of matrices with shape (..., d, d) and trust their input, as stacks built
 from a validated system may be.  ``psd_sqrt`` validates one matrix and
-calls the stack body.
+calls the stack body.  ``density_factor`` validates a density matrix with
+one eigendecomposition and keeps the nonzero columns of its factor, so a
+pure state gives a d x 1 factor.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ HERMITICITY_RTOL = 1e-10
 PSD_CLIP_TOL = 1e-10
 
 # Eigenvalues below this fraction of the largest one are round-off images
-# of exact zeros (eigh resolves the null space only to ~10 ulp); psd_sqrt
-# flattens them so square roots of rank-deficient matrices stay exactly
-# rank-deficient instead of acquiring sqrt(eps)-sized ghost directions.
+# of exact zeros (eigh resolves the null space only to ~10 ulp); flatten_null
+# sets them to zero so factors and square roots of rank-deficient matrices
+# stay exactly rank-deficient instead of acquiring sqrt(eps)-sized ghost
+# directions.
 PSD_NULL_RTOL = 1e-14
 
 # Allowed deviation of a density matrix trace from one.
@@ -126,8 +129,15 @@ def psd_factor_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     PSD_NULL_RTOL of the largest flatten to exact zeros."""
     w, v = np.linalg.eigh(a)
     _require_psd_spectrum(w, "psd_sqrt input")
+    return v * np.sqrt(flatten_null(w))[..., None, :], v
+
+
+def flatten_null(w: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (..., d) of PSD matrices, with those below
+    PSD_NULL_RTOL of the largest (negative round-off included) set to exact
+    zeros in place; returns ``w``."""
     w[w < PSD_NULL_RTOL * np.maximum(w[..., -1:], 0.0)] = 0.0
-    return v * np.sqrt(w)[..., None, :], v
+    return w
 
 
 def as_density_matrix(rho) -> np.ndarray:
@@ -141,12 +151,32 @@ def density_spectrum(rho) -> tuple[np.ndarray, np.ndarray]:
     Returns the validated copy and its ascending eigenvalues clamped into
     [0, 1]; the PSD check and the spectrum come from one ``eigvalsh``.
     """
+    m = _hermitian_unit_trace(rho)
+    return m, np.clip(require_psd(m, "density matrix"), 0.0, 1.0)
+
+
+def density_factor(rho) -> tuple[np.ndarray, np.ndarray]:
+    """Validate ``rho`` as a density matrix (see :func:`density_spectrum`).
+
+    Returns the validated copy and its factor F = V sqrt(w), F F^dagger =
+    rho, with the eigenvalues flattened as in :func:`psd_factor_stack` and
+    only the nonzero columns kept (d x 1 for a pure state).  The PSD check
+    and the factor come from one ``eigh``.
+    """
+    m = _hermitian_unit_trace(rho)
+    w, v = np.linalg.eigh(m)
+    _require_psd_spectrum(w, "density matrix")
+    keep = flatten_null(w) > 0.0
+    return m, v[:, keep] * np.sqrt(w[keep])
+
+
+def _hermitian_unit_trace(rho) -> np.ndarray:
     m = as_cmatrix(rho)
     require_hermitian(m, "density matrix")
     tr = np.trace(m)
     if abs(tr - 1.0) > TRACE_ATOL:
         raise ValueError(f"density matrix trace is {tr}, expected 1")
-    return m, np.clip(require_psd(m, "density matrix"), 0.0, 1.0)
+    return m
 
 
 def require_psd(a: np.ndarray, what: str = "matrix") -> np.ndarray:

@@ -5,12 +5,15 @@ purity, and the two-qubit concurrence in Wootters' closed form.
 
 Purity, fidelity (general and pure-reference) and concurrence each have one
 body that works on a (..., d, d) stack of density matrices
-(``purity_stack``, ``fidelity_stack``, ``fidelity_pure_stack``,
-``concurrence_stack``).  Concurrence also takes a stack of factors W,
-rho = W W^dagger (``concurrence_factor_stack``), as
-``reset_core.ness_factor_stack`` gives them; it is computed from a factor
-in either case, since Wootters' spectrum is the singular values of
-tau = W^T (sigma_y x sigma_y) W.
+(``purity_stack``, ``fidelity_pure_stack``, ``concurrence_stack``).
+Fidelity and concurrence are computed from a factor in every case.  The
+fidelity to sigma = F F^dagger is (tr sqrt(F^dagger rho F))^2
+(``fidelity_factor_stack``): F may be any factor, such as the nonzero
+columns that ``QuantumSystem.rho0_factor`` keeps, and ``fidelity_stack``
+takes it from one eigendecomposition of sigma.  Concurrence takes a stack
+of factors W, rho = W W^dagger (``concurrence_factor_stack``), as
+``reset_core.ness_factor_stack`` gives them, since Wootters' spectrum is
+the singular values of tau = W^T (sigma_y x sigma_y) W.
 Those bodies trust their input, as stacks built from a validated system
 may be; the one-matrix functions validate their arguments and call them.
 """
@@ -21,7 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmatrix import as_density_matrix, density_spectrum, psd_factor_stack, psd_sqrt_stack
+from .cmatrix import (
+    as_density_matrix,
+    density_spectrum,
+    flatten_null,
+    psd_factor_stack,
+    require_psd,
+)
 from .reset_core import SubsystemSplit, partial_trace
 
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
@@ -50,10 +59,9 @@ def fidelity(rho, sigma) -> float:
     """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
 
     Symmetric in its arguments; equals one iff the states coincide.
-    Evaluated as the squared nuclear norm of sqrt(rho) sqrt(sigma), which
-    is the same quantity (A A^dag = sqrt(rho) sigma sqrt(rho) for
-    A = sqrt(rho) sqrt(sigma)) without the square-root-of-round-off noise
-    the nested-sqrt form picks up near zero eigenvalues.
+    Evaluated from a factor F of sigma = F F^dagger as (tr sqrt(F^dagger rho
+    F))^2: sqrt(sigma) rho sqrt(sigma) and F^dagger rho F have the same
+    nonzero spectrum, so no square root of a matrix is taken.
     """
     rho = as_density_matrix(rho)
     sigma = as_density_matrix(sigma)
@@ -64,10 +72,19 @@ def fidelity(rho, sigma) -> float:
 
 def fidelity_stack(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Uhlmann fidelity (see :func:`fidelity`) of each pair of density
-    matrices in two (..., d, d) stacks of one shape."""
-    crossed = psd_sqrt_stack(rho) @ psd_sqrt_stack(sigma)
-    f = np.linalg.svd(crossed, compute_uv=False).sum(axis=-1) ** 2
-    return np.clip(f, 0.0, 1.0)
+    matrices in two (..., d, d) stacks of one shape, from the factor of
+    one eigendecomposition of each sigma."""
+    return fidelity_factor_stack(rho, psd_factor_stack(sigma)[0])
+
+
+def fidelity_factor_stack(rho: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Uhlmann fidelity of each density matrix in a (..., d, d) stack to
+    sigma = F F^dagger, for factors F of shape (..., d, k): (sum sqrt(lam))^2
+    over the eigenvalues lam of the k x k matrix F^dagger rho F.  The PSD
+    check is kept, and eigenvalues at round-off level are flattened to zero
+    as in ``psd_factor_stack``."""
+    lam = require_psd(f.conj().swapaxes(-1, -2) @ rho @ f, "F^dagger rho F")
+    return np.clip(np.sqrt(flatten_null(lam)).sum(axis=-1) ** 2, 0.0, 1.0)
 
 
 def fidelity_pure(rho, psi) -> float:

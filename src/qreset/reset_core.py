@@ -52,7 +52,7 @@ import numpy as np
 from .cmatrix import (
     HermitianEigensystem,
     as_cmatrix,
-    as_density_matrix,
+    density_factor,
     hermitize,
     max_entry,
     require_hermitian,
@@ -91,20 +91,23 @@ class QuantumSystem:
 
     Construction validates the inputs (Hermitian Hamiltonian with a finite
     energy spread; Hermitian, PSD, trace-one rho0) and performs the
-    eigendecomposition once.  The instance is immutable afterwards and safe
-    to share across workers.
+    eigendecomposition of each once.  rho0's gives ``rho0_factor``, the
+    nonzero columns of F0 = V sqrt(w) with rho0 = F0 F0^dagger (d x 1 for a
+    pure rho0).  The instance is immutable afterwards and safe to share
+    across workers.
     """
 
     def __init__(self, hamiltonian, rho0):
         h = as_cmatrix(hamiltonian)
         require_hermitian(h, "hamiltonian")
-        rho = as_density_matrix(rho0)
+        rho, factor = density_factor(rho0)
         if h.shape != rho.shape:
             raise ValueError(
                 f"hamiltonian is {h.shape} but rho0 is {rho.shape}"
             )
         self.hamiltonian = h
         self.rho0 = rho
+        self.rho0_factor = factor
         self.dim = h.shape[0]
         self.eigensystem = HermitianEigensystem(*np.linalg.eigh(h))
         # the frequencies E - E' of the kernels must be finite
@@ -120,7 +123,7 @@ class QuantumSystem:
         # the Frobenius norm of h, taken of h scaled so that it cannot overflow
         scale = max(max_entry(h), 1e-300)
         self.degeneracy_tol = DEGENERACY_RTOL * scale * float(np.linalg.norm(h / scale))
-        for arr in (self.hamiltonian, self.rho0, self._rho0_energy,
+        for arr in (self.hamiltonian, self.rho0, self.rho0_factor, self._rho0_energy,
                     self.eigensystem.eigenvalues, self.eigensystem.eigenvectors):
             arr.flags.writeable = False
 

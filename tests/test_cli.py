@@ -1,7 +1,9 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -149,34 +151,95 @@ class TestNess:
         assert proc.returncode == 0
         assert proc.stderr == ""
 
-    def test_generic_validates_the_stationary_state_once(self, tmp_path, monkeypatch):
-        import qreset.cmatrix as cmatrix_mod
-
+    def test_generic_validates_rho0_once_and_trusts_the_stationary_state(
+            self, tmp_path, monkeypatch):
         hpath = tmp_path / "h.json"
         rpath = tmp_path / "rho.json"
         rng = np.random.default_rng(61)
         a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        save_matrix((a + a.conj().T) / 2, hpath)
-        rho0 = np.zeros((8, 8), dtype=complex)
-        rho0[0, 0] = 1.0
+        h = (a + a.conj().T) / 2
+        save_matrix(h, hpath)
+        psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+        psi /= np.linalg.norm(psi)
+        rho0 = np.outer(psi, psi.conj())
         save_matrix(rho0, rpath)
         calls = []
-        eigvalsh = np.linalg.eigvalsh
 
-        def counted(m):
-            calls.append(m.shape)
-            return eigvalsh(m)
+        def counted(name):
+            solver = getattr(np.linalg, name)
 
-        monkeypatch.setattr(cmatrix_mod.np.linalg, "eigvalsh", counted)
+            def call(m):
+                calls.append((name, m.copy()))
+                return solver(m)
+            return call
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(name))
         out = tmp_path / "report.json"
         assert run(["ness", "--hamiltonian", str(hpath), "--rho0", str(rpath),
                     "--r", "0.7", "--split", "2:4", "--out", str(out)]) == 0
-        # rho0 when the system is built, the stationary state, its reduction
-        assert calls == [(8, 8), (8, 8), (2, 2)]
+        # rho0 and the Hamiltonian when the system is built, then only the
+        # 1 x 1 F0^dagger rho F0 of the fidelity and the (2, 2) reduction
+        assert [(name, m.shape) for name, m in calls] == [
+            ("eigh", (8, 8)), ("eigh", (8, 8)), ("eigvalsh", (1, 1)), ("eigvalsh", (2, 2))]
+        assert np.array_equal(calls[0][1], rho0)
+        assert np.array_equal(calls[1][1], h)
         report = json.loads(out.read_text())
         rho = np.array(report["ness_matrix"]).view(complex).reshape(8, 8)
         assert report["purity"] == purity(rho)
-        assert report["fidelity_rho0"] == fidelity(rho, rho0)
+        assert abs(report["fidelity_rho0"] - (psi.conj() @ rho @ psi).real) <= 4e-16
+
+    def test_generic_fidelity_rho0_matches_the_50_digit_reference(self, tmp_path):
+        # tests/data/make_fidelity_reference.py writes the data: periodic
+        # Ising chains of L = 2..4 reset to a product state.  Through the
+        # square roots of rho and rho0 and one SVD the parent measured a worst
+        # error of 2.9e-15; through the d x 1 factor of rho0, 2.1e-15.
+        spec = importlib.util.spec_from_file_location(
+            "oracle", pathlib.Path(__file__).parents[1] / "perfbench" / "oracle.py")
+        oracle = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(oracle)
+        data = pathlib.Path(__file__).parent / "data" / "fidelity_reference.json"
+        rows = json.loads(data.read_text())["chains"]
+        assert sorted({row["L"] for row in rows}) == [2, 3, 4]
+        hpath, rpath, out = tmp_path / "h.json", tmp_path / "rho.json", tmp_path / "out.json"
+        worst = 0.0
+        for row in rows:
+            save_matrix(oracle.ising_chain(row["L"], row["J"], row["h"]), hpath)
+            save_matrix(oracle.product_state(row["L"], row["theta"], row["phi"]), rpath)
+            assert run(["ness", "--hamiltonian", str(hpath), "--rho0", str(rpath),
+                        "--r", repr(row["r"]), "--out", str(out)]) == 0
+            got = json.loads(out.read_text())["fidelity_rho0"]
+            worst = max(worst, abs(got - float(row["fidelity_rho0"])))
+        assert worst <= 2.9e-15
+
+    def test_generic_rejects_a_rho0_that_is_not_psd(self, tmp_path, capsys):
+        hpath = tmp_path / "h.json"
+        rpath = tmp_path / "rho.json"
+        save_matrix(np.diag([1.0, -1.0]).astype(complex), hpath)
+        save_matrix(np.diag([1.2, -0.2]).astype(complex), rpath)
+        out = tmp_path / "report.json"
+        assert run(["ness", "--hamiltonian", str(hpath), "--rho0", str(rpath), "--r", "1",
+                    "--out", str(out)]) == 4
+        assert "density matrix not PSD" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--R", "--alpha", "--omega", "--j"])
+    def test_generic_rejects_two_spin_flags(self, tmp_path, capsys, flag):
+        hpath = tmp_path / "h.json"
+        rpath = tmp_path / "rho.json"
+        save_matrix(np.diag([1.0, -1.0]).astype(complex), hpath)
+        save_matrix(np.diag([1.0, 0.0]).astype(complex), rpath)
+        assert run(["ness", "--hamiltonian", str(hpath), "--rho0", str(rpath), "--r", "1",
+                    flag, "5"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag}: two-spin flags have no effect")
+
+    def test_two_spin_rejects_split(self, capsys):
+        assert run(["ness", "--R", "1", "--alpha", "1", "--split", "2:2"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --split needs the generic mode")
 
     def test_generic_missing_file(self, tmp_path):
         assert run(

@@ -98,6 +98,23 @@ class TestQuantumSystem:
         sys = two_spin_system()
         with pytest.raises(ValueError):
             sys.hamiltonian[0, 0] = 9.0
+        with pytest.raises(ValueError):
+            sys.rho0_factor[0, 0] = 9.0
+
+    def test_rho0_factor_keeps_the_nonzero_columns(self):
+        rng = np.random.default_rng(45)
+        h = hermitize(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+        a = rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2))
+        rho0 = a @ a.conj().T
+        rho0 /= np.trace(rho0).real
+        f = QuantumSystem(h, rho0).rho0_factor
+        assert f.shape == (8, 2)
+        assert np.abs(f @ f.conj().T - rho0).max() <= 1e-15
+        assert two_spin_system().rho0_factor.shape == (4, 1)
+
+    def test_rejects_a_rho0_that_is_not_psd(self):
+        with pytest.raises(ValueError, match="density matrix not PSD"):
+            QuantumSystem(np.eye(2, dtype=complex), np.diag([1.2, -0.2]).astype(complex))
 
 
 class TestResetSpec:
