@@ -6,14 +6,16 @@ purity, and the two-qubit concurrence in Wootters' closed form.
 Purity, fidelity (general and pure-reference) and concurrence each have one
 body that works on a (..., d, d) stack of density matrices
 (``purity_stack``, ``fidelity_pure_stack``, ``concurrence_stack``).
-Fidelity and concurrence are computed from a factor in every case.  The
-fidelity to sigma = F F^dagger is (tr sqrt(F^dagger rho F))^2
-(``fidelity_factor_stack``): F may be any factor, such as the nonzero
-columns that ``QuantumSystem.rho0_factor`` keeps, and ``fidelity_stack``
-takes it from one eigendecomposition of sigma.  Concurrence takes a stack
-of factors W, rho = W W^dagger (``concurrence_factor_stack``), as
-``reset_core.ness_factor_stack`` gives them, since Wootters' spectrum is
-the singular values of tau = W^T (sigma_y x sigma_y) W.
+Fidelity and concurrence are computed from factors in every case.  The
+fidelity of rho = W W^dagger to sigma = F F^dagger is the squared sum of
+the singular values of W^dagger F (``fidelity_factor_stack``): F may be any
+factor, such as the nonzero columns that ``QuantumSystem.rho0_factor``
+keeps, and ``fidelity_stack`` takes it from one eigendecomposition of
+sigma.  A pure sigma (one column) needs no factor of rho: the fidelity is
+F^dagger rho F.  Concurrence takes a stack of factors W, rho = W W^dagger
+(``concurrence_factor_stack``), as ``reset_core.ness_factor_stack`` gives
+them, since Wootters' spectrum is the singular values of
+tau = W^T (sigma_y x sigma_y) W.
 Those bodies trust their input, as stacks built from a validated system
 may be; the one-matrix functions validate their arguments and call them.
 """
@@ -27,7 +29,6 @@ import numpy as np
 from .cmatrix import (
     as_density_matrix,
     density_spectrum,
-    flatten_null,
     psd_factor_stack,
     require_psd,
 )
@@ -59,9 +60,12 @@ def fidelity(rho, sigma) -> float:
     """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
 
     Symmetric in its arguments; equals one iff the states coincide.
-    Evaluated from a factor F of sigma = F F^dagger as (tr sqrt(F^dagger rho
-    F))^2: sqrt(sigma) rho sqrt(sigma) and F^dagger rho F have the same
-    nonzero spectrum, so no square root of a matrix is taken.
+    Evaluated from factors rho = W W^dagger and sigma = F F^dagger as the
+    squared nuclear norm of W^dagger F, whose squared singular values are
+    the nonzero spectrum of sqrt(sigma) rho sqrt(sigma), so no square root
+    of a matrix is taken.  The singular values are taken directly: as roots
+    of the eigenvalues of F^dagger rho F the small ones would keep only
+    half their digits.
     """
     rho = as_density_matrix(rho)
     sigma = as_density_matrix(sigma)
@@ -79,12 +83,20 @@ def fidelity_stack(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
 def fidelity_factor_stack(rho: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Uhlmann fidelity of each density matrix in a (..., d, d) stack to
-    sigma = F F^dagger, for factors F of shape (..., d, k): (sum sqrt(lam))^2
-    over the eigenvalues lam of the k x k matrix F^dagger rho F.  The PSD
-    check is kept, and eigenvalues at round-off level are flattened to zero
-    as in ``psd_factor_stack``."""
-    lam = require_psd(f.conj().swapaxes(-1, -2) @ rho @ f, "F^dagger rho F")
-    return np.clip(np.sqrt(flatten_null(lam)).sum(axis=-1) ** 2, 0.0, 1.0)
+    sigma = F F^dagger, for factors F of shape (..., d, k).
+
+    For k > 1 it is (sum s)^2 over the singular values s of W^dagger F,
+    with W from one eigendecomposition of each rho and its PSD check (see
+    ``psd_factor_stack``).  A pure sigma (k = 1) needs no factor of rho:
+    the fidelity is the one eigenvalue of the 1 x 1 matrix F^dagger rho F,
+    whose PSD check is kept.
+    """
+    if f.shape[-1] == 1:
+        lam = require_psd(f.conj().swapaxes(-1, -2) @ rho @ f, "F^dagger rho F")
+        return np.clip(lam[..., 0], 0.0, 1.0)
+    w = psd_factor_stack(rho)[0]
+    s = np.linalg.svd(w.conj().swapaxes(-1, -2) @ f, compute_uv=False)
+    return np.clip(s.sum(axis=-1) ** 2, 0.0, 1.0)
 
 
 def fidelity_pure(rho, psi) -> float:

@@ -20,6 +20,16 @@ rank, rho = sigma of rank k, and rho = 0.999 sigma + 0.001 tau with sigma of
 rank k and tau of a random rank (the factor of rho is then
 [sqrt(0.999) B / |B|, sqrt(0.001) T / |T|]).
 
+The last four pairs, of kind "spread", are states with eigenvalues near
+5e-14 of the largest, so that the squared singular values of W^dagger F,
+the spectrum of F^dagger rho F, span more than 1e-14 while neither state
+has an eigenvalue below 1e-14 of its largest: rho = diag(1 - 5e-14, 5e-14)
+with sigma = diag(0.95, 0.05); a d = 4 diagonal pair; and a d = 4 diagonal
+rho against a sigma from a seeded factor whose last three rows are scaled
+by 0.1, in both orders.  Their fidelity is taken from the stored doubles
+themselves: factors V sqrt(w) from 60-digit eigendecompositions of rho and
+sigma, then the singular values of their product.
+
 "chains": the stationary state of ``qreset ness --hamiltonian --rho0`` for
 periodic transverse-field Ising chains of L = 2, 3, 4 spins (oracle's
 ``ising_chain``) reset to a product state psi (oracle's ``product_state``)
@@ -66,9 +76,49 @@ def _unit_trace_factor(a: mpmath.matrix) -> mpmath.matrix:
 
 
 def _fidelity(a: mpmath.matrix, b: mpmath.matrix) -> mpmath.mpf:
-    """F(a a^dagger, b b^dagger) for unit-trace factors a and b."""
+    """F(a a^dagger, b b^dagger) for factors a and b of unit-trace states."""
     s = mpmath.svd_c(a.H * b, compute_uv=False)
     return sum(s[i] for i in range(s.rows)) ** 2
+
+
+def _mp_density(x: list[list[float]], d: int) -> mpmath.matrix:
+    m = mpmath.matrix(d, d)
+    for n, (re, im) in enumerate(x):
+        m[n // d, n % d] = mpmath.mpc(re, im)
+    return m
+
+
+def _factor_of(m: mpmath.matrix) -> mpmath.matrix:
+    """V sqrt(max(w, 0)) from the 60-digit eigendecomposition of m."""
+    w, v = mpmath.eighe(m)
+    f = mpmath.matrix(m.rows, m.rows)
+    for j in range(m.rows):
+        root = mpmath.sqrt(max(w[j], 0))
+        for i in range(m.rows):
+            f[i, j] = v[i, j] * root
+    return f
+
+
+def spread(rng: np.random.Generator) -> list[dict]:
+    b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    b[1:] *= 0.1
+    tilted = b @ b.conj().T
+    tilted /= np.trace(tilted).real
+    diag2 = np.diag([1 - 5e-14, 5e-14])
+    diag4 = np.diag([1 - 1.5e-13, 5e-14, 5e-14, 5e-14])
+    cases = [(diag2, np.diag([0.95, 0.05])),
+             (diag4, np.diag([0.97, 0.01, 0.01, 0.01])),
+             (diag4, tilted), (tilted, diag4)]
+    out = []
+    for rho, sigma in cases:
+        d = rho.shape[0]
+        row = {"kind": "spread", "d": d, "rank_rho": d, "rank_sigma": d,
+               "rho": np.asarray(rho, complex).view(float).reshape(-1, 2).tolist(),
+               "sigma": np.asarray(sigma, complex).view(float).reshape(-1, 2).tolist()}
+        a, b_ = (_factor_of(_mp_density(row[k], d)) for k in ("rho", "sigma"))
+        row["fidelity"] = mpmath.nstr(_fidelity(a, b_), 30)
+        out.append(row)
+    return out
 
 
 def pairs(rng: np.random.Generator) -> list[dict]:
@@ -138,6 +188,7 @@ def main() -> None:
     rng = np.random.default_rng(SEED)
     with mpmath.workdps(DIGITS):
         doc = {"pairs": pairs(rng), "chains": chains(rng)}
+        doc["pairs"] += spread(np.random.default_rng(SEED + 1))
     with open(PATH, "w") as f:
         f.write("{\n")
         for key in ("pairs", "chains"):

@@ -189,6 +189,24 @@ class TestNess:
         assert report["purity"] == purity(rho)
         assert abs(report["fidelity_rho0"] - (psi.conj() @ rho @ psi).real) <= 4e-16
 
+    def test_generic_mixed_rho0_fidelity_is_the_nuclear_norm(self, tmp_path):
+        # a rank-2 rho0: fidelity_rho0 is the squared nuclear norm of
+        # W^dagger F0, which equals that of sqrt(rho) sqrt(rho0)
+        hpath, rpath, out = tmp_path / "h.json", tmp_path / "rho.json", tmp_path / "out.json"
+        rng = np.random.default_rng(62)
+        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        save_matrix((a + a.conj().T) / 2, hpath)
+        u, _ = np.linalg.qr(rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2)))
+        rho0 = 0.95 * np.outer(u[:, 0], u[:, 0].conj()) + 0.05 * np.outer(u[:, 1], u[:, 1].conj())
+        save_matrix(rho0, rpath)
+        assert run(["ness", "--hamiltonian", str(hpath), "--rho0", str(rpath),
+                    "--r", "0.7", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        rho = np.array(report["ness_matrix"]).view(complex).reshape(8, 8)
+        crossed = qreset.psd_sqrt(rho) @ qreset.psd_sqrt(rho0)
+        expected = np.linalg.svd(crossed, compute_uv=False).sum() ** 2
+        assert abs(report["fidelity_rho0"] - expected) <= 1e-14
+
     def test_generic_fidelity_rho0_matches_the_50_digit_reference(self, tmp_path):
         # tests/data/make_fidelity_reference.py writes the data: periodic
         # Ising chains of L = 2..4 reset to a product state.  Through the

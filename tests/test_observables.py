@@ -167,17 +167,22 @@ class TestFidelityReference:
     """Fidelity against a frozen 50-digit reference
     (tests/data/make_fidelity_reference.py writes the data): pairs of every
     rank 1..d for d = 2, 4, 8, exactly of that rank before rounding, with
-    rho = sigma and rho = 0.999 sigma + 0.001 tau among them.
+    rho = sigma and rho = 0.999 sigma + 0.001 tau among them, and four
+    "spread" pairs whose F^dagger rho F has eigenvalues below 1e-14 of its
+    largest, such as rho = diag(1 - 5e-14, 5e-14), sigma = diag(0.95, 0.05).
 
-    The parent of the factor body -- the square roots of rho and sigma and
-    one SVD of their product -- measured a worst error of 3.6e-15 (rho =
-    sigma at d = 8); (tr sqrt(F^dagger rho F))^2 measures 2.8e-15."""
+    The square roots of rho and sigma and one SVD of their product measured
+    a worst error of 3.6e-15 (rho = sigma at d = 8).  The roots of the
+    eigenvalues of F^dagger rho F, flattened below 1e-14 of the largest,
+    lose the small terms of the spread pairs (1.3e-7).  The singular values
+    of W^dagger F measure 1.3e-15."""
 
     DATA = pathlib.Path(__file__).parent / "data" / "fidelity_reference.json"
 
     def test_matches_the_50_digit_reference(self):
         rows = json.loads(self.DATA.read_text())["pairs"]
-        assert len(rows) == 56
+        assert len(rows) == 60
+        assert sum(r["kind"] == "spread" for r in rows) == 4
         assert {(r["d"], r["rank_rho"]) for r in rows if r["kind"] == "rank_rho"} == {
             (d, k) for d in (2, 4, 8) for k in range(1, d + 1)}
         worst = 0.0
