@@ -90,26 +90,16 @@ def _parse_grid(spec: str, name: str) -> list[float]:
     return [float(v) for v in np.linspace(lo, hi, n)]
 
 
-def _parse_bounds(spec: str, name: str) -> tuple[float, float]:
+def _parse_floats(spec: str, name: str, form: str) -> tuple[float, ...]:
+    """The numbers of the flag ``name``'s ``spec``, shaped like ``form``
+    (such as lo:hi); errors name the flag."""
     parts = spec.split(":")
-    if len(parts) != 2:
-        raise ValueError(f"{name} must look like lo:hi, got {spec!r}")
-    return float(parts[0]), float(parts[1])
-
-
-def _parse_box(spec: str) -> tuple[float, float, float, float]:
-    parts = spec.split(":")
-    if len(parts) != 4:
-        raise ValueError(f"--box must look like rlo:rhi:alo:ahi, got {spec!r}")
+    if len(parts) != form.count(":") + 1:
+        raise ValueError(f"{name} must look like {form}, got {spec!r}")
     try:
-        box = tuple(float(x) for x in parts)
+        return tuple(float(x) for x in parts)
     except ValueError:
-        raise ValueError(f"cannot parse --box spec {spec!r}") from None
-    try:
-        check_box(*box)
-    except ValueError as exc:
-        raise ValueError(f"--box {spec!r}: {exc}") from None
-    return box
+        raise ValueError(f"cannot parse {name} spec {spec!r}") from None
 
 
 def _parse_observables(spec: str, allowed=ALL_OBSERVABLES) -> tuple[str, ...]:
@@ -173,7 +163,9 @@ def _cmd_ness(args) -> int:
         if args.r is None or args.r <= 0:
             raise ValueError("generic mode needs a positive --r")
         two_spin = [flag for flag, value in (("--R", args.R), ("--alpha", args.alpha),
-                                             ("--omega", args.omega), ("--j", args.j))
+                                             ("--omega", args.omega), ("--j", args.j),
+                                             ("--format", args.format),
+                                             ("--observables", args.observables))
                     if value is not None]
         if two_spin:
             raise ValueError(f"{', '.join(two_spin)}: two-spin flags have no effect "
@@ -204,9 +196,10 @@ def _cmd_ness(args) -> int:
     p = _resolve_params(args)
     if p.r <= 0:
         raise ValueError("stationary observables need a positive reset rate")
-    grid = SweepGrid(r_values=(p.R,), alpha_values=(p.alpha,),
-                     observables=_parse_observables(args.observables))
-    _emit(args.out, write_table, sweep_records(grid), args.format)
+    observables = (ALL_OBSERVABLES if args.observables is None
+                   else _parse_observables(args.observables))
+    grid = SweepGrid(r_values=(p.R,), alpha_values=(p.alpha,), observables=observables)
+    _emit(args.out, write_table, sweep_records(grid), args.format or "csv")
     return EXIT_OK
 
 
@@ -232,7 +225,7 @@ def _cmd_timeseries(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    lo, hi = _parse_bounds(args.r_bounds, "--r-bounds")
+    lo, hi = _parse_floats(args.r_bounds, "--r-bounds", "lo:hi")
     res = optimize_concurrence(args.alpha, lo, hi, tol=args.tol)
     _emit(args.out, write_json, [
         ("alpha", float(args.alpha)),
@@ -244,8 +237,12 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_critical(args) -> int:
-    r_lo, r_hi, a_lo, a_hi = _parse_box(args.box)
-    cp = find_inflection(r_lo, r_hi, a_lo, a_hi)
+    box = _parse_floats(args.box, "--box", "rlo:rhi:alo:ahi")
+    try:
+        check_box(*box)
+    except ValueError as exc:
+        raise ValueError(f"--box {args.box!r}: {exc}") from None
+    cp = find_inflection(*box)
     _emit(args.out, write_json, [
         ("r_c", cp.r_c),
         ("alpha_c", cp.alpha_c),
@@ -256,7 +253,7 @@ def _cmd_critical(args) -> int:
 
 
 def _cmd_peak_r(args) -> int:
-    lo, hi = _parse_bounds(args.r_bounds, "--r-bounds")
+    lo, hi = _parse_floats(args.r_bounds, "--r-bounds", "lo:hi")
     alpha = args.alpha if args.alpha is not None else 0.0
     res = find_entropy_peak_rate(args.t, alpha, lo, hi, tol=args.tol)
     _emit(args.out, write_json, [
@@ -309,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ness", parents=[], help="stationary observables at a point")
     _add_param_flags(sp)
-    sp.add_argument("--observables", default=",".join(ALL_OBSERVABLES))
+    sp.add_argument("--observables", default=None,
+                    help="two-spin mode only (default: all four)")
     sp.add_argument("--hamiltonian", default=None,
                     help="interchange file with a generic Hamiltonian")
     sp.add_argument("--rho0", default=None,
@@ -318,7 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="dimA:dimB bipartition for the subsystem entropy "
                          "(generic mode only)")
     common_output(sp)
-    sp.set_defaults(func=_cmd_ness)
+    # no default: the generic mode rejects a --format it cannot honour,
+    # and the two-spin mode falls back to csv
+    sp.set_defaults(func=_cmd_ness, format=None)
 
     sp = sub.add_parser("sweep", help="grid sweep of stationary observables")
     sp.add_argument("--grid-r", required=True, help="lo:hi:n[:log]")

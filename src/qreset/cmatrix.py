@@ -7,13 +7,13 @@ violations raise ValueError instead of propagating garbage downstream.
 This module is the one place that says what a valid density matrix is
 (``density_spectrum``).
 
-``psd_factor_stack`` is the one body of a PSD matrix's factor V sqrt(w),
-and ``psd_sqrt_stack`` takes the square root from it: both work on a stack
-of matrices with shape (..., d, d) and trust their input, as stacks built
-from a validated system may be.  ``psd_sqrt`` validates one matrix and
-calls the stack body.  ``density_factor`` validates a density matrix with
-one eigendecomposition and keeps the nonzero columns of its factor, so a
-pure state gives a d x 1 factor.
+``psd_factor_stack`` is the one body of a PSD matrix's factor V sqrt(w):
+it works on a stack of matrices with shape (..., d, d) and trusts its
+input, as stacks built from a validated system may be.  ``psd_sqrt``
+validates one matrix and takes its square root from that factor.
+``density_factor`` validates a density matrix with one eigendecomposition
+and keeps the nonzero columns of its factor, so a pure state gives a d x 1
+factor.
 """
 
 from __future__ import annotations
@@ -108,25 +108,17 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     """
     a = as_cmatrix(a)
     require_hermitian(a, "psd_sqrt input")
-    return psd_sqrt_stack(a)
-
-
-def psd_sqrt_stack(a: np.ndarray) -> np.ndarray:
-    """Square root of each Hermitian PSD matrix in a (..., d, d) stack.
-
-    The input is trusted to be finite and Hermitian.  The PSD check comes
-    with the eigendecomposition and is kept for every member: one smallest
-    eigenvalue below ``-PSD_CLIP_TOL`` anywhere in the stack raises.
-    """
     factor, v = psd_factor_stack(a)
-    return hermitize(factor @ v.conj().swapaxes(-1, -2))
+    return hermitize(factor @ v.conj().T)
 
 
 def psd_factor_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Factor W = V sqrt(w), with W W^dagger = a, of each Hermitian PSD
-    matrix in a (..., d, d) stack, and the eigenvectors V; trusted input
-    and PSD check as in :func:`psd_sqrt_stack`.  Eigenvalues below
-    PSD_NULL_RTOL of the largest flatten to exact zeros."""
+    matrix in a (..., d, d) stack, and the eigenvectors V.  The input is
+    trusted to be finite and Hermitian.  The PSD check comes with the
+    eigendecomposition and is kept for every member: one smallest
+    eigenvalue below ``-PSD_CLIP_TOL`` anywhere in the stack raises.
+    Eigenvalues below PSD_NULL_RTOL of the largest flatten to exact zeros."""
     w, v = np.linalg.eigh(a)
     _require_psd_spectrum(w, "psd_sqrt input")
     return v * np.sqrt(flatten_null(w))[..., None, :], v
@@ -185,7 +177,8 @@ def require_psd(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     the ascending eigenvalues."""
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{what} entries must be finite")
-    w = np.linalg.eigvalsh(a)
+    # the one eigenvalue of a 1 x 1 Hermitian matrix is its real part
+    w = a[..., 0].real if a.shape[-1] == 1 else np.linalg.eigvalsh(a)
     _require_psd_spectrum(w, what)
     return w
 

@@ -3,19 +3,18 @@
 von Neumann entropy, Uhlmann fidelity (general and pure-reference),
 purity, and the two-qubit concurrence in Wootters' closed form.
 
-Purity, fidelity (general and pure-reference) and concurrence each have one
-body that works on a (..., d, d) stack of density matrices
-(``purity_stack``, ``fidelity_pure_stack``, ``concurrence_stack``).
-Fidelity and concurrence are computed from factors in every case.  The
-fidelity of rho = W W^dagger to sigma = F F^dagger is the squared sum of
-the singular values of W^dagger F (``fidelity_factor_stack``): F may be any
-factor, such as the nonzero columns that ``QuantumSystem.rho0_factor``
-keeps, and ``fidelity_stack`` takes it from one eigendecomposition of
-sigma.  A pure sigma (one column) needs no factor of rho: the fidelity is
-F^dagger rho F.  Concurrence takes a stack of factors W, rho = W W^dagger
-(``concurrence_factor_stack``), as ``reset_core.ness_factor_stack`` gives
-them, since Wootters' spectrum is the singular values of
-tau = W^T (sigma_y x sigma_y) W.
+Purity, fidelity and concurrence each have one body that works on a
+(..., d, d) stack of density matrices (``purity_stack``,
+``fidelity_factor_stack``, ``concurrence_stack``).  Fidelity and
+concurrence are computed from factors in every case.  The fidelity of
+rho = W W^dagger to sigma = F F^dagger is the squared sum of the singular
+values of W^dagger F: F may be any factor, such as the nonzero columns that
+``QuantumSystem.rho0_factor`` keeps, and ``fidelity`` takes it from one
+eigendecomposition of sigma.  A pure sigma (one column) needs no factor of
+rho: the fidelity is F^dagger rho F.  Concurrence takes a stack of factors
+W, rho = W W^dagger (``concurrence_factor_stack``), as
+``reset_core.ness_factor_stack`` gives them, since Wootters' spectrum is
+the singular values of tau = W^T (sigma_y x sigma_y) W.
 Those bodies trust their input, as stacks built from a validated system
 may be; the one-matrix functions validate their arguments and call them.
 """
@@ -71,14 +70,7 @@ def fidelity(rho, sigma) -> float:
     sigma = as_density_matrix(sigma)
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    return float(fidelity_stack(rho, sigma))
-
-
-def fidelity_stack(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Uhlmann fidelity (see :func:`fidelity`) of each pair of density
-    matrices in two (..., d, d) stacks of one shape, from the factor of
-    one eigendecomposition of each sigma."""
-    return fidelity_factor_stack(rho, psd_factor_stack(sigma)[0])
+    return float(fidelity_factor_stack(rho, psd_factor_stack(sigma)[0]))
 
 
 def fidelity_factor_stack(rho: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -88,8 +80,8 @@ def fidelity_factor_stack(rho: np.ndarray, f: np.ndarray) -> np.ndarray:
     For k > 1 it is (sum s)^2 over the singular values s of W^dagger F,
     with W from one eigendecomposition of each rho and its PSD check (see
     ``psd_factor_stack``).  A pure sigma (k = 1) needs no factor of rho:
-    the fidelity is the one eigenvalue of the 1 x 1 matrix F^dagger rho F,
-    whose PSD check is kept.
+    the fidelity is the real part of the 1 x 1 matrix F^dagger rho F, which
+    must be finite and not below -PSD_CLIP_TOL.
     """
     if f.shape[-1] == 1:
         lam = require_psd(f.conj().swapaxes(-1, -2) @ rho @ f, "F^dagger rho F")
@@ -100,7 +92,8 @@ def fidelity_factor_stack(rho: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def fidelity_pure(rho, psi) -> float:
-    """Fidelity against a pure reference state: <psi| rho |psi>."""
+    """Fidelity against a pure reference state: the real part of
+    <psi| rho |psi> (see :func:`fidelity_factor_stack`)."""
     rho = as_density_matrix(rho)
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.shape[0] != rho.shape[0]:
@@ -108,17 +101,7 @@ def fidelity_pure(rho, psi) -> float:
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"state vector norm is {norm}, expected 1")
-    return float(fidelity_pure_stack(rho, psi))
-
-
-def fidelity_pure_stack(rho: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """<psi| rho |psi> for each matrix in a (..., d, d) stack and a unit
-    vector psi; an expectation with an imaginary part raises."""
-    val = psi.conj() @ rho @ psi
-    worst = float(np.max(np.abs(val.imag), initial=0.0))
-    if worst > 1e-12:
-        raise ValueError(f"expectation has imaginary part {worst:.3e}")
-    return np.clip(val.real, 0.0, 1.0)
+    return float(fidelity_factor_stack(rho, psi[:, None]))
 
 
 def spin_flip(rho) -> np.ndarray:

@@ -28,9 +28,9 @@ The finite-time state takes the raw energies.
 ``ness_density_stack`` and ``reset_density_stack`` are the one body of each
 state: they return a (n, d, d) stack over n rates or n times of one system,
 in one vectorised step.  ``ness_density`` and ``reset_density`` are the
-one-matrix views of them, and ``unitary_evolve`` is the rate-0 view.  The
-system was validated when it was built, so the stacks are not validated
-again.
+one-matrix views of them, and ``unitary_evolve`` is the rate-0 view; the
+stacks check the rates and times, and the views pass theirs on.  The
+system was validated when it was built, so it is not validated again.
 
 For a pure rho0 = |psi><psi| the stationary state has an exact factor,
 rho = W W^dagger.  With c = V^dagger psi the energy-basis state is the
@@ -133,16 +133,9 @@ class QuantumSystem:
         return hermitize(v @ rho_energy @ v.conj().T)
 
 
-def _check_time(t: float) -> float:
-    t = float(t)
-    if not np.isfinite(t) or t < 0:
-        raise ValueError(f"time must be finite and >= 0, got {t}")
-    return t
-
-
 def unitary_evolve(sys: QuantumSystem, t: float) -> np.ndarray:
     """Reset-free density matrix exp(-iHt) rho0 exp(iHt): the rate-0 state."""
-    return reset_density_stack(sys, 0.0, np.array([_check_time(t)]))[0]
+    return reset_density_stack(sys, 0.0, [t])[0]
 
 
 def _clustered(energies: np.ndarray, degeneracy_tol) -> np.ndarray:
@@ -174,7 +167,7 @@ def _kernels(energies: np.ndarray, rates: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def reset_density(sys: QuantumSystem, reset: ResetSpec, t: float) -> np.ndarray:
     """Density matrix at time t under resetting, via the renewal form."""
-    return reset_density_stack(sys, reset.rate, np.array([_check_time(t)]))[0]
+    return reset_density_stack(sys, reset.rate, [t])[0]
 
 
 def reset_density_stack(sys: QuantumSystem, rate: float, t) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import twospin
 from .cmatrix import require_psd
-from .observables import concurrence_factor_stack, fidelity_pure_stack
+from .observables import concurrence_factor_stack, fidelity_factor_stack
 from .reset_core import (
     ResetSpec,
     ness_density,
@@ -186,7 +186,7 @@ def timeseries(
         # the phases omega*t carry no digits once |omega t| nears 1/eps, and
         # the matrix is then no state: check every member
         require_psd(rhos, "finite-time density matrix")
-        table["fidelity"] = fidelity_pure_stack(rhos, twospin.DOWN_DOWN)
+        table["fidelity"] = fidelity_factor_stack(rhos, sys.rho0_factor)
     _check_bounds(table)
     return table
 
@@ -201,6 +201,9 @@ class OptimizeResult:
     flag: str  # "interior", "boundary", or "degenerate"
 
 
+_PROBES = 65  # probes per round of _bracketed_max
+
+
 def _check_tol(tol: float) -> None:
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be finite and > 0, got {tol}")
@@ -211,12 +214,11 @@ def _bracketed_max(
     lo: float,
     hi: float,
     tol: float,
-    probes: int = 65,
 ) -> OptimizeResult:
     """Maximize f over [lo, hi] in rounds of geometric probes.
 
     ``f`` maps a 1-D float array of points to their values; each round
-    passes it ``probes`` points spread geometrically over the bracket, at
+    passes it ``_PROBES`` points spread geometrically over the bracket, at
     first [lo, hi].  The maximum of a unimodal f lies between the neighbours
     of the best probe, which become the next bracket.  The rounds stop once
     the best probe is within tol/2 of both neighbours, or once the next
@@ -226,18 +228,18 @@ def _bracketed_max(
     probe is an endpoint, else "interior".
     """
     _check_tol(tol)
-    xs, best = np.geomspace(lo, hi, probes), None
+    xs, best = np.geomspace(lo, hi, _PROBES), None
     while True:
         vals = np.asarray(f(xs), dtype=float)
         i = int(np.argmax(vals))
         if best is None and vals.max() - vals.min() < 1e-14:
             return OptimizeResult(x=lo, value=float(vals[0]), flag="degenerate")
-        if best is None and i in (0, probes - 1):
+        if best is None and i in (0, _PROBES - 1):
             return OptimizeResult(x=float(xs[i]), value=float(vals[i]), flag="boundary")
         if best is None or vals[i] > best.value:
             best = OptimizeResult(x=float(xs[i]), value=float(vals[i]), flag="interior")
-        x, a, b = xs[i], xs[max(i - 1, 0)], xs[min(i + 1, probes - 1)]
-        xs = np.geomspace(a, b, probes)
+        x, a, b = xs[i], xs[max(i - 1, 0)], xs[min(i + 1, _PROBES - 1)]
+        xs = np.geomspace(a, b, _PROBES)
         if max(x - a, b - x) <= 0.5 * tol or not np.all(np.diff(xs) > 0.0):
             return best
 

@@ -85,13 +85,15 @@ def sample_reset_times(rate: float, t_final: float, stream: np.random.Generator)
 
 
 def _pure_state_of(sys: QuantumSystem) -> np.ndarray:
-    """Extract |psi0> from a pure rho0; reject mixed initial states."""
-    w, v = np.linalg.eigh(sys.rho0)
-    if w[-1] < 1.0 - 1e-12:
+    """|psi0> of a pure rho0: the last column of its factor, that of the
+    largest eigenvalue, whose squared norm it is; reject mixed initial states."""
+    psi = sys.rho0_factor[:, -1]
+    largest = float(np.vdot(psi, psi).real)
+    if largest < 1.0 - 1e-12:
         raise ValueError(
-            f"trajectory protocol needs a pure rho0 (largest eigenvalue {w[-1]})"
+            f"trajectory protocol needs a pure rho0 (largest eigenvalue {largest})"
         )
-    return v[:, -1].copy()
+    return psi
 
 
 def evolve_trajectory(sys: QuantumSystem, resets, t_final: float) -> np.ndarray:

@@ -179,9 +179,10 @@ class TestNess:
         assert run(["ness", "--hamiltonian", str(hpath), "--rho0", str(rpath),
                     "--r", "0.7", "--split", "2:4", "--out", str(out)]) == 0
         # rho0 and the Hamiltonian when the system is built, then only the
-        # 1 x 1 F0^dagger rho F0 of the fidelity and the (2, 2) reduction
+        # (2, 2) reduction: the 1 x 1 F0^dagger rho F0 of the fidelity needs
+        # no eigensolver
         assert [(name, m.shape) for name, m in calls] == [
-            ("eigh", (8, 8)), ("eigh", (8, 8)), ("eigvalsh", (1, 1)), ("eigvalsh", (2, 2))]
+            ("eigh", (8, 8)), ("eigh", (8, 8)), ("eigvalsh", (2, 2))]
         assert np.array_equal(calls[0][1], rho0)
         assert np.array_equal(calls[1][1], h)
         report = json.loads(out.read_text())
@@ -252,6 +253,37 @@ class TestNess:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {flag}: two-spin flags have no effect")
+
+    @pytest.mark.parametrize("flags", [
+        ["--format", "jsonl"],
+        ["--observables", "entropy"],
+        ["--format", "jsonl", "--observables", "entropy"],
+    ])
+    def test_generic_rejects_two_spin_output_flags(self, tmp_path, capsys, flags):
+        # the generic report is JSON with every observable it can give
+        hpath = tmp_path / "h.json"
+        rpath = tmp_path / "rho.json"
+        out = tmp_path / "never.json"
+        save_matrix(np.diag([1.0, -1.0]).astype(complex), hpath)
+        save_matrix(np.diag([1.0, 0.0]).astype(complex), rpath)
+        assert run(["ness", "--hamiltonian", str(hpath), "--rho0", str(rpath), "--r", "1",
+                    *flags, "--out", str(out)]) == 4
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        named = ", ".join(flags[::2])
+        assert captured.err.startswith(f"error: {named}: two-spin flags have no effect")
+        assert run(["ness", "--hamiltonian", str(hpath), "--rho0", str(rpath), "--r", "1",
+                    *flags]) == 4
+        assert capsys.readouterr().out == ""
+
+    def test_two_spin_output_flags_default_to_csv_and_all_observables(self, capsys):
+        assert run(["ness", "--R", "1", "--alpha", "1"]) == 0
+        default = capsys.readouterr().out
+        assert run(["ness", "--R", "1", "--alpha", "1", "--format", "csv",
+                    "--observables", "entropy,fidelity,purity,concurrence"]) == 0
+        assert capsys.readouterr().out == default
+        assert default.startswith("r,alpha,t,entropy,fidelity,purity,concurrence\n")
 
     def test_two_spin_rejects_split(self, capsys):
         assert run(["ness", "--R", "1", "--alpha", "1", "--split", "2:2"]) == 4
@@ -524,6 +556,14 @@ class TestOptimize:
 
     def test_bad_bounds(self):
         assert run(["optimize", "--alpha", "2", "--r-bounds", "5:1"]) == 4
+
+    @pytest.mark.parametrize("command", [["optimize", "--alpha", "2"], ["peak-r", "--t", "5"]])
+    @pytest.mark.parametrize("bounds", ["a:1", "0.1:1:2", "0.1"])
+    def test_unparsable_bounds_name_the_flag(self, capsys, command, bounds):
+        assert run([*command, "--r-bounds", bounds]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "--r-bounds" in captured.err
 
     @pytest.mark.parametrize("command", [["optimize", "--alpha", "2"], ["peak-r", "--t", "5"]])
     def test_infinite_rate_bound_is_config_error(self, command):

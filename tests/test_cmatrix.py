@@ -9,8 +9,8 @@ from qreset.cmatrix import (
     hermitian_eig,
     hermitize,
     max_entry,
+    psd_factor_stack,
     psd_sqrt,
-    psd_sqrt_stack,
     require_hermitian,
 )
 
@@ -171,7 +171,8 @@ class TestPsdSqrt:
     def test_stack_equals_one_by_one(self):
         rng = np.random.default_rng(10)
         stack = np.array([random_density(rng, 4) for _ in range(6)])
-        roots = psd_sqrt_stack(stack.copy())
+        factors, v = psd_factor_stack(stack.copy())
+        roots = hermitize(factors @ v.conj().swapaxes(-1, -2))
         for rho, root in zip(stack, roots):
             assert np.array_equal(root, psd_sqrt(rho))
 
@@ -180,7 +181,7 @@ class TestPsdSqrt:
         stack = np.array([random_density(rng, 4) for _ in range(5)])
         stack[3] = np.diag([0.7, 0.4, 0.0, -0.1]).astype(complex)
         with pytest.raises(ValueError, match="not PSD"):
-            psd_sqrt_stack(stack)
+            psd_factor_stack(stack)
 
 
 class TestDensityValidation:

@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from qreset.cmatrix import density_factor
+from qreset.cmatrix import PSD_CLIP_TOL, density_factor, psd_factor_stack
 from qreset.observables import (
     concurrence,
     concurrence_factor_stack,
@@ -13,7 +13,6 @@ from qreset.observables import (
     fidelity,
     fidelity_factor_stack,
     fidelity_pure,
-    fidelity_stack,
     purity,
     spin_flip,
     von_neumann_entropy,
@@ -131,14 +130,15 @@ class TestFidelity:
         rng = np.random.default_rng(35)
         rhos = np.array([random_density(rng, 8, rank) for rank in (1, 3, 8, 8)])
         sigmas = np.array([random_density(rng, 8, rank) for rank in (8, 2, 1, 8)])
-        stacked = fidelity_stack(rhos, sigmas)
+        stacked = fidelity_factor_stack(rhos, psd_factor_stack(sigmas)[0])
         assert stacked.shape == (4,)
         assert stacked.tolist() == [fidelity(r, s) for r, s in zip(rhos, sigmas)]
 
     def test_stack_keeps_the_psd_check(self):
         bad = np.diag([1.2, -0.2]).astype(complex)
         with pytest.raises(ValueError, match="not PSD"):
-            fidelity_stack(np.array([np.eye(2) / 2, bad]), np.array([np.eye(2) / 2] * 2))
+            fidelity_factor_stack(np.array([np.eye(2) / 2, bad]),
+                                  psd_factor_stack(np.array([np.eye(2) / 2] * 2))[0])
 
 
 class TestFidelityFactor:
@@ -149,7 +149,8 @@ class TestFidelityFactor:
             sigma = random_density(rng, 8, rank)
             _, f = density_factor(sigma)
             assert f.shape == (8, rank)
-            assert np.abs(fidelity_factor_stack(rhos, f) - fidelity_stack(rhos, sigma)).max() <= 2e-15
+            full = fidelity_factor_stack(rhos, psd_factor_stack(sigma)[0])
+            assert np.abs(fidelity_factor_stack(rhos, f) - full).max() <= 2e-15
 
     def test_pure_factor_is_the_expectation(self):
         rng = np.random.default_rng(38)
@@ -161,6 +162,22 @@ class TestFidelityFactor:
         bad = np.diag([1.2, -0.2]).astype(complex)
         with pytest.raises(ValueError, match="not PSD"):
             fidelity_factor_stack(bad, np.eye(2) / np.sqrt(2))
+
+    def test_pure_branch_is_the_real_part(self):
+        # the real part of F^dagger rho F, bit for bit; it is also the one
+        # eigenvalue of that 1 x 1 matrix, bit for bit
+        rng = np.random.default_rng(39)
+        rhos = np.array([random_density(rng, 8, rank) for rank in (1, 3, 8)])
+        f = random_pure(rng, 8)[:, None]
+        m = f.conj().T @ rhos @ f
+        assert np.array_equal(fidelity_factor_stack(rhos, f), m[:, 0, 0].real)
+        assert np.array_equal(np.linalg.eigvalsh(m)[:, 0], m[:, 0, 0].real)
+        e0 = np.eye(2, dtype=complex)[:, :1]
+        assert fidelity_factor_stack(np.diag([-0.5 * PSD_CLIP_TOL, 1.0]) + 0j, e0) == 0.0
+        with pytest.raises(ValueError, match="not PSD"):
+            fidelity_factor_stack(np.diag([-2.0 * PSD_CLIP_TOL, 1.0]) + 0j, e0)
+        with pytest.raises(ValueError, match="finite"):
+            fidelity_factor_stack(np.diag([np.nan, 1.0]) + 0j, e0)
 
 
 class TestFidelityReference:
@@ -189,7 +206,7 @@ class TestFidelityReference:
         for row in rows:
             d = row["d"]
             rho, sigma = (np.array(row[k]).view(complex).reshape(d, d) for k in ("rho", "sigma"))
-            stacked = float(fidelity_stack(rho, sigma))
+            stacked = float(fidelity_factor_stack(rho, psd_factor_stack(sigma)[0]))
             assert stacked == fidelity(rho, sigma)
             worst = max(worst, abs(stacked - float(row["fidelity"])))
         assert worst <= 3.6e-15
@@ -217,6 +234,16 @@ class TestFidelityPure:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             fidelity_pure(np.eye(4, dtype=complex) / 4, 2.0 * UP_UP)
+
+    def test_hermitian_to_round_off_gives_the_real_part(self):
+        # rho is Hermitian only to about 1e-11, within HERMITICITY_RTOL, so
+        # <psi|rho|psi> has an imaginary part of that size: it is dropped
+        rng = np.random.default_rng(40)
+        psi = random_pure(rng, 4)
+        rho = random_density(rng, 4) + 1e-11j * projector(psi)
+        value = psi.conj() @ rho @ psi
+        assert abs(value.imag) > 1e-12
+        assert fidelity_pure(rho, psi) == pytest.approx(value.real, abs=1e-15)
 
 
 class TestPurity:

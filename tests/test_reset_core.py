@@ -162,6 +162,14 @@ class TestUnitaryEvolve:
         with pytest.raises(ValueError):
             unitary_evolve(two_spin_system(), -1.0)
 
+    @pytest.mark.parametrize("t", [-1.0, np.nan, np.inf])
+    def test_views_leave_the_time_check_to_the_stack(self, t):
+        sys = two_spin_system()
+        with pytest.raises(ValueError, match="times must be"):
+            unitary_evolve(sys, t)
+        with pytest.raises(ValueError, match="times must be"):
+            reset_density(sys, ResetSpec(1.0), t)
+
 
 class TestResetDensity:
     def test_rate_zero_equals_unitary(self):

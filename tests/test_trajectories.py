@@ -131,6 +131,17 @@ class TestEvolveTrajectory:
         with pytest.raises(ValueError):
             evolve_trajectory(sys, [], 1.0)
 
+    def test_pure_state_is_the_largest_column_of_the_factor(self):
+        # purity rule: largest eigenvalue of rho0 at least 1 - 1e-12
+        h = np.diag([1.0, -1.0]).astype(complex)
+        nearly = QuantumSystem(h, np.diag([1e-13, 1.0 - 1e-13]).astype(complex))
+        assert nearly.rho0_factor.shape == (2, 2)
+        psi = evolve_trajectory(nearly, [], 0.0)
+        assert psi[0] == 0.0 and abs(abs(psi[1]) - 1.0) < 1e-15
+        mixed = QuantumSystem(h, np.diag([1e-11, 1.0 - 1e-11]).astype(complex))
+        with pytest.raises(ValueError, match=r"needs a pure rho0 \(largest eigenvalue 0\.99"):
+            evolve_trajectory(mixed, [], 1.0)
+
     def test_rejects_unsorted_resets(self):
         sys = two_spin_system()
         with pytest.raises(ValueError):
