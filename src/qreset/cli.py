@@ -49,7 +49,6 @@ from .sweep import (
     BoundsError,
     SolverError,
     SweepGrid,
-    check_box,
     find_entropy_peak_rate,
     find_inflection,
     mc_validate,
@@ -100,6 +99,15 @@ def _parse_floats(spec: str, name: str, form: str) -> tuple[float, ...]:
         return tuple(float(x) for x in parts)
     except ValueError:
         raise ValueError(f"cannot parse {name} spec {spec!r}") from None
+
+
+def _parse_split(spec: str) -> SubsystemSplit:
+    try:
+        dim_a, dim_b = (int(x) for x in spec.split(":"))
+        return SubsystemSplit(dim_a, dim_b)
+    except ValueError:
+        raise ValueError("--split must look like dimA:dimB with positive integers, "
+                         f"got {spec!r}") from None
 
 
 def _parse_observables(spec: str, allowed=ALL_OBSERVABLES) -> tuple[str, ...]:
@@ -170,7 +178,10 @@ def _cmd_ness(args) -> int:
         if two_spin:
             raise ValueError(f"{', '.join(two_spin)}: two-spin flags have no effect "
                              "with --hamiltonian and --rho0")
+        split = None if args.split is None else _parse_split(args.split)
         sys_ = load_quantum_system(args.hamiltonian, args.rho0)
+        if split is not None and split.dim_a * split.dim_b != sys_.dim:
+            raise ValueError(f"--split {args.split!r} does not split dimension {sys_.dim}")
         # sys_ validated rho0 when it was built, and the stationary state is
         # rho0 (Hermitian, PSD, unit trace) in the energy basis times a PSD
         # kernel with unit diagonal, hermitized: it is not validated again
@@ -181,9 +192,8 @@ def _cmd_ness(args) -> int:
             ("purity", float(purity_stack(rho))),
             ("fidelity_rho0", float(fidelity_factor_stack(rho, sys_.rho0_factor))),
         ]
-        if args.split is not None:
-            da, db = (int(x) for x in args.split.split(":"))
-            reduced = partial_trace(rho, SubsystemSplit(da, db), "A")
+        if split is not None:
+            reduced = partial_trace(rho, split, "A")
             pairs.append(("entropy_subsystem_a", von_neumann_entropy(reduced)))
         if sys_.dim == 4:
             pairs.append(("concurrence", float(concurrence_stack(rho)[0])))
@@ -239,10 +249,9 @@ def _cmd_optimize(args) -> int:
 def _cmd_critical(args) -> int:
     box = _parse_floats(args.box, "--box", "rlo:rhi:alo:ahi")
     try:
-        check_box(*box)
+        cp = find_inflection(*box)
     except ValueError as exc:
         raise ValueError(f"--box {args.box!r}: {exc}") from None
-    cp = find_inflection(*box)
     _emit(args.out, write_json, [
         ("r_c", cp.r_c),
         ("alpha_c", cp.alpha_c),

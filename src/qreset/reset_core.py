@@ -21,16 +21,15 @@ at most 1, so the kernel is accurate to round-off at every t.  ``_kernels``
 is the one place that forms K and U.
 
 One degeneracy rule serves every stationary body: energies whose gaps are
-within the system's degeneracy tolerance form a cluster that shares its
-lowest energy (``_clustered``), so within a cluster omega is exactly 0.
-The finite-time state takes the raw energies.
+within a tolerance relative to ||E||_2 = ||H||_F form a cluster that
+shares its lowest energy (``_clustered``), so within a cluster omega is
+exactly 0.  The finite-time state takes the raw energies.
 
-``ness_density_stack`` and ``reset_density_stack`` are the one body of each
-state: they return a (n, d, d) stack over n rates or n times of one system,
-in one vectorised step.  ``ness_density`` and ``reset_density`` are the
-one-matrix views of them, and ``unitary_evolve`` is the rate-0 view; the
-stacks check the rates and times, and the views pass theirs on.  The
-system was validated when it was built, so it is not validated again.
+``ness_density`` is the one body of the stationary state, and
+``reset_density_stack``, a (n, d, d) stack over n times in one vectorised
+step, of the finite-time state; ``reset_density`` and ``unitary_evolve``
+are its one-matrix and rate-0 views.  The system was validated when it was
+built, so it is not validated again.
 
 For a pure rho0 = |psi><psi| the stationary state has an exact factor,
 rho = W W^dagger.  With c = V^dagger psi the energy-basis state is the
@@ -54,7 +53,6 @@ from .cmatrix import (
     as_cmatrix,
     density_factor,
     hermitize,
-    max_entry,
     require_hermitian,
 )
 
@@ -93,7 +91,8 @@ class QuantumSystem:
     energy spread; Hermitian, PSD, trace-one rho0) and performs the
     eigendecomposition of each once.  rho0's gives ``rho0_factor``, the
     nonzero columns of F0 = V sqrt(w) with rho0 = F0 F0^dagger (d x 1 for a
-    pure rho0).  The instance is immutable afterwards and safe to share
+    pure rho0).  _clustered takes the degeneracy tolerance from the
+    eigenvalues.  The instance is immutable afterwards and safe to share
     across workers.
     """
 
@@ -120,9 +119,6 @@ class QuantumSystem:
         v = self.eigensystem.eigenvectors
         # rho0 expressed in the energy basis; every producer below starts here.
         self._rho0_energy = v.conj().T @ rho @ v
-        # the Frobenius norm of h, taken of h scaled so that it cannot overflow
-        scale = max(max_entry(h), 1e-300)
-        self.degeneracy_tol = DEGENERACY_RTOL * scale * float(np.linalg.norm(h / scale))
         for arr in (self.hamiltonian, self.rho0, self.rho0_factor, self._rho0_energy,
                     self.eigensystem.eigenvalues, self.eigensystem.eigenvectors):
             arr.flags.writeable = False
@@ -138,11 +134,15 @@ def unitary_evolve(sys: QuantumSystem, t: float) -> np.ndarray:
     return reset_density_stack(sys, 0.0, [t])[0]
 
 
-def _clustered(energies: np.ndarray, degeneracy_tol) -> np.ndarray:
+def _clustered(energies: np.ndarray) -> np.ndarray:
     """Ascending energies (..., d) with each cluster -- a run of gaps within
-    the tolerances (...) -- set to its lowest energy."""
+    DEGENERACY_RTOL ||E||_2 of each member's own energies, the norm taken
+    of E/max|E| so that it cannot overflow -- set to its lowest energy."""
     d = energies.shape[-1]
-    first = np.diff(energies, axis=-1) > np.asarray(degeneracy_tol)[..., None]
+    scale = np.abs(energies).max(axis=-1, keepdims=True)
+    x = energies / np.where(scale > 0.0, scale, 1.0)
+    tol = DEGENERACY_RTOL * scale * np.sqrt((x * x).sum(axis=-1, keepdims=True))
+    first = np.diff(energies, axis=-1) > tol
     lowest = np.maximum.accumulate(np.where(first, np.arange(1, d), 0), axis=-1)
     return np.concatenate([energies[..., :1],
                            np.take_along_axis(energies, lowest, axis=-1)], axis=-1)
@@ -199,33 +199,24 @@ def reset_density_stack(sys: QuantumSystem, rate: float, t) -> np.ndarray:
 
 
 def ness_density(sys: QuantumSystem, reset: ResetSpec) -> np.ndarray:
-    """Stationary density matrix of the resetting dynamics.
-
-    Requires a strictly positive rate: at rate zero the finite-time matrix
-    keeps oscillating and no stationary state exists (the limits
-    t -> infinity and rate -> 0 do not commute).  Energies within the
-    system's degeneracy tolerance share one cluster (see _clustered).
-    """
-    return ness_density_stack(sys, np.array([reset.rate]))[0]
-
-
-def ness_density_stack(sys: QuantumSystem, rates) -> np.ndarray:
-    """(n, d, d) stack of the stationary density matrices at the n ``rates``,
-    each finite and strictly positive (see :func:`ness_density`)."""
-    rates = np.asarray(rates, dtype=float)
-    if rates.ndim != 1 or not np.all(np.isfinite(rates) & (rates > 0.0)):
+    """Stationary density matrix of the resetting dynamics: rho0 in the
+    energy basis times K on the clustered energies.  Requires a strictly
+    positive rate: at rate zero the finite-time matrix keeps oscillating and
+    no stationary state exists (the limits t -> infinity and rate -> 0 do
+    not commute)."""
+    if not reset.rate > 0.0:
         raise ValueError("stationary state requires a strictly positive reset rate")
-    k, _ = _kernels(_clustered(sys.eigensystem.eigenvalues, sys.degeneracy_tol), rates)
-    return sys._to_computational(sys._rho0_energy * k)
+    k, _ = _kernels(_clustered(sys.eigensystem.eigenvalues), np.array([reset.rate]))
+    return sys._to_computational(sys._rho0_energy * k)[0]
 
 
-def ness_factor_stack(eigensystem: HermitianEigensystem, degeneracy_tol, psi: np.ndarray,
+def ness_factor_stack(eigensystem: HermitianEigensystem, psi: np.ndarray,
                       rates: np.ndarray) -> np.ndarray:
     """(..., n, d, d) factors W, rho = W W^dagger, of the stationary states
     that reset to the pure state psi at each of the n ``rates``, for the
     (...) Hamiltonians of a stack of eigensystems (ascending eigenvalues
-    (..., d), eigenvectors (..., d, d)) with degeneracy tolerances (...).
-    Trusted input: finite energy spreads, a unit psi, rates finite and > 0.
+    (..., d), eigenvectors (..., d, d)).  Trusted input: finite energy
+    spreads, a unit psi, rates finite and > 0.
 
     In the energy basis, with c = V^dagger psi, the state is
     c_i conj(c_j) K_ij, a Cauchy-like matrix.  Its Cholesky columns are
@@ -235,7 +226,7 @@ def ness_factor_stack(eigensystem: HermitianEigensystem, degeneracy_tol, psi: np
         W_e[i, k] = c_i^(k) K_ik  (i >= k),   c_i^(k+1) = c_i^(k) U_ik,
 
     with c^(0) = c and U the generator of the Schur complement, both from
-    _kernels on the clustered energies, as in ness_density_stack.  Within a
+    _kernels on the clustered energies, as in ness_density.  Within a
     cluster K is exactly 1 and U exactly 0; a zero pivot c_k^(k) gives a
     zero column and leaves c as it is, so a cluster has at most one nonzero
     column.  K and U are bounded by 1 and only * and / are used, so W is
@@ -243,7 +234,7 @@ def ness_factor_stack(eigensystem: HermitianEigensystem, degeneracy_tol, psi: np
     """
     energies, v = eigensystem
     # w holds K; column k becomes W_e's once column k of K is used
-    w, update = _kernels(_clustered(energies, degeneracy_tol), rates)
+    w, update = _kernels(_clustered(energies), rates)
     c = np.repeat((v.conj().swapaxes(-1, -2) @ psi)[..., None, :], rates.size, axis=-2)
     for k in range(energies.shape[-1]):
         pivot = c[..., k:k + 1] != 0.0

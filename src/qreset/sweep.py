@@ -9,12 +9,12 @@ A sweep is evaluated in blocks of coupling rows, as many as fit a byte
 budget: the entropy and fidelity of a block come from one array closed
 form each, and so does the purity, which for the pure initial state
 equals the fidelity to it; every rate of a row shares one Hamiltonian,
-whose eigensystem is a closed form too, and the factors W (rho = W
-W^dagger) of the stationary states of all the block's rows form one stack
-for the concurrence; no density matrix is formed.  The concurrence
-optimizer stacks each round's probe factors the same way for its one
-coupling.  A time series takes its entropy column, and the entropy peak
-search each round of probes, from one call of the transient closed form.
+whose eigensystem is a closed form too, and the concurrence of the block
+comes from one call of ``twospin.concurrence_ness_stack``; no density
+matrix is formed.  The concurrence optimizer makes that call for each
+round of probes of its one coupling.  A time series takes its entropy
+column, and the entropy peak search each round of probes, from one call
+of the transient closed form.
 """
 
 from __future__ import annotations
@@ -27,14 +27,8 @@ import numpy as np
 
 from . import twospin
 from .cmatrix import require_psd
-from .observables import concurrence_factor_stack, fidelity_factor_stack
-from .reset_core import (
-    ResetSpec,
-    ness_density,
-    ness_factor_stack,
-    reset_density,
-    reset_density_stack,
-)
+from .observables import fidelity_factor_stack
+from .reset_core import ResetSpec, ness_density, reset_density, reset_density_stack
 from .trajectories import TrajectoryConfig, estimate_density
 from .twospin import TwoSpinParams
 
@@ -145,12 +139,9 @@ def sweep_records(grid: SweepGrid) -> dict[str, np.ndarray]:
             for name in from_fidelity:
                 table[name][block] = fidelity
         if "concurrence" in observables:
-            # the Hamiltonian does not depend on the rate: one closed-form
-            # eigensystem per row
-            factors = ness_factor_stack(*twospin.eigensystem_array(np.array(alphas)),
-                                        twospin.DOWN_DOWN,
-                                        np.array(grid.r_values)).reshape(-1, 4, 4)
-            table["concurrence"][block] = concurrence_factor_stack(factors)[0]
+            # H does not depend on the rate: one closed-form eigensystem per row
+            table["concurrence"][block] = twospin.concurrence_ness_stack(
+                twospin.eigensystem_array(np.array(alphas)), np.array(grid.r_values)).ravel()
     _check_bounds(table)
     return table
 
@@ -204,11 +195,6 @@ class OptimizeResult:
 _PROBES = 65  # probes per round of _bracketed_max
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tolerance must be finite and > 0, got {tol}")
-
-
 def _bracketed_max(
     f: Callable[[np.ndarray], Sequence[float]],
     lo: float,
@@ -225,9 +211,12 @@ def _bracketed_max(
     probes would repeat a float (the bracket is a few ulps wide).  The result
     is the best probe of all rounds.  The first round sets the flag:
     "degenerate" when f is flat over its probes, "boundary" when the best
-    probe is an endpoint, else "interior".
+    probe is an endpoint, else "interior".  lo, hi and tol are checked here.
     """
-    _check_tol(tol)
+    if not (0 < lo < hi < math.inf):
+        raise ValueError(f"need finite 0 < r_lo < r_hi, got ({lo}, {hi})")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tolerance must be finite and > 0, got {tol}")
     xs, best = np.geomspace(lo, hi, _PROBES), None
     while True:
         vals = np.asarray(f(xs), dtype=float)
@@ -249,12 +238,9 @@ def optimize_concurrence(
 ) -> OptimizeResult:
     """Maximize the stationary concurrence over the reset rate at fixed coupling;
     H does not depend on the rate, so one eigensystem serves every evaluation."""
-    if not (0 < r_lo < r_hi < math.inf):
-        raise ValueError(f"need finite 0 < r_lo < r_hi, got ({r_lo}, {r_hi})")
     p = TwoSpinParams.from_dimensionless(0.0, alpha)
     eigensystem = twospin.eigensystem_array(np.array([p.alpha]))
-    f = lambda rates: concurrence_factor_stack(
-        ness_factor_stack(*eigensystem, twospin.DOWN_DOWN, rates)[0])[0]
+    f = lambda rates: twospin.concurrence_ness_stack(eigensystem, rates)[0]
     return _bracketed_max(f, r_lo, r_hi, tol)
 
 
@@ -265,8 +251,6 @@ def find_entropy_peak_rate(
     the probes of the rate go through the transient closed form in one call."""
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"need finite t > 0, got {t}")
-    if not (0 < r_lo < r_hi < math.inf):
-        raise ValueError(f"need finite 0 < r_lo < r_hi, got ({r_lo}, {r_hi})")
     alpha = TwoSpinParams.from_dimensionless(0.0, alpha).alpha
     f = lambda rates: twospin.entropy_reset_array(t, rates, alpha)
     return _bracketed_max(f, r_lo, r_hi, tol)
@@ -296,15 +280,6 @@ class CriticalPoint:
     r_c: float
     alpha_c: float
     residuals: tuple[float, float]  # (|dS/dalpha|, |d2S/dalpha2|) at the point
-
-
-def check_box(r_lo: float, r_hi: float, alpha_lo: float, alpha_hi: float) -> None:
-    """Raise ValueError unless find_inflection's box is finite with
-    0 < r_lo < r_hi and 0 <= alpha_lo < alpha_hi."""
-    box = (r_lo, r_hi, alpha_lo, alpha_hi)
-    if not (all(map(math.isfinite, box)) and 0.0 < r_lo < r_hi and 0.0 <= alpha_lo < alpha_hi):
-        raise ValueError("box needs finite 0 < r_lo < r_hi and 0 <= alpha_lo < alpha_hi, "
-                         f"got {box}")
 
 
 def _slope_peak(r: float, alphas: list[float]) -> tuple[float, float]:
@@ -363,10 +338,14 @@ def find_inflection(
     the rate.  A 2-D Newton step is taken while it stays in the box and the
     bracket and halves the last step; else the bracket is bisected (in log
     while wider than a factor 4) and Newton restarts from the largest slope
-    at the midpoint.  SolverError without a sign change, or if the bracket
-    collapses before Newton converges.
+    at the midpoint.  ValueError for a box that is not finite with 0 < r_lo
+    < r_hi and 0 <= alpha_lo < alpha_hi.  SolverError without a sign change,
+    or if the bracket collapses before Newton converges.
     """
-    check_box(r_lo, r_hi, alpha_lo, alpha_hi)
+    box = (r_lo, r_hi, alpha_lo, alpha_hi)
+    if not (all(map(math.isfinite, box)) and 0.0 < r_lo < r_hi and 0.0 <= alpha_lo < alpha_hi):
+        raise ValueError("box needs finite 0 < r_lo < r_hi and 0 <= alpha_lo < alpha_hi, "
+                         f"got {box}")
     # nodes even in log1p(alpha), so a box over decades still resolves alpha ~ 1
     nodes = np.expm1(np.linspace(math.log1p(alpha_lo), math.log1p(alpha_hi), _SCAN_POINTS))
     alphas = [alpha_lo, *nodes[1:-1].tolist(), alpha_hi]
@@ -395,8 +374,7 @@ def find_inflection(
         slope, alpha = _slope_peak(r, alphas)
         a, b = (r, b) if (slope > 0.0) == rising else (a, r)
         last = math.inf
-    raise SolverError(f"Newton iteration did not converge inside the box "
-                      f"{(r_lo, r_hi, alpha_lo, alpha_hi)}")
+    raise SolverError(f"Newton iteration did not converge inside the box {box}")
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ factors (``_ness_factors``) also give the stationary entropy and fidelity
 and, at rate 0, their rate -> 0+ limits.  The finite-time, stationary and
 rate -> 0+ entropies share one body of v = 4 det.  The Hamiltonian's
 eigensystem is a closed form too (``eigensystem_array``); it feeds the
-engine's stationary factor for the concurrence of the two spins.
+engine's stationary factor, whose Wootters spectrum gives the concurrence
+of the two spins (``concurrence_ness_stack``, the one body of it).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .cmatrix import HermitianEigensystem
 from .observables import concurrence_factor_stack
-from .reset_core import DEGENERACY_RTOL, QuantumSystem, ness_factor_stack
+from .reset_core import QuantumSystem, ness_factor_stack
 
 LN2 = math.log(2.0)
 LN8 = math.log(8.0)
@@ -103,7 +104,7 @@ def quantum_system(p: TwoSpinParams) -> QuantumSystem:
     return QuantumSystem(hamiltonian(p), np.outer(DOWN_DOWN, DOWN_DOWN.conj()))
 
 
-def eigensystem_array(alpha: np.ndarray) -> tuple[HermitianEigensystem, np.ndarray]:
+def eigensystem_array(alpha: np.ndarray) -> HermitianEigensystem:
     """Eigensystems of the unit-field Hamiltonian at each coupling of a float
     array alpha, trusted to hold finite alpha >= 0, in closed form.
 
@@ -111,10 +112,8 @@ def eigensystem_array(alpha: np.ndarray) -> tuple[HermitianEigensystem, np.ndarr
     axis of four.  The eigenvectors are (|uu> - |dd>)/sqrt2 at -alpha, the
     singlet (|ud> - |du>)/sqrt2 at alpha, and the symmetric-sector
     vectors at -gamma and gamma, mixed with the ratio t = gamma - alpha =
-    1/(gamma + alpha).  Also returns the degeneracy tolerances that
-    QuantumSystem takes, DEGENERACY_RTOL ||H||_F with ||H||_F^2 =
-    4 alpha^2 + 2.  ValueError where the energy spread 2 gamma overflows,
-    as QuantumSystem raises.
+    1/(gamma + alpha).  ValueError where the energy spread 2 gamma
+    overflows, as QuantumSystem raises.
     """
     with np.errstate(over="ignore"):
         gamma = np.hypot(alpha, 1.0)
@@ -123,10 +122,9 @@ def eigensystem_array(alpha: np.ndarray) -> tuple[HermitianEigensystem, np.ndarr
     if bad.size:
         raise ValueError(f"hamiltonian energy spread E_max - E_min = {bad[0]} "
                          "is not finite")
-    h = math.sqrt(0.5)
     t = 1.0 / (gamma + alpha)
     n = 1.0 / np.sqrt(2.0 + 2.0 * t * t)
-    zero, half = np.zeros_like(n), np.full_like(n, h)
+    zero, half = np.zeros_like(n), np.full_like(n, math.sqrt(0.5))
     # columns -gamma, -alpha, alpha, gamma over the rows |uu>, |ud>, |du>, |dd>
     vectors = np.stack([np.stack(row, axis=-1) for row in (
         (n, half, zero, t * n),
@@ -134,8 +132,7 @@ def eigensystem_array(alpha: np.ndarray) -> tuple[HermitianEigensystem, np.ndarr
         (-t * n, zero, -half, n),
         (n, -half, zero, t * n))], axis=-2)
     energies = np.stack([-gamma, -alpha, alpha, gamma], axis=-1)
-    tol = DEGENERACY_RTOL * 2.0 * np.hypot(alpha, h)
-    return HermitianEigensystem(energies, vectors.astype(complex)), tol
+    return HermitianEigensystem(energies, vectors.astype(complex))
 
 
 def _ness_factors(R, alpha):
@@ -361,13 +358,17 @@ def fidelity_ness_array(R: np.ndarray, alpha: np.ndarray) -> np.ndarray:
 
 
 def concurrence_ness(p: TwoSpinParams) -> float:
-    """Stationary two-spin concurrence.
-
-    No closed form: the factor W of the stationary state (rho = W W^dagger,
-    from the closed-form eigensystem) gives Wootters' spectrum as the
-    singular values of W^T (sigma_y x sigma_y) W.
-    """
+    """Stationary two-spin concurrence (see concurrence_ness_stack)."""
     if p.r <= 0:
         raise ValueError("stationary concurrence needs r > 0")
-    w = ness_factor_stack(*eigensystem_array(np.array([p.alpha])), DOWN_DOWN, np.array([p.R]))
-    return float(concurrence_factor_stack(w[0])[0][0])
+    return float(concurrence_ness_stack(eigensystem_array(np.array([p.alpha])),
+                                        np.array([p.R]))[0, 0])
+
+
+def concurrence_ness_stack(eigensystem: HermitianEigensystem, R: np.ndarray) -> np.ndarray:
+    """Stationary two-spin concurrence (..., n) at the n rates R, trusted to
+    be finite and > 0, for the (...) couplings of eigensystem_array's stack:
+    Wootters' spectra are the singular values of W^T (sigma_y x sigma_y) W
+    for the factors W of the stationary states, rho = W W^dagger."""
+    w = ness_factor_stack(eigensystem, DOWN_DOWN, R)
+    return concurrence_factor_stack(w.reshape(-1, 4, 4))[0].reshape(w.shape[:-2])

@@ -291,6 +291,32 @@ class TestNess:
         assert captured.out == ""
         assert captured.err.startswith("error: --split needs the generic mode")
 
+    @pytest.mark.parametrize("spec", ["2:4:5", "2:x", "3:3", "2", "0:8", "2.5:4"])
+    def test_generic_rejects_a_bad_split_before_solving(self, tmp_path, capsys,
+                                                        monkeypatch, spec):
+        hpath, rpath, out = tmp_path / "h.json", tmp_path / "rho.json", tmp_path / "never.json"
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        save_matrix((a + a.conj().T) / 2, hpath)
+        save_matrix(np.eye(8, dtype=complex) / 8, rpath)
+        monkeypatch.setattr(cli, "ness_density", lambda *args: pytest.fail("solved"))
+        assert run(["ness", "--hamiltonian", str(hpath), "--rho0", str(rpath), "--r", "1",
+                    "--split", spec, "--out", str(out)]) == 4
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --split {spec!r}" if spec == "3:3"
+                                       else "error: --split must look like dimA:dimB")
+
+    def test_generic_parses_split_before_loading(self, tmp_path, capsys):
+        assert run(["ness", "--hamiltonian", str(tmp_path / "absent.json"),
+                    "--rho0", str(tmp_path / "absent2.json"), "--r", "1",
+                    "--split", "2:x"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --split must look like dimA:dimB with positive "
+                                "integers, got '2:x'\n")
+
     def test_generic_missing_file(self, tmp_path):
         assert run(
             [

@@ -8,15 +8,20 @@ from qreset.reset_core import (
     QuantumSystem,
     ResetSpec,
     SubsystemSplit,
+    _clustered,
     ness_density,
-    ness_density_stack,
     ness_factor_stack,
     partial_trace,
     reset_density,
     reset_density_stack,
     unitary_evolve,
 )
-from qreset.twospin import TwoSpinParams, quantum_system, reduced_state_array
+from qreset.twospin import (
+    TwoSpinParams,
+    eigensystem_array,
+    quantum_system,
+    reduced_state_array,
+)
 
 SPLIT = SubsystemSplit(2, 2)
 
@@ -83,16 +88,56 @@ class TestQuantumSystem:
         assert QuantumSystem(np.diag([8e307, -8e307]), rho0).dim == 2
 
     def test_degeneracy_tolerance_is_relative_and_finite(self):
+        # _clustered's tolerance is DEGENERACY_RTOL ||E||_2, and ||E||_2 of
+        # the system's energies is ||h||_F
         rng = np.random.default_rng(44)
         h = hermitize(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
         rho0 = np.eye(6, dtype=complex) / 6
-        tol = QuantumSystem(h, rho0).degeneracy_tol
-        assert tol == pytest.approx(DEGENERACY_RTOL * np.linalg.norm(h), rel=1e-15)
-        # the unscaled norm of this h overflows; its scaled one does not
-        huge = QuantumSystem(h * 1e306, rho0).degeneracy_tol
-        assert np.isfinite(huge)
-        assert huge == pytest.approx(tol * 1e306, rel=1e-14)
-        assert QuantumSystem(np.zeros((6, 6)), rho0).degeneracy_tol == 0.0
+        energies = QuantumSystem(h, rho0).eigensystem.eigenvalues
+        assert np.linalg.norm(energies) == pytest.approx(np.linalg.norm(h), rel=1e-15)
+        # plant a gap of (1 -+ 1e-14) tolerances above a level at exactly 0,
+        # so that the gap itself is exact
+        for factor, joined in ((1.0 - 1e-14, True), (1.0 + 1e-14, False)):
+            e = energies - energies[0]
+            for _ in range(3):
+                e[1] = factor * DEGENERACY_RTOL * np.linalg.norm(e)
+            expected = np.r_[e[0], e[0] if joined else e[1], e[2:]]
+            assert np.array_equal(_clustered(e), expected)
+            # the unscaled norm of these energies overflows; the scaled one
+            # does not, and the rule holds at the new scale
+            assert np.array_equal(_clustered(e * 1e306), expected * 1e306)
+        assert np.array_equal(_clustered(QuantumSystem(np.zeros((6, 6)), rho0)
+                                         .eigensystem.eigenvalues), np.zeros(6))
+
+    @pytest.mark.filterwarnings("error")
+    def test_clusters_within_half_a_tolerance_and_not_within_two(self):
+        # one stack: each member takes its own tolerance DEGENERACY_RTOL ||E||
+        members = []
+        for factor, scale in ((0.5, 1.0), (2.0, 1.0), (0.5, 1e3), (2.0, 1e-3)):
+            e = scale * np.array([-1.0, -1.0, 0.5, 3.0])
+            for _ in range(3):
+                e[1] = e[0] + factor * DEGENERACY_RTOL * np.linalg.norm(e)
+            members.append(e)
+        clustered = _clustered(np.array(members))
+        for factor, e, c in zip((0.5, 2.0, 0.5, 2.0), members, clustered):
+            assert c[1] == (e[0] if factor < 1.0 else e[1])
+            assert np.array_equal(c[[0, 2, 3]], e[[0, 2, 3]])
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_stack_clusters_as_its_members_alone(self):
+        # members apart by up to 600 decades of scale, and all-zero energies
+        rng = np.random.default_rng(45)
+        a = hermitize(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        random = [np.linalg.eigvalsh(a * scale) for scale in (1.0, 1e306, 1e-300)]
+        closed = eigensystem_array(np.array([0.0, 1e-9, 1.0, 1e300])).eigenvalues
+        stack = np.array([*closed, *random, np.zeros(4)])
+        clustered = _clustered(stack)
+        for energies, c in zip(stack, clustered):
+            assert np.array_equal(c, _clustered(energies))
+        assert np.array_equal(clustered[-1], np.zeros(4))
+        # alpha = 0 and 1e300 have degenerate pairs, the others none
+        assert [int(np.count_nonzero(np.diff(c) == 0.0)) for c in clustered] == [
+            1, 0, 0, 2, 0, 0, 0, 3]
 
     def test_immutable(self):
         sys = two_spin_system()
@@ -223,8 +268,9 @@ class TestResetDensity:
             sys = two_spin_system(1.0, alpha)
             ts = np.array([800.0, 1e300, 1e308])
             for rate in (1.0, 10.0):
-                assert np.array_equal(reset_density_stack(sys, rate, ts),
-                                      ness_density_stack(sys, np.full(3, rate)))
+                ness = ness_density(sys, ResetSpec(rate))
+                for rho in reset_density_stack(sys, rate, ts):
+                    assert np.array_equal(rho, ness)
 
     def test_renewal_consistency(self):
         # reset_density -> ness exponentially: deviation <= C exp(-r t)
@@ -319,15 +365,6 @@ class TestNessDensity:
 class TestStacks:
     """Each stack member equals, bit for bit, the one-matrix function."""
 
-    def test_ness_density_stack(self):
-        for alpha in (0.0, 0.7, 12.0):
-            sys = two_spin_system(1.0, alpha)
-            rates = np.geomspace(1e-3, 1e3, 9)
-            stack = ness_density_stack(sys, rates)
-            assert stack.shape == (9, 4, 4)
-            for rate, rho in zip(rates, stack):
-                assert np.array_equal(rho, ness_density(sys, ResetSpec(float(rate))))
-
     def test_reset_density_stack(self):
         sys = two_spin_system(0.4, 1.5)
         ts = np.array([0.0, 1e-12, 0.3, 2.0, 40.0])
@@ -339,9 +376,9 @@ class TestStacks:
     def test_stacks_reject_bad_arguments(self):
         sys = two_spin_system()
         with pytest.raises(ValueError):
-            ness_density_stack(sys, [1.0, 0.0])
+            ness_density(sys, ResetSpec(0.0))
         with pytest.raises(ValueError):
-            ness_density_stack(sys, [1.0, np.nan])
+            ness_density(sys, ResetSpec(np.nan))
         with pytest.raises(ValueError):
             reset_density_stack(sys, 1.0, [0.5, -1.0])
         with pytest.raises(ValueError):
@@ -384,7 +421,7 @@ class TestNessFactor:
         yield QuantumSystem(hermitize((q * levels) @ q.conj().T), np.outer(psi, psi.conj())), psi
 
     def factor(self, sys, psi):
-        return ness_factor_stack(sys.eigensystem, sys.degeneracy_tol, psi, self.RATES)
+        return ness_factor_stack(sys.eigensystem, psi, self.RATES)
 
     @pytest.mark.filterwarnings("error")
     def test_factor_equals_the_density_stack(self):
@@ -392,13 +429,14 @@ class TestNessFactor:
             w = self.factor(sys, psi)
             assert w.shape == (self.RATES.size, sys.dim, sys.dim)
             rho = w @ w.conj().swapaxes(-1, -2)
-            assert np.abs(rho - ness_density_stack(sys, self.RATES)).max() <= 1e-14
+            ness = np.array([ness_density(sys, ResetSpec(rate)) for rate in self.RATES])
+            assert np.abs(rho - ness).max() <= 1e-14
 
     def test_a_degenerate_cluster_has_at_most_one_nonzero_column(self):
         seen = 0
         for sys, psi in self.pure_systems():
-            energies = sys.eigensystem.eigenvalues
-            starts = np.r_[0, np.flatnonzero(np.diff(energies) > sys.degeneracy_tol) + 1]
+            clustered = _clustered(sys.eigensystem.eigenvalues)
+            starts = np.r_[0, np.flatnonzero(np.diff(clustered) != 0.0) + 1]
             w = self.factor(sys, psi)
             for lo, hi in zip(starts, np.r_[starts[1:], sys.dim]):
                 nonzero = np.any(w[:, :, lo:hi] != 0.0, axis=1).sum(axis=-1)

@@ -13,7 +13,6 @@ from qreset.sweep import (
     BoundsError,
     SolverError,
     SweepGrid,
-    check_box,
     entropy_alpha_curvature,
     entropy_alpha_slope,
     find_entropy_peak_rate,
@@ -186,7 +185,7 @@ class TestRowBlocks:
                          alpha_values=(0.0, 0.05, 0.5, 1.0, 2.5, 6.0, 12.0))
         stacks = []
         counted = lambda factors: stacks.append(len(factors)) or concurrence_factor_stack(factors)
-        monkeypatch.setattr(sweep, "concurrence_factor_stack", counted)
+        monkeypatch.setattr(twospin, "concurrence_factor_stack", counted)
         tables = []
         for budget in (1, 10**12):  # one row per block, then the whole grid
             monkeypatch.setattr(sweep, "_BLOCK_BYTES", budget)
@@ -411,6 +410,9 @@ class TestOptimizeConcurrence:
             optimize_concurrence(1.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             optimize_concurrence(1.0, 0.5, math.inf)
+        # the coupling is checked before the bracket
+        with pytest.raises(ValueError, match="j must be finite"):
+            optimize_concurrence(-1.0, 1.0, 0.5)
 
     @pytest.mark.parametrize("alpha", [0.0, 2.0, 3.3, 7.0, 10.0, 11.5])
     def test_equals_the_point_by_point_path_bit_for_bit(self, monkeypatch, alpha):
@@ -622,8 +624,6 @@ class TestFindInflection:
         (0.05, 0.3, math.nan, 2.0),
     ])
     def test_invalid_box_raises_value_error(self, box):
-        with pytest.raises(ValueError):
-            check_box(*box)
         with pytest.raises(ValueError):
             find_inflection(*box)
 

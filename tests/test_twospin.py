@@ -9,6 +9,7 @@ import pytest
 from qreset.observables import concurrence_factor_stack, purity, von_neumann_entropy
 from qreset.reset_core import (
     ResetSpec,
+    _clustered,
     SubsystemSplit,
     ness_density,
     ness_factor_stack,
@@ -589,16 +590,25 @@ class TestEigensystemArray:
     ALPHAS = np.array([0.0, 1e-9, 0.3, 1.0, 2.0, 11.5, 1e8, 1e150, 1e300])
 
     def test_diagonalises_the_hamiltonian(self):
-        (energies, v), tol = eigensystem_array(self.ALPHAS)
-        assert energies.shape == (9, 4) and v.shape == (9, 4, 4) and tol.shape == (9,)
+        energies, v = eigensystem_array(self.ALPHAS)
+        assert energies.shape == (9, 4) and v.shape == (9, 4, 4)
         assert np.all(np.diff(energies, axis=-1) >= 0.0)
-        for alpha, e, vec, t in zip(self.ALPHAS, energies, v, tol):
+        for alpha, e, vec in zip(self.ALPHAS, energies, v):
             h = hamiltonian(params(0.0, alpha))
             scale = max(alpha, 1.0)
             assert np.abs(h @ vec - vec * e).max() <= 2e-16 * scale
             assert np.abs(vec.conj().T @ vec - np.eye(4)).max() <= 4e-16
-            assert t == pytest.approx(quantum_system(params(0.0, alpha)).degeneracy_tol,
-                                      rel=1e-15)
+
+    def test_clusters_as_the_engine_does(self):
+        # the closed-form energies and eigh's cluster alike: the same
+        # degenerate pairs, at alpha = 0 and from alpha = 1e8 on
+        closed = _clustered(eigensystem_array(self.ALPHAS).eigenvalues)
+        pairs = []
+        for alpha, c in zip(self.ALPHAS, closed):
+            engine = _clustered(quantum_system(params(0.0, alpha)).eigensystem.eigenvalues)
+            assert np.array_equal(np.diff(c) == 0.0, np.diff(engine) == 0.0)
+            pairs.append(int(np.count_nonzero(np.diff(c) == 0.0)))
+        assert pairs == [1, 0, 0, 0, 0, 0, 2, 2, 2]
 
     def test_overflowing_spread_raises_as_the_engine_does(self):
         with pytest.raises(ValueError, match="spread"):
@@ -608,9 +618,9 @@ class TestEigensystemArray:
 
     def test_stacked_couplings_equal_one_at_a_time(self):
         rates = np.geomspace(1e-3, 1e3, 7)
-        stack = ness_factor_stack(*eigensystem_array(self.ALPHAS[:7]), DOWN_DOWN, rates)
+        stack = ness_factor_stack(eigensystem_array(self.ALPHAS[:7]), DOWN_DOWN, rates)
         for alpha, w in zip(self.ALPHAS[:7], stack):
-            one = ness_factor_stack(*eigensystem_array(np.array([alpha])), DOWN_DOWN, rates)
+            one = ness_factor_stack(eigensystem_array(np.array([alpha])), DOWN_DOWN, rates)
             assert np.array_equal(w, one[0])
 
 
@@ -639,5 +649,5 @@ class TestConcurrenceReference:
     @pytest.mark.filterwarnings("error")
     def test_uncoupled_pair_is_separable_at_every_rate(self):
         rates = np.r_[5e-324, np.geomspace(1e-300, 1e300, 61), 1.7e308]
-        w = ness_factor_stack(*eigensystem_array(np.zeros(1)), DOWN_DOWN, rates)[0]
+        w = ness_factor_stack(eigensystem_array(np.zeros(1)), DOWN_DOWN, rates)[0]
         assert np.all(concurrence_factor_stack(w)[0] <= 1e-15)
