@@ -5,7 +5,8 @@ validation, Hermitian eigendecomposition and the positive-semidefinite
 matrix square root.  Inputs are validated against the module tolerances;
 violations raise ValueError instead of propagating garbage downstream.
 This module is the one place that says what a valid density matrix is
-(``density_spectrum``).
+(``density_spectrum``) for what enters from outside; the states that
+``reset_core`` builds are PSD by construction and are not checked again.
 
 ``psd_factor_stack`` is the one body of a PSD matrix's factor V sqrt(w):
 it works on a stack of matrices with shape (..., d, d) and trusts its
@@ -144,7 +145,9 @@ def density_spectrum(rho) -> tuple[np.ndarray, np.ndarray]:
     [0, 1]; the PSD check and the spectrum come from one ``eigvalsh``.
     """
     m = _hermitian_unit_trace(rho)
-    return m, np.clip(require_psd(m, "density matrix"), 0.0, 1.0)
+    w = np.linalg.eigvalsh(m)
+    _require_psd_spectrum(w, "density matrix")
+    return m, np.clip(w, 0.0, 1.0)
 
 
 def density_factor(rho) -> tuple[np.ndarray, np.ndarray]:
@@ -169,18 +172,6 @@ def _hermitian_unit_trace(rho) -> np.ndarray:
     if abs(tr - 1.0) > TRACE_ATOL:
         raise ValueError(f"density matrix trace is {tr}, expected 1")
     return m
-
-
-def require_psd(a: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """Raise unless a Hermitian matrix, or each matrix of a (..., d, d)
-    stack, is finite with no eigenvalue below ``-PSD_CLIP_TOL``; returns
-    the ascending eigenvalues."""
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{what} entries must be finite")
-    # the one eigenvalue of a 1 x 1 Hermitian matrix is its real part
-    w = a[..., 0].real if a.shape[-1] == 1 else np.linalg.eigvalsh(a)
-    _require_psd_spectrum(w, what)
-    return w
 
 
 def _require_psd_spectrum(w: np.ndarray, what: str) -> None:

@@ -15,8 +15,9 @@ rho: the fidelity is F^dagger rho F.  Concurrence takes a stack of factors
 W, rho = W W^dagger (``concurrence_factor_stack``), as
 ``reset_core.ness_factor_stack`` gives them, since Wootters' spectrum is
 the singular values of tau = W^T (sigma_y x sigma_y) W.
-Those bodies trust their input, as stacks built from a validated system
-may be; the one-matrix functions validate their arguments and call them.
+Those bodies trust their input, as the states ``reset_core`` builds may
+be, and check only what an eigendecomposition gives for free; the
+one-matrix functions validate their arguments and call them.
 """
 
 from __future__ import annotations
@@ -25,12 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmatrix import (
-    as_density_matrix,
-    density_spectrum,
-    psd_factor_stack,
-    require_psd,
-)
+from .cmatrix import as_density_matrix, density_spectrum, psd_factor_stack
 from .reset_core import SubsystemSplit, partial_trace
 
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
@@ -78,14 +74,13 @@ def fidelity_factor_stack(rho: np.ndarray, f: np.ndarray) -> np.ndarray:
     sigma = F F^dagger, for factors F of shape (..., d, k).
 
     For k > 1 it is (sum s)^2 over the singular values s of W^dagger F,
-    with W from one eigendecomposition of each rho and its PSD check (see
-    ``psd_factor_stack``).  A pure sigma (k = 1) needs no factor of rho:
-    the fidelity is the real part of the 1 x 1 matrix F^dagger rho F, which
-    must be finite and not below -PSD_CLIP_TOL.
+    with W from one eigendecomposition of each rho and the PSD check that
+    comes with it (see ``psd_factor_stack``).  A pure sigma (k = 1) needs
+    no factor of rho: the fidelity is the real part of the 1 x 1 matrix
+    F^dagger rho F, clipped into [0, 1] and trusted like the other bodies.
     """
     if f.shape[-1] == 1:
-        lam = require_psd(f.conj().swapaxes(-1, -2) @ rho @ f, "F^dagger rho F")
-        return np.clip(lam[..., 0], 0.0, 1.0)
+        return np.clip((f.conj().swapaxes(-1, -2) @ rho @ f)[..., 0, 0].real, 0.0, 1.0)
     w = psd_factor_stack(rho)[0]
     s = np.linalg.svd(w.conj().swapaxes(-1, -2) @ f, compute_uv=False)
     return np.clip(s.sum(axis=-1) ** 2, 0.0, 1.0)

@@ -29,7 +29,9 @@ exactly 0.  The finite-time state takes the raw energies.
 ``reset_density_stack``, a (n, d, d) stack over n times in one vectorised
 step, of the finite-time state; ``reset_density`` and ``unitary_evolve``
 are its one-matrix and rate-0 views.  The system was validated when it was
-built, so it is not validated again.
+built, so it is not validated again; nor are the states, each a mixture
+of states and so PSD by construction.  ``reset_density_stack`` refuses
+the times at which its phases keep no digits instead of returning them.
 
 For a pure rho0 = |psi><psi| the stationary state has an exact factor,
 rho = W W^dagger.  With c = V^dagger psi the energy-basis state is the
@@ -130,7 +132,8 @@ class QuantumSystem:
 
 
 def unitary_evolve(sys: QuantumSystem, t: float) -> np.ndarray:
-    """Reset-free density matrix exp(-iHt) rho0 exp(iHt): the rate-0 state."""
+    """Reset-free density matrix exp(-iHt) rho0 exp(iHt): the rate-0 state.
+    ValueError once the phases E t keep no digits (see reset_density_stack)."""
     return reset_density_stack(sys, 0.0, [t])[0]
 
 
@@ -166,7 +169,8 @@ def _kernels(energies: np.ndarray, rates: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def reset_density(sys: QuantumSystem, reset: ResetSpec, t: float) -> np.ndarray:
-    """Density matrix at time t under resetting, via the renewal form."""
+    """Density matrix at time t under resetting, via the renewal form;
+    ValueError where its phases keep no digits (see reset_density_stack)."""
     return reset_density_stack(sys, reset.rate, [t])[0]
 
 
@@ -178,21 +182,24 @@ def reset_density_stack(sys: QuantumSystem, rate: float, t) -> np.ndarray:
     the raw energies.  A transient damped to 0 takes the phase at t = 0,
     since a phase past the float range would make it nan.  Where the
     transient is not damped to 0 and the round-off eps max|E| t of the
-    phases reaches a radian, they keep no digits, and the state is nan.
+    phases reaches a radian, they keep no digits, and ValueError names the
+    first such time.  Every state returned is PSD to round-off.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim != 1 or not np.all(np.isfinite(t) & (t >= 0.0)):
         raise ValueError("times must be a 1-d array of finite values >= 0")
     energies = sys.eigensystem.eigenvalues
-    k, u = _kernels(energies, np.array([rate], dtype=float))
-    # products that overflow to inf compare correctly; a phase E t overflows
-    # only where the last step sets the state to nan anyway
-    with np.errstate(over="ignore", invalid="ignore"):
+    # products that overflow to inf compare correctly
+    with np.errstate(over="ignore"):
         damp = np.exp(-rate * t)
         live = damp > 0.0
-        phase = np.exp(-1j * energies * np.where(live, t, 0.0)[:, None])
-        kernel = k + u * (damp[:, None, None] * phase[:, :, None] * phase.conj()[:, None, :])
-        kernel[live & (np.finfo(float).eps * np.abs(energies).max() * t >= 1.0)] = np.nan
+        blind = live & (np.finfo(float).eps * np.abs(energies).max() * t >= 1.0)
+    if blind.any():
+        raise ValueError(f"the phases E t keep no digits at t = {float(t[np.argmax(blind)])}: "
+                         "eps max|E| t >= 1 while exp(-r t) > 0")
+    k, u = _kernels(energies, np.array([rate], dtype=float))
+    phase = np.exp(-1j * energies * np.where(live, t, 0.0)[:, None])
+    kernel = k + u * (damp[:, None, None] * phase[:, :, None] * phase.conj()[:, None, :])
     rho = sys._to_computational(sys._rho0_energy * kernel)
     rho[t == 0.0] = sys.rho0
     return rho

@@ -755,11 +755,13 @@ class TestMcValidate:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["passed"] is True
-        # once eps max|E| t reaches a radian the phases keep no digits
+        # once eps max|E| t reaches a radian the phases keep no digits, and
+        # the engine refuses the time
         proc = run_process(["mc-validate", "--R", "0", "--alpha", "1", "--t", "1e16",
                             "--ntraj", "10"], timeout=30, interpreter_flags=("-W", "error"))
         assert proc.returncode == 4
-        assert proc.stderr.startswith("error: exact density matrix")
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: the phases E t keep no digits at t = 1e+16")
 
     @pytest.mark.parametrize("t", ["1e5", "1e6"])
     def test_zero_rate_at_long_times_passes(self, capsys, t):
@@ -791,13 +793,25 @@ class TestMcValidate:
         assert report["max_std_dev"] == sys.float_info.max
 
     def test_non_finite_exact_matrix_is_config_error(self, capsys):
-        # at rate 0 the phases omega t overflow: the exact matrix is no state
+        # at rate 0 the phases omega t overflow: the engine refuses the time
         rc = run(["mc-validate", "--R", "0", "--alpha", "1", "--t", "1e308",
                   "--ntraj", "10"])
         captured = capsys.readouterr()
         assert rc == 4
         assert captured.out == ""
-        assert captured.err.startswith("error: exact density matrix")
+        assert captured.err.startswith("error: the phases E t keep no digits at t = 1e+308")
+
+    @pytest.mark.parametrize("R", ["1", "0"])
+    def test_one_trajectory_is_a_config_error(self, tmp_path, capsys, R):
+        # one sample has no standard error, so at a positive rate every
+        # entry would count as deterministic and fail the run
+        out = tmp_path / "never.json"
+        assert run(["mc-validate", "--R", R, "--alpha", "1", "--t", "1", "--ntraj", "1",
+                    "--out", str(out)]) == 4
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n_traj must be >= 2 for a standard error, got 1\n"
 
     @pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])
     def test_rejects_bad_threshold(self, capsys, threshold):
@@ -807,6 +821,58 @@ class TestMcValidate:
         assert rc == 4
         assert captured.out == ""
         assert captured.err.startswith("error: threshold must be finite and > 0")
+
+
+class TestConfigErrors:
+    """Rows that exit 4 with one error line, empty stdout and no --out
+    file; {h}, {rho} and {list} name interchange files (a Hamiltonian, a
+    state and a document holding a JSON list)."""
+
+    ROWS = [
+        (["sweep", "--grid-r", "a:1:3", "--grid-alpha", "0:1:2"],
+         "cannot parse --grid-r spec 'a:1:3'"),
+        (["sweep", "--grid-r", "1:0.1:3", "--grid-alpha", "0:1:2"],
+         "--grid-r needs finite lo <= hi and n >= 1, got '1:0.1:3'"),
+        (["sweep", "--grid-r", "0.1:1:3", "--grid-alpha", "0:1:2", "--observables", "bogus"],
+         "observables must be from ('entropy', 'fidelity', 'purity', 'concurrence'), "
+         "got 'bogus'"),
+        (["timeseries", "--R", "1", "--alpha", "1", "--grid-t", "0:1:3",
+          "--observables", "purity"],
+         "observables must be from ('entropy', 'fidelity'), got 'purity'"),
+        (["ness", "--omega", "1", "--j", "1"],
+         "physical parameters need all of --omega, --j, --r"),
+        (["ness"], "missing parameters: give --R [--alpha] or --omega --j --r"),
+        (["ness", "--rho0", "x.json", "--r", "1"],
+         "generic mode needs both --hamiltonian and --rho0"),
+        (["ness", "--hamiltonian", "{h}", "--rho0", "{rho}"],
+         "generic mode needs a positive --r"),
+        (["ness", "--hamiltonian", "{h}", "--rho0", "{rho}", "--r", "0"],
+         "generic mode needs a positive --r"),
+        (["timeseries", "--R", "0", "--alpha", "1e300", "--grid-t", "0:1e10:3"],
+         "entropy phases beyond floating-point range at t = 5000000000.0"),
+        (["ness", "--hamiltonian", "{list}", "--rho0", "{rho}", "--r", "1"],
+         "matrix document must be a JSON object"),
+        (["timeseries", "--R", "0", "--alpha", "1", "--grid-t", "0:1e16:2",
+          "--observables", "fidelity"],
+         "the phases E t keep no digits at t = 1e+16: eps max|E| t >= 1 while exp(-r t) > 0"),
+    ]
+
+    @pytest.mark.parametrize("args, message", ROWS)
+    def test_row(self, tmp_path, capsys, args, message):
+        files = {"h": tmp_path / "h.json", "rho": tmp_path / "rho.json",
+                 "list": tmp_path / "list.json"}
+        save_matrix(np.diag([1.0, -1.0]), files["h"])
+        save_matrix(np.diag([1.0, 0.0]), files["rho"])
+        files["list"].write_text("[[1.0, 0.0]]\n")
+        out = tmp_path / "never.out"
+        argv = [arg.format(**files) for arg in args]
+        assert run(argv + ["--out", str(out)]) == 4
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert run(argv) == 4
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestParsing:

@@ -47,8 +47,8 @@ def test_every_module_has_a_layer():
 
 
 def test_both_relative_import_forms_are_parsed():
-    # sweep has "from . import twospin" and "from .cmatrix import ..."
-    assert {"twospin", "cmatrix"} <= package_imports("sweep")
+    # sweep has "from . import twospin" and "from .reset_core import ..."
+    assert {"twospin", "reset_core"} <= package_imports("sweep")
 
 
 @pytest.mark.parametrize("module", LAYERS)

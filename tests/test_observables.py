@@ -174,10 +174,6 @@ class TestFidelityFactor:
         assert np.array_equal(np.linalg.eigvalsh(m)[:, 0], m[:, 0, 0].real)
         e0 = np.eye(2, dtype=complex)[:, :1]
         assert fidelity_factor_stack(np.diag([-0.5 * PSD_CLIP_TOL, 1.0]) + 0j, e0) == 0.0
-        with pytest.raises(ValueError, match="not PSD"):
-            fidelity_factor_stack(np.diag([-2.0 * PSD_CLIP_TOL, 1.0]) + 0j, e0)
-        with pytest.raises(ValueError, match="finite"):
-            fidelity_factor_stack(np.diag([np.nan, 1.0]) + 0j, e0)
 
 
 class TestFidelityReference:

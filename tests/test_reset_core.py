@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -286,6 +288,86 @@ class TestResetDensity:
             )
             for t in (8.0, 12.0, 20.0):
                 assert dev(t) <= c * np.exp(-R * t)
+
+
+class TestFiniteTimeStates:
+    """Every state that reset_density_stack returns is Hermitian, of unit
+    trace and PSD to round-off, so no caller checks it again; where exp(-r t)
+    > 0 and the phases E t keep no digits (eps max|E| t >= 1) it raises
+    instead, naming the first such time."""
+
+    T_TWO_SPIN = np.r_[0.0, np.geomspace(1e-3, 1e16, 39)]
+    T_RANDOM = np.r_[0.0, np.geomspace(1e-3, 1e17, 41)]
+
+    @staticmethod
+    def check(sys, rate, ts):
+        """Assert the rule on the whole grid, then the states on the times
+        it keeps (all of them if it returns)."""
+        eps = np.finfo(float).eps * np.abs(sys.eigensystem.eigenvalues).max()
+        with np.errstate(over="ignore"):
+            kept = (np.exp(-rate * ts) == 0.0) | (eps * ts < 1.0)
+        if kept.all():
+            rho = reset_density_stack(sys, rate, ts)
+        else:
+            first = float(ts[np.argmin(kept)])
+            with pytest.raises(ValueError, match=re.escape(f"digits at t = {first}:")):
+                reset_density_stack(sys, rate, ts)
+            rho = reset_density_stack(sys, rate, ts[kept])
+        assert np.abs(rho - rho.conj().swapaxes(-1, -2)).max() <= 1e-15
+        assert np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max() <= 1e-13
+        # the worst on these grids is -1.6e-16
+        assert np.linalg.eigvalsh(rho)[:, 0].min() >= -1e-14
+        return kept
+
+    @pytest.mark.filterwarnings("error")
+    def test_two_spin_scan(self):
+        refused = 0
+        for R in np.r_[0.0, np.geomspace(1e-12, 1.0, 13)]:
+            for alpha in (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
+                kept = self.check(two_spin_system(R, alpha), R, self.T_TWO_SPIN)
+                refused += int(not kept.all())
+        # from rate 1e-12 on, exp(-r t) is 0 before the phases lose their
+        # digits; at rate 0 they lose them at t = 1e16
+        assert refused == 7
+
+    def test_per_level_phases_at_rate_zero(self):
+        # phases formed pair by pair once gave an eigenvalue of -4.47e-8 here
+        self.check(two_spin_system(0.0, 1.0), 0.0, np.array([1e9]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_random_systems(self):
+        rng = np.random.default_rng(2024)
+        ranks = set()
+        for _ in range(200):
+            d = int(rng.integers(2, 9))
+            rank = int(rng.integers(1, d + 1))
+            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            f = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+            rho0 = f @ f.conj().T
+            sys = QuantumSystem((a + a.conj().T) / 2, rho0 / np.trace(rho0).real)
+            self.check(sys, 10.0 ** rng.uniform(-12.0, 2.0), self.T_RANDOM)
+            ranks.add((d, rank))
+        assert {(d, k) for d in (2, 8) for k in (1, d)} <= ranks
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rate, ts, first", [
+        (0.0, [0.0, 1e9, 1e16, 1e17], "1e+16"),
+        (0.0, [1e308], "1e+308"),
+        (1e-300, [0.0, 1e17], "1e+17"),
+    ])
+    def test_refuses_phases_without_digits(self, rate, ts, first):
+        sys = two_spin_system(rate, 1.0)
+        with pytest.raises(ValueError) as err:
+            reset_density_stack(sys, rate, ts)
+        assert str(err.value) == (f"the phases E t keep no digits at t = {first}: "
+                                  "eps max|E| t >= 1 while exp(-r t) > 0")
+        # the one-matrix views refuse the last time, which keeps no digits either
+        last = re.escape(f"digits at t = {float(ts[-1])}:")
+        with pytest.raises(ValueError, match=last):
+            reset_density(sys, ResetSpec(rate), ts[-1])
+        if rate == 0.0:
+            with pytest.raises(ValueError, match=last):
+                unitary_evolve(sys, ts[-1])
 
 
 class TestNessDensity:

@@ -281,6 +281,22 @@ class TestTimeseries:
         with pytest.raises(ValueError):
             timeseries(p, [0.0, t_max / 2, t_max], observables=("fidelity",))
 
+    def test_fidelity_trusts_the_engine(self, monkeypatch):
+        # the two eigendecompositions that build the system, of rho0 and of
+        # H, and no check of the finite-time states after them
+        calls = []
+
+        def counted(name):
+            solver = getattr(np.linalg, name)
+            return lambda m: calls.append((name, m.shape)) or solver(m)
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        p = TwoSpinParams.from_dimensionless(0.5, 1.0)
+        table = timeseries(p, np.linspace(0.0, 30.0, 401), ("fidelity",))
+        assert calls == [("eigh", (4, 4)), ("eigh", (4, 4))]
+        assert table["fidelity"][0] == 1.0
+
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_positive_rate_settles_beyond_phase_precision(self, alpha):
         # at R t = 1e308 the phases omega t overflow, but exp(-R t) is
