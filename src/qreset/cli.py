@@ -23,8 +23,8 @@ with dim*dim [real, imaginary] pairs in row-major order; documents are
 validated on load (square, finite; Hermitian for Hamiltonians; Hermitian,
 PSD, unit trace for density matrices).
 
-Exit codes: 0 success, 2 validation failure (observable bounds or Monte
-Carlo mismatch), 3 solver failure, 4 configuration or I/O error.
+Exit codes: 0 success, 2 Monte Carlo mismatch (mc-validate only), 3 solver
+failure, 4 configuration or I/O error.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .reset_core import ResetSpec, SubsystemSplit, ness_density, partial_trace
 from .serialize import load_quantum_system, write_json, write_table
 from .sweep import (
     ALL_OBSERVABLES,
-    BoundsError,
     SolverError,
     SweepGrid,
     find_entropy_peak_rate,
@@ -396,9 +395,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return args.func(args)
-    except BoundsError as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

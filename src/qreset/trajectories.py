@@ -45,6 +45,8 @@ class TrajectoryConfig:
     def __post_init__(self):
         if self.n_traj < 1:
             raise ValueError(f"n_traj must be >= 1, got {self.n_traj}")
+        if self.master_seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.master_seed}")
         if not np.isfinite(self.t_final) or self.t_final < 0:
             raise ValueError(f"t_final must be finite and >= 0, got {self.t_final}")
         if not np.isfinite(self.rate) or self.rate < 0:

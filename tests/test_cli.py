@@ -425,6 +425,20 @@ class TestBeyondFloatRange:
                 assert float(row["entropy"]) == 0.0
                 assert row["fidelity"] in ("", "1")
 
+    def test_all_observables_over_600_decades(self):
+        # every column in its range by construction, with no warning
+        proc = run_process(["sweep", "--grid-r", "1e-300:1e300:13:log",
+                            "--grid-alpha", "0:1e300:7"],
+                           timeout=30, interpreter_flags=("-W", "error"))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        header, *lines = proc.stdout.splitlines()
+        assert len(lines) == 91
+        for line in lines:
+            row = dict(zip(header.split(","), line.split(",")))
+            assert 0.0 <= float(row["entropy"]) <= math.log(2.0)
+            assert all(0.0 <= float(row[name]) <= 1.0
+                       for name in ("fidelity", "purity", "concurrence"))
+
     def test_energy_spread_beyond_float_range_is_a_config_error(self, tmp_path):
         # each energy is finite, E_max - E_min is not
         hpath, rpath = tmp_path / "h.json", tmp_path / "rho.json"
@@ -487,12 +501,12 @@ class TestTransientBeyondFloatRange:
 
 
 class TestFailingRunsWriteNothing:
-    # an overflowing phase at zero rate is a configuration error (exit 4);
-    # a stationary entropy of nan fails validation (exit 2)
+    # an overflowing phase at zero rate is refused by the engine, and a
+    # stationary entropy of nan by write_table: both configuration errors
     CASES = [
         (["timeseries", "--R", "0", "--alpha", "1", "--grid-t", "0:1e308:3",
           "--observables", "fidelity"], 4),
-        (["ness", "--R", "1", "--alpha", "1"], 2),
+        (["ness", "--R", "1", "--alpha", "1"], 4),
     ]
 
     @pytest.fixture(autouse=True)
@@ -512,7 +526,7 @@ class TestFailingRunsWriteNothing:
         assert run(args) == code
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error:" if code == 4 else "validation failure:")
+        assert captured.err.startswith("error:")
 
     def test_failed_write_removes_the_file(self, tmp_path, capsys, monkeypatch):
         # a write that fails part way, as on a full disk, leaves no file
@@ -812,6 +826,17 @@ class TestMcValidate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: n_traj must be >= 2 for a standard error, got 1\n"
+
+    @pytest.mark.parametrize("R, t", [("0", "1"), ("1", "0"), ("1", "1")])
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, R, t):
+        # refused at every rate and time, also where no random stream is made
+        out = tmp_path / "never.json"
+        assert run(["mc-validate", "--R", R, "--alpha", "1", "--t", t, "--ntraj", "10",
+                    "--seed", "-1", "--out", str(out)]) == 4
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])
     def test_rejects_bad_threshold(self, capsys, threshold):

@@ -266,6 +266,8 @@ class TestEstimateDensity:
             TrajectoryConfig(n_traj=0, master_seed=0, t_final=1.0, rate=1.0)
         with pytest.raises(ValueError):
             TrajectoryConfig(n_traj=10, master_seed=0, t_final=-1.0, rate=1.0)
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            TrajectoryConfig(n_traj=10, master_seed=-1, t_final=0.0, rate=0.0)
 
 
 class TestResetAges:
