@@ -401,15 +401,13 @@ def mc_validate(
     eps * max|E| * t_phys * exp(-r t_phys), or STDERR_FLOOR if that is
     larger.  One that misses it reports the largest finite float as
     max_std_dev, so the report stays a JSON number and fails.  ValueError
-    for n_traj < 2, whose sample has no standard error, and where the
-    engine refuses t_phys because its phases keep no digits."""
+    for a config TrajectoryConfig refuses (n_traj < 2 among them), and
+    where the engine refuses t_phys because its phases keep no digits."""
     if not (math.isfinite(threshold) and threshold > 0.0):
         raise ValueError(f"threshold must be finite and > 0, got {threshold}")
-    if n_traj < 2:
-        raise ValueError(f"n_traj must be >= 2 for a standard error, got {n_traj}")
-    sys = twospin.quantum_system(p)
     t_phys = t / p.omega
     cfg = TrajectoryConfig(n_traj=n_traj, master_seed=seed, t_final=t_phys, rate=p.r)
+    sys = twospin.quantum_system(p)
     if against == "reset":
         exact = reset_density(sys, ResetSpec(p.r), t_phys)
     elif against == "ness":

@@ -43,8 +43,9 @@ class TrajectoryConfig:
     rate: float
 
     def __post_init__(self):
-        if self.n_traj < 1:
-            raise ValueError(f"n_traj must be >= 1, got {self.n_traj}")
+        # one sample has no standard error
+        if self.n_traj < 2:
+            raise ValueError(f"n_traj must be >= 2 for a standard error, got {self.n_traj}")
         if self.master_seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.master_seed}")
         if not np.isfinite(self.t_final) or self.t_final < 0:

@@ -42,6 +42,39 @@ class TestFloatFormatting:
         assert format_float(1.0 / 3.0) == "0.33333333333333331"
 
 
+class TestFormattedValues:
+    """serialize._formatted prints each distinct magnitude once; its bytes
+    are format_float's on every value."""
+
+    @staticmethod
+    def per_value(x):
+        return tuple(format_float(v) for v in np.ravel(x).tolist())
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(70).integers(0, 2**64, size=200_000, dtype=np.uint64)
+        x = bits.view(float)
+        x = x[np.isfinite(x)]
+        assert x.size > 199_000
+        assert serialize._formatted(x) == self.per_value(x)
+
+    def test_signed_extremes(self):
+        x = np.array([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                      -1.7976931348623157e308])
+        assert serialize._formatted(x) == (
+            "0", "-0", "4.9406564584124654e-324", "-4.9406564584124654e-324",
+            "1.7976931348623157e+308", "-1.7976931348623157e+308",
+        )
+        assert serialize._formatted(x) == self.per_value(x)
+
+    def test_repeats_and_negated_repeats(self):
+        rng = np.random.default_rng(71)
+        pool = rng.normal(size=50) * 10.0 ** rng.integers(-300, 300, size=50)
+        x = pool[rng.integers(0, 50, size=(40, 25))] * rng.choice([-1.0, 1.0], size=(40, 25))
+        assert serialize._formatted(x) == self.per_value(x)
+        assert serialize._formatted(np.full(7, -2.5)) == ("-2.5",) * 7
+        assert serialize._formatted(np.empty(0)) == ()
+
+
 class TestRecordLines:
     """The bytes of write_table, pinned literally."""
 
@@ -93,26 +126,55 @@ class TestRecordLines:
             monkeypatch.setattr(serialize, "_WRITE_ROWS", rows)
             assert written(table, fmt) == whole
 
-    def test_memory_is_bounded_by_the_chunk(self):
-        # formatting every row at once would hold all 180000 values as
-        # Python floats, about 5.5 MB
+    @staticmethod
+    def traced_peak_of_writing(table):
         class Discard:
             def write(self, text):
                 pass
 
-            def writelines(self, lines):
-                for _ in lines:
-                    pass
-
-        table = {name: np.linspace(0.1, 1.0, 30000)
-                 for name in ("r", "alpha", "entropy", "fidelity", "purity", "concurrence")}
         tracemalloc.start()
         try:
             write_table(table, Discard(), "csv")
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2**20
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        # formatting every row at once would hold all 180000 values as
+        # Python floats, about 5.5 MB
+        table = {name: np.linspace(0.1, 1.0, 30000)
+                 for name in ("r", "alpha", "entropy", "fidelity", "purity", "concurrence")}
+        assert self.traced_peak_of_writing(table) < 2 * 2**20
+
+    def test_memory_is_bounded_for_distinct_columns(self):
+        # no value repeats, so every string of a chunk is held once per value
+        rng = np.random.default_rng(54)
+        names = ("r", "alpha", "entropy", "fidelity", "purity", "concurrence")
+        table = dict(zip(names, rng.normal(size=(6, 30000))))
+        assert np.unique(np.stack(list(table.values()))).size == 180000
+        assert self.traced_peak_of_writing(table) < 2 * 2**20
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_signs_and_shared_values_across_a_chunk_boundary(self, fmt):
+        # -0.0 beside 0.0 in one column, 0.1 in three columns with both
+        # signs, and one row past a chunk boundary
+        n = serialize._WRITE_ROWS + 1
+        rng = np.random.default_rng(72)
+        r = rng.choice([0.0, -0.0, 0.1, -0.1], size=n)
+        table = {"r": r, "alpha": -r, "entropy": np.full(n, 0.1),
+                 "concurrence": rng.normal(size=n)}
+        table["concurrence"][n - 2:] = [-0.0, 0.0]
+        strings = [[format_float(v) for v in c.tolist()] for c in table.values()]
+        assert "-0" in strings[0] and "0" in strings[0]
+        rows = zip(*strings)
+        if fmt == "csv":
+            expected = CSV_HEADER + "\n" + "".join(
+                f"{a},{b},,{e},,,{c}\n" for a, b, e, c in rows)
+        else:
+            expected = "".join(
+                f'{{"r": {a}, "alpha": {b}, "entropy": {e}, "concurrence": {c}}}\n'
+                for a, b, e, c in rows)
+        assert written(table, fmt) == expected
 
     def test_writer_counts_and_headers(self):
         lines = written(table_of(r=[1.0, 2.0], alpha=[0.0, 0.0], fidelity=[0.65, 0.5]),
@@ -131,15 +193,20 @@ class TestRecordLines:
 
     @pytest.mark.parametrize("table, message", [
         (table_of(r=[1.0], alpha=[0.0], spin=[0.5]), "table columns must be from"),
-        (table_of(r=[1.0, 2.0], alpha=[0.0]), "finite and of equal length"),
-        (table_of(r=[1.0], alpha=[0.0], entropy=[math.nan]), "finite and of equal length"),
-        (table_of(r=[math.inf], alpha=[0.0]), "finite and of equal length"),
+        (table_of(r=[1.0, 2.0], alpha=[0.0]),
+         "table columns must be of equal length, got r: 2, alpha: 1"),
+        (table_of(r=[1.0], alpha=[0.0], entropy=[math.nan]), "entropy is not finite at row 0: nan"),
+        (table_of(r=[1.0, 2.0], alpha=[0.0, math.inf]), "alpha is not finite at row 1: inf"),
+        # the first bad column in FIELD_NAMES order, at its first bad row
+        (table_of(concurrence=[math.nan, 0.0, 0.0], r=[1.0, 2.0, 3.0],
+                  alpha=[0.0, -math.inf, math.nan]), "alpha is not finite at row 1: -inf"),
     ])
     def test_rejects_bad_tables_before_writing(self, table, message):
         for fmt in ("csv", "jsonl"):
             buf = io.StringIO()
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError) as err:
                 write_table(table, buf, fmt)
+            assert str(err.value).startswith(message)
             assert buf.getvalue() == ""
 
     def test_csv_round_trip(self):
@@ -202,6 +269,23 @@ class TestWriteJson:
             f"[{format_float(float(z.real))}, {format_float(float(z.imag))}]"
             for z in m.reshape(-1)
         ) + "]"
+        buf = io.StringIO()
+        write_json([("m", m)], buf)
+        assert buf.getvalue() == '{"m": ' + reference + "}\n"
+
+    def test_hermitian_matrix_equals_the_per_value_template(self):
+        # conjugate pairs: each imaginary part appears with both signs, and
+        # the real diagonal gives +0 and -0 imaginary parts
+        rng = np.random.default_rng(61)
+        a = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+        m = (a + a.conj().T) / 2
+        m.imag[np.diag_indices(64)] = rng.choice([0.0, -0.0], size=64)
+        assert np.array_equal(m, m.conj().T) and np.signbit(m.diagonal().imag).any()
+        assert (m.imag < 0).sum() == 64 * 63 // 2
+        # the per-value template this writer used before formatting each
+        # distinct magnitude once
+        parts = m.reshape(-1).view(float).tolist()
+        reference = "[" + ", ".join(["[%.17g, %.17g]"] * m.size) % tuple(parts) + "]"
         buf = io.StringIO()
         write_json([("m", m)], buf)
         assert buf.getvalue() == '{"m": ' + reference + "}\n"

@@ -160,9 +160,11 @@ class TestEstimateDensity:
         assert est.stderr_im.max() < 1e-15
 
     def test_samples_are_rank_one_projectors(self):
+        # the age of trajectory 0 at seed 5: a config holds at least two
         sys = two_spin_system()
-        cfg = TrajectoryConfig(n_traj=1, master_seed=5, t_final=2.0, rate=1.0)
-        est = estimate_density(sys, cfg)
+        cfg = TrajectoryConfig(n_traj=2, master_seed=5, t_final=2.0, rate=1.0)
+        est = density_from_ages(sys, [ages_of(cfg)[:1]])
+        assert est.n_traj == 1
         rho = est.rho_hat
         assert abs(np.trace(rho) - 1.0) < 1e-12
         assert abs(np.trace(rho @ rho).real - 1.0) < 1e-12
@@ -262,8 +264,10 @@ class TestEstimateDensity:
         assert abs(np.trace(est.rho_hat) - 1.0) < 1e-12
 
     def test_rejects_bad_config(self):
-        with pytest.raises(ValueError):
-            TrajectoryConfig(n_traj=0, master_seed=0, t_final=1.0, rate=1.0)
+        for n in (0, 1):
+            with pytest.raises(ValueError,
+                               match=f"^n_traj must be >= 2 for a standard error, got {n}$"):
+                TrajectoryConfig(n_traj=n, master_seed=0, t_final=1.0, rate=1.0)
         with pytest.raises(ValueError):
             TrajectoryConfig(n_traj=10, master_seed=0, t_final=-1.0, rate=1.0)
         with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
