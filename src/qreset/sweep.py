@@ -13,8 +13,9 @@ whose eigensystem is a closed form too, and the concurrence of the block
 comes from one call of ``twospin.concurrence_ness_stack``; no density
 matrix is formed.  The concurrence optimizer makes that call for each
 round of probes of its one coupling.  A time series takes its entropy
-column, and the entropy peak search each round of probes, from one call
-of the transient closed form.
+and fidelity columns from one call of the transient closed forms, and the
+entropy peak search each round of probes; both refuse the times at which
+the transient's phases keep too few digits (``twospin.phase_budget``).
 
 Each column is in range by construction and is not checked again: an
 entropy is ``_spin_entropy`` of v clipped to [0, 1], so in [0, ln 2]; a
@@ -31,8 +32,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import twospin
-from .observables import fidelity_factor_stack
-from .reset_core import ResetSpec, ness_density, reset_density, reset_density_stack
+from .reset_core import ResetSpec, ness_density, reset_density
 from .trajectories import TrajectoryConfig, estimate_density
 from .twospin import TwoSpinParams
 
@@ -130,12 +130,14 @@ def timeseries(
     """The observable table at the given ascending rescaled times: columns
     r, alpha, t and the requested observables.
 
-    Entropy comes from the closed form; fidelity (against the initial
-    all-down state) from the spectral engine at the matching physical time.
-    ValueError where exp(-R t) > 0 and a closed-form phase of the entropy
-    overflows, or the engine's phases keep no digits (eps max|E| t >= 1),
-    which comes far sooner: at R = 0, alpha = 1, t = 1e16 only fidelity fails.
-    Both columns are in range by construction; nan is refused with its t.
+    Entropy and fidelity (against the initial all-down state) come from the
+    two-spin closed forms, from one evaluation of their phases
+    (``twospin.finite_time_columns``); no density matrix is formed.
+    ValueError naming the first t at which the rounding of the phases can
+    move the transient by ``twospin.PHASE_BUDGET`` or more while exp(-R t)
+    > 0 (``twospin.phase_budget``; a phase that overflows is one such t).
+    Both columns are in range by construction: the entropy in [0, ln 2],
+    the fidelity clipped to [0, 1].
     """
     t = np.fromiter(t_values, dtype=float)
     if not (np.all(np.isfinite(t)) and np.all(t >= 0.0) and np.all(np.diff(t) >= 0.0)):
@@ -143,19 +145,23 @@ def timeseries(
     bad = set(observables) - {"entropy", "fidelity"}
     if bad:
         raise ValueError(f"timeseries supports entropy/fidelity, got {sorted(bad)}")
+    _require_phase_digits(t, p.R, p.alpha)
     table = {"r": np.full(t.size, p.R), "alpha": np.full(t.size, p.alpha), "t": t}
-    if "entropy" in observables:
-        table["entropy"] = twospin.entropy_reset_array(table["t"], table["r"], table["alpha"])
-        # nan only where a phase overflows while exp(-R t) > 0: a range error
-        nan = np.isnan(table["entropy"])
-        if nan.any():
-            raise ValueError(f"entropy phases beyond floating-point range at "
-                             f"t = {float(t[np.argmax(nan)])}")
-    if "fidelity" in observables:
-        sys = twospin.quantum_system(p)
-        rhos = reset_density_stack(sys, p.r, table["t"] / p.omega)
-        table["fidelity"] = fidelity_factor_stack(rhos, sys.rho0_factor)
+    table.update(twospin.finite_time_columns(t, p.R, p.alpha, observables))
     return table
+
+
+def _require_phase_digits(t, R, alpha) -> None:
+    """ValueError naming the first (t, R) of broadcastable arrays at which
+    ``twospin.phase_budget`` reaches ``twospin.PHASE_BUDGET`` (or is nan)."""
+    budget = np.atleast_1d(twospin.phase_budget(t, R, alpha))
+    refused = ~(budget < twospin.PHASE_BUDGET)
+    if refused.any():
+        i = int(np.argmax(refused))
+        t_i, R_i = (float(np.broadcast_to(v, budget.shape)[i]) for v in (t, R))
+        raise ValueError(f"the phases keep too few digits at t = {t_i} (R = {R_i}): their "
+                         f"rounding can move the transient by {budget[i]:.2g} >= "
+                         f"{twospin.PHASE_BUDGET:.2g} while exp(-R t) > 0")
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +230,16 @@ def find_entropy_peak_rate(
     t: float, alpha: float, r_lo: float, r_hi: float, tol: float = 1e-8
 ) -> OptimizeResult:
     """Maximize the finite-time entropy over the reset rate at fixed time;
-    the probes of the rate go through the transient closed form in one call."""
+    the probes of the rate go through the transient closed form in one call.
+    ValueError where the phases keep too few digits at r_lo (see
+    timeseries): the budget falls as the rate grows, so r_lo bounds it at
+    every probe."""
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"need finite t > 0, got {t}")
     alpha = TwoSpinParams.from_dimensionless(0.0, alpha).alpha
+    # a bracket that is no bracket is _bracketed_max's to refuse
+    if r_lo > 0.0:
+        _require_phase_digits(t, r_lo, alpha)
     f = lambda rates: twospin.entropy_reset_array(t, rates, alpha)
     return _bracketed_max(f, r_lo, r_hi, tol)
 

@@ -20,16 +20,24 @@ and coupling (``reduced_state_array``): rate 0 is the reset-free
 evolution, and the long-time limit is the stationary state, whose bounded
 factors (``_ness_factors``) also give the stationary entropy and fidelity
 and, at rate 0, their rate -> 0+ limits.  The finite-time, stationary and
-rate -> 0+ entropies share one body of v = 4 det.  The Hamiltonian's
-eigensystem is a closed form too (``eigensystem_array``); it feeds the
-engine's stationary factor, whose Wootters spectrum gives the concurrence
-of the two spins (``concurrence_ness_stack``, the one body of it).
+rate -> 0+ entropies share one body of v = 4 det.  The finite-time
+fidelity to |dd> is a closed form as well, taken as 1 - F over the three
+pairs of levels that carry |dd> so that it keeps relative digits as t -> 0
+(``infidelity_reset_array``).  Both finite-time columns come from one
+evaluation of the phases alpha t and t/P (``finite_time_columns``), and
+``phase_budget`` gives what the rounding of those phases can move them
+by; their callers refuse the times where it reaches ``PHASE_BUDGET``.
+The Hamiltonian's eigensystem is a closed form too (``eigensystem_array``);
+it feeds the engine's stationary factor, whose Wootters spectrum gives the
+concurrence of the two spins (``concurrence_ness_stack``, the one body of
+it).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,6 +168,117 @@ def _ness_factors(R, alpha):
     return p, rp, k, s, w, v
 
 
+# A finite-time series or entropy peak is refused where the rounding of the
+# transient's phases can move it by this much (see phase_budget): past
+# sqrt(eps), fewer than half of the digits of a value of order one are sure.
+PHASE_BUDGET = 2.0**-26
+
+# Below these arguments the fidelity's bracket takes a power series (see
+# _infidelity): 1 - (1 + x) e^-x = sum_k (k - 1) (-x)^k/k! from k = 2 in x =
+# R t, and 1 - sin(wt)/(wt) = sum_k (-1)^(k+1) (wt)^(2k)/(2k + 1)! from k =
+# 1 in (wt)^2 for a pair's phase wt.  The first term left out is below
+# 1e-17 of the sum at each cut-off, and above it the closed forms lose at
+# most a few ulps.
+_SETTLE_SERIES_X = 0.1
+_SETTLE_SERIES = np.array([(k - 1) * (-1) ** k / math.factorial(k) if k > 1 else 0.0
+                           for k in range(12)])
+_SINC_SERIES_X2 = 0.25
+_SINC_SERIES = np.array([(-1) ** (k + 1) / math.factorial(2 * k + 1) if k else 0.0
+                         for k in range(8)])
+
+
+def _level_pairs(R, alpha):
+    """For the pairs of levels that carry |dd>, (-gamma, -alpha), (-alpha,
+    gamma) and (-gamma, gamma), in that order: their weights W = 2 a_i a_j
+    w^2/(R^2 + w^2) in 1 - F, the moduli |c_i c_j U_ij| of their transient
+    in the energy basis, and their gaps w = 1/P, P and 2 gamma.
+
+    |dd> has the weights a = c^2 = n^2, 1/2 and (n/P)^2 on those levels,
+    with n^2 = P/(4 gamma) (see eigensystem_array, whose mixing ratio is
+    1/P), and none on the singlet, so 2 a_i a_j is P/(4 gamma), 1/(4 gamma
+    P) and 1/(8 gamma^2).  The last W is w/2 of _ness_factors, and the three
+    sum to the stationary 1 - F.  U = i w/(R + i w) is the renewal kernel's
+    transient factor (see reset_core), |U| = 1/hypot(1, R/w).  The moduli
+    are formed without squares, so they do not underflow where W does.
+    Call inside np.errstate."""
+    g = np.hypot(alpha, 1.0)
+    P = alpha + g
+    rp, rq, rg = R * P, R / P, R / (2.0 * g)
+    weights = (P / (4.0 * g) / (1.0 + rp * rp), 1.0 / (4.0 * g * P) / (1.0 + rq * rq),
+               0.5 / (4.0 * alpha * alpha + R * R + 4.0))
+    moduli = (np.sqrt(P / (8.0 * g)) / np.hypot(1.0, rp),
+              1.0 / (np.sqrt(8.0 * g) * np.sqrt(P)) / np.hypot(1.0, rq),
+              0.25 / g / np.hypot(1.0, rg))
+    return weights, moduli, (1.0 / P, P, 2.0 * g)
+
+
+def phase_budget(t, R, alpha):
+    """How far the rounding of the phases can move the finite-time closed
+    forms at broadcastable float arrays t, R and alpha, trusted as
+    reduced_state_array trusts them.
+
+    The closed forms round alpha t and t/P and build each pair's phase
+    w t from them (t/P, 2 alpha t + t/P, 2 alpha t + 2 t/P), so its
+    rounding is about eps w t.  In the energy basis the pair's transient
+    c_i c_j U_ij exp(-R t) exp(-i w t) then moves by that times its
+    modulus |c_i c_j U_ij| (see _level_pairs), and an element of the
+    reduced state, or <dd|rho|dd>, sums the entries of both orders of each
+    pair with coefficients of modulus at most 1:
+
+        b = 2 eps exp(-R t) sum over pairs of |c_i c_j U_ij| w t.
+
+    It is the first-order size of that rounding, not a strict bound: 1 - F
+    meets its 50-digit reference within 2 (b + eps (1 - F)).
+
+    0 where exp(-R t) is 0 (the transient takes phase 0), inf where a
+    phase overflows while exp(-R t) > 0.  No numpy warning.
+    """
+    with np.errstate(all="ignore"):
+        _, (a1, a2, a3), (q, _, _) = _level_pairs(R, alpha)
+        damp = np.exp(-R * t)
+        t = np.where(damp > 0.0, t, 0.0)
+        # alpha t overflows first, and then the bound is inf
+        rounding = 2.0 * (a2 + a3) * (alpha * t) + (a1 + a2 + 2.0 * a3) * (t * q)
+        return 2.0 * np.finfo(float).eps * damp * rounding
+
+
+class _Phases(NamedTuple):
+    """The pieces that the finite-time closed forms share (see _phases)."""
+
+    g: np.ndarray
+    P: np.ndarray
+    t0: np.ndarray
+    damp: np.ndarray
+    t: np.ndarray
+    ca: np.ndarray
+    sa: np.ndarray
+    cb: np.ndarray
+    sb: np.ndarray
+    cg: np.ndarray
+    sg: np.ndarray
+    cp: np.ndarray
+    sp: np.ndarray
+
+
+def _phases(t, R, alpha):
+    """gamma, P = alpha + gamma, the t = 0 mask, exp(-R t), the live times
+    and the cosines and sines of alpha t, t/P, gamma t and P t.  A transient
+    damped to 0 takes phase 0, since a phase past the float range would
+    make it nan.  Every phase is alpha t plus a multiple of t/P (gamma t =
+    alpha t + t/P, P t = 2 alpha t + t/P), so only alpha t carries a large
+    rounding.  Call inside np.errstate."""
+    g = np.hypot(alpha, 1.0)
+    P = alpha + g
+    t0, damp = t == 0.0, np.exp(-R * t)
+    t = np.where(damp > 0.0, t, 0.0)
+    ca, sa = np.cos(alpha * t), np.sin(alpha * t)
+    cb, sb = np.cos(t / P), np.sin(t / P)
+    cg, sg = ca * cb - sa * sb, sa * cb + ca * sb
+    c2a, s2a = ca * ca - sa * sa, 2.0 * sa * ca
+    cp, sp = c2a * cb - s2a * sb, s2a * cb + c2a * sb
+    return _Phases(g, P, t0, damp, t, ca, sa, cb, sb, cg, sg, cp, sp)
+
+
 def reduced_state_array(t, R, alpha):
     """Spin-1 reduction [[up, coherence], [conj(coherence), 1 - up]] under
     resetting at rescaled time t, rate R and coupling alpha: broadcastable
@@ -172,32 +291,57 @@ def reduced_state_array(t, R, alpha):
     2 g/(p^2 s), 4 g^2 + R^2 = 1/w, and alpha - g = -1/P.  Only * and / are
     used, so no square overflows.  The t = 0 rows are rho0 exactly, and
     where exp(-R t) underflows the state is the stationary one.  nan where a
-    phase such as gamma t overflows while exp(-R t) > 0.  No numpy warning.
+    phase such as gamma t overflows while exp(-R t) > 0; the phases keep no
+    digits long before (see phase_budget).  No numpy warning.
     """
     with np.errstate(all="ignore"):
-        p, rp, _, s, w, _ = _ness_factors(R, alpha)
-        g = np.hypot(alpha, 1.0)
-        ag, ar, P = alpha / g, alpha * rp, alpha + g
-        t0, damp = t == 0.0, np.exp(-R * t)
-        # a transient damped to 0 takes phase 0: a phase past the float
-        # range would make it nan
-        t = np.where(damp > 0.0, t, 0.0)
-        # every phase is alpha t plus a multiple of t/P (gamma t = alpha t +
-        # t/P, P t = 2 alpha t + t/P): only alpha t carries a large rounding
-        ca, sa = np.cos(alpha * t), np.sin(alpha * t)
-        cb, sb = np.cos(t / P), np.sin(t / P)
-        cg, sg = ca * cb - sa * sb, sa * cb + ca * sb
-        c2a, s2a = ca * ca - sa * sa, 2.0 * sa * ca
-        cp, sp = c2a * cb - s2a * sb, s2a * cb + c2a * sb
-        up_osc = s * (ca * (-0.5 * p * cg - (0.5 * rp / g + ag * ar * p) * sg)
-                      + sa * (0.5 * ag * (1.0 - 2.0 * p) * p * sg + ar * p * cg))
-        coh_re = ag * R * w * sg * cg + alpha * w * (cg * cg - sg * sg)
-        x, y = R * P, R / P
-        coh_im = (_ratio(x) * cb - sb / (1.0 + x * x)
-                  + _ratio(y) * cp - sp / (1.0 + y * y)) / (4.0 * g)
-        up = 0.5 * p * s + damp * up_osc
-        coh = (damp * coh_re - alpha * w) + 1j * (damp * coh_im - 0.5 * rp * s)
-        return np.where(t0, 0.0, up), np.where(t0, 0.0, coh)
+        return _reduced_state(R, alpha, _phases(t, R, alpha))
+
+
+def _reduced_state(R, alpha, ph):
+    """(up, coherence) of reduced_state_array from the shared phases."""
+    p, rp, _, s, w, _ = _ness_factors(R, alpha)
+    g, P, damp = ph.g, ph.P, ph.damp
+    ca, sa, cb, sb, cg, sg, cp, sp = ph.ca, ph.sa, ph.cb, ph.sb, ph.cg, ph.sg, ph.cp, ph.sp
+    ag, ar = alpha / g, alpha * rp
+    up_osc = s * (ca * (-0.5 * p * cg - (0.5 * rp / g + ag * ar * p) * sg)
+                  + sa * (0.5 * ag * (1.0 - 2.0 * p) * p * sg + ar * p * cg))
+    coh_re = ag * R * w * sg * cg + alpha * w * (cg * cg - sg * sg)
+    x, y = R * P, R / P
+    coh_im = (_ratio(x) * cb - sb / (1.0 + x * x)
+              + _ratio(y) * cp - sp / (1.0 + y * y)) / (4.0 * g)
+    up = 0.5 * p * s + damp * up_osc
+    coh = (damp * coh_re - alpha * w) + 1j * (damp * coh_im - 0.5 * rp * s)
+    return np.where(ph.t0, 0.0, up), np.where(ph.t0, 0.0, coh)
+
+
+def _infidelity(t, R, alpha, ph):
+    """1 - <dd|rho|dd> of infidelity_reset_array from the shared phases."""
+    weights, _, gaps = _level_pairs(R, alpha)
+    x, x_live, damp = R * t, R * ph.t, ph.damp
+    # 1 - (1 + x) e^-x; where exp(-R t) is 0 it is 1 and the row stationary
+    settle = _series_below(-np.expm1(-x) - x_live * damp, x, _SETTLE_SERIES_X, _SETTLE_SERIES)
+    # cos wt, sin wt and wt over a leading axis of the three pairs
+    c, s, wt = np.empty((3, 3) + np.broadcast(damp, ph.cg).shape)
+    c[0], c[1], c[2] = ph.cb, ph.cp, ph.cg * ph.cg - ph.sg * ph.sg
+    s[0], s[1], s[2] = ph.sb, ph.sp, 2.0 * ph.sg * ph.cg
+    for k, gap in enumerate(gaps):
+        wt[k] = ph.t * gap
+    # 1 - cos wt = sin^2 wt/(1 + cos wt), which keeps its digits where cos wt > 0
+    versine = np.where(c > 0.0, s * s / (1.0 + c), 1.0 - c)
+    sinc_gap = _series_below(1.0 - s / wt, wt * wt, _SINC_SERIES_X2, _SINC_SERIES)
+    bracket = settle + damp * (versine + x_live * sinc_gap)
+    w1, w2, w3 = weights
+    return w1 * bracket[0] + w2 * bracket[1] + w3 * bracket[2]
+
+
+def _series_below(values, x, cut, coefficients):
+    """values, an array of x's shape, with the polynomial of coefficients
+    (lowest power first) taken where x < cut."""
+    values, x = np.asarray(values), np.asarray(x)
+    near = x < cut
+    values[near] = np.vander(x[near], coefficients.size, increasing=True) @ coefficients
+    return values
 
 
 def _ratio(x):
@@ -219,12 +363,51 @@ def _spin_entropy(v):
     return (lam - 1.0) * np.log1p(-lam) - lam * log_lam
 
 
+def finite_time_columns(t, R, alpha, observables):
+    """The finite-time columns named in observables at broadcastable float
+    arrays t, R and alpha, trusted as reduced_state_array trusts them, in
+    this order and from one evaluation of the phases: "entropy", the spin-1
+    entropy (in [0, ln 2]), and "fidelity", 1 - infidelity_reset_array
+    clipped at 0.  Neither is checked against phase_budget here."""
+    with np.errstate(all="ignore"):
+        ph = _phases(t, R, alpha)
+        columns = {}
+        if "entropy" in observables:
+            up, coh = _reduced_state(R, alpha, ph)
+            columns["entropy"] = _spin_entropy(
+                4.0 * (up * (1.0 - up) - coh.real * coh.real - coh.imag * coh.imag))
+        if "fidelity" in observables:
+            columns["fidelity"] = np.maximum(1.0 - _infidelity(t, R, alpha, ph), 0.0)
+        return columns
+
+
 def entropy_reset_array(t, R, alpha):
     """Spin-1 entropy under resetting at each (t, R, alpha) of broadcastable
     float arrays, trusted as reduced_state_array trusts them."""
-    up, coh = reduced_state_array(t, R, alpha)
+    return finite_time_columns(t, R, alpha, ("entropy",))["entropy"]
+
+
+def infidelity_reset_array(t, R, alpha):
+    """1 - F, with F = <dd|rho(t)|dd> the fidelity to the initial all-down
+    state under resetting, at each (t, R, alpha) of broadcastable float
+    arrays, trusted as reduced_state_array trusts them.
+
+    With a_i the weights of |dd> on the levels -gamma, -alpha and gamma and
+    w their gaps (see _level_pairs), x = R t and d = exp(-x),
+
+        1 - F = sum over pairs of 2 a_i a_j w^2/(R^2 + w^2)
+                * [1 - d (cos wt + (R/w) sin wt)],
+
+    and the bracket is taken as (1 - (1 + x) d) + d (1 - cos wt) + d x (1 -
+    sin(wt)/(wt)): three non-negative terms, each with its relative digits
+    (see _SETTLE_SERIES_X), so 1 - F keeps relative digits down to t -> 0,
+    up to the rounding of the phases (see phase_budget).  The t = 0 rows
+    are exactly 0; where exp(-R t) is 0 the transient takes phase 0 and the
+    row is the stationary 1 - F.  The phases are reduced_state_array's, and
+    so is their nan past the float range.  No numpy warning.
+    """
     with np.errstate(all="ignore"):
-        return _spin_entropy(4.0 * (up * (1.0 - up) - coh.real * coh.real - coh.imag * coh.imag))
+        return _infidelity(t, R, alpha, _phases(t, R, alpha))
 
 
 def entropy_at_time(t: float, p: TwoSpinParams) -> float:

@@ -501,8 +501,9 @@ class TestTransientBeyondFloatRange:
 
 
 class TestFailingRunsWriteNothing:
-    # an overflowing phase at zero rate is refused by the engine, and a
-    # stationary entropy of nan by write_table: both configuration errors
+    # phases without digits at zero rate are refused by the phase budget,
+    # and a stationary entropy of nan by write_table: both configuration
+    # errors
     CASES = [
         (["timeseries", "--R", "0", "--alpha", "1", "--grid-t", "0:1e308:3",
           "--observables", "fidelity"], 4),
@@ -510,8 +511,9 @@ class TestFailingRunsWriteNothing:
     ]
     # the error line of each case's command, which names what failed
     ERRORS = {
-        "timeseries": "error: the phases E t keep no digits at t = 5e+307: "
-                      "eps max|E| t >= 1 while exp(-r t) > 0\n",
+        "timeseries": "error: the phases keep too few digits at t = 5e+307 (R = 0.0): their "
+                      "rounding can move the transient by 2.6e+292 >= 1.5e-08 while "
+                      "exp(-R t) > 0\n",
         "ness": "error: entropy is not finite at row 0: nan\n",
     }
 
@@ -880,12 +882,21 @@ class TestConfigErrors:
         (["ness", "--hamiltonian", "{h}", "--rho0", "{rho}", "--r", "0"],
          "generic mode needs a positive --r"),
         (["timeseries", "--R", "0", "--alpha", "1e300", "--grid-t", "0:1e10:3"],
-         "entropy phases beyond floating-point range at t = 5000000000.0"),
+         "the phases keep too few digits at t = 5000000000.0 (R = 0.0): their rounding "
+         "can move the transient by inf >= 1.5e-08 while exp(-R t) > 0"),
         (["ness", "--hamiltonian", "{list}", "--rho0", "{rho}", "--r", "1"],
          "matrix document must be a JSON object"),
         (["timeseries", "--R", "0", "--alpha", "1", "--grid-t", "0:1e16:2",
           "--observables", "fidelity"],
-         "the phases E t keep no digits at t = 1e+16: eps max|E| t >= 1 while exp(-r t) > 0"),
+         "the phases keep too few digits at t = 1e+16 (R = 0.0): their rounding can move "
+         "the transient by 5.1 >= 1.5e-08 while exp(-R t) > 0"),
+        # the entropy column and peak-r take the same phase budget
+        (["timeseries", "--R", "0", "--alpha", "1", "--grid-t", "0:1e16:2"],
+         "the phases keep too few digits at t = 1e+16 (R = 0.0): their rounding can move "
+         "the transient by 5.1 >= 1.5e-08 while exp(-R t) > 0"),
+        (["peak-r", "--t", "1e17", "--alpha", "1", "--r-bounds", "1e-20:1"],
+         "the phases keep too few digits at t = 1e+17 (R = 1e-20): their rounding can move "
+         "the transient by 51 >= 1.5e-08 while exp(-R t) > 0"),
     ]
 
     @pytest.mark.parametrize("args, message", ROWS)

@@ -271,7 +271,14 @@ class TestWriteJson:
         ) + "]"
         buf = io.StringIO()
         write_json([("m", m)], buf)
-        assert buf.getvalue() == '{"m": ' + reference + "}\n"
+        got, want = buf.getvalue(), '{"m": ' + reference + "}\n"
+        # pytest takes minutes to report a failed == of two 3 MB strings:
+        # compare the lengths and the first differing index instead
+        first = None if got == want else next(
+            (i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        near = slice(max(first or 0, 30) - 30, (first or 0) + 30)
+        assert (len(got), first) == (len(want), None), (
+            f"first difference at {first}: {got[near]!r} against {want[near]!r}")
 
     def test_hermitian_matrix_equals_the_per_value_template(self):
         # conjugate pairs: each imaginary part appears with both signs, and
@@ -288,7 +295,14 @@ class TestWriteJson:
         reference = "[" + ", ".join(["[%.17g, %.17g]"] * m.size) % tuple(parts) + "]"
         buf = io.StringIO()
         write_json([("m", m)], buf)
-        assert buf.getvalue() == '{"m": ' + reference + "}\n"
+        got, want = buf.getvalue(), '{"m": ' + reference + "}\n"
+        # pytest takes minutes to report a failed == of two 3 MB strings:
+        # compare the lengths and the first differing index instead
+        first = None if got == want else next(
+            (i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        near = slice(max(first or 0, 30) - 30, (first or 0) + 30)
+        assert (len(got), first) == (len(want), None), (
+            f"first difference at {first}: {got[near]!r} against {want[near]!r}")
 
     def test_real_and_strided_matrices_write_as_complex(self):
         m = np.arange(16.0).reshape(4, 4)

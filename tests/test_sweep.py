@@ -156,6 +156,11 @@ class TestStackedEqualsPointwise:
             assert np.array_equal(table[name], column), name
 
     def test_timeseries_fidelity(self):
+        # the entropy column is the one-point closed form bit for bit; the
+        # fidelity column comes from its own closed form, held to the engine
+        # (reset_density + fidelity_pure) within the round-off of the
+        # engine's phases, eps max|E| t, plus 2e-15
+        eps = np.finfo(float).eps
         for R, alpha, omega in ((0.7, 1.3, 1.0), (1e-3, 12.0, 1.0), (2.0, 0.0, 2.5)):
             p = TwoSpinParams(omega=omega, j=alpha * omega, r=R * omega)
             ts = np.linspace(0.0, 25.0, 101)
@@ -165,16 +170,18 @@ class TestStackedEqualsPointwise:
                 "alpha": [p.alpha] * ts.size,
                 "t": ts.tolist(),
                 "entropy": [entropy_at_time(float(t), p) for t in ts],
-                "fidelity": [
-                    fidelity_pure(reset_density(sys, ResetSpec(p.r), float(t) / p.omega), DOWN_DOWN)
-                    for t in ts
-                ],
             }
+            engine = np.array([
+                fidelity_pure(reset_density(sys, ResetSpec(p.r), float(t) / p.omega), DOWN_DOWN)
+                for t in ts])
             # observables come out in canonical order, whatever the request's
             table = timeseries(p, ts, observables=("fidelity", "entropy"))
-            assert list(table) == list(expected)
+            assert list(table) == [*expected, "fidelity"]
             for name, column in expected.items():
                 assert np.array_equal(table[name], column), name
+            max_energy = np.abs(sys.eigensystem.eigenvalues).max()
+            bound = 2e-15 + eps * max_energy * ts / p.omega
+            assert np.all(np.abs(table["fidelity"] - engine) <= bound)
             assert table["t"][0] == 0.0 and table["fidelity"][0] == 1.0
 
 
@@ -279,15 +286,15 @@ class TestTimeseries:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("R, t_max", [(0.0, 1e300)])
     def test_rejects_states_beyond_phase_precision(self, R, t_max):
-        # |omega t| >> 1/eps leaves the renewal phases without digits: at
-        # R = 0 nothing damps them and the matrices are not states
+        # |omega t| >> 1/eps leaves the phases without digits: at R = 0
+        # nothing damps the transient, and the phase budget refuses it
         p = TwoSpinParams.from_dimensionless(R, 1.0)
         with pytest.raises(ValueError):
             timeseries(p, [0.0, t_max / 2, t_max], observables=("fidelity",))
 
-    def test_fidelity_trusts_the_engine(self, monkeypatch):
-        # the two eigendecompositions that build the system, of rho0 and of
-        # H, and no check of the finite-time states after them
+    def test_fidelity_needs_no_eigensolver(self, monkeypatch):
+        # both columns come from the closed forms: no system is built, so
+        # neither H nor rho0 is diagonalised
         calls = []
 
         def counted(name):
@@ -297,8 +304,8 @@ class TestTimeseries:
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counted(name))
         p = TwoSpinParams.from_dimensionless(0.5, 1.0)
-        table = timeseries(p, np.linspace(0.0, 30.0, 401), ("fidelity",))
-        assert calls == [("eigh", (4, 4)), ("eigh", (4, 4))]
+        table = timeseries(p, np.linspace(0.0, 30.0, 401), ("entropy", "fidelity"))
+        assert calls == []
         assert table["fidelity"][0] == 1.0
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
@@ -489,6 +496,15 @@ class TestEntropyPeakRate:
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
             find_entropy_peak_rate(0.0, 0.0, 0.1, 1.0)
+
+    def test_refuses_phases_without_digits(self):
+        # the phase budget falls as the rate grows, so the lowest rate
+        # decides; there R t = 1e-3 and nothing damps the transient
+        with pytest.raises(ValueError, match=r"keep too few digits at t = 1e\+17 \(R = 1e-20\)"):
+            find_entropy_peak_rate(1e17, 1.0, 1e-20, 1.0)
+        # a bracket that is no bracket is refused as such
+        with pytest.raises(ValueError, match="need finite 0 < r_lo < r_hi"):
+            find_entropy_peak_rate(1e17, 1.0, math.nan, 1.0)
 
     @pytest.mark.parametrize("t, alpha", [(1.0, -1.0), (1.0, math.nan), (1.0, math.inf),
                                           (math.nan, 0.0), (math.inf, 0.0)])

@@ -31,6 +31,9 @@ from qreset.twospin import (
     fidelity_ness_array,
     hamiltonian,
     entropy_reset_array,
+    finite_time_columns,
+    infidelity_reset_array,
+    phase_budget,
     quantum_system,
     reduced_state_array,
     scaling_function,
@@ -299,6 +302,76 @@ class TestTransientArrays:
         assert np.all(np.isfinite(up)) and np.all(np.isfinite(coherence))
         s = entropy_reset_array(np.array([t]), np.array([R]), np.array([alpha]))
         assert 0.0 <= s[0] <= LN2
+
+
+class TestTransientFidelity:
+    """1 - F of the finite-time closed form against the 50-digit reference
+    (tests/data/make_transient_fidelity_reference.py writes the data).  1 - F
+    keeps its relative digits up to the rounding of the phases, which
+    phase_budget estimates: every row is within 2 (b + eps (1 - F)).  Per
+    group, the worst |dF| and relative error of 1 - F measured when the
+    closed form replaced the engine's column (the engine's own errors in
+    parentheses; it refused 172 of the strong-coupling rows):
+
+        standing-j  1.3e-19, 9.8e-17   (3.0e-15, 2.4e4)
+        main        4.4e-15, 1.1e-14   (3.5e-14, 1.3e-9)
+        short       5.5e-17, 6.5e-16   (2.6e-15, 1.2e8)
+        strong      5.0e-17, 8.5e4     (8.9e-16, 1.6e18)
+
+    In the strong group 1 - F is about 1/(8 alpha^2), while the phases
+    round by eps alpha t: its absolute error is the budget's, its relative
+    digits are gone."""
+
+    DATA = pathlib.Path(__file__).parent / "data" / "transient_fidelity_reference.csv"
+    # worst |dF| allowed per group
+    F_ATOL = {"standing-j": 2e-19, "main": 1e-14, "short": 1e-16, "strong": 1e-16}
+
+    @pytest.fixture(scope="class")
+    def groups(self):
+        with open(self.DATA, newline="") as f:
+            rows = list(csv.DictReader(f))
+        out = {}
+        for row in rows:
+            out.setdefault(row["group"], []).append(row)
+        return out
+
+    def test_matches_the_50_digit_reference(self, groups):
+        eps = np.finfo(float).eps
+        assert {name: len(rows) for name, rows in groups.items()} == {
+            "standing-j": 1, "main": 800, "short": 200, "strong": 200}
+        with mpmath.workdps(60):
+            for name, rows in groups.items():
+                t, R, alpha = (np.array([float(r[k]) for r in rows]) for k in ("t", "R", "alpha"))
+                loss = infidelity_reset_array(t, R, alpha)
+                fid = finite_time_columns(t, R, alpha, ("fidelity",))["fidelity"]
+                budget = phase_budget(t, R, alpha)
+                for k, row in enumerate(rows):
+                    ref_loss = mpmath.mpf(row["one_minus_fidelity"])
+                    d_loss = float(abs(mpmath.mpf(float(loss[k])) - ref_loss))
+                    assert d_loss <= 2.0 * (budget[k] + eps * float(ref_loss)), (name, k)
+                    d_fid = float(abs(mpmath.mpf(float(fid[k])) - mpmath.mpf(row["fidelity"])))
+                    assert d_fid <= self.F_ATOL[name], (name, k)
+
+    def test_short_time_keeps_relative_digits(self, groups):
+        # Standing (j): 1 - F = 0.5 t^2 at t = 5e-10, where the engine's
+        # basis round trip left 3.0e-15
+        (row,) = groups["standing-j"]
+        loss = infidelity_reset_array(5e-10, 1e-3, 1.0)
+        assert (float(row["t"]), float(row["R"]), float(row["alpha"])) == (5e-10, 1e-3, 1.0)
+        assert abs(loss / float(row["one_minus_fidelity"]) - 1.0) <= 1e-14
+
+    @pytest.mark.filterwarnings("error")
+    def test_exact_at_zero_and_stationary_once_damped(self):
+        rng = np.random.default_rng(21)
+        R = 10.0 ** rng.uniform(-3.0, 6.0, 400)
+        alpha = np.where(np.arange(400) % 2, 10.0 ** rng.uniform(-3.0, 150.0, 400),
+                         rng.uniform(0.0, 12.0, 400))
+        assert np.all(infidelity_reset_array(0.0, R, alpha) == 0.0)
+        # exp(-R t) is 0: the transient takes phase 0, and within 4 ulps the
+        # row is the stationary fidelity
+        fid = finite_time_columns(1e308, R, alpha, ("fidelity",))["fidelity"]
+        ness = fidelity_ness_array(R, alpha)
+        assert np.all(np.abs(fid - ness) <= 4.0 * np.spacing(ness))
 
 
 class TestEntropyNess:
