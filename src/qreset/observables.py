@@ -12,9 +12,9 @@ values of W^dagger F: F may be any factor, such as the nonzero columns that
 ``QuantumSystem.rho0_factor`` keeps, and ``fidelity`` takes it from one
 eigendecomposition of sigma.  A pure sigma (one column) needs no factor of
 rho: the fidelity is F^dagger rho F.  Concurrence takes a stack of factors
-W, rho = W W^dagger (``concurrence_factor_stack``), as
-``reset_core.ness_factor_stack`` gives them, since Wootters' spectrum is
-the singular values of tau = W^T (sigma_y x sigma_y) W.
+W, rho = W W^dagger (``concurrence_factor_stack``): Wootters' spectrum is
+the singular values of tau = W^T (sigma_y x sigma_y) W, and ``_wootters``
+applies the rule to a stack of tau, this one or the 3 x 3 one of ``twospin``.
 Those bodies trust their input, as the states ``reset_core`` builds may
 be, and check only what an eigendecomposition gives for free; the
 one-matrix functions validate their arguments and call them.
@@ -152,9 +152,14 @@ def concurrence_factor_stack(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Concurrence of each rho = W W^dagger for a (..., 4, 4) stack of
     factors W: the values and the descending singular values mu of
     tau = W^T S W (see :func:`concurrence`)."""
-    tau = w.swapaxes(-1, -2) @ (_SPIN_FLIP_OP @ w)
+    return _wootters(w.swapaxes(-1, -2) @ (_SPIN_FLIP_OP @ w))
+
+
+def _wootters(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concurrence max(0, mu_1 - mu_2 - ... - mu_k), subtracted in that order,
+    and the descending singular values mu of each tau in a (..., k, k) stack."""
     mu = np.linalg.svd(tau, compute_uv=False)
-    gap = mu[..., 0] - mu[..., 1] - mu[..., 2] - mu[..., 3]
+    gap = np.subtract.reduce(mu, axis=-1)
     return np.where(gap > 0.0, gap, 0.0), mu
 
 

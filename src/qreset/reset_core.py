@@ -20,7 +20,8 @@ exactly 1 and U exactly 0; at rate 0, K is 0 and U is 1.  |K| and |U| are
 at most 1, so the kernel is accurate to round-off at every t.  ``_kernels``
 is the one place that forms K and U.
 
-One degeneracy rule serves every stationary body: energies whose gaps are
+One degeneracy rule serves every stationary body, the closed-form factor
+of the two-spin state in ``twospin`` too: energies whose gaps are
 within a tolerance relative to ||E||_2 = ||H||_F form a cluster that
 shares its lowest energy (``_clustered``), so within a cluster omega is
 exactly 0.  The finite-time state takes the raw energies.
@@ -32,15 +33,6 @@ are its one-matrix and rate-0 views.  The system was validated when it was
 built, so it is not validated again; nor are the states, each a mixture
 of states and so PSD by construction.  ``reset_density_stack`` refuses
 the times at which its phases keep no digits instead of returning them.
-
-For a pure rho0 = |psi><psi| the stationary state has an exact factor,
-rho = W W^dagger.  With c = V^dagger psi the energy-basis state is the
-Cauchy-like matrix c_i conj(c_j) K_ij, and its Cholesky columns are closed
-forms in products and quotients of K and U, so W W^dagger is positive
-semidefinite by construction and observables that need a root of rho can
-take W instead.  ``ness_factor_stack`` takes a stack of eigensystems (a
-system's own, or the closed forms of a sweep's rows) and the pure state,
-and trusts them.
 """
 
 from __future__ import annotations
@@ -215,41 +207,6 @@ def ness_density(sys: QuantumSystem, reset: ResetSpec) -> np.ndarray:
         raise ValueError("stationary state requires a strictly positive reset rate")
     k, _ = _kernels(_clustered(sys.eigensystem.eigenvalues), np.array([reset.rate]))
     return sys._to_computational(sys._rho0_energy * k)[0]
-
-
-def ness_factor_stack(eigensystem: HermitianEigensystem, psi: np.ndarray,
-                      rates: np.ndarray) -> np.ndarray:
-    """(..., n, d, d) factors W, rho = W W^dagger, of the stationary states
-    that reset to the pure state psi at each of the n ``rates``, for the
-    (...) Hamiltonians of a stack of eigensystems (ascending eigenvalues
-    (..., d), eigenvectors (..., d, d)).  Trusted input: finite energy
-    spreads, a unit psi, rates finite and > 0.
-
-    In the energy basis, with c = V^dagger psi, the state is
-    c_i conj(c_j) K_ij, a Cauchy-like matrix.  Its Cholesky columns are
-    closed forms (Gohberg, Kailath and Olshevsky, Math. Comp. 64, 1557
-    (1995)):
-
-        W_e[i, k] = c_i^(k) K_ik  (i >= k),   c_i^(k+1) = c_i^(k) U_ik,
-
-    with c^(0) = c and U the generator of the Schur complement, both from
-    _kernels on the clustered energies, as in ness_density.  Within a
-    cluster K is exactly 1 and U exactly 0; a zero pivot c_k^(k) gives a
-    zero column and leaves c as it is, so a cluster has at most one nonzero
-    column.  K and U are bounded by 1 and only * and / are used, so W is
-    finite for every finite rate > 0.  Returns W = V W_e.
-    """
-    energies, v = eigensystem
-    # w holds K; column k becomes W_e's once column k of K is used
-    w, update = _kernels(_clustered(energies), rates)
-    c = np.repeat((v.conj().swapaxes(-1, -2) @ psi)[..., None, :], rates.size, axis=-2)
-    for k in range(energies.shape[-1]):
-        pivot = c[..., k:k + 1] != 0.0
-        w[..., :k, k] = 0.0
-        w[..., k:, k] = np.where(pivot, c[..., k:] * w[..., k:, k], 0.0)
-        c[..., k + 1:] = np.where(pivot, c[..., k + 1:] * update[..., k + 1:, k],
-                                  c[..., k + 1:])
-    return np.matmul(v[..., None, :, :], w, out=update)
 
 
 def partial_trace(

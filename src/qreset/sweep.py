@@ -51,11 +51,11 @@ PHASE_ROUNDOFF = 4.0
 
 # A sweep evaluates as many coupling rows at once as keep their
 # temporaries, about _POINT_BYTES a grid point, within _BLOCK_BYTES.  They
-# are (4, 4) complex stacks: the kernel and generator stacks of the factor
-# (one becomes W), then the flipped W and tau of concurrence; tracemalloc
-# measures about 780 bytes a point beyond the table.
+# are (3, 3) complex stacks, the kernels K and U of the factor and tau of
+# concurrence, and the factor's entries; tracemalloc measures about 410
+# bytes a point beyond the table.
 _BLOCK_BYTES = 4 * 2**20
-_POINT_BYTES = 1024
+_POINT_BYTES = 512
 
 
 class SolverError(RuntimeError):

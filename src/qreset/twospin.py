@@ -27,10 +27,10 @@ pairs of levels that carry |dd> so that it keeps relative digits as t -> 0
 evaluation of the phases alpha t and t/P (``finite_time_columns``), and
 ``phase_budget`` gives what the rounding of those phases can move them
 by; their callers refuse the times where it reaches ``PHASE_BUDGET``.
-The Hamiltonian's eigensystem is a closed form too (``eigensystem_array``);
-it feeds the engine's stationary factor, whose Wootters spectrum gives the
-concurrence of the two spins (``concurrence_ness_stack``, the one body of
-it).
+The Hamiltonian's eigensystem is a closed form too (``eigensystem_array``),
+and on the three levels that carry |dd> so are the stationary state's
+factor (``_ness_cholesky``) and sigma_y x sigma_y: the concurrence of the two
+spins takes one 3 x 3 tau a point (``concurrence_ness_stack``, its one body).
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .cmatrix import HermitianEigensystem
-from .observables import concurrence_factor_stack
-from .reset_core import QuantumSystem, ness_factor_stack
+from .observables import _wootters
+from .reset_core import QuantumSystem, _clustered, _kernels
 
 LN2 = math.log(2.0)
 LN8 = math.log(8.0)
@@ -54,6 +54,8 @@ SCALING_ASYMPTOTE_Z = 1e150
 
 # Computational-basis order: |uu>, |ud>, |du>, |dd>.
 DOWN_DOWN = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
+# The levels -gamma, -alpha and gamma of eigensystem_array carry |dd>; the singlet does not.
+_DD_LEVELS = [0, 1, 3]
 
 
 @dataclass(frozen=True)
@@ -550,8 +552,44 @@ def concurrence_ness(p: TwoSpinParams) -> float:
 
 def concurrence_ness_stack(eigensystem: HermitianEigensystem, R: np.ndarray) -> np.ndarray:
     """Stationary two-spin concurrence (..., n) at the n rates R, trusted to
-    be finite and > 0, for the (...) couplings of eigensystem_array's stack:
-    Wootters' spectra are the singular values of W^T (sigma_y x sigma_y) W
-    for the factors W of the stationary states, rho = W W^dagger."""
-    w = ness_factor_stack(eigensystem, DOWN_DOWN, R)
-    return concurrence_factor_stack(w.reshape(-1, 4, 4))[0].reshape(w.shape[:-2])
+    be finite and > 0, for the (...) couplings of eigensystem_array's stack.
+
+    Wootters' spectrum is the singular values of tau = W^T S W, S = sigma_y x
+    sigma_y, and for W = V3 W_e (see _ness_cholesky) tau = W_e^T M W_e, where
+    M = V3^T S V3 = [[-a, 0, -b], [0, 1, 0], [-b, 0, a]] is a real reflection
+    with a = (1 - t^2)/(1 + t^2), b = 2t/(1 + t^2) and t = 1/(gamma + alpha)."""
+    energies = eigensystem.eigenvalues
+    x0, x1, y1, x2, y2, z2 = _ness_cholesky(eigensystem, R)
+    t = 1.0 / (energies[..., 3, None] - energies[..., 1, None])
+    a, b = (1.0 - t * t) / (1.0 + t * t), 2.0 * t / (1.0 + t * t)
+    # tau_jk = (column j of W_e) . M (column k of W_e), the columns x, y and z
+    tau = np.empty(x1.shape + (3, 3), dtype=complex)
+    tau[..., 0, 0] = x0 * (-a * x0 - b * x2) + x1 * x1 + x2 * (a * x2 - b * x0)
+    tau[..., 0, 1] = tau[..., 1, 0] = x0 * (-b * y2) + x1 * y1 + x2 * (a * y2)
+    tau[..., 0, 2] = tau[..., 2, 0] = x0 * (-b * z2) + x2 * (a * z2)
+    tau[..., 1, 1] = y1 * y1 + y2 * (a * y2)
+    tau[..., 1, 2] = tau[..., 2, 1] = y2 * (a * z2)
+    tau[..., 2, 2] = z2 * (a * z2)
+    return _wootters(tau)[0]
+
+
+def _ness_cholesky(eigensystem: HermitianEigensystem, R: np.ndarray) -> tuple:
+    """The six nonzero entries, in np.tril_indices(3) order and broadcasting
+    to (..., n), of the lower-triangular W_e with rho = V3 W_e (V3 W_e)^dagger
+    at the n rates R, V3 the columns of V at _DD_LEVELS; trusted input.
+
+    The energy-basis state c_i c_j K_ij, with c = (n, -1/sqrt2, t n) the real
+    weights of |dd>, has closed-form Cholesky columns (Gohberg, Kailath and
+    Olshevsky, Math. Comp. 64, 1557 (1995)): W_e = [[c0, 0, 0], [c1 K10, c1',
+    0], [c3 K30, c3' K31, c3'']] with c1' = c1 U10, c3' = c3 U30, c3'' = c3' U31,
+    and K, U from _kernels on the energies clustered as in ness_density (from
+    alpha ~ 1.6e4 gamma takes the singlet's).  A zero pivot c1' (K = 1 and
+    U = 0 within a cluster) zeroes column 1 and keeps c3'' = c3', so a cluster
+    has at most one nonzero column; |K|, |U| <= 1, so W_e is finite."""
+    energies, v = eigensystem
+    k, u = _kernels(_clustered(energies)[..., _DD_LEVELS], R)
+    c0, c1, c3 = (v[..., 3, level, None].real for level in _DD_LEVELS)
+    c1p, c3p = c1 * u[..., 1, 0], c3 * u[..., 2, 0]
+    pivot = c1p != 0.0
+    return (c0, c1 * k[..., 1, 0], c1p, c3 * k[..., 2, 0],
+            np.where(pivot, c3p * k[..., 2, 1], 0.0), np.where(pivot, c3p * u[..., 2, 1], c3p))

@@ -12,14 +12,15 @@ from qreset.reset_core import (
     SubsystemSplit,
     _clustered,
     ness_density,
-    ness_factor_stack,
     partial_trace,
     reset_density,
     reset_density_stack,
     unitary_evolve,
 )
 from qreset.twospin import (
+    _DD_LEVELS,
     TwoSpinParams,
+    _ness_cholesky,
     eigensystem_array,
     quantum_system,
     reduced_state_array,
@@ -47,17 +48,6 @@ def random_density(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho)
-
-
-def ising_ring(L, g):
-    """Periodic transverse-field Ising chain -sum Z_i Z_i+1 - g sum X_i, spin
-    0 slowest: its translations and reflection make the spectrum degenerate."""
-    states = np.arange(2**L)
-    z = 1.0 - 2.0 * ((states[:, None] >> np.arange(L)[::-1]) & 1)
-    h = np.diag(-np.sum(z * np.roll(z, -1, axis=1), axis=1)).astype(complex)
-    for i in range(L):
-        h[states, states ^ (1 << i)] -= g
-    return h
 
 
 def assert_valid_density(rho, tol=1e-12):
@@ -468,63 +458,50 @@ class TestStacks:
 
 
 class TestNessFactor:
-    """ness_factor_stack gives W with W W^dagger the stationary state."""
+    """twospin._ness_cholesky gives the lower-triangular W_e of W = V3 W_e, V3
+    the closed-form eigenvectors of the levels that carry |dd>, and W W^dagger
+    is the stationary state."""
 
     RATES = np.r_[5e-324, 1e-300, 1e-12, 1e-9, np.geomspace(1e-3, 1e3, 13), 1e300, 1.7e308]
+    # the levels -gamma and -alpha are apart up to 1.58e4 and one cluster from 1.6e4
+    ALPHAS = np.array([0.0, 2.0, 1.5e4, 1.58e4, 1.6e4, 1.7e4, 1e8, 1e150, 1e300])
 
-    @staticmethod
-    def pure_systems():
-        """(system, psi) pairs with rho0 = |psi><psi|."""
-        rng = np.random.default_rng(61)
-        for d in (2, 3, 4, 6):
-            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            psi = rng.normal(size=d) + 1j * rng.normal(size=d)
-            psi /= np.linalg.norm(psi)
-            yield QuantumSystem(a + a.conj().T, np.outer(psi, psi.conj())), psi
-        for alpha in (0.0, 2.0):
-            yield two_spin_system(1.0, alpha), DOWN_DOWN
-        for L, g in ((4, 1.0), (5, 0.6)):
-            # a product state tilted off the axes overlaps every symmetry sector
-            one = np.array([np.cos(0.4), np.exp(0.7j) * np.sin(0.4)])
-            psi = np.ones(1, dtype=complex)
-            for _ in range(L):
-                psi = np.kron(psi, one)
-            yield QuantumSystem(ising_ring(L, g), np.outer(psi, psi.conj())), psi
-        # four levels 0.6 tolerances apart chain into one cluster, so the
-        # pairs two gaps apart are degenerate too; the tolerance
-        # DEGENERACY_RTOL ||H||_F depends weakly on the spacing
-        q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        delta = 0.0
-        for _ in range(3):
-            levels = 1.0 + delta * np.arange(4)
-            delta = 0.6 * DEGENERACY_RTOL * np.linalg.norm(levels)
-        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-        psi /= np.linalg.norm(psi)
-        yield QuantumSystem(hermitize((q * levels) @ q.conj().T), np.outer(psi, psi.conj())), psi
-
-    def factor(self, sys, psi):
-        return ness_factor_stack(sys.eigensystem, psi, self.RATES)
+    def factor(self):
+        """(alpha, n, 3, 3) W_e and the closed-form eigensystems."""
+        eigensystem = eigensystem_array(self.ALPHAS)
+        entries = np.broadcast_arrays(*_ness_cholesky(eigensystem, self.RATES))
+        w = np.zeros(entries[0].shape + (3, 3), dtype=complex)
+        rows, cols = np.tril_indices(3)
+        w[..., rows, cols] = np.stack(entries, axis=-1)
+        return w, eigensystem
 
     @pytest.mark.filterwarnings("error")
     def test_factor_equals_the_density_stack(self):
-        for sys, psi in self.pure_systems():
-            w = self.factor(sys, psi)
-            assert w.shape == (self.RATES.size, sys.dim, sys.dim)
+        w_e, (energies, vectors) = self.factor()
+        factors = vectors[:, None, :, _DD_LEVELS] @ w_e
+        for alpha, e, v, w in zip(self.ALPHAS, energies, vectors, factors):
             rho = w @ w.conj().swapaxes(-1, -2)
-            ness = np.array([ness_density(sys, ResetSpec(rate)) for rate in self.RATES])
+            # the engine's stationary rule in the closed-form energy basis,
+            # where eigh is exact: near alpha = 1.5e4 eigh's vectors of the
+            # pair 1/(gamma + alpha) apart carry eps ||H||/gap ~ 1e-7
+            energy_basis = QuantumSystem(np.diag(e).astype(complex), np.outer(v[3], v[3]))
+            assert np.array_equal(energy_basis.eigensystem.eigenvectors, np.eye(4))
+            ness = [v @ ness_density(energy_basis, ResetSpec(rate)) @ v.T for rate in self.RATES]
             assert np.abs(rho - ness).max() <= 1e-14
+            if alpha <= 2.0:
+                sys = two_spin_system(1.0, alpha)
+                ness = [ness_density(sys, ResetSpec(rate)) for rate in self.RATES]
+                assert np.abs(rho - ness).max() <= 1e-14
 
     def test_a_degenerate_cluster_has_at_most_one_nonzero_column(self):
-        seen = 0
-        for sys, psi in self.pure_systems():
-            clustered = _clustered(sys.eigensystem.eigenvalues)
-            starts = np.r_[0, np.flatnonzero(np.diff(clustered) != 0.0) + 1]
-            w = self.factor(sys, psi)
-            for lo, hi in zip(starts, np.r_[starts[1:], sys.dim]):
-                nonzero = np.any(w[:, :, lo:hi] != 0.0, axis=1).sum(axis=-1)
-                assert np.all(nonzero <= 1)
-                seen += hi - lo - 1
-        assert seen >= 10  # the rings and the uncoupled pair are degenerate
+        w_e, (energies, _) = self.factor()
+        clustered = _clustered(energies)[:, _DD_LEVELS]
+        merged = clustered[:, 0] == clustered[:, 1]
+        assert merged.tolist() == [False] * 4 + [True] * 5
+        assert np.all(clustered[:, 2] != clustered[:, 1])
+        # the zero pivot: column 1 is zero wherever -gamma and -alpha cluster
+        assert np.all(w_e[merged][..., 1] == 0.0)
+        assert np.all(w_e[~merged][..., 1, 1] != 0.0)
 
 
 class TestPartialTrace:

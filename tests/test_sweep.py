@@ -7,7 +7,7 @@ import pytest
 
 from qreset import sweep, twospin
 
-from qreset.observables import concurrence_factor_stack, fidelity_pure
+from qreset.observables import fidelity_pure
 from qreset.reset_core import ResetSpec, reset_density
 from qreset.sweep import (
     SolverError,
@@ -194,14 +194,14 @@ class TestRowBlocks:
         # alpha = 0 takes the degeneracy branch of the stationary state
         grid = SweepGrid(r_values=tuple(np.geomspace(1e-3, 1e3, 23)),
                          alpha_values=(0.0, 0.05, 0.5, 1.0, 2.5, 6.0, 12.0))
-        stacks = []
-        counted = lambda factors: stacks.append(len(factors)) or concurrence_factor_stack(factors)
-        monkeypatch.setattr(twospin, "concurrence_factor_stack", counted)
+        stacks, wootters = [], twospin._wootters
+        counted = lambda tau: stacks.append(math.prod(tau.shape[:-2])) or wootters(tau)
+        monkeypatch.setattr(twospin, "_wootters", counted)
         tables = []
         for budget in (1, 10**12):  # one row per block, then the whole grid
             monkeypatch.setattr(sweep, "_BLOCK_BYTES", budget)
             tables.append(sweep_records(grid))
-        assert stacks == [23] * 7 + [23 * 7]
+        assert stacks == [23] * 7 + [161]
         one_row, whole = tables
         assert list(one_row) == list(whole)
         for name in whole:
@@ -441,7 +441,10 @@ class TestOptimizeConcurrence:
         with pytest.raises(ValueError, match="j must be finite"):
             optimize_concurrence(-1.0, 1.0, 0.5)
 
-    @pytest.mark.parametrize("alpha", [0.0, 2.0, 3.3, 7.0, 10.0, 11.5])
+    @pytest.mark.filterwarnings("error")
+    # -gamma and -alpha cluster from 1.6e4: the factor's zero pivot
+    @pytest.mark.parametrize("alpha", [0.0, 2.0, 3.3, 7.0, 10.0, 11.5,
+                                       1.5e4, 1.58e4, 1.6e4, 1.7e4])
     def test_equals_the_point_by_point_path_bit_for_bit(self, monkeypatch, alpha):
         # every value the stacked objective hands the optimizer, and the
         # optimum, equal those of one system and one state per rate

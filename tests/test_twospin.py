@@ -6,22 +6,28 @@ import mpmath
 import numpy as np
 import pytest
 
-from qreset.observables import concurrence_factor_stack, purity, von_neumann_entropy
+from qreset.observables import (
+    concurrence_factor_stack,
+    concurrence_stack,
+    purity,
+    von_neumann_entropy,
+)
 from qreset.reset_core import (
     ResetSpec,
     _clustered,
     SubsystemSplit,
     ness_density,
-    ness_factor_stack,
     partial_trace,
     reset_density,
     unitary_evolve,
 )
 from qreset.twospin import (
+    _DD_LEVELS,
     LN2,
     TwoSpinParams,
-    DOWN_DOWN,
+    _ness_cholesky,
     concurrence_ness,
+    concurrence_ness_stack,
     eigensystem_array,
     entropy_at_time,
     entropy_ness,
@@ -691,10 +697,10 @@ class TestEigensystemArray:
 
     def test_stacked_couplings_equal_one_at_a_time(self):
         rates = np.geomspace(1e-3, 1e3, 7)
-        stack = ness_factor_stack(eigensystem_array(self.ALPHAS[:7]), DOWN_DOWN, rates)
-        for alpha, w in zip(self.ALPHAS[:7], stack):
-            one = ness_factor_stack(eigensystem_array(np.array([alpha])), DOWN_DOWN, rates)
-            assert np.array_equal(w, one[0])
+        stack = concurrence_ness_stack(eigensystem_array(self.ALPHAS), rates)
+        for alpha, values in zip(self.ALPHAS, stack):
+            one = concurrence_ness_stack(eigensystem_array(np.array([alpha])), rates)
+            assert np.array_equal(values, one[0])
 
 
 class TestConcurrenceReference:
@@ -722,5 +728,30 @@ class TestConcurrenceReference:
     @pytest.mark.filterwarnings("error")
     def test_uncoupled_pair_is_separable_at_every_rate(self):
         rates = np.r_[5e-324, np.geomspace(1e-300, 1e300, 61), 1.7e308]
-        w = ness_factor_stack(eigensystem_array(np.zeros(1)), DOWN_DOWN, rates)[0]
-        assert np.all(concurrence_factor_stack(w)[0] <= 1e-15)
+        assert np.all(concurrence_ness_stack(eigensystem_array(np.zeros(1)), rates) <= 1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [1.5e4, 1.58e4, 1.6e4, 1.7e4])
+    def test_the_clustering_edge(self, alpha):
+        # the levels -gamma and -alpha are apart at 1.58e4 and one cluster
+        # from 1.6e4 on, where the factor takes its zero pivot
+        rates = np.geomspace(1e-12, 1e12, 49)
+        eigensystem = eigensystem_array(np.array([alpha]))
+        clustered = _clustered(eigensystem.eigenvalues)[0]
+        assert (clustered[0] == clustered[1]) == (alpha >= 1.6e4)
+        body = concurrence_ness_stack(eigensystem, rates)[0]
+        # the folded 3 x 3 tau against the generic W^T S W of the same factor
+        entries = np.broadcast_arrays(*_ness_cholesky(eigensystem, rates))
+        w_e = np.zeros(entries[0].shape + (3, 3), dtype=complex)
+        rows, cols = np.tril_indices(3)
+        w_e[..., rows, cols] = np.stack(entries, axis=-1)
+        w = np.zeros(w_e.shape[:-2] + (4, 4), dtype=complex)
+        w[..., :3] = eigensystem.eigenvectors[:, None][..., _DD_LEVELS] @ w_e
+        assert np.abs(body - concurrence_factor_stack(w)[0][0]).max() <= 1e-15
+        # the engine clusters alike.  Below the edge its eigh of H carries
+        # eps ||H||/gap ~ 1e-7 into the vectors of the pair 1/(gamma + alpha)
+        # apart, and its eigh of a near-pure rho keeps about 1e-10 of the
+        # concurrence, so the parent's body differed from it alike
+        sys = quantum_system(params(1.0, alpha))
+        engine = concurrence_stack(np.array([ness_density(sys, ResetSpec(r)) for r in rates]))
+        assert np.abs(body - engine[0]).max() <= (1e-14 if alpha >= 1.6e4 else 1e-6)
