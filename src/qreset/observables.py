@@ -5,7 +5,9 @@ purity, and the two-qubit concurrence in Wootters' closed form.
 
 Purity, fidelity and concurrence each have one body that works on a
 (..., d, d) stack of density matrices (``purity_stack``,
-``fidelity_factor_stack``, ``concurrence_stack``).  Fidelity and
+``fidelity_factor_stack``, ``concurrence_stack``).  The purity is the sum
+of |rho_ij|^2, which is tr(rho^2) for the Hermitian states it is given,
+in O(d^2) and with no matrix product.  Fidelity and
 concurrence are computed from factors in every case.  The fidelity of
 rho = W W^dagger to sigma = F F^dagger is the squared sum of the singular
 values of W^dagger F: F may be any factor, such as the nonzero columns that
@@ -47,8 +49,10 @@ def purity(rho) -> float:
 
 
 def purity_stack(rho: np.ndarray) -> np.ndarray:
-    """tr(rho^2) of each matrix in a (..., d, d) stack."""
-    return np.trace(rho @ rho, axis1=-2, axis2=-1).real
+    """tr(rho^2) of each matrix in a (..., d, d) stack, as the sum of
+    |rho_ij|^2: it trusts its input to be Hermitian, for which the two are
+    equal, and a sum of non-negative terms cannot cancel."""
+    return (np.square(rho.real) + np.square(rho.imag)).sum(axis=(-2, -1))
 
 
 def fidelity(rho, sigma) -> float:

@@ -26,6 +26,11 @@ within a tolerance relative to ||E||_2 = ||H||_F form a cluster that
 shares its lowest energy (``_clustered``), so within a cluster omega is
 exactly 0.  The finite-time state takes the raw energies.
 
+The energy basis is computed once, when the system is built: a
+Hamiltonian whose imaginary parts are all exactly zero takes the real
+symmetric eigensolver, and its eigenvectors are cast to complex once, so
+every product downstream keeps one dtype; any other takes the complex one.
+
 ``ness_density`` is the one body of the stationary state, and
 ``reset_density_stack``, a (n, d, d) stack over n times in one vectorised
 step, of the finite-time state; ``reset_density`` and ``unitary_evolve``
@@ -83,11 +88,12 @@ class QuantumSystem:
 
     Construction validates the inputs (Hermitian Hamiltonian with a finite
     energy spread; Hermitian, PSD, trace-one rho0) and performs the
-    eigendecomposition of each once.  rho0's gives ``rho0_factor``, the
-    nonzero columns of F0 = V sqrt(w) with rho0 = F0 F0^dagger (d x 1 for a
-    pure rho0).  _clustered takes the degeneracy tolerance from the
-    eigenvalues.  The instance is immutable afterwards and safe to share
-    across workers.
+    eigendecomposition of each once, the Hamiltonian's by the real solver
+    where its imaginary parts are all exactly zero.  rho0's gives
+    ``rho0_factor``, the nonzero columns of F0 = V sqrt(w) with
+    rho0 = F0 F0^dagger (d x 1 for a pure rho0).  _clustered takes the
+    degeneracy tolerance from the eigenvalues.  The instance is immutable
+    afterwards and safe to share across workers.
     """
 
     def __init__(self, hamiltonian, rho0):
@@ -102,7 +108,12 @@ class QuantumSystem:
         self.rho0 = rho
         self.rho0_factor = factor
         self.dim = h.shape[0]
-        self.eigensystem = HermitianEigensystem(*np.linalg.eigh(h))
+        if h.imag.any():
+            self.eigensystem = HermitianEigensystem(*np.linalg.eigh(h))
+        else:
+            # the real solver; one complex cast keeps every product below in one dtype
+            energies, v = np.linalg.eigh(h.real)
+            self.eigensystem = HermitianEigensystem(energies, v.astype(complex))
         # the frequencies E - E' of the kernels must be finite
         energies = self.eigensystem.eigenvalues
         with np.errstate(over="ignore"):

@@ -30,10 +30,17 @@ beyond float range and on a non-finite value (1e999 loads as inf).  Each
 entry fault but a non-finite value names the index of the first bad entry.
 A system built from two documents then checks the Hamiltonian is Hermitian,
 relative to its largest entry, and the state a density matrix.
+
+``load_matrix`` parses and checks a document with the cyclic collector
+paused.  A d = 256 document parses to about 65k lists, whose allocation
+would otherwise start collector passes over them; it holds no reference
+cycles, so refcounting frees it, before the collector resumes.  The
+caller's collector state is restored however the load ends.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from itertools import chain
@@ -219,8 +226,16 @@ def save_matrix(m: np.ndarray, path) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    with open(path) as f:
-        return document_to_matrix(json.load(f))
+    """Read an interchange document with the cyclic collector paused (see
+    the module docstring)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path) as f:
+            return document_to_matrix(json.load(f))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def load_quantum_system(hamiltonian_path, rho0_path) -> QuantumSystem:

@@ -1,10 +1,11 @@
 import json
+import math
 import pathlib
 
 import numpy as np
 import pytest
 
-from qreset.cmatrix import PSD_CLIP_TOL, density_factor, psd_factor_stack
+from qreset.cmatrix import PSD_CLIP_TOL, density_factor, hermitize, psd_factor_stack
 from qreset.observables import (
     concurrence,
     concurrence_factor_stack,
@@ -14,6 +15,7 @@ from qreset.observables import (
     fidelity_factor_stack,
     fidelity_pure,
     purity,
+    purity_stack,
     spin_flip,
     von_neumann_entropy,
 )
@@ -257,6 +259,30 @@ class TestPurity:
                 p = TwoSpinParams.from_dimensionless(R, alpha)
                 rho = ness_density(quantum_system(p), ResetSpec(p.r))
                 assert abs(purity(rho) - fidelity_ness(p)) < 1e-10
+
+
+class TestPurityStack:
+    """purity_stack sums |rho_ij|^2, which equals tr(rho^2) for Hermitian rho."""
+
+    @staticmethod
+    def trace_of_square(rho):
+        # sum_ij rho_ij rho_ji, each product rounded once and the sum exact
+        return math.fsum((rho * rho.T).real.ravel())
+
+    def test_equals_the_trace_of_the_square(self):
+        rng = np.random.default_rng(23)
+        eps = np.finfo(float).eps
+        for d in range(1, 65):
+            stack = np.array([hermitize(random_density(rng, d, rank))
+                              for rank in sorted({1, max(d // 3, 1), d})])
+            bound = 4 * d * eps
+            values = purity_stack(stack)
+            assert values.shape == stack.shape[:1]
+            for rho, stacked in zip(stack, values):
+                single = purity_stack(rho)
+                assert abs(single - self.trace_of_square(rho)) <= bound
+                assert abs(stacked - self.trace_of_square(rho)) <= bound
+                assert purity(rho) == single
 
 
 class TestSpinFlip:

@@ -44,6 +44,11 @@ def reduced_matrix(t, R, alpha):
     return np.array([[up, c], [np.conj(c), 1.0 - up]])
 
 
+def random_pure(rng, dim):
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return psi / np.linalg.norm(psi)
+
+
 def random_density(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
@@ -152,6 +157,101 @@ class TestQuantumSystem:
     def test_rejects_a_rho0_that_is_not_psd(self):
         with pytest.raises(ValueError, match="density matrix not PSD"):
             QuantumSystem(np.eye(2, dtype=complex), np.diag([1.2, -0.2]).astype(complex))
+
+
+def ising_ring(L, J, h):
+    """Periodic transverse-field Ising H -J sum Z_i Z_i+1 - h sum X_i, spin 0
+    slowest, as perfbench/oracle.py's ising_chain builds it: real, with a
+    degenerate spectrum."""
+    states = np.arange(2**L)
+    z = 1.0 - 2.0 * ((states[:, None] >> (L - 1 - np.arange(L))) & 1)
+    H = np.diag(-J * np.sum(z * np.roll(z, -1, axis=1), axis=1)).astype(complex)
+    for i in range(L):
+        H[states, states ^ (1 << (L - 1 - i))] -= h
+    return H
+
+
+class TestRealSolver:
+    """A Hamiltonian whose imaginary parts are all exactly zero is
+    diagonalised by the real solver.  Its states equal the complex solver's
+    to 8 d eps, and a state at time t to 8 d eps (1 + max|E| t), since the
+    two solvers' energies differ in their last digits and the phases E t
+    carry that; measured worst: 1.5 d eps (L = 5 ring) and 1.0 d eps.
+    """
+
+    RATES = (1e-3, 0.7, 40.0)
+    TIMES = np.array([0.0, 1e-6, 0.3, 2.0, 25.0])
+
+    def hamiltonians(self):
+        rng = np.random.default_rng(230)
+        for d in (2, 3, 5, 16):
+            a = rng.normal(size=(d, d))
+            yield (a + a.T) / 2
+        for L, J, h in ((3, 1.1, 0.7), (4, 0.9, 1.3), (5, 1.0, 0.4)):
+            yield ising_ring(L, J, h)
+
+    @staticmethod
+    def reference(h, rho0, rate, ts):
+        """ness_density and reset_density_stack from the complex solver's
+        eigensystem, formed here."""
+        energies, v = np.linalg.eigh(h.astype(complex))
+        rho_e = v.conj().T @ rho0 @ v
+
+        def computational(kernel):
+            return hermitize(v @ (rho_e * kernel) @ v.conj().T)
+
+        def kernels(e):
+            s = rate + 1j * (e[:, None] - e[None, :])
+            return rate / s, (s - rate) / s
+
+        k, _ = kernels(_clustered(energies))
+        k_raw, u = kernels(energies)
+        phase = np.exp(-1j * energies * ts[:, None])
+        stack = [computational(k_raw + u * np.exp(-rate * t) * np.outer(p, p.conj()))
+                 for t, p in zip(ts, phase)]
+        stack[0] = rho0
+        return computational(k), np.array(stack)
+
+    def test_states_equal_the_complex_solvers(self):
+        rng = np.random.default_rng(231)
+        for h in self.hamiltonians():
+            d = h.shape[0]
+            psi = random_pure(rng, d)
+            for rho0 in (random_density(rng, d), np.outer(psi, psi.conj())):
+                sys = QuantumSystem(h, rho0)
+                v = sys.eigensystem.eigenvectors
+                assert v.dtype == np.complex128
+                assert np.abs(v.conj().T @ v - np.eye(d)).max() <= 1e-14
+                bound = 8 * d * np.finfo(float).eps
+                phase = np.abs(sys.eigensystem.eigenvalues).max() * self.TIMES
+                for rate in self.RATES:
+                    ness, stack = self.reference(h, sys.rho0, rate, self.TIMES)
+                    assert np.abs(ness_density(sys, ResetSpec(rate)) - ness).max() <= bound
+                    error = np.abs(reset_density_stack(sys, rate, self.TIMES) - stack)
+                    assert np.all(error.max(axis=(1, 2)) <= bound * (1.0 + phase))
+
+    @pytest.mark.parametrize("entry", [(0, 2), (1, 1)])
+    def test_any_imaginary_part_takes_the_complex_solver(self, monkeypatch, entry):
+        # an off-diagonal pair, or a diagonal part far inside the Hermitian tolerance
+        h = ising_ring(3, 1.1, 0.7)
+        i, j = entry
+        h[i, j] += 1e-3j if i != j else 1e-30j
+        h[j, i] = h[i, j].conjugate() if i != j else h[i, j]
+        rho0 = np.eye(8, dtype=complex) / 8
+        received = []
+        eigh = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            received.append(a.dtype)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        QuantumSystem(h, rho0)
+        # rho0's eigendecomposition, then the Hamiltonian's
+        assert received == [np.complex128, np.complex128]
+        received.clear()
+        QuantumSystem(h.real, rho0)
+        assert received == [np.complex128, np.float64]
 
 
 class TestResetSpec:

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from qreset import serialize
+from qreset.cli import main
 from qreset.serialize import (
     CSV_HEADER,
     FIELD_NAMES,
@@ -489,3 +491,54 @@ class TestMatrixInterchange:
         save_matrix(np.diag([0.25, 0.75]).astype(complex), rpath)
         sys = load_quantum_system(hpath, rpath)
         assert sys.dim == 2
+
+
+class TestCollectorDuringLoad:
+    """load_matrix parses with the cyclic collector paused and leaves it as
+    it found it, however the parse ends."""
+
+    @pytest.fixture
+    def document(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_matrix(np.diag([1.0, -1.0]).astype(complex), path)
+        return path
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    def test_paused_while_parsing_and_enabled_afterwards(self, document, monkeypatch):
+        seen = []
+        parse = json.load
+
+        def recording(f):
+            seen.append(gc.isenabled())
+            return parse(f)
+
+        monkeypatch.setattr(serialize.json, "load", recording)
+        gc.enable()
+        assert np.array_equal(load_matrix(document), np.diag([1.0, -1.0]))
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_a_disabled_collector_stays_disabled(self, document):
+        gc.disable()
+        load_matrix(document)
+        assert not gc.isenabled()
+
+    def test_a_truncated_document_reenables_the_collector(self, document, tmp_path, capsys):
+        document.write_text(document.read_text()[:-9])
+        gc.enable()
+        with pytest.raises(json.JSONDecodeError):
+            load_matrix(document)
+        assert gc.isenabled()
+        rpath = tmp_path / "rho.json"
+        save_matrix(np.diag([1.0, 0.0]).astype(complex), rpath)
+        assert main(["ness", "--hamiltonian", str(document), "--rho0", str(rpath),
+                     "--r", "1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert gc.isenabled()
