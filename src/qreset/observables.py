@@ -16,7 +16,11 @@ eigendecomposition of sigma.  A pure sigma (one column) needs no factor of
 rho: the fidelity is F^dagger rho F.  Concurrence takes a stack of factors
 W, rho = W W^dagger (``concurrence_factor_stack``): Wootters' spectrum is
 the singular values of tau = W^T (sigma_y x sigma_y) W, and ``_wootters``
-applies the rule to a stack of tau, this one or the 3 x 3 one of ``twospin``.
+applies the rule to a stack of tau by one LAPACK svd of each.  The
+symmetric 3 x 3 tau of ``twospin`` takes the rule in closed form
+(``_wootters_3x3``): the largest singular value from the trigonometric
+cubic, the sum of the other two from |det tau| and ||adj tau||_F, and
+``_wootters`` only where the top pair nearly meets.
 Those bodies trust their input, as the states ``reset_core`` builds may
 be, and check only what an eigendecomposition gives for free; the
 one-matrix functions validate their arguments and call them.
@@ -24,6 +28,7 @@ one-matrix functions validate their arguments and call them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,6 +170,81 @@ def _wootters(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mu = np.linalg.svd(tau, compute_uv=False)
     gap = np.subtract.reduce(mu, axis=-1)
     return np.where(gap > 0.0, gap, 0.0), mu
+
+
+# A symmetric 3 x 3 matrix is kept as its upper triangle in row order, the
+# entries 00, 01, 02, 11, 12 and 22; this is where each of the nine is.
+_SYMMETRIC_3 = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+_ROWS, _COLS = np.triu_indices(3)
+_DIAGONAL, _OFF_DIAGONAL = [0, 3, 5], [1, 2, 4]
+# (tau^dagger tau)_ij = sum_k conj(tau_ki) tau_kj: rows i and j of the symmetric tau
+_GRAM = _SYMMETRIC_3[_ROWS], _SYMMETRIC_3[_COLS]
+# the cofactor tau_{i+1,j+1} tau_{i+2,j+2} - tau_{i+1,j+2} tau_{i+2,j+1}, indices mod 3
+_COFACTOR = tuple(_SYMMETRIC_3[(_ROWS + a) % 3, (_COLS + b) % 3]
+                  for a, b in ((1, 1), (2, 2), (1, 2), (2, 1)))
+# The closed form hands LAPACK the points where lambda_1 - lambda_2 <= this
+# times lambda_1.  The cubic's top two roots meet there: a rounding d of
+# arccos's argument moves lambda_1 by about (2/27) d lambda_1 over the
+# relative gap, and d is a few eps.  At 0.05 that is a few eps of lambda_1,
+# about the error of LAPACK's singular values; at relative gaps of 0.01 to
+# 0.03 the two differed by up to 4e-15 mu_1.  Every two-spin state with R >=
+# 1e-3 and alpha <= 12 has a gap above 0.06; it closes as R -> 0 at strong
+# coupling, where the top pair merges.
+_CUBIC_GAP_RTOL = 0.05
+
+
+def _wootters_3x3(t00, t01, t02, t11, t12, t22) -> np.ndarray:
+    """Concurrence max(0, mu_1 - mu_2 - mu_3) of each symmetric 3 x 3 tau,
+    given by the broadcastable arrays of its entries 00, 01, 02, 11, 12 and
+    22, in closed form: the value of ``_wootters`` without a LAPACK call a
+    point, except where its top pair of singular values nearly meets.
+
+    Each point is scaled by the power of two at its largest |Re| or |Im|, so
+    the sixth powers below neither overflow nor underflow and the scaling is
+    exact.  lambda_1 = mu_1^2 is the largest eigenvalue of G = tau^dagger
+    tau by the trigonometric cubic: with m = tr G/3, K = G - m I and p =
+    tr K^2/6, lambda_1 = m + 2 sqrt(p) cos(phi), phi = arccos(det K/(2
+    p^(3/2)))/3, and lambda_1 - lambda_2 = 2 sqrt(3 p) sin(pi/3 - phi).  The
+    rest of the spectrum comes from the sums of non-negative terms c2 =
+    ||adj tau||_F^2 = lambda_1 (lambda_2 + lambda_3) + lambda_2 lambda_3 and
+    |det tau| = mu_1 mu_2 mu_3, so that mu_2 + mu_3 = sqrt((c2 - |det
+    tau|^2/lambda_1)/lambda_1 + 2 |det tau|/mu_1) carries an error relative
+    to mu_1, not to tr G, where tau is near rank one.  Where the gap is at
+    most _CUBIC_GAP_RTOL lambda_1, tau = 0 and G = m I among them, the
+    unscaled tau goes to ``_wootters``.  No numpy warning.
+    """
+    tau = np.stack(np.broadcast_arrays(t00, t01, t02, t11, t12, t22), dtype=complex)
+    shape = tau.shape[1:]
+    tau = tau.reshape(6, -1)
+    # real and imaginary parts interleaved along the last axis
+    parts = tau.view(float)
+    largest = np.abs(parts).max(axis=0)
+    _, exponent = np.frexp(np.maximum(largest[0::2], largest[1::2]))
+    a = np.ldexp(parts, np.repeat(-exponent, 2)).view(complex)
+    with np.errstate(all="ignore"):
+        g = (a[_GRAM[0]].conj() * a[_GRAM[1]]).sum(axis=1)
+        adj = a[_COFACTOR[0]] * a[_COFACTOR[1]] - a[_COFACTOR[2]] * a[_COFACTOR[3]]
+        det = np.abs(a[0] * adj[0] + a[1] * adj[1] + a[2] * adj[2])
+        minors = np.square(adj.real) + np.square(adj.imag)
+        c2 = minors[_DIAGONAL].sum(axis=0) + 2.0 * minors[_OFF_DIAGONAL].sum(axis=0)
+        diagonal, off = g[_DIAGONAL].real, g[_OFF_DIAGONAL]
+        m = diagonal.sum(axis=0) / 3.0
+        (k0, k1, k2), (g01, g02, g12) = diagonal - m, off
+        o01, o02, o12 = np.square(off.real) + np.square(off.imag)
+        p = (k0 * k0 + k1 * k1 + k2 * k2 + 2.0 * (o01 + o02 + o12)) / 6.0
+        det_k = (k0 * k1 * k2 + 2.0 * (g01 * g12 * g02.conj()).real
+                 - k0 * o12 - k1 * o02 - k2 * o01)
+        root_p = np.sqrt(p)
+        phi = np.arccos(np.clip(det_k / (2.0 * p * root_p), -1.0, 1.0)) / 3.0
+        lam1 = m + 2.0 * root_p * np.cos(phi)
+        gap = (2.0 * math.sqrt(3.0)) * root_p * np.sin(math.pi / 3.0 - phi)
+        mu1 = np.sqrt(lam1)
+        rest = np.sqrt(np.maximum((c2 - det * det / lam1) / lam1, 0.0) + 2.0 * det / mu1)
+        value = np.ldexp(np.maximum(mu1 - rest, 0.0), exponent)
+        near = ~(gap > _CUBIC_GAP_RTOL * lam1)
+    if near.any():
+        value[near] = _wootters(np.moveaxis(tau[:, near][_SYMMETRIC_3], -1, 0))[0]
+    return value.reshape(shape)
 
 
 def concurrence_pure(rho, split: SubsystemSplit) -> float:

@@ -30,7 +30,9 @@ by; their callers refuse the times where it reaches ``PHASE_BUDGET``.
 The Hamiltonian's eigensystem is a closed form too (``eigensystem_array``),
 and on the three levels that carry |dd> so are the stationary state's
 factor (``_ness_cholesky``) and sigma_y x sigma_y: the concurrence of the two
-spins takes one 3 x 3 tau a point (``concurrence_ness_stack``, its one body).
+spins takes one symmetric 3 x 3 tau a point (``concurrence_ness_stack``, its
+one body), whose Wootters spectrum is a closed form as well
+(``observables._wootters_3x3``; LAPACK only where its top pair nearly meets).
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cmatrix import HermitianEigensystem
-from .observables import _wootters
+from .observables import _wootters_3x3
 from .reset_core import QuantumSystem, _clustered, _kernels
 
 LN2 = math.log(2.0)
@@ -557,20 +559,20 @@ def concurrence_ness_stack(eigensystem: HermitianEigensystem, R: np.ndarray) -> 
     Wootters' spectrum is the singular values of tau = W^T S W, S = sigma_y x
     sigma_y, and for W = V3 W_e (see _ness_cholesky) tau = W_e^T M W_e, where
     M = V3^T S V3 = [[-a, 0, -b], [0, 1, 0], [-b, 0, a]] is a real reflection
-    with a = (1 - t^2)/(1 + t^2), b = 2t/(1 + t^2) and t = 1/(gamma + alpha)."""
+    with a = (1 - t^2)/(1 + t^2), b = 2t/(1 + t^2) and t = 1/(gamma + alpha).
+    tau is symmetric, and its six entries go to the closed form of Wootters'
+    rule (see observables._wootters_3x3)."""
     energies = eigensystem.eigenvalues
     x0, x1, y1, x2, y2, z2 = _ness_cholesky(eigensystem, R)
     t = 1.0 / (energies[..., 3, None] - energies[..., 1, None])
     a, b = (1.0 - t * t) / (1.0 + t * t), 2.0 * t / (1.0 + t * t)
     # tau_jk = (column j of W_e) . M (column k of W_e), the columns x, y and z
-    tau = np.empty(x1.shape + (3, 3), dtype=complex)
-    tau[..., 0, 0] = x0 * (-a * x0 - b * x2) + x1 * x1 + x2 * (a * x2 - b * x0)
-    tau[..., 0, 1] = tau[..., 1, 0] = x0 * (-b * y2) + x1 * y1 + x2 * (a * y2)
-    tau[..., 0, 2] = tau[..., 2, 0] = x0 * (-b * z2) + x2 * (a * z2)
-    tau[..., 1, 1] = y1 * y1 + y2 * (a * y2)
-    tau[..., 1, 2] = tau[..., 2, 1] = y2 * (a * z2)
-    tau[..., 2, 2] = z2 * (a * z2)
-    return _wootters(tau)[0]
+    return _wootters_3x3(x0 * (-a * x0 - b * x2) + x1 * x1 + x2 * (a * x2 - b * x0),
+                         x0 * (-b * y2) + x1 * y1 + x2 * (a * y2),
+                         x0 * (-b * z2) + x2 * (a * z2),
+                         y1 * y1 + y2 * (a * y2),
+                         y2 * (a * z2),
+                         z2 * (a * z2))
 
 
 def _ness_cholesky(eigensystem: HermitianEigensystem, R: np.ndarray) -> tuple:
@@ -583,11 +585,17 @@ def _ness_cholesky(eigensystem: HermitianEigensystem, R: np.ndarray) -> tuple:
     Olshevsky, Math. Comp. 64, 1557 (1995)): W_e = [[c0, 0, 0], [c1 K10, c1',
     0], [c3 K30, c3' K31, c3'']] with c1' = c1 U10, c3' = c3 U30, c3'' = c3' U31,
     and K, U from _kernels on the energies clustered as in ness_density (from
-    alpha ~ 1.6e4 gamma takes the singlet's).  A zero pivot c1' (K = 1 and
-    U = 0 within a cluster) zeroes column 1 and keeps c3'' = c3', so a cluster
-    has at most one nonzero column; |K|, |U| <= 1, so W_e is finite."""
+    alpha ~ 1.6e4 gamma takes the singlet's).  _kernels gets the levels as
+    offsets from -gamma, (0, 1/(E3 - E1), E3 - E0): the gap gamma - alpha of
+    the lowest pair is 1/(gamma + alpha), which keeps its digits where the
+    difference of the rounded energies cancels, and exactly 0 where the pair
+    clusters.  A zero pivot c1' (K = 1 and U = 0 within a cluster) zeroes
+    column 1 and keeps c3'' = c3', so a cluster has at most one nonzero
+    column; |K|, |U| <= 1, so W_e is finite."""
     energies, v = eigensystem
-    k, u = _kernels(_clustered(energies)[..., _DD_LEVELS], R)
+    e = _clustered(energies)
+    gap = np.where(e[..., 1] == e[..., 0], 0.0, 1.0 / (e[..., 3] - e[..., 1]))
+    k, u = _kernels(np.stack([np.zeros_like(gap), gap, e[..., 3] - e[..., 0]], axis=-1), R)
     c0, c1, c3 = (v[..., 3, level, None].real for level in _DD_LEVELS)
     c1p, c3p = c1 * u[..., 1, 0], c3 * u[..., 2, 0]
     pivot = c1p != 0.0

@@ -12,7 +12,9 @@ square roots of the eigenvalues of rho (S rho* S), S = sigma_y x sigma_y.
 
 Rows: 500 points over the README ranges (R log-uniform in 1e-3 .. 10; alpha
 uniform in 0 .. 12 on even rows and log-uniform in 1e-3 .. 12 on odd ones),
-then 120 near-pure states with R log-uniform in 1e2 .. 1e6.
+then 120 near-pure states with R log-uniform in 1e2 .. 1e6, then 60 strong
+couplings at small rates (R log-uniform in 1e-6 .. 1e-2, alpha in 1e2 ..
+1.5e4), where the levels -gamma and -alpha are only 1/(gamma + alpha) apart.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ def points() -> list[tuple[float, float]]:
             alpha = (float(rng.uniform(0.0, 12.0)) if k % 2 == 0
                      else float(10.0 ** rng.uniform(-3.0, np.log10(12.0))))
             out.append((R, alpha))
+    for _ in range(60):
+        R = float(10.0 ** rng.uniform(-6.0, -2.0))
+        alpha = float(10.0 ** rng.uniform(2.0, np.log10(1.5e4)))
+        out.append((R, alpha))
     return out
 
 

@@ -1,5 +1,6 @@
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -575,19 +576,45 @@ class TestNessFactor:
         w[..., rows, cols] = np.stack(entries, axis=-1)
         return w, eigensystem
 
+    @staticmethod
+    def exact_state(alpha, rate):
+        """The stationary state at 50 digits: rho0 in the energy basis of an
+        mpmath eigh of H times R/(R + i omega), in the computational basis."""
+        with mpmath.workdps(50):
+            j, o2 = mpmath.mpf(alpha), mpmath.mpf(1) / 2
+            energies, v = mpmath.eigsy(mpmath.matrix([[-j, o2, o2, 0], [o2, j, 0, o2],
+                                                      [o2, 0, j, o2], [0, o2, o2, -j]]))
+            r = mpmath.mpf(rate)
+            rho_e = mpmath.matrix(4, 4)
+            for i in range(4):
+                for k in range(4):
+                    rho_e[i, k] = v[3, i] * v[3, k] * r / (r + 1j * (energies[i] - energies[k]))
+            rho = v * rho_e * v.T
+            return np.array([[complex(rho[i, k]) for k in range(4)] for i in range(4)])
+
     @pytest.mark.filterwarnings("error")
     def test_factor_equals_the_density_stack(self):
         w_e, (energies, vectors) = self.factor()
         factors = vectors[:, None, :, _DD_LEVELS] @ w_e
-        for alpha, e, v, w in zip(self.ALPHAS, energies, vectors, factors):
+        merged = _clustered(energies)[:, 0] == _clustered(energies)[:, 1]
+        for alpha, e, v, w, cluster in zip(self.ALPHAS, energies, vectors, factors, merged):
             rho = w @ w.conj().swapaxes(-1, -2)
-            # the engine's stationary rule in the closed-form energy basis,
-            # where eigh is exact: near alpha = 1.5e4 eigh's vectors of the
-            # pair 1/(gamma + alpha) apart carry eps ||H||/gap ~ 1e-7
-            energy_basis = QuantumSystem(np.diag(e).astype(complex), np.outer(v[3], v[3]))
-            assert np.array_equal(energy_basis.eigensystem.eigenvectors, np.eye(4))
-            ness = [v @ ness_density(energy_basis, ResetSpec(rate)) @ v.T for rate in self.RATES]
-            assert np.abs(rho - ness).max() <= 1e-14
+            if cluster:
+                # the engine's stationary rule in the closed-form energy
+                # basis, where eigh is exact, since the rule sets the gap
+                # of the clustered pair to 0 and no exact state does
+                energy_basis = QuantumSystem(np.diag(e).astype(complex), np.outer(v[3], v[3]))
+                assert np.array_equal(energy_basis.eigensystem.eigenvectors, np.eye(4))
+                ness = [v @ ness_density(energy_basis, ResetSpec(rate)) @ v.T
+                        for rate in self.RATES]
+                assert np.abs(rho - ness).max() <= 1e-14
+            else:
+                # the factor takes the gap of -gamma and -alpha as 1/(gamma +
+                # alpha) and meets the 50-digit state within 4.4e-16; the
+                # engine takes the difference of the rounded energies, 2e-10
+                # off at alpha = 1.5e4
+                ness = [self.exact_state(alpha, rate) for rate in self.RATES]
+                assert np.abs(rho - ness).max() <= 1e-15
             if alpha <= 2.0:
                 sys = two_spin_system(1.0, alpha)
                 ness = [ness_density(sys, ResetSpec(rate)) for rate in self.RATES]

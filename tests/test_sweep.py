@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qreset import sweep, twospin
+from qreset import observables, sweep, twospin
 
 from qreset.observables import fidelity_pure
 from qreset.reset_core import ResetSpec, reset_density
@@ -191,17 +191,34 @@ class TestRowBlocks:
     one block, the memory it takes."""
 
     def test_block_size_does_not_change_the_table(self, monkeypatch):
-        # alpha = 0 takes the degeneracy branch of the stationary state
-        grid = SweepGrid(r_values=tuple(np.geomspace(1e-3, 1e3, 23)),
+        # alpha = 0 takes the degeneracy branch of the stationary state, and
+        # below R ~ 3e-4 the top pair of Wootters' spectrum nears at alpha = 6
+        # and 12, where the closed form hands tau to LAPACK
+        grid = SweepGrid(r_values=tuple(np.geomspace(1e-4, 1e3, 29)),
                          alpha_values=(0.0, 0.05, 0.5, 1.0, 2.5, 6.0, 12.0))
-        stacks, wootters = [], twospin._wootters
-        counted = lambda tau: stacks.append(math.prod(tau.shape[:-2])) or wootters(tau)
-        monkeypatch.setattr(twospin, "_wootters", counted)
-        tables = []
+        handed, wootters, gap_rtol = [], observables._wootters, observables._CUBIC_GAP_RTOL
+        monkeypatch.setattr(observables, "_wootters",
+                            lambda tau: handed.append(tau.copy()) or wootters(tau))
+        # every tau of the grid, in its order, and its relative top gap
+        monkeypatch.setattr(observables, "_CUBIC_GAP_RTOL", math.inf)
+        lapack = sweep_records(grid)
+        monkeypatch.setattr(observables, "_CUBIC_GAP_RTOL", gap_rtol)
+        (every,) = handed
+        mu = np.linalg.svd(every, compute_uv=False)
+        relative_gap = 1.0 - np.square(mu[:, 1] / mu[:, 0])
+        assert np.all(np.abs(relative_gap / gap_rtol - 1.0) > 0.01)
+        near = relative_gap <= gap_rtol
+        assert np.count_nonzero(near) == 7
+        tables, stacks = [], []
         for budget in (1, 10**12):  # one row per block, then the whole grid
             monkeypatch.setattr(sweep, "_BLOCK_BYTES", budget)
+            handed.clear()
             tables.append(sweep_records(grid))
-        assert stacks == [23] * 7 + [161]
+            stacks.append([len(tau) for tau in handed])
+            # LAPACK gets exactly the near-degenerate points, whatever the blocking
+            assert np.concatenate(handed).tobytes() == every[near].tobytes()
+        assert stacks == [[4, 3], [7]]
+        assert np.abs(tables[1]["concurrence"] - lapack["concurrence"]).max() <= 1e-15
         one_row, whole = tables
         assert list(one_row) == list(whole)
         for name in whole:

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from qreset import observables, twospin
 from qreset.observables import (
     concurrence_factor_stack,
     concurrence_stack,
@@ -710,7 +711,10 @@ class TestConcurrenceReference:
     The parent of the factor path -- an eigh of rho and of the spin-flipped
     rho, their square roots and one SVD -- measured a worst error of 1.9e-14
     on the README ranges and 3.4e-9 on the near-pure states (R = 1e3); the
-    factor of the closed-form eigensystem measures 4.8e-15 and 5.6e-16."""
+    factor of the closed-form eigensystem measures 5.5e-16 and 3.7e-16.  On
+    the strong couplings at small rates it measures 2.2e-16 with the gap of
+    -gamma and -alpha taken as 1/(gamma + alpha), and measured 1.2e-9 with
+    the difference of the rounded energies."""
 
     DATA = pathlib.Path(__file__).parent / "data" / "concurrence_reference.csv"
 
@@ -718,12 +722,14 @@ class TestConcurrenceReference:
         with open(self.DATA, newline="") as f:
             rows = [(float(r["R"]), float(r["alpha"]), float(r["concurrence"]))
                     for r in csv.DictReader(f)]
-        assert len(rows) == 620
+        assert len(rows) == 680
         errors = np.array([abs(concurrence_ness(params(R, a)) - c) for R, a, c in rows])
         near_pure = np.array([R >= 1e2 for R, _, _ in rows])
+        strong = np.arange(len(rows)) >= 620
         assert near_pure.sum() == 120
-        assert errors[~near_pure].max() <= 1e-14
+        assert errors[~near_pure & ~strong].max() <= 1e-14
         assert errors[near_pure].max() <= 1e-15
+        assert errors[strong].max() <= 1e-15
 
     @pytest.mark.filterwarnings("error")
     def test_uncoupled_pair_is_separable_at_every_rate(self):
@@ -755,3 +761,76 @@ class TestConcurrenceReference:
         sys = quantum_system(params(1.0, alpha))
         engine = concurrence_stack(np.array([ness_density(sys, ResetSpec(r)) for r in rates]))
         assert np.abs(body - engine[0]).max() <= (1e-14 if alpha >= 1.6e4 else 1e-6)
+
+
+class TestWootters3x3:
+    """observables._wootters_3x3, the closed form of Wootters' rule for the
+    symmetric 3 x 3 tau of concurrence_ness_stack, against _wootters (one
+    LAPACK svd a point) on the same tau."""
+
+    WIDE_ALPHAS = np.r_[0.0, np.geomspace(1e-6, 1e6, 161)]
+    WIDE_RATES = np.geomspace(1e-300, 1e300, 421)
+
+    @staticmethod
+    def entries(alphas, rates):
+        """The six entries of tau that concurrence_ness_stack hands the
+        closed form at the grid."""
+        seen, closed_form = [], observables._wootters_3x3
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(twospin, "_wootters_3x3",
+                          lambda *e: seen.append(np.broadcast_arrays(*e)) or closed_form(*e))
+            concurrence_ness_stack(eigensystem_array(alphas), rates)
+        return seen[0]
+
+    @staticmethod
+    def full(entries):
+        (t00, t01, t02, t11, t12, t22) = entries
+        return np.stack([np.stack(row, axis=-1) for row in
+                         ((t00, t01, t02), (t01, t11, t12), (t02, t12, t22))], axis=-2)
+
+    @staticmethod
+    def closed_form(entries):
+        """The closed form's values and how many points it gave LAPACK."""
+        handed, wootters = [], observables._wootters
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(observables, "_wootters",
+                          lambda tau: handed.append(len(tau)) or wootters(tau))
+            return observables._wootters_3x3(*entries), sum(handed)
+
+    @pytest.mark.filterwarnings("error")
+    def test_agrees_with_lapack_over_600_decades(self):
+        entries = self.entries(self.WIDE_ALPHAS, self.WIDE_RATES)
+        values, _ = self.closed_form(entries)
+        assert np.abs(values - observables._wootters(self.full(entries))[0]).max() <= 1e-15
+
+    @pytest.mark.filterwarnings("error")
+    def test_both_branches_agree_where_the_top_pair_nears(self):
+        # as R -> 0 at large alpha the top pair of the spectrum merges
+        entries = self.entries(np.geomspace(3.0, 1e4, 31), np.geomspace(1e-8, 1e-2, 61))
+        values, handed = self.closed_form(entries)
+        assert 0 < handed < values.size
+        assert np.abs(values - observables._wootters(self.full(entries))[0]).max() <= 1e-15
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [0.0, 5e-324, 1e-320, 1e-310, 1e-300, 1e300, 1e306])
+    def test_scaled_tau(self, scale):
+        # the closed form scales each point by a power of two, so neither
+        # its sixth powers nor LAPACK's see the scale
+        entries = self.entries(np.array([0.0, 0.5, 2.0, 6.0, 12.0]), np.geomspace(1e-3, 20.0, 9))
+        scaled = [t * scale for t in entries]
+        values, handed = self.closed_form(scaled)
+        lapack = observables._wootters(self.full(scaled))[0]
+        tiny = np.finfo(float).smallest_subnormal
+        assert np.all(np.abs(values - lapack) <= 1e-15 * scale + 4 * tiny)
+        # tau = 0 goes to LAPACK; normal scales leave the gaps as they were
+        if scale == 0.0 or scale >= 1e-300:
+            assert handed == (values.size if scale == 0.0 else 0)
+
+    def test_no_lapack_over_the_benchmark_domain(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("svd in the stationary concurrence")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        values = concurrence_ness_stack(eigensystem_array(np.linspace(0.0, 12.0, 241)),
+                                        np.geomspace(1e-3, 20.0, 301))
+        assert values.shape == (241, 301)
