@@ -24,7 +24,7 @@ validated on load (square, finite; Hermitian for Hamiltonians; Hermitian,
 PSD, unit trace for density matrices).
 
 Exit codes: 0 success, 2 Monte Carlo mismatch (mc-validate only), 3 solver
-failure, 4 configuration or I/O error.
+failure, 4 configuration or I/O error, a grid too large to allocate included.
 """
 
 from __future__ import annotations
@@ -398,7 +398,8 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
+    # json.JSONDecodeError is a ValueError; MemoryError is a grid numpy refuses
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -20,11 +20,12 @@ exactly 1 and U exactly 0; at rate 0, K is 0 and U is 1.  |K| and |U| are
 at most 1, so the kernel is accurate to round-off at every t.  ``_kernels``
 is the one place that forms K and U.
 
-One degeneracy rule serves every stationary body, the closed-form factor
-of the two-spin state in ``twospin`` too: energies whose gaps are
+One degeneracy rule serves the stationary body: energies whose gaps are
 within a tolerance relative to ||E||_2 = ||H||_F form a cluster that
 shares its lowest energy (``_clustered``), so within a cluster omega is
-exactly 0.  The finite-time state takes the raw energies.
+exactly 0.  The finite-time state takes the raw energies, and so does the
+closed-form factor of the two-spin state in ``twospin``, whose gaps the
+coupling gives exactly.
 
 The energy basis is computed once, when the system is built: a
 Hamiltonian whose imaginary parts are all exactly zero takes the real

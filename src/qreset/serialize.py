@@ -26,8 +26,9 @@ loader raises ValueError (exit 4 from the command line) on a document that
 is not such an object, on a 'dim' that is not a positive JSON integer, on
 the wrong number of entries, on an entry that is not a two-element pair, on
 a part that is not a JSON number (true/false included), on an integer
-beyond float range and on a non-finite value (1e999 loads as inf).  Each
-entry fault but a non-finite value names the index of the first bad entry.
+beyond float range, on a non-finite value (1e999 loads as inf) and on one
+nested too deeply for the parser to recurse into.  Each entry fault but a
+non-finite value names the index of the first bad entry.
 A system built from two documents then checks the Hamiltonian is Hermitian,
 relative to its largest entry, and the state a density matrix.
 
@@ -233,6 +234,8 @@ def load_matrix(path) -> np.ndarray:
     try:
         with open(path) as f:
             return document_to_matrix(json.load(f))
+    except RecursionError:
+        raise ValueError(f"{path}: the document nests too deeply") from None
     finally:
         if enabled:
             gc.enable()

@@ -8,14 +8,14 @@ the engine.
 A sweep is evaluated in blocks of coupling rows, as many as fit a byte
 budget: the entropy and fidelity of a block come from one array closed
 form each, and so does the purity, which for the pure initial state
-equals the fidelity to it; every rate of a row shares one Hamiltonian,
-whose eigensystem is a closed form too, and the concurrence of the block
-comes from one call of ``twospin.concurrence_ness_stack``; no density
-matrix is formed.  The concurrence optimizer makes that call for each
-round of probes of its one coupling.  A time series takes its entropy
-and fidelity columns from one call of the transient closed forms, and the
-entropy peak search each round of probes; both refuse the times at which
-the transient's phases keep too few digits (``twospin.phase_budget``).
+equals the fidelity to it; the concurrence of the block comes from one
+call of ``twospin.concurrence_ness_stack`` on its couplings and the
+grid's rates; no density matrix is formed.  The concurrence optimizer
+makes that call for each round of probes of its one coupling.  A time
+series takes its entropy and fidelity columns from one call of the
+transient closed forms, and the entropy peak search each round of probes;
+both refuse the times at which the transient's phases keep too few digits
+(``twospin.phase_budget``).
 
 Each column is in range by construction and is not checked again: an
 entropy is ``_spin_entropy`` of v clipped to [0, 1], so in [0, ln 2]; a
@@ -116,9 +116,8 @@ def sweep_records(grid: SweepGrid) -> dict[str, np.ndarray]:
             for name in from_fidelity:
                 table[name][block] = fidelity
         if "concurrence" in observables:
-            # H does not depend on the rate: one closed-form eigensystem per row
             table["concurrence"][block] = twospin.concurrence_ness_stack(
-                twospin.eigensystem_array(np.array(alphas)), np.array(grid.r_values)).ravel()
+                np.array(alphas), np.array(grid.r_values)).ravel()
     return table
 
 
@@ -219,10 +218,9 @@ def optimize_concurrence(
     alpha: float, r_lo: float, r_hi: float, tol: float = 1e-8
 ) -> OptimizeResult:
     """Maximize the stationary concurrence over the reset rate at fixed coupling;
-    H does not depend on the rate, so one eigensystem serves every evaluation."""
-    p = TwoSpinParams.from_dimensionless(0.0, alpha)
-    eigensystem = twospin.eigensystem_array(np.array([p.alpha]))
-    f = lambda rates: twospin.concurrence_ness_stack(eigensystem, rates)[0]
+    each round of probes is one closed-form call at the one coupling."""
+    couplings = np.array([TwoSpinParams.from_dimensionless(0.0, alpha).alpha])
+    f = lambda rates: twospin.concurrence_ness_stack(couplings, rates)[0]
     return _bracketed_max(f, r_lo, r_hi, tol)
 
 

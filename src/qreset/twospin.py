@@ -27,11 +27,11 @@ pairs of levels that carry |dd> so that it keeps relative digits as t -> 0
 evaluation of the phases alpha t and t/P (``finite_time_columns``), and
 ``phase_budget`` gives what the rounding of those phases can move them
 by; their callers refuse the times where it reaches ``PHASE_BUDGET``.
-The Hamiltonian's eigensystem is a closed form too (``eigensystem_array``),
-and on the three levels that carry |dd> so are the stationary state's
-factor (``_ness_cholesky``) and sigma_y x sigma_y: the concurrence of the two
-spins takes one symmetric 3 x 3 tau a point (``concurrence_ness_stack``, its
-one body), whose Wootters spectrum is a closed form as well
+On the three levels that carry |dd>, whose gaps the coupling gives
+exactly, the stationary state's factor (``_ness_cholesky``) and
+sigma_y x sigma_y are closed forms too: the concurrence of the two spins
+takes one symmetric 3 x 3 tau a point (``concurrence_ness_stack``, its one
+body), whose Wootters spectrum is a closed form as well
 (``observables._wootters_3x3``; LAPACK only where its top pair nearly meets).
 """
 
@@ -43,9 +43,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cmatrix import HermitianEigensystem
 from .observables import _wootters_3x3
-from .reset_core import QuantumSystem, _clustered, _kernels
+from .reset_core import QuantumSystem, _kernels
 
 LN2 = math.log(2.0)
 LN8 = math.log(8.0)
@@ -56,8 +55,6 @@ SCALING_ASYMPTOTE_Z = 1e150
 
 # Computational-basis order: |uu>, |ud>, |du>, |dd>.
 DOWN_DOWN = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
-# The levels -gamma, -alpha and gamma of eigensystem_array carry |dd>; the singlet does not.
-_DD_LEVELS = [0, 1, 3]
 
 
 @dataclass(frozen=True)
@@ -116,37 +113,6 @@ def quantum_system(p: TwoSpinParams) -> QuantumSystem:
     return QuantumSystem(hamiltonian(p), np.outer(DOWN_DOWN, DOWN_DOWN.conj()))
 
 
-def eigensystem_array(alpha: np.ndarray) -> HermitianEigensystem:
-    """Eigensystems of the unit-field Hamiltonian at each coupling of a float
-    array alpha, trusted to hold finite alpha >= 0, in closed form.
-
-    The energies are -gamma, -alpha, alpha, gamma, ascending along a last
-    axis of four.  The eigenvectors are (|uu> - |dd>)/sqrt2 at -alpha, the
-    singlet (|ud> - |du>)/sqrt2 at alpha, and the symmetric-sector
-    vectors at -gamma and gamma, mixed with the ratio t = gamma - alpha =
-    1/(gamma + alpha).  ValueError where the energy spread 2 gamma
-    overflows, as QuantumSystem raises.
-    """
-    with np.errstate(over="ignore"):
-        gamma = np.hypot(alpha, 1.0)
-        spread = 2.0 * gamma
-    bad = spread[~np.isfinite(spread)]
-    if bad.size:
-        raise ValueError(f"hamiltonian energy spread E_max - E_min = {bad[0]} "
-                         "is not finite")
-    t = 1.0 / (gamma + alpha)
-    n = 1.0 / np.sqrt(2.0 + 2.0 * t * t)
-    zero, half = np.zeros_like(n), np.full_like(n, math.sqrt(0.5))
-    # columns -gamma, -alpha, alpha, gamma over the rows |uu>, |ud>, |du>, |dd>
-    vectors = np.stack([np.stack(row, axis=-1) for row in (
-        (n, half, zero, t * n),
-        (-t * n, zero, half, n),
-        (-t * n, zero, -half, n),
-        (n, -half, zero, t * n))], axis=-2)
-    energies = np.stack([-gamma, -alpha, alpha, gamma], axis=-1)
-    return HermitianEigensystem(energies, vectors.astype(complex))
-
-
 def _ness_factors(R, alpha):
     """Bounded factors of the stationary reduced state at rate R (the
     rate -> 0+ limit at R = 0) and coupling alpha, floats or broadcastable
@@ -198,7 +164,7 @@ def _level_pairs(R, alpha):
     in the energy basis, and their gaps w = 1/P, P and 2 gamma.
 
     |dd> has the weights a = c^2 = n^2, 1/2 and (n/P)^2 on those levels,
-    with n^2 = P/(4 gamma) (see eigensystem_array, whose mixing ratio is
+    with n^2 = P/(4 gamma) (see _ness_cholesky, whose mixing ratio t is
     1/P), and none on the singlet, so 2 a_i a_j is P/(4 gamma), 1/(4 gamma
     P) and 1/(8 gamma^2).  The last W is w/2 of _ness_factors, and the three
     sum to the stationary 1 - F.  U = i w/(R + i w) is the renewal kernel's
@@ -548,13 +514,14 @@ def concurrence_ness(p: TwoSpinParams) -> float:
     """Stationary two-spin concurrence (see concurrence_ness_stack)."""
     if p.r <= 0:
         raise ValueError("stationary concurrence needs r > 0")
-    return float(concurrence_ness_stack(eigensystem_array(np.array([p.alpha])),
-                                        np.array([p.R]))[0, 0])
+    return float(concurrence_ness_stack(np.array([p.alpha]), np.array([p.R]))[0, 0])
 
 
-def concurrence_ness_stack(eigensystem: HermitianEigensystem, R: np.ndarray) -> np.ndarray:
-    """Stationary two-spin concurrence (..., n) at the n rates R, trusted to
-    be finite and > 0, for the (...) couplings of eigensystem_array's stack.
+def concurrence_ness_stack(alpha: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Stationary two-spin concurrence (..., n) at the (...) couplings of a
+    float array alpha, trusted to hold finite alpha >= 0, and the n rates R,
+    trusted to be finite and > 0.  ValueError where the energy spread
+    2 gamma overflows, as QuantumSystem raises.
 
     Wootters' spectrum is the singular values of tau = W^T S W, S = sigma_y x
     sigma_y, and for W = V3 W_e (see _ness_cholesky) tau = W_e^T M W_e, where
@@ -562,9 +529,16 @@ def concurrence_ness_stack(eigensystem: HermitianEigensystem, R: np.ndarray) -> 
     with a = (1 - t^2)/(1 + t^2), b = 2t/(1 + t^2) and t = 1/(gamma + alpha).
     tau is symmetric, and its six entries go to the closed form of Wootters'
     rule (see observables._wootters_3x3)."""
-    energies = eigensystem.eigenvalues
-    x0, x1, y1, x2, y2, z2 = _ness_cholesky(eigensystem, R)
-    t = 1.0 / (energies[..., 3, None] - energies[..., 1, None])
+    with np.errstate(over="ignore"):
+        gamma = np.hypot(alpha, 1.0)
+        spread = 2.0 * gamma
+    bad = spread[~np.isfinite(spread)]
+    if bad.size:
+        raise ValueError(f"hamiltonian energy spread E_max - E_min = {bad[0]} "
+                         "is not finite")
+    t = 1.0 / (gamma + alpha)
+    x0, x1, y1, x2, y2, z2 = _ness_cholesky(t, spread, R)
+    t = t[..., None]
     a, b = (1.0 - t * t) / (1.0 + t * t), 2.0 * t / (1.0 + t * t)
     # tau_jk = (column j of W_e) . M (column k of W_e), the columns x, y and z
     return _wootters_3x3(x0 * (-a * x0 - b * x2) + x1 * x1 + x2 * (a * x2 - b * x0),
@@ -575,28 +549,29 @@ def concurrence_ness_stack(eigensystem: HermitianEigensystem, R: np.ndarray) -> 
                          z2 * (a * z2))
 
 
-def _ness_cholesky(eigensystem: HermitianEigensystem, R: np.ndarray) -> tuple:
+def _ness_cholesky(t: np.ndarray, spread: np.ndarray, R: np.ndarray) -> tuple:
     """The six nonzero entries, in np.tril_indices(3) order and broadcasting
     to (..., n), of the lower-triangular W_e with rho = V3 W_e (V3 W_e)^dagger
-    at the n rates R, V3 the columns of V at _DD_LEVELS; trusted input.
+    at the n rates R, for the (...) mixing ratios t = 1/(gamma + alpha) and
+    spreads 2 gamma; trusted input.  V3 holds the eigenvectors of the levels
+    -gamma, -alpha and gamma, which carry |dd> (the singlet at alpha does
+    not): the symmetric-sector vectors mixed with the ratio t and (|uu> -
+    |dd>)/sqrt2.
 
-    The energy-basis state c_i c_j K_ij, with c = (n, -1/sqrt2, t n) the real
-    weights of |dd>, has closed-form Cholesky columns (Gohberg, Kailath and
-    Olshevsky, Math. Comp. 64, 1557 (1995)): W_e = [[c0, 0, 0], [c1 K10, c1',
-    0], [c3 K30, c3' K31, c3'']] with c1' = c1 U10, c3' = c3 U30, c3'' = c3' U31,
-    and K, U from _kernels on the energies clustered as in ness_density (from
-    alpha ~ 1.6e4 gamma takes the singlet's).  _kernels gets the levels as
-    offsets from -gamma, (0, 1/(E3 - E1), E3 - E0): the gap gamma - alpha of
-    the lowest pair is 1/(gamma + alpha), which keeps its digits where the
-    difference of the rounded energies cancels, and exactly 0 where the pair
-    clusters.  A zero pivot c1' (K = 1 and U = 0 within a cluster) zeroes
-    column 1 and keeps c3'' = c3', so a cluster has at most one nonzero
-    column; |K|, |U| <= 1, so W_e is finite."""
-    energies, v = eigensystem
-    e = _clustered(energies)
-    gap = np.where(e[..., 1] == e[..., 0], 0.0, 1.0 / (e[..., 3] - e[..., 1]))
-    k, u = _kernels(np.stack([np.zeros_like(gap), gap, e[..., 3] - e[..., 0]], axis=-1), R)
-    c0, c1, c3 = (v[..., 3, level, None].real for level in _DD_LEVELS)
+    The energy-basis state c_i c_j K_ij, with c = (n, -1/sqrt2, t n), n =
+    1/sqrt(2 + 2 t^2), the real weights of |dd>, has closed-form Cholesky
+    columns (Gohberg, Kailath and Olshevsky, Math. Comp. 64, 1557 (1995)):
+    W_e = [[c0, 0, 0], [c1 K10, c1', 0], [c3 K30, c3' K31, c3'']] with c1' =
+    c1 U10, c3' = c3 U30, c3'' = c3' U31, and K, U from _kernels on the levels
+    as offsets from -gamma, (0, t, 2 gamma): the gap gamma - alpha of the
+    lowest pair is t, which keeps its digits where the difference of the
+    rounded energies cancels.  The gaps t, 1/t and 2 gamma are > 0 for every
+    finite alpha, so no two of the levels are degenerate.  Where the pivot
+    c1' underflows to 0 with t/R (as at alpha = 1e150, R = 1e300), column 1
+    is zero and c3'' = c3'; |K|, |U| <= 1, so W_e is finite."""
+    n = 1.0 / np.sqrt(2.0 + 2.0 * t * t)
+    k, u = _kernels(np.stack([np.zeros_like(t), t, spread], axis=-1), R)
+    c0, c1, c3 = n[..., None], -math.sqrt(0.5), (t * n)[..., None]
     c1p, c3p = c1 * u[..., 1, 0], c3 * u[..., 2, 0]
     pivot = c1p != 0.0
     return (c0, c1 * k[..., 1, 0], c1p, c3 * k[..., 2, 0],

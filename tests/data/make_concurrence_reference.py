@@ -14,7 +14,10 @@ Rows: 500 points over the README ranges (R log-uniform in 1e-3 .. 10; alpha
 uniform in 0 .. 12 on even rows and log-uniform in 1e-3 .. 12 on odd ones),
 then 120 near-pure states with R log-uniform in 1e2 .. 1e6, then 60 strong
 couplings at small rates (R log-uniform in 1e-6 .. 1e-2, alpha in 1e2 ..
-1.5e4), where the levels -gamma and -alpha are only 1/(gamma + alpha) apart.
+1.5e4), where the levels -gamma and -alpha are only 1/(gamma + alpha) apart,
+then 60 stronger couplings (alpha log-uniform in 1.55e4 .. 1e8, z = alpha R
+log-uniform in 1e-2 .. 1e2), where a degeneracy tolerance relative to the
+spectrum's norm merges those two levels; 60 digits resolve their gap.
 """
 
 from __future__ import annotations
@@ -43,6 +46,10 @@ def points() -> list[tuple[float, float]]:
         R = float(10.0 ** rng.uniform(-6.0, -2.0))
         alpha = float(10.0 ** rng.uniform(2.0, np.log10(1.5e4)))
         out.append((R, alpha))
+    for _ in range(60):
+        alpha = float(10.0 ** rng.uniform(np.log10(1.55e4), 8.0))
+        z = float(10.0 ** rng.uniform(-2.0, 2.0))
+        out.append((z / alpha, alpha))
     return out
 
 

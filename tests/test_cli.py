@@ -858,8 +858,9 @@ class TestMcValidate:
 
 class TestConfigErrors:
     """Rows that exit 4 with one error line, empty stdout and no --out
-    file; {h}, {rho} and {list} name interchange files (a Hamiltonian, a
-    state and a document holding a JSON list)."""
+    file; {h}, {rho}, {list} and {deep} name interchange files (a
+    Hamiltonian, a state, a document holding a JSON list and one nested
+    200000 lists deep)."""
 
     ROWS = [
         (["sweep", "--grid-r", "a:1:3", "--grid-alpha", "0:1:2"],
@@ -897,17 +898,21 @@ class TestConfigErrors:
         (["peak-r", "--t", "1e17", "--alpha", "1", "--r-bounds", "1e-20:1"],
          "the phases keep too few digits at t = 1e+17 (R = 1e-20): their rounding can move "
          "the transient by 51 >= 1.5e-08 while exp(-R t) > 0"),
+        (["ness", "--hamiltonian", "{h}", "--rho0", "{deep}", "--r", "1"],
+         "{deep}: the document nests too deeply"),
     ]
 
     @pytest.mark.parametrize("args, message", ROWS)
     def test_row(self, tmp_path, capsys, args, message):
         files = {"h": tmp_path / "h.json", "rho": tmp_path / "rho.json",
-                 "list": tmp_path / "list.json"}
+                 "list": tmp_path / "list.json", "deep": tmp_path / "deep.json"}
         save_matrix(np.diag([1.0, -1.0]), files["h"])
         save_matrix(np.diag([1.0, 0.0]), files["rho"])
         files["list"].write_text("[[1.0, 0.0]]\n")
+        files["deep"].write_text("[" * 200000 + "]" * 200000)
         out = tmp_path / "never.out"
         argv = [arg.format(**files) for arg in args]
+        message = message.format(**files)
         assert run(argv + ["--out", str(out)]) == 4
         assert not out.exists()
         captured = capsys.readouterr()
@@ -915,6 +920,18 @@ class TestConfigErrors:
         assert captured.err == f"error: {message}\n"
         assert run(argv) == 4
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    # 10^15 points: numpy refuses the allocation at once, so nothing is allocated
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--grid-r", "0.1:1:1000000000000000:log", "--grid-alpha", "0:1:1"],
+        ["timeseries", "--R", "1", "--alpha", "1", "--grid-t", "0:1:1000000000000000"],
+    ])
+    def test_a_grid_numpy_cannot_allocate(self, capsys, args):
+        assert run(args) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Unable to allocate")
+        assert captured.err.count("\n") == 1
 
 
 class TestParsing:

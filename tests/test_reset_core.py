@@ -19,10 +19,8 @@ from qreset.reset_core import (
     unitary_evolve,
 )
 from qreset.twospin import (
-    _DD_LEVELS,
     TwoSpinParams,
     _ness_cholesky,
-    eigensystem_array,
     quantum_system,
     reduced_state_array,
 )
@@ -127,7 +125,10 @@ class TestQuantumSystem:
         rng = np.random.default_rng(45)
         a = hermitize(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         random = [np.linalg.eigvalsh(a * scale) for scale in (1.0, 1e306, 1e-300)]
-        closed = eigensystem_array(np.array([0.0, 1e-9, 1.0, 1e300])).eigenvalues
+        # the two-spin energies -gamma, -alpha, alpha, gamma
+        alpha = np.array([0.0, 1e-9, 1.0, 1e300])
+        gamma = np.hypot(alpha, 1.0)
+        closed = np.stack([-gamma, -alpha, alpha, gamma], axis=-1)
         stack = np.array([*closed, *random, np.zeros(4)])
         clustered = _clustered(stack)
         for energies, c in zip(stack, clustered):
@@ -564,23 +565,33 @@ class TestNessFactor:
     is the stationary state."""
 
     RATES = np.r_[5e-324, 1e-300, 1e-12, 1e-9, np.geomspace(1e-3, 1e3, 13), 1e300, 1.7e308]
-    # the levels -gamma and -alpha are apart up to 1.58e4 and one cluster from 1.6e4
-    ALPHAS = np.array([0.0, 2.0, 1.5e4, 1.58e4, 1.6e4, 1.7e4, 1e8, 1e150, 1e300])
+    # the engine merges the levels -gamma and -alpha into one cluster from
+    # alpha ~ 1.6e4 (see TestConcurrenceReference in test_twospin.py)
+    ALPHAS = np.array([0.0, 2.0, 1.5e4, 1.58e4, 1.6e4, 1.7e4, 1e6, 1e8])
 
-    def factor(self):
-        """(alpha, n, 3, 3) W_e and the closed-form eigensystems."""
-        eigensystem = eigensystem_array(self.ALPHAS)
-        entries = np.broadcast_arrays(*_ness_cholesky(eigensystem, self.RATES))
+    @staticmethod
+    def factor(alphas, rates):
+        """(alpha, n, 3, 3) W_e and (alpha, 4, 3) V3, whose columns are the
+        eigenvectors at -gamma, -alpha and gamma: the symmetric-sector vectors
+        mixed with the ratio t = 1/(gamma + alpha), and (|uu> - |dd>)/sqrt2."""
+        gamma = np.hypot(alphas, 1.0)
+        t = 1.0 / (gamma + alphas)
+        entries = np.broadcast_arrays(*_ness_cholesky(t, 2.0 * gamma, rates))
         w = np.zeros(entries[0].shape + (3, 3), dtype=complex)
         rows, cols = np.tril_indices(3)
         w[..., rows, cols] = np.stack(entries, axis=-1)
-        return w, eigensystem
+        n = 1.0 / np.sqrt(2.0 + 2.0 * t * t)
+        half, zero = np.full_like(n, np.sqrt(0.5)), np.zeros_like(n)
+        v3 = np.stack([np.stack(row, axis=-1) for row in (
+            (n, half, t * n), (-t * n, zero, n), (-t * n, zero, n), (n, -half, t * n))], axis=-2)
+        return w, v3
 
     @staticmethod
-    def exact_state(alpha, rate):
-        """The stationary state at 50 digits: rho0 in the energy basis of an
-        mpmath eigh of H times R/(R + i omega), in the computational basis."""
-        with mpmath.workdps(50):
+    def exact_state(alpha, rate, digits=50):
+        """The stationary state at the given digits: rho0 in the energy basis
+        of an mpmath eigh of H times R/(R + i omega), in the computational
+        basis."""
+        with mpmath.workdps(digits):
             j, o2 = mpmath.mpf(alpha), mpmath.mpf(1) / 2
             energies, v = mpmath.eigsy(mpmath.matrix([[-j, o2, o2, 0], [o2, j, 0, o2],
                                                       [o2, 0, j, o2], [0, o2, o2, -j]]))
@@ -594,41 +605,39 @@ class TestNessFactor:
 
     @pytest.mark.filterwarnings("error")
     def test_factor_equals_the_density_stack(self):
-        w_e, (energies, vectors) = self.factor()
-        factors = vectors[:, None, :, _DD_LEVELS] @ w_e
-        merged = _clustered(energies)[:, 0] == _clustered(energies)[:, 1]
-        for alpha, e, v, w, cluster in zip(self.ALPHAS, energies, vectors, factors, merged):
+        # the factor takes the gap of -gamma and -alpha as 1/(gamma + alpha)
+        # and meets the 50-digit state within 5.6e-16 on both sides of the
+        # engine's cluster edge; the engine takes the difference of the
+        # rounded energies, 2e-10 off at alpha = 1.5e4, and is O(1) off at
+        # small rates from 1.6e4, where its cluster sets that gap to 0
+        w_e, v3 = self.factor(self.ALPHAS, self.RATES)
+        factors = v3[:, None] @ w_e
+        for alpha, w in zip(self.ALPHAS, factors):
             rho = w @ w.conj().swapaxes(-1, -2)
-            if cluster:
-                # the engine's stationary rule in the closed-form energy
-                # basis, where eigh is exact, since the rule sets the gap
-                # of the clustered pair to 0 and no exact state does
-                energy_basis = QuantumSystem(np.diag(e).astype(complex), np.outer(v[3], v[3]))
-                assert np.array_equal(energy_basis.eigensystem.eigenvectors, np.eye(4))
-                ness = [v @ ness_density(energy_basis, ResetSpec(rate)) @ v.T
-                        for rate in self.RATES]
-                assert np.abs(rho - ness).max() <= 1e-14
-            else:
-                # the factor takes the gap of -gamma and -alpha as 1/(gamma +
-                # alpha) and meets the 50-digit state within 4.4e-16; the
-                # engine takes the difference of the rounded energies, 2e-10
-                # off at alpha = 1.5e4
-                ness = [self.exact_state(alpha, rate) for rate in self.RATES]
-                assert np.abs(rho - ness).max() <= 1e-15
+            ness = [self.exact_state(alpha, rate) for rate in self.RATES]
+            assert np.abs(rho - ness).max() <= 1e-15
             if alpha <= 2.0:
                 sys = two_spin_system(1.0, alpha)
                 ness = [ness_density(sys, ResetSpec(rate)) for rate in self.RATES]
                 assert np.abs(rho - ness).max() <= 1e-14
 
-    def test_a_degenerate_cluster_has_at_most_one_nonzero_column(self):
-        w_e, (energies, _) = self.factor()
-        clustered = _clustered(energies)[:, _DD_LEVELS]
-        merged = clustered[:, 0] == clustered[:, 1]
-        assert merged.tolist() == [False] * 4 + [True] * 5
-        assert np.all(clustered[:, 2] != clustered[:, 1])
-        # the zero pivot: column 1 is zero wherever -gamma and -alpha cluster
-        assert np.all(w_e[merged][..., 1] == 0.0)
-        assert np.all(w_e[~merged][..., 1, 1] != 0.0)
+    @pytest.mark.filterwarnings("error")
+    def test_an_underflowing_pivot_zeroes_column_one(self):
+        # no two of the levels that carry |dd> are degenerate, but the pivot
+        # c1' = c1 i t/(R + i t) underflows to exactly 0 where t/R does, t =
+        # 1/(gamma + alpha), as at (alpha, R) = (1e150, 1e300); column 1 is
+        # then zero, and the factor meets the state at the digits that
+        # resolve the gap t
+        alphas, rates = np.array([1e8, 1e150, 1e300]), np.array([1.0, 1e300, 1.7e308])
+        w_e, v3 = self.factor(alphas, rates)
+        pivot = w_e[..., 1, 1] != 0.0
+        assert pivot.tolist() == [[True] * 3, [True, False, False], [True, False, False]]
+        assert np.all(w_e[~pivot][..., 1] == 0.0)
+        factors = v3[:, None] @ w_e
+        for alpha, w in zip(alphas, factors):
+            rho = w @ w.conj().swapaxes(-1, -2)
+            ness = [self.exact_state(alpha, rate, digits=700) for rate in rates]
+            assert np.abs(rho - ness).max() <= 1e-15
 
 
 class TestPartialTrace:

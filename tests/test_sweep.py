@@ -225,7 +225,7 @@ class TestRowBlocks:
             assert one_row[name].tobytes() == whole[name].tobytes(), name
 
     def test_no_eigendecomposition_on_the_factor_paths(self, monkeypatch):
-        # the eigensystems are closed forms and the factors need no root of rho
+        # the concurrence factor needs no eigensystem, and no factor a root of rho
         def refuse(*args, **kwargs):
             raise AssertionError("eigendecomposition on a factor path")
 
@@ -459,7 +459,7 @@ class TestOptimizeConcurrence:
             optimize_concurrence(-1.0, 1.0, 0.5)
 
     @pytest.mark.filterwarnings("error")
-    # -gamma and -alpha cluster from 1.6e4: the factor's zero pivot
+    # the engine merges -gamma and -alpha from 1.6e4, the factor never
     @pytest.mark.parametrize("alpha", [0.0, 2.0, 3.3, 7.0, 10.0, 11.5,
                                        1.5e4, 1.58e4, 1.6e4, 1.7e4])
     def test_equals_the_point_by_point_path_bit_for_bit(self, monkeypatch, alpha):
@@ -474,14 +474,15 @@ class TestOptimizeConcurrence:
         ref = bracketed_max(lambda rates: [point(r) for r in rates], 0.01, 10.0, 1e-8)
         assert (res.x, res.value, res.flag) == (ref.x, ref.value, ref.flag)
 
-    def test_builds_one_system_per_solve(self, monkeypatch):
-        # the closed-form eigensystem of the one coupling serves every probe
-        built = []
-        real = twospin.eigensystem_array
-        monkeypatch.setattr(twospin, "eigensystem_array",
-                            lambda alpha: built.append(len(alpha)) or real(alpha))
-        optimize_concurrence(2.0, 0.01, 10.0)
-        assert built == [1]
+    def test_one_closed_form_call_per_probe_round(self, monkeypatch):
+        # each round of 65 probes is one call at the one coupling
+        calls = []
+        real = twospin.concurrence_ness_stack
+        monkeypatch.setattr(twospin, "concurrence_ness_stack", lambda alpha, rates: (
+            calls.append((alpha.tolist(), len(rates))) or real(alpha, rates)))
+        res, seen = recorded_solve(monkeypatch, optimize_concurrence, 2.0, 0.01, 10.0)
+        assert res.flag == "interior" and len(seen) > 1
+        assert calls == [([2.0], 65)] * len(seen)
 
 
 class TestEntropyPeakRate:

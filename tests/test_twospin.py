@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import math
 import pathlib
 
@@ -8,7 +9,6 @@ import pytest
 
 from qreset import observables, twospin
 from qreset.observables import (
-    concurrence_factor_stack,
     concurrence_stack,
     purity,
     von_neumann_entropy,
@@ -23,13 +23,10 @@ from qreset.reset_core import (
     unitary_evolve,
 )
 from qreset.twospin import (
-    _DD_LEVELS,
     LN2,
     TwoSpinParams,
-    _ness_cholesky,
     concurrence_ness,
     concurrence_ness_stack,
-    eigensystem_array,
     entropy_at_time,
     entropy_ness,
     entropy_ness_array,
@@ -665,42 +662,20 @@ class TestConcurrenceNess:
         with pytest.raises(ValueError):
             concurrence_ness(params(0.0, 1.0))
 
-
-class TestEigensystemArray:
-    ALPHAS = np.array([0.0, 1e-9, 0.3, 1.0, 2.0, 11.5, 1e8, 1e150, 1e300])
-
-    def test_diagonalises_the_hamiltonian(self):
-        energies, v = eigensystem_array(self.ALPHAS)
-        assert energies.shape == (9, 4) and v.shape == (9, 4, 4)
-        assert np.all(np.diff(energies, axis=-1) >= 0.0)
-        for alpha, e, vec in zip(self.ALPHAS, energies, v):
-            h = hamiltonian(params(0.0, alpha))
-            scale = max(alpha, 1.0)
-            assert np.abs(h @ vec - vec * e).max() <= 2e-16 * scale
-            assert np.abs(vec.conj().T @ vec - np.eye(4)).max() <= 4e-16
-
-    def test_clusters_as_the_engine_does(self):
-        # the closed-form energies and eigh's cluster alike: the same
-        # degenerate pairs, at alpha = 0 and from alpha = 1e8 on
-        closed = _clustered(eigensystem_array(self.ALPHAS).eigenvalues)
-        pairs = []
-        for alpha, c in zip(self.ALPHAS, closed):
-            engine = _clustered(quantum_system(params(0.0, alpha)).eigensystem.eigenvalues)
-            assert np.array_equal(np.diff(c) == 0.0, np.diff(engine) == 0.0)
-            pairs.append(int(np.count_nonzero(np.diff(c) == 0.0)))
-        assert pairs == [1, 0, 0, 0, 0, 0, 2, 2, 2]
-
     def test_overflowing_spread_raises_as_the_engine_does(self):
         with pytest.raises(ValueError, match="spread"):
-            eigensystem_array(np.array([1.0, 1e308]))
+            concurrence_ness_stack(np.array([1.0, 1e308]), np.ones(1))
         with pytest.raises(ValueError, match="spread"):
             quantum_system(params(0.0, 1e308))
 
     def test_stacked_couplings_equal_one_at_a_time(self):
+        alphas = np.array([0.0, 1e-9, 0.3, 1.0, 2.0, 11.5, 1e8, 1e150, 1e300])
         rates = np.geomspace(1e-3, 1e3, 7)
-        stack = concurrence_ness_stack(eigensystem_array(self.ALPHAS), rates)
-        for alpha, values in zip(self.ALPHAS, stack):
-            one = concurrence_ness_stack(eigensystem_array(np.array([alpha])), rates)
+        stack = concurrence_ness_stack(alphas, rates)
+        assert np.array_equal(concurrence_ness_stack(alphas.reshape(3, 3), rates),
+                              stack.reshape(3, 3, 7))
+        for alpha, values in zip(alphas, stack):
+            one = concurrence_ness_stack(np.array([alpha]), rates)
             assert np.array_equal(values, one[0])
 
 
@@ -711,10 +686,12 @@ class TestConcurrenceReference:
     The parent of the factor path -- an eigh of rho and of the spin-flipped
     rho, their square roots and one SVD -- measured a worst error of 1.9e-14
     on the README ranges and 3.4e-9 on the near-pure states (R = 1e3); the
-    factor of the closed-form eigensystem measures 5.5e-16 and 3.7e-16.  On
-    the strong couplings at small rates it measures 2.2e-16 with the gap of
-    -gamma and -alpha taken as 1/(gamma + alpha), and measured 1.2e-9 with
-    the difference of the rounded energies."""
+    closed-form factor measures 5.5e-16 and 3.7e-16.  On the strong
+    couplings at small rates it measures 2.2e-16 with the gap of -gamma and
+    -alpha taken as 1/(gamma + alpha), and measured 1.2e-9 with the
+    difference of the rounded energies.  On the stronger couplings from
+    1.55e4 it measures 1.7e-16, where the factor that took its gaps from
+    the engine's degeneracy rule measured 0.498."""
 
     DATA = pathlib.Path(__file__).parent / "data" / "concurrence_reference.csv"
 
@@ -722,45 +699,48 @@ class TestConcurrenceReference:
         with open(self.DATA, newline="") as f:
             rows = [(float(r["R"]), float(r["alpha"]), float(r["concurrence"]))
                     for r in csv.DictReader(f)]
-        assert len(rows) == 680
+        assert len(rows) == 740
         errors = np.array([abs(concurrence_ness(params(R, a)) - c) for R, a, c in rows])
         near_pure = np.array([R >= 1e2 for R, _, _ in rows])
-        strong = np.arange(len(rows)) >= 620
+        index = np.arange(len(rows))
+        strong, stronger = (index >= 620) & (index < 680), index >= 680
         assert near_pure.sum() == 120
-        assert errors[~near_pure & ~strong].max() <= 1e-14
+        assert errors[~near_pure & ~strong & ~stronger].max() <= 1e-14
         assert errors[near_pure].max() <= 1e-15
         assert errors[strong].max() <= 1e-15
+        assert errors[stronger].max() <= 1e-15
 
     @pytest.mark.filterwarnings("error")
     def test_uncoupled_pair_is_separable_at_every_rate(self):
         rates = np.r_[5e-324, np.geomspace(1e-300, 1e300, 61), 1.7e308]
-        assert np.all(concurrence_ness_stack(eigensystem_array(np.zeros(1)), rates) <= 1e-15)
+        assert np.all(concurrence_ness_stack(np.zeros(1), rates) <= 1e-15)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("alpha", [1.5e4, 1.58e4, 1.6e4, 1.7e4])
     def test_the_clustering_edge(self, alpha):
-        # the levels -gamma and -alpha are apart at 1.58e4 and one cluster
-        # from 1.6e4 on, where the factor takes its zero pivot
-        rates = np.geomspace(1e-12, 1e12, 49)
-        eigensystem = eigensystem_array(np.array([alpha]))
-        clustered = _clustered(eigensystem.eigenvalues)[0]
-        assert (clustered[0] == clustered[1]) == (alpha >= 1.6e4)
-        body = concurrence_ness_stack(eigensystem, rates)[0]
-        # the folded 3 x 3 tau against the generic W^T S W of the same factor
-        entries = np.broadcast_arrays(*_ness_cholesky(eigensystem, rates))
-        w_e = np.zeros(entries[0].shape + (3, 3), dtype=complex)
-        rows, cols = np.tril_indices(3)
-        w_e[..., rows, cols] = np.stack(entries, axis=-1)
-        w = np.zeros(w_e.shape[:-2] + (4, 4), dtype=complex)
-        w[..., :3] = eigensystem.eigenvectors[:, None][..., _DD_LEVELS] @ w_e
-        assert np.abs(body - concurrence_factor_stack(w)[0][0]).max() <= 1e-15
-        # the engine clusters alike.  Below the edge its eigh of H carries
-        # eps ||H||/gap ~ 1e-7 into the vectors of the pair 1/(gamma + alpha)
-        # apart, and its eigh of a near-pure rho keeps about 1e-10 of the
-        # concurrence, so the parent's body differed from it alike
+        # the engine's degeneracy rule keeps the levels -gamma and -alpha
+        # apart at 1.58e4 and merges them from 1.6e4 on; the factor takes
+        # their gap as 1/(gamma + alpha) on both sides and meets the 50-digit
+        # concurrence across the edge
         sys = quantum_system(params(1.0, alpha))
-        engine = concurrence_stack(np.array([ness_density(sys, ResetSpec(r)) for r in rates]))
-        assert np.abs(body - engine[0]).max() <= (1e-14 if alpha >= 1.6e4 else 1e-6)
+        clustered = _clustered(sys.eigensystem.eigenvalues)
+        assert (clustered[0] == clustered[1]) == (alpha >= 1.6e4)
+        rates = np.geomspace(1e-12, 1e12, 13)
+        body = concurrence_ness_stack(np.array([alpha]), rates)[0]
+        spec = importlib.util.spec_from_file_location(
+            "reference", self.DATA.parent / "make_concurrence_reference.py")
+        reference = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(reference)
+        exact = np.array([float(reference.concurrence(r, alpha)) for r in rates])
+        assert np.abs(body - exact).max() <= 1e-15
+        # below the edge the engine's eigh of H carries eps ||H||/gap ~ 1e-7
+        # into the vectors of the pair 1/(gamma + alpha) apart, and its eigh
+        # of a near-pure rho keeps about 1e-10 of the concurrence; above it
+        # the engine sets that gap to 0 (ROADMAP, Standing (n))
+        if alpha < 1.6e4:
+            engine = concurrence_stack(np.array([ness_density(sys, ResetSpec(r))
+                                                 for r in rates]))
+            assert np.abs(body - engine[0]).max() <= 1e-6
 
 
 class TestWootters3x3:
@@ -779,7 +759,7 @@ class TestWootters3x3:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(twospin, "_wootters_3x3",
                           lambda *e: seen.append(np.broadcast_arrays(*e)) or closed_form(*e))
-            concurrence_ness_stack(eigensystem_array(alphas), rates)
+            concurrence_ness_stack(alphas, rates)
         return seen[0]
 
     @staticmethod
@@ -831,6 +811,6 @@ class TestWootters3x3:
             raise AssertionError("svd in the stationary concurrence")
 
         monkeypatch.setattr(np.linalg, "svd", refuse)
-        values = concurrence_ness_stack(eigensystem_array(np.linspace(0.0, 12.0, 241)),
+        values = concurrence_ness_stack(np.linspace(0.0, 12.0, 241),
                                         np.geomspace(1e-3, 20.0, 301))
         assert values.shape == (241, 301)
