@@ -36,7 +36,10 @@ relative to its largest entry, and the state a density matrix.
 paused.  A d = 256 document parses to about 65k lists, whose allocation
 would otherwise start collector passes over them; it holds no reference
 cycles, so refcounting frees it, before the collector resumes.  The
-caller's collector state is restored however the load ends.
+caller's collector state is restored however the load ends.  It reads the
+document as bytes, so ``json.loads`` detects its encoding (UTF-8, -16 or
+-32, as RFC 8259 expects; a UTF-8 byte order mark is skipped) whatever the
+locale.
 """
 
 from __future__ import annotations
@@ -232,8 +235,8 @@ def load_matrix(path) -> np.ndarray:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        with open(path) as f:
-            return document_to_matrix(json.load(f))
+        with open(path, "rb") as f:
+            return document_to_matrix(json.loads(f.read()))
     except RecursionError:
         raise ValueError(f"{path}: the document nests too deeply") from None
     finally:

@@ -142,8 +142,9 @@ def density_from_ages(sys: QuantumSystem, age_chunks: Iterable) -> TrajectoryEst
     """
     psi0 = _pure_state_of(sys)
     energies, v = sys.eigensystem
-    coeffs = v.conj().T @ psi0
-    vt = v.T
+    # |psi0>'s energy coefficients folded into the eigenvectors: a block's
+    # states are the one product exp(-i E tau) @ w
+    w = (v * (v.conj().T @ psi0)).T
     d = sys.dim
     rows = min(_CHUNK, max(1, _BLOCK_BYTES // (16 * d * d)))
     buf = np.empty((rows, d, d), dtype=complex)
@@ -153,34 +154,37 @@ def density_from_ages(sys: QuantumSystem, age_chunks: Iterable) -> TrajectoryEst
     # sum-of-squares formula hits when the spread is tiny (zero-rate runs
     # must come back with exactly zero variance).
     shift = None
-    total_dev = np.zeros((d, d), dtype=complex)
+    total_dev = np.zeros(d * d, dtype=complex)
     # squared real and imaginary parts, interleaved as in a complex array
-    total_sq = np.zeros((d, 2 * d), dtype=float)
+    total_sq = np.zeros(2 * d * d, dtype=float)
     n = 0
     for ages in age_chunks:
         ages = np.asarray(ages, dtype=float)
         for start in range(0, ages.size, rows):
             tau = ages[start:start + rows]
-            psi = np.exp(np.multiply.outer(tau, -1j * energies))
-            psi *= coeffs
-            psi = psi @ vt
-            psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-            dev = np.multiply(psi[:, :, None], psi.conj()[:, None, :],
-                              out=buf[:tau.size])
+            m = tau.size
+            psi = np.exp(np.multiply.outer(tau, -1j * energies)) @ w
+            parts = psi.view(float)
+            psi /= np.sqrt(np.einsum("ij,ij->i", parts, parts))[:, None]
+            dev = np.multiply(psi[:, :, None], psi.conj()[:, None, :], out=buf[:m])
             if shift is None:
                 shift = dev[0].copy()
             dev -= shift
-            total_dev += dev.sum(axis=0)
-            parts = dev.view(float)
-            total_sq += np.square(parts, out=parts).sum(axis=0)
-            n += tau.size
+            # each sum is one contiguous pass over the block's (m, d^2) or
+            # (m, 2 d^2) view
+            flat = dev.reshape(m, d * d)
+            total_dev += np.einsum("ij->j", flat)
+            parts = flat.view(float)
+            total_sq += np.einsum("ij,ij->j", parts, parts)
+            n += m
     if n == 0:
         raise ValueError("no ages to average over")
 
-    mean_dev = total_dev / n
+    mean_dev = total_dev.reshape(d, d) / n
     rho_hat = shift + mean_dev
     if n > 1:
-        total_sq_re, total_sq_im = total_sq[:, 0::2], total_sq[:, 1::2]
+        total_sq_re = total_sq[0::2].reshape(d, d)
+        total_sq_im = total_sq[1::2].reshape(d, d)
         var_re = np.clip(total_sq_re / n - mean_dev.real**2, 0.0, None) * n / (n - 1)
         var_im = np.clip(total_sq_im / n - mean_dev.imag**2, 0.0, None) * n / (n - 1)
         stderr_re = np.sqrt(var_re / n)

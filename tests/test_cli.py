@@ -29,10 +29,10 @@ def read(path):
     return path.read_bytes()
 
 
-def run_process(args, timeout, interpreter_flags=()):
+def run_process(args, timeout, interpreter_flags=(), env_overrides=()):
     """Run the CLI in a fresh interpreter; fails the test if it is still
     running after ``timeout`` seconds."""
-    env = dict(os.environ)
+    env = dict(os.environ, **dict(env_overrides))
     src = os.path.dirname(os.path.dirname(qreset.__file__))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run([sys.executable, *interpreter_flags, "-m", "qreset.cli", *args],
@@ -129,6 +129,18 @@ class TestNess:
         rc = run(["ness", "--hamiltonian", str(hpath), "--rho0", str(rpath), "--r", "1"])
         assert rc == 4
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig", "utf-16"])
+    def test_generic_document_encoding_is_not_the_locales(self, tmp_path, encoding):
+        # a document with a non-ASCII value under a key the format ignores,
+        # read under the C locale with UTF-8 mode and locale coercion off
+        path = tmp_path / "u.json"
+        path.write_bytes('{"note": "\u00e9", "dim": 1, "matrix": [[1, 0]]}'.encode(encoding))
+        proc = run_process(["ness", "--hamiltonian", str(path), "--rho0", str(path), "--r", "1"],
+                           timeout=30, env_overrides={"LC_ALL": "C", "PYTHONUTF8": "0",
+                                                      "PYTHONCOERCECLOCALE": "0"})
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["purity"] == 1
 
     def test_generic_rejects_non_hermitian_whose_norm_overflows(self, tmp_path):
         hpath = tmp_path / "h.json"

@@ -511,13 +511,13 @@ class TestCollectorDuringLoad:
 
     def test_paused_while_parsing_and_enabled_afterwards(self, document, monkeypatch):
         seen = []
-        parse = json.load
+        parse = json.loads
 
-        def recording(f):
+        def recording(s):
             seen.append(gc.isenabled())
-            return parse(f)
+            return parse(s)
 
-        monkeypatch.setattr(serialize.json, "load", recording)
+        monkeypatch.setattr(serialize.json, "loads", recording)
         gc.enable()
         assert np.array_equal(load_matrix(document), np.diag([1.0, -1.0]))
         assert seen == [False]
