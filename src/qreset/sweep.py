@@ -1,9 +1,9 @@
 """Parameter sweeps, optimizers, and validation reports for the two-spin
 resetting model: grid evaluation of the stationary observables,
 maximization of concurrence and of the finite-time entropy over the reset
-rate in rounds of geometric probes, the entropy-inflection (spinodal-like)
-point in the (rate, coupling) plane, and Monte Carlo cross-validation of
-the engine.
+rate in rounds of geometric probes, the exact entropy-inflection
+(spinodal-like) point in the (rate, coupling) plane, and Monte Carlo
+cross-validation of the engine.
 
 A sweep is evaluated in blocks of coupling rows, as many as fit a byte
 budget: the entropy and fidelity of a block come from one array closed
@@ -59,7 +59,7 @@ _POINT_BYTES = 512
 
 
 class SolverError(RuntimeError):
-    """A root or maximum could not be bracketed / located."""
+    """The inflection point is not in the box asked for."""
 
 
 @dataclass(frozen=True)
@@ -144,23 +144,10 @@ def timeseries(
     bad = set(observables) - {"entropy", "fidelity"}
     if bad:
         raise ValueError(f"timeseries supports entropy/fidelity, got {sorted(bad)}")
-    _require_phase_digits(t, p.R, p.alpha)
+    twospin._require_phase_digits(t, p.R, p.alpha)
     table = {"r": np.full(t.size, p.R), "alpha": np.full(t.size, p.alpha), "t": t}
     table.update(twospin.finite_time_columns(t, p.R, p.alpha, observables))
     return table
-
-
-def _require_phase_digits(t, R, alpha) -> None:
-    """ValueError naming the first (t, R) of broadcastable arrays at which
-    ``twospin.phase_budget`` reaches ``twospin.PHASE_BUDGET`` (or is nan)."""
-    budget = np.atleast_1d(twospin.phase_budget(t, R, alpha))
-    refused = ~(budget < twospin.PHASE_BUDGET)
-    if refused.any():
-        i = int(np.argmax(refused))
-        t_i, R_i = (float(np.broadcast_to(v, budget.shape)[i]) for v in (t, R))
-        raise ValueError(f"the phases keep too few digits at t = {t_i} (R = {R_i}): their "
-                         f"rounding can move the transient by {budget[i]:.2g} >= "
-                         f"{twospin.PHASE_BUDGET:.2g} while exp(-R t) > 0")
 
 
 # ---------------------------------------------------------------------------
@@ -237,19 +224,13 @@ def find_entropy_peak_rate(
     alpha = TwoSpinParams.from_dimensionless(0.0, alpha).alpha
     # a bracket that is no bracket is _bracketed_max's to refuse
     if r_lo > 0.0:
-        _require_phase_digits(t, r_lo, alpha)
+        twospin._require_phase_digits(t, r_lo, alpha)
     f = lambda rates: twospin.entropy_reset_array(t, rates, alpha)
     return _bracketed_max(f, r_lo, r_hi, tol)
 
 
 # ---------------------------------------------------------------------------
 # Entropy inflection point
-
-_SCAN_POINTS = 65  # coupling nodes scanned per rate for the largest slope
-_JACOBIAN_STEP = 6e-6  # relative central-difference step of the Jacobian
-_NEWTON_RTOL = 1e-13  # a relative Newton step this small is round-off
-_MAX_SOLVER_STEPS = 200
-
 
 def entropy_alpha_slope(r: float, alpha: float) -> float:
     """d(stationary entropy)/d(alpha) at fixed rate, in closed form."""
@@ -268,99 +249,32 @@ class CriticalPoint:
     residuals: tuple[float, float]  # (|dS/dalpha|, |d2S/dalpha2|) at the point
 
 
-def _slope_peak(r: float, alphas: list[float]) -> tuple[float, float]:
-    """(slope, alpha) at the largest finite dS/dalpha over the coupling nodes
-    at rate r: at an end, or at an interior maximum, bisected to where the
-    curvature falls through zero.  (-inf, nan) if no slope is finite.  The
-    closed form gives both derivatives, so each point is evaluated once."""
-    f = twospin.entropy_ness_alpha_derivatives
-    derivatives = [f(r, a) for a in alphas]
-    slopes = [(derivatives[0][0], alphas[0]), (derivatives[-1][0], alphas[-1])]
-    for lo, hi, d_lo, d_hi in zip(alphas, alphas[1:], derivatives, derivatives[1:]):
-        if d_lo[1] > 0.0 >= d_hi[1]:
-            mid = lo + 0.5 * (hi - lo)
-            while lo < mid < hi:
-                d_mid = f(r, mid)
-                if d_mid[1] > 0.0:
-                    lo, d_lo = mid, d_mid
-                else:
-                    hi, d_hi = mid, d_mid
-                mid = lo + 0.5 * (hi - lo)
-            # the bisection ends on one of its ends
-            slopes.append((d_lo[0] if mid == lo else d_hi[0], mid))
-    return max(((s, a) for s, a in slopes if math.isfinite(s)), default=(-math.inf, math.nan))
-
-
-def _newton_step(r: float, alpha: float) -> tuple[float, float] | None:
-    """2-D Newton step towards dS/dalpha = d2S/dalpha2 = 0, the Jacobian from
-    central differences of the closed forms; None unless finite."""
-    hr, ha = _JACOBIAN_STEP * r, _JACOBIAN_STEP * max(alpha, 1.0)
-    if not hr > 0.0:
-        return None
-    f = twospin.entropy_ness_alpha_derivatives
-    (s, c), (s_rp, c_rp), (s_rm, c_rm) = f(r, alpha), f(r + hr, alpha), f(r - hr, alpha)
-    (s_ap, c_ap), (s_am, c_am) = f(r, alpha + ha), f(r, alpha - ha)
-    j11, j21 = (s_rp - s_rm) / (2.0 * hr), (c_rp - c_rm) / (2.0 * hr)
-    j12, j22 = (s_ap - s_am) / (2.0 * ha), (c_ap - c_am) / (2.0 * ha)
-    det = j11 * j22 - j12 * j21
-    if not (math.isfinite(det) and det != 0.0):
-        return None
-    step = ((c * j12 - s * j22) / det, (s * j21 - c * j11) / det)
-    return step if all(math.isfinite(d) for d in step) else None
-
-
 def find_inflection(
     r_lo: float = 0.05,
     r_hi: float = 0.3,
     alpha_lo: float = 0.8,
     alpha_hi: float = 2.0,
 ) -> CriticalPoint:
-    """Locate the point where the entropy's minimum and maximum in the
-    coupling merge into an inflection: dS/dalpha = d2S/dalpha2 = 0.
+    """The point where the entropy's minimum and maximum in the coupling
+    merge into an inflection, dS/dalpha = d2S/dalpha2 = 0, if the closed box
+    [r_lo, r_hi] x [alpha_lo, alpha_hi] holds it.
 
-    Both residuals are closed forms, solved to round-off.  The largest slope
-    over the coupling box is positive below the critical rate (between the
-    minimum and maximum) and negative above it, so its sign change brackets
-    the rate.  A 2-D Newton step is taken while it stays in the box and the
-    bracket and halves the last step; else the bracket is bisected (in log
-    while wider than a factor 4) and Newton restarts from the largest slope
-    at the midpoint.  ValueError for a box that is not finite with 0 < r_lo
-    < r_hi and 0 <= alpha_lo < alpha_hi.  SolverError without a sign change,
-    or if the bracket collapses before Newton converges.
+    The quadrant R > 0, alpha >= 0 holds one such point, an algebraic number
+    (twospin.CRITICAL_R and CRITICAL_ALPHA, correctly rounded); the
+    residuals are the closed-form derivatives there.  ValueError for a box
+    that is not finite with 0 < r_lo < r_hi and 0 <= alpha_lo < alpha_hi.
+    SolverError for a box without the point.
     """
     box = (r_lo, r_hi, alpha_lo, alpha_hi)
     if not (all(map(math.isfinite, box)) and 0.0 < r_lo < r_hi and 0.0 <= alpha_lo < alpha_hi):
         raise ValueError("box needs finite 0 < r_lo < r_hi and 0 <= alpha_lo < alpha_hi, "
                          f"got {box}")
-    # nodes even in log1p(alpha), so a box over decades still resolves alpha ~ 1
-    nodes = np.expm1(np.linspace(math.log1p(alpha_lo), math.log1p(alpha_hi), _SCAN_POINTS))
-    alphas = [alpha_lo, *nodes[1:-1].tolist(), alpha_hi]
-    slope, alpha = _slope_peak(r_lo, alphas)
-    rising = slope > 0.0
-    if rising == (_slope_peak(r_hi, alphas)[0] > 0.0):
-        raise SolverError(
-            "no slope sign change over the rate interval: the inflection "
-            f"point is not bracketed by ({r_lo}, {r_hi})"
-        )
-    a, b, r, last = r_lo, r_hi, r_lo, math.inf
-    for _ in range(_MAX_SOLVER_STEPS):
-        step = _newton_step(r, alpha)
-        if step is not None:
-            size = max(abs(step[0]) / r, abs(step[1]) / max(alpha, 1.0))
-            r_new, alpha_new = r + step[0], alpha + step[1]
-            if a < r_new < b and alpha_lo <= alpha_new <= alpha_hi and size < 0.5 * last:
-                r, alpha, last = r_new, alpha_new, size
-                if size <= _NEWTON_RTOL:
-                    residuals = tuple(map(abs, twospin.entropy_ness_alpha_derivatives(r, alpha)))
-                    return CriticalPoint(r_c=r, alpha_c=alpha, residuals=residuals)
-                continue
-        r = math.sqrt(a) * math.sqrt(b) if b > 4.0 * a else a + 0.5 * (b - a)
-        if not a < r < b:
-            break
-        slope, alpha = _slope_peak(r, alphas)
-        a, b = (r, b) if (slope > 0.0) == rising else (a, r)
-        last = math.inf
-    raise SolverError(f"Newton iteration did not converge inside the box {box}")
+    r, alpha = twospin.CRITICAL_R, twospin.CRITICAL_ALPHA
+    if not (r_lo <= r <= r_hi and alpha_lo <= alpha <= alpha_hi):
+        raise SolverError(f"the box {box} does not hold the inflection point "
+                          f"(R, alpha) = ({r}, {alpha})")
+    residuals = tuple(map(abs, twospin.entropy_ness_alpha_derivatives(r, alpha)))
+    return CriticalPoint(r_c=r, alpha_c=alpha, residuals=residuals)
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,11 @@ class TwoSpinParams:
 
     @classmethod
     def from_dimensionless(cls, R: float, alpha: float) -> "TwoSpinParams":
-        """Unit-field parameters with the given dimensionless rate and coupling."""
+        """Unit-field parameters with the given dimensionless rate and
+        coupling; ValueError naming R or alpha unless finite and >= 0."""
+        for name, value in (("R", float(R)), ("alpha", float(alpha))):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         return cls(omega=1.0, j=float(alpha), r=float(R))
 
     @property
@@ -210,6 +214,19 @@ def phase_budget(t, R, alpha):
         # alpha t overflows first, and then the bound is inf
         rounding = 2.0 * (a2 + a3) * (alpha * t) + (a1 + a2 + 2.0 * a3) * (t * q)
         return 2.0 * np.finfo(float).eps * damp * rounding
+
+
+def _require_phase_digits(t, R, alpha) -> None:
+    """ValueError naming the first (t, R) of broadcastable arrays at which
+    phase_budget reaches PHASE_BUDGET (or is nan)."""
+    budget = np.atleast_1d(phase_budget(t, R, alpha))
+    refused = ~(budget < PHASE_BUDGET)
+    if refused.any():
+        i = int(np.argmax(refused))
+        t_i, R_i = (float(np.broadcast_to(v, budget.shape)[i]) for v in (t, R))
+        raise ValueError(f"the phases keep too few digits at t = {t_i} (R = {R_i}): their "
+                         f"rounding can move the transient by {budget[i]:.2g} >= "
+                         f"{PHASE_BUDGET:.2g} while exp(-R t) > 0")
 
 
 class _Phases(NamedTuple):
@@ -381,9 +398,11 @@ def infidelity_reset_array(t, R, alpha):
 
 
 def entropy_at_time(t: float, p: TwoSpinParams) -> float:
-    """Spin-1 von Neumann entropy under resetting at rescaled time t >= 0."""
-    if not t >= 0:
-        raise ValueError(f"time must be >= 0, got {t}")
+    """Spin-1 von Neumann entropy under resetting at rescaled time t >= 0;
+    ValueError for the times sweep.timeseries refuses (see phase_budget)."""
+    if not (t >= 0 and math.isfinite(t)):
+        raise ValueError(f"time must be >= 0 and finite, got {t}")
+    _require_phase_digits(t, p.R, p.alpha)
     return float(entropy_reset_array(np.array([t]), np.array([p.R]), np.array([p.alpha]))[0])
 
 
@@ -451,15 +470,26 @@ def entropy_ness_alpha_derivatives(R: float, alpha: float) -> tuple[float, float
     return s_u * du, s_uu * du * du + s_u * (4.0 * a * u_aa + 2.0 * u_a)
 
 
+# The entropy inflection point dS/dalpha = d2S/dalpha2 = 0 in R > 0, alpha
+# >= 0, correctly rounded.  With Q = R^2 and A = alpha^2, dv/dA is -4 N(Q, A)
+# over a positive denominator, N a quartic in A, and S increases with v, so
+# the point is a double root of N in A (alpha = 0 never is: the curvature
+# there is a nonzero multiple of N(Q, 0) > 0).  Of the two positive roots of
+# P(Q), a degree-10 factor of N's discriminant in A, only Q_c gives a double
+# root A_c > 0; the other, Q ~ 0.358, gives A ~ -0.512.  tests/test_sweep.py
+# writes N and P out.
+CRITICAL_R = 0.12364917511714785  # sqrt(Q_c)
+CRITICAL_ALPHA = 1.2782375777265733  # sqrt(A_c)
+
+
 def entropy_zero_reset(alpha: float) -> float:
     """Stationary spin-1 entropy in the rate -> 0+ limit.
 
     Maximal (ln 2) at both alpha -> 0 and alpha -> infinity, with a dip in
     between; approaches ln2 - alpha^2/8 and ln2 - 1/(8 alpha^2) in the two
-    limits.
+    limits.  ValueError unless alpha is finite and >= 0.
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    alpha = TwoSpinParams.from_dimensionless(0.0, alpha).alpha
     return float(entropy_ness_array(np.array([0.0]), np.array([alpha]))[0])
 
 
@@ -480,8 +510,9 @@ def scaling_function(z: float) -> float:
     Beyond z = 1e150, where 4 z^2 nears overflow and h underflow, the two-term
     form is exact to round-off and is evaluated without forming z^2.  It
     turns subnormal near z = 1e155 and rounds to 0 near z = 1e163; F(inf) = 0.
+    ValueError for a negative z or nan.
     """
-    if z < 0:
+    if not z >= 0:
         raise ValueError(f"z must be >= 0, got {z}")
     if z > SCALING_ASYMPTOTE_Z:
         if math.isinf(z):

@@ -665,8 +665,8 @@ class TestCritical:
         assert captured.err.startswith("error:") and "--box" in captured.err
 
     def test_alpha_bound_at_the_step_passes_parsing(self, capsys):
-        # the curvature's first zero above alpha = 0.001 is a slope minimum;
-        # the solver passes it and finds the genuine point
+        # the curvature's first zero above alpha = 0.001 is a slope minimum,
+        # not the point
         assert run(["critical", "--box", "0.05:0.3:0.001:2.0"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["residual_slope"] <= 1e-12
@@ -695,6 +695,23 @@ class TestCritical:
 
     def test_unbracketed_box_is_solver_failure(self):
         assert run(["critical", "--box", "0.2:0.3:0.8:2.0"]) == 3
+
+    @pytest.mark.parametrize("box, code", [
+        ("1e-9:1e9:0:1e9", 0), ("1e-6:1e6:0:1e3", 0), ("5e-324:1.7e308:0:1.7e308", 0),
+        ("0.05:0.3:0:2", 0), ("0.12364:0.12366:1.278:1.2785", 0),
+        ("2:3:5:6", 3), ("0.2:0.3:0.8:2", 3), ("0.1:0.3:1.5:2", 3),
+    ])
+    def test_exit_code_says_whether_the_box_holds_the_point(self, capsys, box, code):
+        assert run(["critical", "--box", box]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            report = json.loads(captured.out)
+            assert (report["r_c"], report["alpha_c"]) == (0.12364917511714785,
+                                                          1.2782375777265733)
+            assert max(report["residual_slope"], report["residual_curvature"]) <= 1e-17
+        else:
+            assert captured.out == ""
+            assert captured.err.startswith("solver failure: the box ")
 
     def test_fresh_process_finishes_within_two_seconds(self):
         start = time.perf_counter()
@@ -912,6 +929,11 @@ class TestConfigErrors:
          "the transient by 51 >= 1.5e-08 while exp(-R t) > 0"),
         (["ness", "--hamiltonian", "{h}", "--rho0", "{deep}", "--r", "1"],
          "{deep}: the document nests too deeply"),
+        # a coupling the rate searches refuse is named as the flag that gave it
+        (["optimize", "--alpha", "-1", "--r-bounds", "0.01:10"],
+         "alpha must be finite and >= 0, got -1.0"),
+        (["peak-r", "--t", "5", "--alpha", "nan", "--r-bounds", "0.001:3"],
+         "alpha must be finite and >= 0, got nan"),
     ]
 
     @pytest.mark.parametrize("args, message", ROWS)

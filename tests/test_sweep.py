@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import random
 import tracemalloc
+from fractions import Fraction
+
+import mpmath
 
 import numpy as np
 import pytest
@@ -454,8 +458,8 @@ class TestOptimizeConcurrence:
             optimize_concurrence(1.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             optimize_concurrence(1.0, 0.5, math.inf)
-        # the coupling is checked before the bracket
-        with pytest.raises(ValueError, match="j must be finite"):
+        # the coupling is checked before the bracket, by its name
+        with pytest.raises(ValueError, match="alpha must be finite and >= 0, got -1.0"):
             optimize_concurrence(-1.0, 1.0, 0.5)
 
     @pytest.mark.filterwarnings("error")
@@ -640,12 +644,13 @@ class TestFindInflection:
 
     @pytest.mark.parametrize("box", [
         (0.05, 0.3, 0.0, 2.0),
-        (0.05, 0.3, 0.001, 2.0),     # the first curvature zero has negative slope
-        (0.1, 0.13, 1.2, 1.3),       # the slope's maximum leaves through alpha edges
+        (0.05, 0.3, 0.001, 2.0),
+        (0.1, 0.13, 1.2, 1.3),
         (0.12364, 0.12366, 1.278, 1.2785),
-        (5e-324, 0.3, 0.8, 2.0),     # Newton is not tried at a subnormal rate
+        (5e-324, 0.3, 0.8, 2.0),
         (1e-9, 1e9, 0.0, 1e9),
         (1e-6, 1e6, 0.0, 1e3),
+        (5e-324, 1.7e308, 0.0, 1.7e308),
     ])
     def test_every_box_around_the_point_finds_it(self, box):
         cp = find_inflection(*box)
@@ -665,11 +670,22 @@ class TestFindInflection:
     @pytest.mark.parametrize("box", [
         (2.0, 3.0, 5.0, 6.0),
         (0.1, 0.3, 1.5, 2.0),
-        (5e-324, 1.7e308, 0.0, 1.7e308),
     ])
     def test_box_without_the_point_raises_solver_error(self, box):
-        with pytest.raises(SolverError):
+        with pytest.raises(SolverError, match="does not hold the inflection point"):
             find_inflection(*box)
+
+    def test_the_box_is_closed(self):
+        r_c, alpha_c = twospin.CRITICAL_R, twospin.CRITICAL_ALPHA
+        for box in [(r_c, 0.3, 0.8, alpha_c), (0.05, r_c, alpha_c, 2.0)]:
+            cp = find_inflection(*box)
+            assert (cp.r_c, cp.alpha_c) == (r_c, alpha_c)
+        for box in [(math.nextafter(r_c, 1.0), 0.3, 0.8, 2.0),
+                    (0.05, math.nextafter(r_c, 0.0), 0.8, 2.0),
+                    (0.05, 0.3, math.nextafter(alpha_c, 2.0), 2.0),
+                    (0.05, 0.3, 0.8, math.nextafter(alpha_c, 0.0))]:
+            with pytest.raises(SolverError):
+                find_inflection(*box)
 
     @pytest.mark.parametrize("box", [
         (0.05, 0.3, 2.0, 0.8),
@@ -685,27 +701,90 @@ class TestFindInflection:
             find_inflection(*box)
 
     def test_evaluation_budget(self, monkeypatch):
-        # the nested finite-difference solver this replaced made ~24k
-        # entropy evaluations on the default box; each evaluation of the
-        # closed form gives both residuals
+        # the point is exact: nothing is searched, and the one evaluation of
+        # the closed form at the point gives both residuals
         calls = []
         real = twospin.entropy_ness_alpha_derivatives
         monkeypatch.setattr(twospin, "entropy_ness_alpha_derivatives",
-                            lambda r, a: calls.append(1) or real(r, a))
+                            lambda r, a: calls.append((r, a)) or real(r, a))
         find_inflection()
-        assert len(calls) < 1000
+        assert calls == [(twospin.CRITICAL_R, twospin.CRITICAL_ALPHA)]
 
-    def test_scan_evaluates_each_point_once(self, monkeypatch):
-        # the end nodes give both the curvature sign and the end slopes
-        points = []
-        real = twospin.entropy_ness_alpha_derivatives
-        monkeypatch.setattr(twospin, "entropy_ness_alpha_derivatives",
-                            lambda r, a: points.append((r, a)) or real(r, a))
-        alphas = np.expm1(np.linspace(math.log1p(0.8), math.log1p(2.0), 65)).tolist()
-        for r in (0.05, 0.12, 0.3):
-            points.clear()
-            sweep._slope_peak(r, alphas)
-            assert len(points) == len(set(points)) >= len(alphas)
+
+# dv/dA = -4 N(Q, A)/[(1 + Q)^6 (1 + c A)^3 (4 A + b)^3] with Q = R^2, A =
+# alpha^2, c = 4 Q/(1 + Q)^2 and b = Q + 4 (see twospin.CRITICAL_R); the
+# coefficients of N in A, highest power first, and of P, the factor of N's
+# discriminant in A whose root is Q_c, highest first
+def n_coefficients(Q):
+    return [256 * Q**3 + 512 * Q**2,
+            256 * Q**4 + 1792 * Q**3 + 1344 * Q**2,
+            96 * Q**5 + 960 * Q**4 + 2448 * Q**3 + 1536 * Q**2 - 48 * Q,
+            16 * Q**6 + 176 * Q**5 + 684 * Q**4 + 1152 * Q**3 + 656 * Q**2 + 24 * Q - 4,
+            Q**7 + 10 * Q**6 + 39 * Q**5 + 80 * Q**4 + 95 * Q**3 + 66 * Q**2 + 25 * Q + 4]
+
+
+P_COEFFICIENTS = [5184, 92304, 651376, 2326560, 4392312, 3965528, 850992, -633117,
+                  -153719, 729, 27]
+
+
+def n_value(Q, A):
+    return sum(c * A**k for k, c in zip(range(4, -1, -1), n_coefficients(Q)))
+
+
+class TestCriticalPointIsAlgebraic:
+    """twospin.CRITICAL_R and CRITICAL_ALPHA are the correctly rounded
+    double root of N in A at the root Q_c of P, and the only point with R >
+    0, alpha >= 0: below Q_c, N has two positive roots in A (the entropy's
+    minimum and maximum in alpha), above it none."""
+
+    def test_dv_da_is_minus_four_n_over_a_positive_denominator(self):
+        rng = random.Random(28)
+        for _ in range(200):
+            Q = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+            A = Fraction(rng.randint(0, 10**6), rng.randint(1, 10**6))
+            # v = p s (2 - s) - 4 A w^2 (see twospin._ness_factors), with s
+            # depending on A through k = A Q p^2 and w through 1/w = 4 A + Q + 4
+            p = 1 / (1 + Q)
+            s, w = 1 / (1 + 4 * A * Q * p**2), 1 / (4 * A + Q + 4)
+            ds, dw = -4 * Q * p**2 * s**2, -4 * w**2
+            dv = 2 * p * (1 - s) * ds - 4 * w**2 - 8 * A * w * dw
+            c, b = 4 * Q * p**2, Q + 4
+            assert dv == -4 * n_value(Q, A) / ((1 + Q)**6 * (1 + c * A)**3 * (4 * A + b)**3)
+
+    def test_constants_are_the_double_root_correctly_rounded(self):
+        with mpmath.workdps(50):
+            Q_c = mpmath.findroot(lambda q: mpmath.polyval(P_COEFFICIENTS, q),
+                                  mpmath.mpf(twospin.CRITICAL_R)**2)
+            assert abs(mpmath.polyval(P_COEFFICIENTS, Q_c)) < mpmath.mpf(10)**-45
+            n = n_coefficients(Q_c)
+            dn = [4 * n[0], 3 * n[1], 2 * n[2], n[3]]
+            A_c = mpmath.findroot(lambda a: mpmath.polyval(dn, a),
+                                  mpmath.mpf(twospin.CRITICAL_ALPHA)**2)
+            # N and dN/dA vanish together: A_c is a double root
+            assert abs(mpmath.polyval(n, A_c)) < mpmath.mpf(10)**-45
+            assert abs(mpmath.polyval(dn, A_c)) < mpmath.mpf(10)**-45
+            for exact, rounded in ((mpmath.sqrt(Q_c), twospin.CRITICAL_R),
+                                   (mpmath.sqrt(A_c), twospin.CRITICAL_ALPHA)):
+                assert abs(exact - mpmath.mpf(rounded)) <= mpmath.mpf(math.ulp(rounded)) / 2
+            # the 20-digit reference of the tests agrees
+            assert abs(mpmath.sqrt(Q_c) - mpmath.mpf("0.12364917511714784248")) < 1e-20
+            assert abs(mpmath.sqrt(A_c) - mpmath.mpf("1.27823757772657340072")) < 1e-20
+
+    def test_positive_roots_in_a_only_below_the_critical_rate(self):
+        Q_c = twospin.CRITICAL_R**2
+        with mpmath.workdps(50):
+            for Q in np.geomspace(1e-8, 1e6, 113).tolist():
+                roots = mpmath.polyroots(n_coefficients(mpmath.mpf(Q)), maxsteps=200,
+                                         extraprec=100)
+                positive = [r for r in roots
+                            if abs(mpmath.im(r)) < 1e-20 and mpmath.re(r) > 0]
+                assert len(positive) == (2 if Q < Q_c else 0), Q
+
+    def test_curvature_at_zero_coupling_is_never_zero(self):
+        # at alpha = 0 the curvature is 2 S_u du/dA, a nonzero multiple of
+        # N(Q, 0) = Q^7 + ... + 4 > 0, so alpha = 0 is never the point
+        for R in np.geomspace(1e-8, 1e6, 57).tolist():
+            assert entropy_alpha_curvature(R, 0.0) < 0.0
 
 
 class TestMcValidate:

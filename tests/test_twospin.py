@@ -259,6 +259,14 @@ class TestEntropyAtTime:
             reduced = partial_trace(reset_density(sys, ResetSpec(p.r), t), SPLIT, "A")
             assert abs(entropy_at_time(t, p) - von_neumann_entropy(reduced)) < 1e-11
 
+    def test_refuses_the_times_timeseries_refuses(self):
+        # at t = 1e16 the phase budget is 5.1, and t = inf is no time
+        with pytest.raises(ValueError, match=r"keep too few digits at t = 1e\+16 \(R = 0.0\)"):
+            entropy_at_time(1e16, params(0.0, 1.0))
+        for R in (0.0, 1.0):
+            with pytest.raises(ValueError, match="time must be >= 0 and finite, got inf"):
+                entropy_at_time(math.inf, params(R, 1.0))
+
 
 class TestTransientArrays:
     """The transient closed form over arrays: against a frozen 50-digit
@@ -433,6 +441,11 @@ class TestEntropyZeroReset:
         vals = [entropy_zero_reset(a) for a in alphas]
         assert np.argmin(vals) not in (0, len(vals) - 1)
 
+    @pytest.mark.parametrize("alpha", [-1.0, math.nan, math.inf])
+    def test_refuses_a_coupling_that_is_not_finite_and_non_negative(self, alpha):
+        with pytest.raises(ValueError, match=f"alpha must be finite and >= 0, got {alpha}"):
+            entropy_zero_reset(alpha)
+
 
 class TestScalingFunction:
     def test_origin(self):
@@ -471,6 +484,11 @@ class TestScalingFunction:
 
     def test_infinite_z(self):
         assert scaling_function(float("inf")) == 0.0
+
+    @pytest.mark.parametrize("z", [-1.0, math.nan, -math.inf])
+    def test_refuses_a_negative_z_or_nan(self, z):
+        with pytest.raises(ValueError, match=f"z must be >= 0, got {z}"):
+            scaling_function(z)
 
     def test_two_term_form_up_to_underflow(self):
         # A2(z) = (2 ln z + 1 + ln 8)/(8 z^2) stays >= 1e-300 up to z ~ 3e150,
