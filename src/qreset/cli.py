@@ -71,7 +71,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_CONFIG)
 
 
-def _parse_grid(spec: str, name: str) -> list[float]:
+def _parse_grid(spec: str, name: str) -> np.ndarray:
     parts = spec.split(":")
     if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "log"):
         raise ValueError(f"{name} must look like lo:hi:n or lo:hi:n:log, got {spec!r}")
@@ -84,8 +84,8 @@ def _parse_grid(spec: str, name: str) -> list[float]:
     if len(parts) == 4:
         if lo <= 0:
             raise ValueError(f"{name}: logarithmic spacing needs lo > 0")
-        return [float(v) for v in np.geomspace(lo, hi, n)]
-    return [float(v) for v in np.linspace(lo, hi, n)]
+        return np.geomspace(lo, hi, n)
+    return np.linspace(lo, hi, n)
 
 
 def _parse_floats(spec: str, name: str, form: str) -> tuple[float, ...]:
@@ -214,8 +214,8 @@ def _cmd_ness(args) -> int:
 
 def _cmd_sweep(args) -> int:
     grid = SweepGrid(
-        r_values=tuple(_parse_grid(args.grid_r, "--grid-r")),
-        alpha_values=tuple(_parse_grid(args.grid_alpha, "--grid-alpha")),
+        r_values=_parse_grid(args.grid_r, "--grid-r"),
+        alpha_values=_parse_grid(args.grid_alpha, "--grid-alpha"),
         observables=_parse_observables(args.observables),
     )
     # --threads has no effect, but a bad value is an error

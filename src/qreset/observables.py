@@ -193,11 +193,12 @@ _COFACTOR = tuple(_SYMMETRIC_3[(_ROWS + a) % 3, (_COLS + b) % 3]
 _CUBIC_GAP_RTOL = 0.05
 
 
-def _wootters_3x3(t00, t01, t02, t11, t12, t22) -> np.ndarray:
+def _wootters_3x3(tau: np.ndarray) -> np.ndarray:
     """Concurrence max(0, mu_1 - mu_2 - mu_3) of each symmetric 3 x 3 tau,
-    given by the broadcastable arrays of its entries 00, 01, 02, 11, 12 and
-    22, in closed form: the value of ``_wootters`` without a LAPACK call a
-    point, except where its top pair of singular values nearly meets.
+    given stacked as a complex (6, ...) array of its entries 00, 01, 02, 11,
+    12 and 22, taken as it is, in closed form: the value of ``_wootters``
+    without a LAPACK call a point, except where its top pair of singular
+    values nearly meets.  The values have the shape (...).
 
     Each point is scaled by the power of two at its largest |Re| or |Im|, so
     the sixth powers below neither overflow nor underflow and the scaling is
@@ -213,14 +214,13 @@ def _wootters_3x3(t00, t01, t02, t11, t12, t22) -> np.ndarray:
     most _CUBIC_GAP_RTOL lambda_1, tau = 0 and G = m I among them, the
     unscaled tau goes to ``_wootters``.  No numpy warning.
     """
-    tau = np.stack(np.broadcast_arrays(t00, t01, t02, t11, t12, t22), dtype=complex)
     shape = tau.shape[1:]
     tau = tau.reshape(6, -1)
     # real and imaginary parts interleaved along the last axis
     parts = tau.view(float)
     largest = np.abs(parts).max(axis=0)
     _, exponent = np.frexp(np.maximum(largest[0::2], largest[1::2]))
-    a = np.ldexp(parts, np.repeat(-exponent, 2)).view(complex)
+    a = np.ldexp(parts, (-exponent).repeat(2)).view(complex)
     with np.errstate(all="ignore"):
         g = (a[_GRAM[0]].conj() * a[_GRAM[1]]).sum(axis=1)
         adj = a[_COFACTOR[0]] * a[_COFACTOR[1]] - a[_COFACTOR[2]] * a[_COFACTOR[3]]
@@ -235,7 +235,7 @@ def _wootters_3x3(t00, t01, t02, t11, t12, t22) -> np.ndarray:
         det_k = (k0 * k1 * k2 + 2.0 * (g01 * g12 * g02.conj()).real
                  - k0 * o12 - k1 * o02 - k2 * o01)
         root_p = np.sqrt(p)
-        phi = np.arccos(np.clip(det_k / (2.0 * p * root_p), -1.0, 1.0)) / 3.0
+        phi = np.arccos(np.minimum(np.maximum(det_k / (2.0 * p * root_p), -1.0), 1.0)) / 3.0
         lam1 = m + 2.0 * root_p * np.cos(phi)
         gap = (2.0 * math.sqrt(3.0)) * root_p * np.sin(math.pi / 3.0 - phi)
         mu1 = np.sqrt(lam1)

@@ -18,7 +18,9 @@ that is rho_ness + exp(-r t) U_t (rho0 - rho_ness) U_t^dagger, and its
 t -> infinity limit is rho0 times K.  Where omega is exactly 0, K is
 exactly 1 and U exactly 0; at rate 0, K is 0 and U is 1.  |K| and |U| are
 at most 1, so the kernel is accurate to round-off at every t.  ``_kernels``
-is the one place that forms K and U.
+is the one place that forms K and U, from the frequencies it is given: the
+engine passes every E_i - E_j, and the two-spin factor in ``twospin`` only
+the three gaps it needs.
 
 One degeneracy rule serves the stationary body: energies whose gaps are
 within a tolerance relative to ||E||_2 = ||H||_F form a cluster that
@@ -155,18 +157,17 @@ def _clustered(energies: np.ndarray) -> np.ndarray:
                            np.take_along_axis(energies, lowest, axis=-1)], axis=-1)
 
 
-def _kernels(energies: np.ndarray, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """K = r/(r + i omega) and U = i omega/(r + i omega) over (..., n, d, d)
-    for energies (..., d) and the n rates, omega_ij = E_i - E_j; where omega
-    is exactly 0, K is exactly 1 and U exactly 0."""
-    omega = 1j * (energies[..., None, :, None] - energies[..., None, None, :])
-    r = rates[:, None, None]
+def _kernels(omega, rates) -> tuple[np.ndarray, np.ndarray]:
+    """K = r/(r + i omega) and U = i omega/(r + i omega) over the broadcast
+    of the real frequencies omega (E_i - E_j for a pair of levels) and the
+    rates r; where omega is exactly 0, K is exactly 1 and U exactly 0."""
+    degenerate = omega == 0.0
+    omega = 1j * omega
     with np.errstate(over="ignore", invalid="ignore"):
         # r/r can overflow for a subnormal r; degenerate entries are set below
-        s = r + omega
-        k = r / s
+        s = rates + omega
+        k = rates / s
         u = np.divide(omega, s, out=s)
-    degenerate = omega == 0.0
     np.copyto(k, 1.0, where=degenerate)
     np.copyto(u, 0.0, where=degenerate)
     return k, u
@@ -201,7 +202,7 @@ def reset_density_stack(sys: QuantumSystem, rate: float, t) -> np.ndarray:
     if blind.any():
         raise ValueError(f"the phases E t keep no digits at t = {float(t[np.argmax(blind)])}: "
                          "eps max|E| t >= 1 while exp(-r t) > 0")
-    k, u = _kernels(energies, np.array([rate], dtype=float))
+    k, u = _kernels(energies[:, None] - energies, float(rate))
     phase = np.exp(-1j * energies * np.where(live, t, 0.0)[:, None])
     kernel = k + u * (damp[:, None, None] * phase[:, :, None] * phase.conj()[:, None, :])
     rho = sys._to_computational(sys._rho0_energy * kernel)
@@ -217,8 +218,9 @@ def ness_density(sys: QuantumSystem, reset: ResetSpec) -> np.ndarray:
     not commute)."""
     if not reset.rate > 0.0:
         raise ValueError("stationary state requires a strictly positive reset rate")
-    k, _ = _kernels(_clustered(sys.eigensystem.eigenvalues), np.array([reset.rate]))
-    return sys._to_computational(sys._rho0_energy * k)[0]
+    energies = _clustered(sys.eigensystem.eigenvalues)
+    k, _ = _kernels(energies[:, None] - energies, float(reset.rate))
+    return sys._to_computational(sys._rho0_energy * k)
 
 
 def partial_trace(

@@ -6,16 +6,20 @@ rate in rounds of geometric probes, the exact entropy-inflection
 cross-validation of the engine.
 
 A sweep is evaluated in blocks of coupling rows, as many as fit a byte
-budget: the entropy and fidelity of a block come from one array closed
-form each, and so does the purity, which for the pure initial state
-equals the fidelity to it; the concurrence of the block comes from one
-call of ``twospin.concurrence_ness_stack`` on its couplings and the
-grid's rates; no density matrix is formed.  The concurrence optimizer
-makes that call for each round of probes of its one coupling.  A time
-series takes its entropy and fidelity columns from one call of the
-transient closed forms, and the entropy peak search each round of probes;
-both refuse the times at which the transient's phases keep too few digits
-(``twospin.phase_budget``).
+budget: the entropy, the fidelity and the purity, which for the pure
+initial state equals the fidelity to it, of a block come from one pass of
+the stationary closed forms' bounded factors (``twospin.ness_columns``);
+the concurrence of the block comes from one call of
+``twospin.concurrence_ness_stack`` on its couplings and the grid's rates,
+whose factor has ``reset_core._kernels`` form K and U on its three gaps
+alone; no density matrix is formed.  The concurrence optimizer makes that
+call for each round of probes of its one coupling.  A time series takes
+its entropy and fidelity columns from one call of the transient closed
+forms, and the entropy peak search each round of probes; both refuse the
+times at which the transient's phases keep too few digits
+(``twospin.phase_budget``).  A round's probes are np.geomspace's, bit for
+bit, from its arithmetic alone (``_probes``): its argument handling costs
+several times the arithmetic.
 
 Each column is in range by construction and is not checked again: an
 entropy is ``_spin_entropy`` of v clipped to [0, 1], so in [0, ln 2]; a
@@ -51,9 +55,10 @@ PHASE_ROUNDOFF = 4.0
 
 # A sweep evaluates as many coupling rows at once as keep their
 # temporaries, about _POINT_BYTES a grid point, within _BLOCK_BYTES.  They
-# are (3, 3) complex stacks, the kernels K and U of the factor and tau of
-# concurrence, and the factor's entries; tracemalloc measures about 410
-# bytes a point beyond the table.
+# are complex arrays a point: the kernels K and U of the factor on its
+# three gaps, its six entries and the six of tau, and the closed form's
+# sums of them.  tracemalloc measures about 890 bytes a point of a
+# 400 x 20 block beyond the table, so a block's peak exceeds the budget.
 _BLOCK_BYTES = 4 * 2**20
 _POINT_BYTES = 512
 
@@ -62,31 +67,35 @@ class SolverError(RuntimeError):
     """The inflection point is not in the box asked for."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepGrid:
-    """Cartesian (rate, coupling) grid with the observables to evaluate."""
+    """Cartesian (rate, coupling) grid with the observables to evaluate.
+    The axes are kept as read-only float64 arrays."""
 
-    r_values: tuple[float, ...]
-    alpha_values: tuple[float, ...]
+    r_values: np.ndarray
+    alpha_values: np.ndarray
     observables: tuple[str, ...] = ALL_OBSERVABLES
 
     def __post_init__(self):
-        object.__setattr__(self, "r_values", tuple(float(v) for v in self.r_values))
-        object.__setattr__(
-            self, "alpha_values", tuple(float(v) for v in self.alpha_values)
-        )
-        if not self.r_values or not self.alpha_values:
+        r, alpha = (np.array(v, dtype=float) for v in (self.r_values, self.alpha_values))
+        if r.ndim != 1 or alpha.ndim != 1:
+            raise ValueError(f"grid axes must be 1-D, got shapes {r.shape} and {alpha.shape}")
+        if not (r.size and alpha.size):
             raise ValueError("grid axes must be nonempty")
-        for v in self.r_values:
-            if not np.isfinite(v) or v <= 0:
-                raise ValueError(f"grid R values must be finite and > 0, got {v}")
-        for v in self.alpha_values:
-            if not np.isfinite(v) or v < 0:
-                raise ValueError(f"grid alpha values must be finite and >= 0, got {v}")
-        if list(self.r_values) != sorted(self.r_values) or list(
-            self.alpha_values
-        ) != sorted(self.alpha_values):
+        # comparisons with nan are False, so nan is refused with inf
+        bad = ~((r > 0.0) & (r < np.inf))
+        if bad.any():
+            raise ValueError("grid R values must be finite and > 0, "
+                             f"got {float(r[bad.argmax()])}")
+        bad = ~((alpha >= 0.0) & (alpha < np.inf))
+        if bad.any():
+            raise ValueError("grid alpha values must be finite and >= 0, "
+                             f"got {float(alpha[bad.argmax()])}")
+        if not ((r[1:] >= r[:-1]).all() and (alpha[1:] >= alpha[:-1]).all()):
             raise ValueError("grid axes must be ascending")
+        r.flags.writeable = alpha.flags.writeable = False
+        object.__setattr__(self, "r_values", r)
+        object.__setattr__(self, "alpha_values", alpha)
         bad = set(self.observables) - set(ALL_OBSERVABLES)
         if bad or not self.observables:
             raise ValueError(f"unknown observables: {sorted(bad)}")
@@ -98,26 +107,25 @@ def sweep_records(grid: SweepGrid) -> dict[str, np.ndarray]:
     """The grid's observable table: columns r, alpha and the grid's
     observables, alpha-outer / rate-inner row-major order, each in range
     by construction (entropy in [0, ln 2], the others in [0, 1])."""
-    observables, n_r, n_alpha = grid.observables, len(grid.r_values), len(grid.alpha_values)
+    observables, n_r, n_alpha = grid.observables, grid.r_values.size, grid.alpha_values.size
     table = {"r": np.tile(grid.r_values, n_alpha),
              "alpha": np.repeat(grid.alpha_values, n_r)}
     table.update((name, np.empty(n_r * n_alpha)) for name in observables)
     # rho0 is pure, so tr rho^2 = <psi0|rho|psi0>: purity is the fidelity
-    from_fidelity = [name for name in ("fidelity", "purity") if name in observables]
+    closed_form = {name: "fidelity" if name == "purity" else name
+                   for name in observables if name != "concurrence"}
     rows = max(1, _BLOCK_BYTES // (n_r * _POINT_BYTES))
     for k in range(0, n_alpha, rows):
         alphas = grid.alpha_values[k:k + rows]
-        block = slice(k * n_r, (k + len(alphas)) * n_r)
-        r, alpha = table["r"][block], table["alpha"][block]
-        if "entropy" in observables:
-            table["entropy"][block] = twospin.entropy_ness_array(r, alpha)
-        if from_fidelity:
-            fidelity = twospin.fidelity_ness_array(r, alpha)
-            for name in from_fidelity:
-                table[name][block] = fidelity
+        block = slice(k * n_r, (k + alphas.size) * n_r)
+        if closed_form:
+            columns = twospin.ness_columns(table["r"][block], table["alpha"][block],
+                                           closed_form.values())
+            for name, source in closed_form.items():
+                table[name][block] = columns[source]
         if "concurrence" in observables:
             table["concurrence"][block] = twospin.concurrence_ness_stack(
-                np.array(alphas), np.array(grid.r_values)).ravel()
+                alphas, grid.r_values).ravel()
     return table
 
 
@@ -138,8 +146,10 @@ def timeseries(
     Both columns are in range by construction: the entropy in [0, ln 2],
     the fidelity clipped to [0, 1].
     """
-    t = np.fromiter(t_values, dtype=float)
-    if not (np.all(np.isfinite(t)) and np.all(t >= 0.0) and np.all(np.diff(t) >= 0.0)):
+    # an array is taken whole, not iterated value by value
+    t = np.array(t_values if isinstance(t_values, np.ndarray) else list(t_values), dtype=float)
+    # comparisons with nan are False
+    if not (t.ndim == 1 and ((t >= 0.0) & (t < np.inf)).all() and (t[1:] >= t[:-1]).all()):
         raise ValueError("t values must be finite, >= 0, ascending")
     bad = set(observables) - {"entropy", "fidelity"}
     if bad:
@@ -161,6 +171,28 @@ class OptimizeResult:
 
 
 _PROBES = 65  # probes per round of _bracketed_max
+_PROBE_INDEX = np.arange(float(_PROBES))
+
+
+def _probes(a, b) -> np.ndarray:
+    """np.geomspace(a, b, _PROBES) for 0 < a < b, bit for bit: its own
+    arithmetic without its argument handling.  The logs of the ends are
+    spread linearly, as np.linspace spreads them, with the last set to
+    log10(b); the probes are 10 to those powers, with both ends set
+    exactly."""
+    log_a, log_b = np.log10(a), np.log10(b)
+    delta = log_b - log_a
+    step = delta / (_PROBES - 1)
+    if step == 0.0:
+        # np.linspace's branch for a zero step: the logs of the ends are equal
+        y = _PROBE_INDEX / (_PROBES - 1) * delta
+    else:
+        y = _PROBE_INDEX * step
+    y += log_a
+    y[-1] = log_b
+    xs = 10.0 ** y
+    xs[0], xs[-1] = a, b
+    return xs
 
 
 def _bracketed_max(
@@ -185,10 +217,10 @@ def _bracketed_max(
         raise ValueError(f"need finite 0 < r_lo < r_hi, got ({lo}, {hi})")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be finite and > 0, got {tol}")
-    xs, best = np.geomspace(lo, hi, _PROBES), None
+    xs, best = _probes(lo, hi), None
     while True:
         vals = np.asarray(f(xs), dtype=float)
-        i = int(np.argmax(vals))
+        i = int(vals.argmax())
         if best is None and vals.max() - vals.min() < 1e-14:
             return OptimizeResult(x=lo, value=float(vals[0]), flag="degenerate")
         if best is None and i in (0, _PROBES - 1):
@@ -196,8 +228,8 @@ def _bracketed_max(
         if best is None or vals[i] > best.value:
             best = OptimizeResult(x=float(xs[i]), value=float(vals[i]), flag="interior")
         x, a, b = xs[i], xs[max(i - 1, 0)], xs[min(i + 1, _PROBES - 1)]
-        xs = np.geomspace(a, b, _PROBES)
-        if max(x - a, b - x) <= 0.5 * tol or not np.all(np.diff(xs) > 0.0):
+        xs = _probes(a, b)
+        if max(x - a, b - x) <= 0.5 * tol or not (xs[1:] > xs[:-1]).all():
             return best
 
 

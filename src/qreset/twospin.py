@@ -18,15 +18,16 @@ This module is the analytic oracle for the generic spectral engine in
 and one bounded array closed form gives its elements at any time, rate
 and coupling (``reduced_state_array``): rate 0 is the reset-free
 evolution, and the long-time limit is the stationary state, whose bounded
-factors (``_ness_factors``) also give the stationary entropy and fidelity
-and, at rate 0, their rate -> 0+ limits.  The finite-time, stationary and
-rate -> 0+ entropies share one body of v = 4 det.  The finite-time
-fidelity to |dd> is a closed form as well, taken as 1 - F over the three
-pairs of levels that carry |dd> so that it keeps relative digits as t -> 0
-(``infidelity_reset_array``).  Both finite-time columns come from one
-evaluation of the phases alpha t and t/P (``finite_time_columns``), and
-``phase_budget`` gives what the rounding of those phases can move them
-by; their callers refuse the times where it reaches ``PHASE_BUDGET``.
+factors (``_ness_factors``) also give the stationary entropy and fidelity,
+both from one pass (``ness_columns``), and, at rate 0, their rate -> 0+
+limits.  The finite-time, stationary and rate -> 0+ entropies share one
+body of v = 4 det.  The finite-time fidelity to |dd> is a closed form as
+well, taken as 1 - F over the three pairs of levels that carry |dd> so
+that it keeps relative digits as t -> 0 (``infidelity_reset_array``).
+Both finite-time columns come from one evaluation of the phases alpha t
+and t/P (``finite_time_columns``), and ``phase_budget`` gives what the
+rounding of those phases can move them by; their callers refuse the times
+where it reaches ``PHASE_BUDGET``.
 On the three levels that carry |dd>, whose gaps the coupling gives
 exactly, the stationary state's factor (``_ness_cholesky``) and
 sigma_y x sigma_y are closed forms too: the concurrence of the two spins
@@ -341,7 +342,7 @@ def _spin_entropy(v):
     """Von Neumann entropy of a spin-1/2 state from v = 4 det = 1 - y^2,
     the eigenvalues being (1 +- y)/2; v is clipped to [0, 1].  Call inside
     np.errstate."""
-    v = np.clip(v, 0.0, 1.0)
+    v = np.minimum(np.maximum(v, 0.0), 1.0)
     # the smaller eigenvalue (1 - y)/2, formed from v so that it keeps its
     # digits as y rounds to 1
     lam = 0.5 * v / (1.0 + np.sqrt(1.0 - v))
@@ -423,8 +424,22 @@ def entropy_ness_array(R: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     Finite for every finite R and alpha >= 0, and 0 where the state is pure
     to round-off (as R -> infinity it tends to rho0).  No numpy warning.
     """
+    return ness_columns(R, alpha, ("entropy",))["entropy"]
+
+
+def ness_columns(R, alpha, observables):
+    """The stationary columns named in observables at each (R, alpha) of
+    two float arrays of one shape, trusted as entropy_ness_array trusts
+    them, from one evaluation of the bounded factors (_ness_factors):
+    "entropy" (entropy_ness_array) and "fidelity" (fidelity_ness_array)."""
     with np.errstate(all="ignore"):
-        return _spin_entropy(_ness_factors(R, alpha)[5])
+        p, _, _, s, w, v = _ness_factors(R, alpha)
+        columns = {}
+        if "entropy" in observables:
+            columns["entropy"] = _spin_entropy(v)
+        if "fidelity" in observables:
+            columns["fidelity"] = 1.0 - 0.5 * p * s - 0.5 * w
+        return columns
 
 
 # Below this u = y^2 the entropy's u-derivatives take their two-term
@@ -536,9 +551,7 @@ def fidelity_ness_array(R: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Stationary fidelity (see fidelity_ness) at each (R, alpha) of two
     float arrays of one shape: 1 - up - w/2 (see _ness_factors), finite for
     every finite R >= 0 and alpha >= 0, and 1 as R -> infinity."""
-    with np.errstate(all="ignore"):
-        p, _, _, s, w, _ = _ness_factors(R, alpha)
-        return 1.0 - 0.5 * p * s - 0.5 * w
+    return ness_columns(R, alpha, ("fidelity",))["fidelity"]
 
 
 def concurrence_ness(p: TwoSpinParams) -> float:
@@ -572,12 +585,14 @@ def concurrence_ness_stack(alpha: np.ndarray, R: np.ndarray) -> np.ndarray:
     t = t[..., None]
     a, b = (1.0 - t * t) / (1.0 + t * t), 2.0 * t / (1.0 + t * t)
     # tau_jk = (column j of W_e) . M (column k of W_e), the columns x, y and z
-    return _wootters_3x3(x0 * (-a * x0 - b * x2) + x1 * x1 + x2 * (a * x2 - b * x0),
-                         x0 * (-b * y2) + x1 * y1 + x2 * (a * y2),
-                         x0 * (-b * z2) + x2 * (a * z2),
-                         y1 * y1 + y2 * (a * y2),
-                         y2 * (a * z2),
-                         z2 * (a * z2))
+    tau = np.empty((6, *x1.shape), dtype=complex)
+    tau[0] = x0 * (-a * x0 - b * x2) + x1 * x1 + x2 * (a * x2 - b * x0)
+    tau[1] = x0 * (-b * y2) + x1 * y1 + x2 * (a * y2)
+    tau[2] = x0 * (-b * z2) + x2 * (a * z2)
+    tau[3] = y1 * y1 + y2 * (a * y2)
+    tau[4] = y2 * (a * z2)
+    tau[5] = z2 * (a * z2)
+    return _wootters_3x3(tau)
 
 
 def _ness_cholesky(t: np.ndarray, spread: np.ndarray, R: np.ndarray) -> tuple:
@@ -593,17 +608,21 @@ def _ness_cholesky(t: np.ndarray, spread: np.ndarray, R: np.ndarray) -> tuple:
     1/sqrt(2 + 2 t^2), the real weights of |dd>, has closed-form Cholesky
     columns (Gohberg, Kailath and Olshevsky, Math. Comp. 64, 1557 (1995)):
     W_e = [[c0, 0, 0], [c1 K10, c1', 0], [c3 K30, c3' K31, c3'']] with c1' =
-    c1 U10, c3' = c3 U30, c3'' = c3' U31, and K, U from _kernels on the levels
-    as offsets from -gamma, (0, t, 2 gamma): the gap gamma - alpha of the
-    lowest pair is t, which keeps its digits where the difference of the
-    rounded energies cancels.  The gaps t, 1/t and 2 gamma are > 0 for every
-    finite alpha, so no two of the levels are degenerate.  Where the pivot
-    c1' underflows to 0 with t/R (as at alpha = 1e150, R = 1e300), column 1
-    is zero and c3'' = c3'; |K|, |U| <= 1, so W_e is finite."""
+    c1 U10, c3' = c3 U30, c3'' = c3' U31, and K, U from _kernels on the
+    three gaps of the levels taken as offsets (0, t, 2 gamma) from -gamma,
+    (t, 2 gamma, 2 gamma - t), and nowhere else: the gap gamma - alpha of
+    the lowest pair is t, which keeps its digits where the difference of
+    the rounded energies cancels.  The gaps t, 1/t and 2 gamma are > 0 for
+    every finite alpha, so no two of the levels are degenerate.  Where the
+    pivot c1' underflows to 0 with t/R (as at alpha = 1e150, R = 1e300),
+    column 1 is zero and c3'' = c3'; |K|, |U| <= 1, so W_e is finite."""
     n = 1.0 / np.sqrt(2.0 + 2.0 * t * t)
-    k, u = _kernels(np.stack([np.zeros_like(t), t, spread], axis=-1), R)
+    gaps = np.empty((3, *t.shape, 1))
+    gaps[0, ..., 0], gaps[1, ..., 0] = t, spread
+    np.subtract(spread, t, out=gaps[2, ..., 0])
+    (k10, k20, k21), (u10, u20, u21) = _kernels(gaps, R)
     c0, c1, c3 = n[..., None], -math.sqrt(0.5), (t * n)[..., None]
-    c1p, c3p = c1 * u[..., 1, 0], c3 * u[..., 2, 0]
+    c1p, c3p = c1 * u10, c3 * u20
     pivot = c1p != 0.0
-    return (c0, c1 * k[..., 1, 0], c1p, c3 * k[..., 2, 0],
-            np.where(pivot, c3p * k[..., 2, 1], 0.0), np.where(pivot, c3p * u[..., 2, 1], c3p))
+    return (c0, c1 * k10, c1p, c3 * k20,
+            np.where(pivot, c3p * k21, 0.0), np.where(pivot, c3p * u21, c3p))

@@ -531,8 +531,8 @@ class TestFailingRunsWriteNothing:
 
     @pytest.fixture(autouse=True)
     def nan_stationary_entropy(self, monkeypatch):
-        monkeypatch.setattr(twospin, "entropy_ness_array",
-                            lambda R, alpha: np.full(np.shape(R), np.nan))
+        # the spin entropy is the one body every entropy column goes through
+        monkeypatch.setattr(twospin, "_spin_entropy", lambda v: np.full(np.shape(v), np.nan))
 
     @pytest.mark.parametrize("args, code", CASES)
     def test_no_file_with_out(self, tmp_path, capsys, args, code):

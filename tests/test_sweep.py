@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -62,6 +63,73 @@ class TestSweepGrid:
         )
         assert g.observables == ("entropy", "concurrence")
 
+    @pytest.mark.parametrize("r, alpha, message", [
+        ((1.0, math.nan, -1.0), (0.0,), "grid R values must be finite and > 0, got nan"),
+        ((1.0, 2.0, -0.0, math.inf), (0.0,), "grid R values must be finite and > 0, got -0.0"),
+        ((1.0,), (0.0, math.inf, -2.0), "grid alpha values must be finite and >= 0, got inf"),
+        ((1.0,), (0.0, -5e-324), "grid alpha values must be finite and >= 0, got -5e-324"),
+        ((1.0, 2.0), (1.0, 0.5), "grid axes must be ascending"),
+    ])
+    def test_messages_name_the_first_bad_value(self, r, alpha, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SweepGrid(r_values=r, alpha_values=alpha)
+
+    @pytest.mark.parametrize("r, alpha", [(np.ones((2, 2)), (0.0,)), ((1.0,), np.zeros((1, 1))),
+                                          (1.0, (0.0,))])
+    def test_rejects_an_axis_that_is_not_1d(self, r, alpha):
+        with pytest.raises(ValueError, match="grid axes must be 1-D"):
+            SweepGrid(r_values=r, alpha_values=alpha)
+
+    def test_axes_are_read_only_float64_copies(self):
+        r = np.array([0.5, 1.0])
+        g = SweepGrid(r_values=r, alpha_values=[0, 2])
+        r[0] = 0.75
+        for axis, expected in ((g.r_values, [0.5, 1.0]), (g.alpha_values, [0.0, 2.0])):
+            assert axis.dtype == np.float64 and not axis.flags.writeable
+            assert axis.tolist() == expected
+
+
+class TestProbes:
+    """sweep._probes(a, b) is np.geomspace(a, b, 65) bit for bit, from its
+    arithmetic without its argument handling, so the probe rounds and the
+    optimizers' output bytes do not change with it."""
+
+    @staticmethod
+    def brackets():
+        rng = np.random.default_rng(29)
+        # over the whole float range, with ends as Python floats and as the
+        # numpy floats that later rounds take from the probes
+        lo = 10.0 ** rng.uniform(-323.0, 308.0, 5000)
+        hi = 10.0 ** rng.uniform(np.log10(lo), 308.25)
+        wide = [(float(a), float(b)) for a, b in zip(lo, hi) if a < b]
+        wide += [(np.float64(a), np.float64(b)) for a, b in wide[:2000]]
+        # a few ulps wide, where the logs of the ends are often equal
+        a = 10.0 ** rng.uniform(-300.0, 300.0, 3000)
+        narrow = [(x, x * (1.0 + k * np.finfo(float).eps))
+                  for x, k in zip(a.tolist(), rng.integers(1, 6, a.size).tolist())]
+        edges = [(5e-324, 1.7e308), (5e-324, 1e-300), (1e300, 1.7e308), (5e-324, 1e-323),
+                 (np.nextafter(1.7e308, 0.0), 1.7e308), (1e300, 1.0000000000000002e300)]
+        return [(a, b) for a, b in wide + narrow + edges if a < b]
+
+    def test_bits_equal_geomspace(self):
+        brackets = self.brackets()
+        assert len(brackets) >= 10_000
+        equal_logs = 0
+        for a, b in brackets:
+            expected = np.geomspace(a, b, sweep._PROBES)
+            assert np.array_equal(sweep._probes(a, b).view(np.uint64),
+                                  expected.view(np.uint64)), (a, b)
+            equal_logs += bool(np.log10(a) == np.log10(b))
+        # the step == 0 branch
+        assert equal_logs >= 100
+
+    def test_equal_logs_give_a_degenerate_result(self):
+        # the probes between the ends repeat one float, so the bracket is flat
+        a, b = 1e300, 1.0000000000000002e300
+        assert np.log10(a) == np.log10(b)
+        assert np.unique(sweep._probes(a, b)[1:-1]).size == 1
+        assert optimize_concurrence(7.0, a, b).flag == "degenerate"
+
 
 class TestObservableRanges:
     """Every table column is in its theoretical range by construction
@@ -103,6 +171,22 @@ class TestObservableRanges:
             for alpha in (0.0, 0.3, 1.0, 10.0, 1e3):
                 p = TwoSpinParams.from_dimensionless(R, alpha)
                 self.check(timeseries(p, ts, ("entropy", "fidelity")))
+
+
+class TestOneClosedFormPass:
+    def test_a_block_evaluates_the_factors_once(self, monkeypatch):
+        calls = []
+        factors = twospin._ness_factors
+        monkeypatch.setattr(twospin, "_ness_factors",
+                            lambda R, alpha: calls.append(R.size) or factors(R, alpha))
+        grid = SweepGrid(np.geomspace(0.1, 10.0, 7), np.linspace(0.0, 3.0, 5))
+        table = sweep_records(grid)
+        assert calls == [35]
+        assert np.array_equal(table["entropy"],
+                              twospin.entropy_ness_array(table["r"], table["alpha"]))
+        assert np.array_equal(table["fidelity"],
+                              twospin.fidelity_ness_array(table["r"], table["alpha"]))
+        assert np.array_equal(table["purity"], table["fidelity"])
 
 
 class TestRunSweep:

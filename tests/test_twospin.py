@@ -761,6 +761,59 @@ class TestConcurrenceReference:
             assert np.abs(body - engine[0]).max() <= 1e-6
 
 
+class TestUfuncClamp:
+    """The closed forms clamp with np.minimum(np.maximum(x, lo), hi) rather
+    than np.clip, whose argument handling costs about twice as much.  Over
+    the values below the two give the same bits, but for the sign of a zero
+    at a bound of 0, where numpy releases differ in clip (2.x keeps -0.0);
+    _spin_entropy's bits are the same either way."""
+
+    TINY = float(np.finfo(float).smallest_subnormal)
+    NORMAL = float(np.finfo(float).tiny)
+    SPECIAL = np.array([0.0, -0.0, TINY, -TINY, 3 * TINY, -3 * TINY, NORMAL, -NORMAL,
+                        np.nextafter(NORMAL, 0.0), -np.nextafter(NORMAL, 0.0),
+                        np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0),
+                        np.nextafter(-1.0, 0.0), -1.0, np.nextafter(-1.0, -2.0),
+                        np.nan, -np.nan, np.inf, -np.inf, 0.5, -0.5, 1.7e308, -1.7e308])
+
+    @staticmethod
+    def bits(x):
+        return np.asarray(x, dtype=float).view(np.uint64)
+
+    def values(self):
+        # lengths that take numpy's vector loops and their scalar tails
+        rng = np.random.default_rng(7)
+        return [rng.permutation(np.tile(self.SPECIAL, n))[:size]
+                for n, size in ((1, 1), (1, 7), (3, 64), (50, 1000))] + [self.SPECIAL]
+
+    def test_arccos_clamp_equals_clip(self):
+        for x in self.values():
+            clamp = np.minimum(np.maximum(x, -1.0), 1.0)
+            assert np.array_equal(self.bits(clamp), self.bits(np.clip(x, -1.0, 1.0)))
+
+    def test_unit_clamp_equals_clip_but_for_the_sign_of_zero(self):
+        for x in self.values():
+            clamp, clip = np.minimum(np.maximum(x, 0.0), 1.0), np.clip(x, 0.0, 1.0)
+            same = self.bits(clamp) == self.bits(clip)
+            assert np.all(same | ((clamp == 0.0) & (clip == 0.0)))
+
+    def test_spin_entropy_equals_the_clip_body(self):
+        def clip_body(v):
+            v = np.clip(v, 0.0, 1.0)
+            lam = 0.5 * v / (1.0 + np.sqrt(1.0 - v))
+            log_lam = np.log(lam, out=np.zeros_like(lam), where=lam > 0.0)
+            return (lam - 1.0) * np.log1p(-lam) - lam * log_lam
+
+        rng = np.random.default_rng(8)
+        samples = self.values() + [rng.uniform(-0.1, 1.1, 5000),
+                                   np.r_[rng.uniform(-1e-300, 1e-300, 500),
+                                         1.0 + rng.uniform(-1e-15, 1e-15, 500)]]
+        with np.errstate(all="ignore"):
+            for v in samples:
+                assert np.array_equal(self.bits(twospin._spin_entropy(v)),
+                                      self.bits(clip_body(v)))
+
+
 class TestWootters3x3:
     """observables._wootters_3x3, the closed form of Wootters' rule for the
     symmetric 3 x 3 tau of concurrence_ness_stack, against _wootters (one
@@ -771,12 +824,13 @@ class TestWootters3x3:
 
     @staticmethod
     def entries(alphas, rates):
-        """The six entries of tau that concurrence_ness_stack hands the
-        closed form at the grid."""
+        """The stacked tau, its entries 00, 01, 02, 11, 12 and 22 along the
+        first axis, that concurrence_ness_stack hands the closed form at the
+        grid."""
         seen, closed_form = [], observables._wootters_3x3
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(twospin, "_wootters_3x3",
-                          lambda *e: seen.append(np.broadcast_arrays(*e)) or closed_form(*e))
+                          lambda tau: seen.append(tau.copy()) or closed_form(tau))
             concurrence_ness_stack(alphas, rates)
         return seen[0]
 
@@ -793,7 +847,7 @@ class TestWootters3x3:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(observables, "_wootters",
                           lambda tau: handed.append(len(tau)) or wootters(tau))
-            return observables._wootters_3x3(*entries), sum(handed)
+            return observables._wootters_3x3(entries), sum(handed)
 
     @pytest.mark.filterwarnings("error")
     def test_agrees_with_lapack_over_600_decades(self):
@@ -815,7 +869,7 @@ class TestWootters3x3:
         # the closed form scales each point by a power of two, so neither
         # its sixth powers nor LAPACK's see the scale
         entries = self.entries(np.array([0.0, 0.5, 2.0, 6.0, 12.0]), np.geomspace(1e-3, 20.0, 9))
-        scaled = [t * scale for t in entries]
+        scaled = entries * scale
         values, handed = self.closed_form(scaled)
         lapack = observables._wootters(self.full(scaled))[0]
         tiny = np.finfo(float).smallest_subnormal
