@@ -45,7 +45,8 @@ def von_neumann_entropy(rho) -> float:
     """-tr(rho ln rho) in nats, with the 0 ln 0 = 0 convention."""
     _, w = density_spectrum(rho)
     w = w[w > 0.0]
-    return float(-np.sum(w * np.log(w)))
+    # 0 - sum, not -sum: a pure spectrum sums to +0, whose negation is -0
+    return float(0.0 - np.sum(w * np.log(w)))
 
 
 def purity(rho) -> float:

@@ -5,18 +5,15 @@ rate in rounds of geometric probes, the exact entropy-inflection
 (spinodal-like) point in the (rate, coupling) plane, and Monte Carlo
 cross-validation of the engine.
 
-A sweep is evaluated in blocks of coupling rows, as many as fit a byte
-budget: the entropy, the fidelity and the purity, which for the pure
-initial state equals the fidelity to it, of a block come from one pass of
-the stationary closed forms' bounded factors (``twospin.ness_columns``);
-the concurrence of the block comes from one call of
-``twospin.concurrence_ness_stack`` on its couplings and the grid's rates,
-whose factor has ``reset_core._kernels`` form K and U on its three gaps
-alone; no density matrix is formed.  The concurrence optimizer makes that
-call for each round of probes of its one coupling.  A time series takes
-its entropy and fidelity columns from one call of the transient closed
-forms, and the entropy peak search each round of probes; both refuse the
-times at which the transient's phases keep too few digits
+A sweep walks its flat table in blocks of a fixed number of points, and
+each block's columns are one call of ``twospin.ness_columns`` on its rates
+and couplings, which knows which body gives which observable; no density
+matrix is formed.  The concurrence optimizer calls
+``twospin.concurrence_ness_stack`` for each round of probes of its one
+coupling.  A time series takes its entropy and fidelity columns from one
+call of the transient closed forms (``twospin.finite_time_columns``), and
+the entropy peak search each round of probes; both refuse the times at
+which the transient's phases keep too few digits
 (``twospin.phase_budget``).  A round's probes are np.geomspace's, bit for
 bit, from its arithmetic alone (``_probes``): its argument handling costs
 several times the arithmetic.
@@ -53,14 +50,12 @@ STDERR_FLOOR = 1e-12
 PHASE_ROUNDOFF = 4.0
 
 
-# A sweep evaluates as many coupling rows at once as keep their
-# temporaries, about _POINT_BYTES a grid point, within _BLOCK_BYTES.  They
-# are complex arrays a point: the kernels K and U of the factor on its
-# three gaps, its six entries and the six of tau, and the closed form's
-# sums of them.  tracemalloc measures about 890 bytes a point of a
-# 400 x 20 block beyond the table, so a block's peak exceeds the budget.
-_BLOCK_BYTES = 4 * 2**20
-_POINT_BYTES = 512
+# A sweep evaluates its flat table in runs of _BLOCK_POINTS points.  With
+# every observable, tracemalloc measures about 1 KB of temporaries a point
+# (most of them the concurrence's complex arrays: its kernels K and U on
+# three gaps, the six entries of its factor and the six of tau), so a
+# block takes about 3 MiB.
+_BLOCK_POINTS = 3072
 
 
 class SolverError(RuntimeError):
@@ -111,21 +106,11 @@ def sweep_records(grid: SweepGrid) -> dict[str, np.ndarray]:
     table = {"r": np.tile(grid.r_values, n_alpha),
              "alpha": np.repeat(grid.alpha_values, n_r)}
     table.update((name, np.empty(n_r * n_alpha)) for name in observables)
-    # rho0 is pure, so tr rho^2 = <psi0|rho|psi0>: purity is the fidelity
-    closed_form = {name: "fidelity" if name == "purity" else name
-                   for name in observables if name != "concurrence"}
-    rows = max(1, _BLOCK_BYTES // (n_r * _POINT_BYTES))
-    for k in range(0, n_alpha, rows):
-        alphas = grid.alpha_values[k:k + rows]
-        block = slice(k * n_r, (k + alphas.size) * n_r)
-        if closed_form:
-            columns = twospin.ness_columns(table["r"][block], table["alpha"][block],
-                                           closed_form.values())
-            for name, source in closed_form.items():
-                table[name][block] = columns[source]
-        if "concurrence" in observables:
-            table["concurrence"][block] = twospin.concurrence_ness_stack(
-                alphas, grid.r_values).ravel()
+    for start in range(0, n_r * n_alpha, _BLOCK_POINTS):
+        block = slice(start, start + _BLOCK_POINTS)
+        columns = twospin.ness_columns(table["r"][block], table["alpha"][block], observables)
+        for name in observables:
+            table[name][block] = columns[name]
     return table
 
 
@@ -239,7 +224,7 @@ def optimize_concurrence(
     """Maximize the stationary concurrence over the reset rate at fixed coupling;
     each round of probes is one closed-form call at the one coupling."""
     couplings = np.array([TwoSpinParams.from_dimensionless(0.0, alpha).alpha])
-    f = lambda rates: twospin.concurrence_ness_stack(couplings, rates)[0]
+    f = lambda rates: twospin.concurrence_ness_stack(couplings, rates)
     return _bracketed_max(f, r_lo, r_hi, tol)
 
 
@@ -257,7 +242,7 @@ def find_entropy_peak_rate(
     # a bracket that is no bracket is _bracketed_max's to refuse
     if r_lo > 0.0:
         twospin._require_phase_digits(t, r_lo, alpha)
-    f = lambda rates: twospin.entropy_reset_array(t, rates, alpha)
+    f = lambda rates: twospin.finite_time_columns(t, rates, alpha, ("entropy",))["entropy"]
     return _bracketed_max(f, r_lo, r_hi, tol)
 
 

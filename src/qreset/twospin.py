@@ -19,21 +19,25 @@ and one bounded array closed form gives its elements at any time, rate
 and coupling (``reduced_state_array``): rate 0 is the reset-free
 evolution, and the long-time limit is the stationary state, whose bounded
 factors (``_ness_factors``) also give the stationary entropy and fidelity,
-both from one pass (``ness_columns``), and, at rate 0, their rate -> 0+
-limits.  The finite-time, stationary and rate -> 0+ entropies share one
-body of v = 4 det.  The finite-time fidelity to |dd> is a closed form as
-well, taken as 1 - F over the three pairs of levels that carry |dd> so
-that it keeps relative digits as t -> 0 (``infidelity_reset_array``).
-Both finite-time columns come from one evaluation of the phases alpha t
-and t/P (``finite_time_columns``), and ``phase_budget`` gives what the
-rounding of those phases can move them by; their callers refuse the times
-where it reaches ``PHASE_BUDGET``.
+both from one pass, and, at rate 0, their rate -> 0+ limits.  Every array
+body takes broadcastable float arrays and works point by point, and
+``ness_columns`` is the one stationary entry: the entropy, fidelity,
+purity and concurrence columns asked for, and only those.  The
+finite-time, stationary and rate -> 0+ entropies share one body of v = 4
+det.  The finite-time fidelity to |dd> is a closed form as well, taken as
+1 - F over the three pairs of levels that carry |dd> so that it keeps
+relative digits as t -> 0 (``infidelity_reset_array``).  Both finite-time
+columns come from one evaluation of the phases alpha t and t/P
+(``finite_time_columns``), and ``phase_budget`` gives what the rounding of
+those phases can move them by; their callers refuse the times where it
+reaches ``PHASE_BUDGET``.
 On the three levels that carry |dd>, whose gaps the coupling gives
 exactly, the stationary state's factor (``_ness_cholesky``) and
 sigma_y x sigma_y are closed forms too: the concurrence of the two spins
 takes one symmetric 3 x 3 tau a point (``concurrence_ness_stack``, its one
-body), whose Wootters spectrum is a closed form as well
-(``observables._wootters_3x3``; LAPACK only where its top pair nearly meets).
+body, at each point of its broadcast couplings and rates), whose Wootters
+spectrum is a closed form as well (``observables._wootters_3x3``; LAPACK
+only where its top pair nearly meets).
 """
 
 from __future__ import annotations
@@ -369,12 +373,6 @@ def finite_time_columns(t, R, alpha, observables):
         return columns
 
 
-def entropy_reset_array(t, R, alpha):
-    """Spin-1 entropy under resetting at each (t, R, alpha) of broadcastable
-    float arrays, trusted as reduced_state_array trusts them."""
-    return finite_time_columns(t, R, alpha, ("entropy",))["entropy"]
-
-
 def infidelity_reset_array(t, R, alpha):
     """1 - F, with F = <dd|rho(t)|dd> the fidelity to the initial all-down
     state under resetting, at each (t, R, alpha) of broadcastable float
@@ -404,7 +402,9 @@ def entropy_at_time(t: float, p: TwoSpinParams) -> float:
     if not (t >= 0 and math.isfinite(t)):
         raise ValueError(f"time must be >= 0 and finite, got {t}")
     _require_phase_digits(t, p.R, p.alpha)
-    return float(entropy_reset_array(np.array([t]), np.array([p.R]), np.array([p.alpha]))[0])
+    columns = finite_time_columns(np.array([t]), np.array([p.R]), np.array([p.alpha]),
+                                  ("entropy",))
+    return float(columns["entropy"][0])
 
 
 def entropy_ness(p: TwoSpinParams) -> float:
@@ -413,33 +413,42 @@ def entropy_ness(p: TwoSpinParams) -> float:
         raise ValueError(
             "stationary entropy needs r > 0; use entropy_zero_reset for the limit"
         )
-    return float(entropy_ness_array(np.array([p.R]), np.array([p.alpha]))[0])
-
-
-def entropy_ness_array(R: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Stationary spin-1 entropy at each (R, alpha) of two float arrays of
-    one shape, trusted to hold R >= 0 (see entropy_ness); R = 0 gives the
-    rate -> 0+ limit.
-
-    Finite for every finite R and alpha >= 0, and 0 where the state is pure
-    to round-off (as R -> infinity it tends to rho0).  No numpy warning.
-    """
-    return ness_columns(R, alpha, ("entropy",))["entropy"]
+    return float(ness_columns(np.array([p.R]), np.array([p.alpha]), ("entropy",))["entropy"][0])
 
 
 def ness_columns(R, alpha, observables):
-    """The stationary columns named in observables at each (R, alpha) of
-    two float arrays of one shape, trusted as entropy_ness_array trusts
-    them, from one evaluation of the bounded factors (_ness_factors):
-    "entropy" (entropy_ness_array) and "fidelity" (fidelity_ness_array)."""
-    with np.errstate(all="ignore"):
-        p, _, _, s, w, v = _ness_factors(R, alpha)
-        columns = {}
-        if "entropy" in observables:
-            columns["entropy"] = _spin_entropy(v)
-        if "fidelity" in observables:
-            columns["fidelity"] = 1.0 - 0.5 * p * s - 0.5 * w
-        return columns
+    """The stationary columns named in observables, and only those, at each
+    point of the broadcast of float arrays R and alpha, trusted to hold
+    finite R >= 0 and alpha >= 0:
+
+    - "entropy", the spin-1 entropy, in [0, ln 2]: finite for every finite R
+      and alpha, 0 where the state is pure to round-off (as R -> infinity
+      it tends to rho0), and the rate -> 0+ limit at R = 0;
+    - "fidelity", to the initial all-down state: 1 - up - w/2 (see
+      _ness_factors), 1 as R -> infinity and the rate -> 0+ limit (3 + 4
+      alpha^2)/(8 (1 + alpha^2)) at R = 0;
+    - "purity": rho0 = |dd><dd| is pure, so tr rho^2 = <dd|rho|dd> and the
+      purity is the fidelity array;
+    - "concurrence", of the two spins (concurrence_ness_stack), which needs
+      R > 0; ValueError where the energy spread 2 gamma overflows.
+
+    The first three come from one evaluation of the bounded factors
+    (_ness_factors), made only when one of them is asked for.  No numpy
+    warning.
+    """
+    columns = {}
+    if not {"entropy", "fidelity", "purity"}.isdisjoint(observables):
+        with np.errstate(all="ignore"):
+            p, _, _, s, w, v = _ness_factors(R, alpha)
+            if "entropy" in observables:
+                columns["entropy"] = _spin_entropy(v)
+            if not {"fidelity", "purity"}.isdisjoint(observables):
+                fidelity = 1.0 - 0.5 * p * s - 0.5 * w
+                columns.update((name, fidelity) for name in ("fidelity", "purity")
+                               if name in observables)
+    if "concurrence" in observables:
+        columns["concurrence"] = concurrence_ness_stack(alpha, R)
+    return columns
 
 
 # Below this u = y^2 the entropy's u-derivatives take their two-term
@@ -505,7 +514,7 @@ def entropy_zero_reset(alpha: float) -> float:
     limits.  ValueError unless alpha is finite and >= 0.
     """
     alpha = TwoSpinParams.from_dimensionless(0.0, alpha).alpha
-    return float(entropy_ness_array(np.array([0.0]), np.array([alpha]))[0])
+    return float(ness_columns(np.array([0.0]), np.array([alpha]), ("entropy",))["entropy"][0])
 
 
 def scaling_function(z: float) -> float:
@@ -539,33 +548,27 @@ def scaling_function(z: float) -> float:
 
 
 def fidelity_ness(p: TwoSpinParams) -> float:
-    """Stationary fidelity to the initial all-down state.
+    """Stationary fidelity to the initial all-down state (see ness_columns).
 
     Continuous down to R = 0, where it gives the rate -> 0+ limiting value
     (3 + 4 alpha^2) / (8 (1 + alpha^2)).
     """
-    return float(fidelity_ness_array(np.array([p.R]), np.array([p.alpha]))[0])
-
-
-def fidelity_ness_array(R: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Stationary fidelity (see fidelity_ness) at each (R, alpha) of two
-    float arrays of one shape: 1 - up - w/2 (see _ness_factors), finite for
-    every finite R >= 0 and alpha >= 0, and 1 as R -> infinity."""
-    return ness_columns(R, alpha, ("fidelity",))["fidelity"]
+    return float(ness_columns(np.array([p.R]), np.array([p.alpha]), ("fidelity",))["fidelity"][0])
 
 
 def concurrence_ness(p: TwoSpinParams) -> float:
     """Stationary two-spin concurrence (see concurrence_ness_stack)."""
     if p.r <= 0:
         raise ValueError("stationary concurrence needs r > 0")
-    return float(concurrence_ness_stack(np.array([p.alpha]), np.array([p.R]))[0, 0])
+    return float(concurrence_ness_stack(np.array([p.alpha]), np.array([p.R]))[0])
 
 
 def concurrence_ness_stack(alpha: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Stationary two-spin concurrence (..., n) at the (...) couplings of a
-    float array alpha, trusted to hold finite alpha >= 0, and the n rates R,
-    trusted to be finite and > 0.  ValueError where the energy spread
-    2 gamma overflows, as QuantumSystem raises.
+    """Stationary two-spin concurrence at each point of the broadcast of
+    float arrays alpha and R, trusted to hold finite alpha >= 0 and finite
+    R > 0 (a grid of couplings by rates is alpha[:, None] and R).
+    ValueError where the energy spread 2 gamma overflows, as QuantumSystem
+    raises.
 
     Wootters' spectrum is the singular values of tau = W^T S W, S = sigma_y x
     sigma_y, and for W = V3 W_e (see _ness_cholesky) tau = W_e^T M W_e, where
@@ -582,7 +585,6 @@ def concurrence_ness_stack(alpha: np.ndarray, R: np.ndarray) -> np.ndarray:
                          "is not finite")
     t = 1.0 / (gamma + alpha)
     x0, x1, y1, x2, y2, z2 = _ness_cholesky(t, spread, R)
-    t = t[..., None]
     a, b = (1.0 - t * t) / (1.0 + t * t), 2.0 * t / (1.0 + t * t)
     # tau_jk = (column j of W_e) . M (column k of W_e), the columns x, y and z
     tau = np.empty((6, *x1.shape), dtype=complex)
@@ -596,13 +598,14 @@ def concurrence_ness_stack(alpha: np.ndarray, R: np.ndarray) -> np.ndarray:
 
 
 def _ness_cholesky(t: np.ndarray, spread: np.ndarray, R: np.ndarray) -> tuple:
-    """The six nonzero entries, in np.tril_indices(3) order and broadcasting
-    to (..., n), of the lower-triangular W_e with rho = V3 W_e (V3 W_e)^dagger
-    at the n rates R, for the (...) mixing ratios t = 1/(gamma + alpha) and
-    spreads 2 gamma; trusted input.  V3 holds the eigenvectors of the levels
-    -gamma, -alpha and gamma, which carry |dd> (the singlet at alpha does
-    not): the symmetric-sector vectors mixed with the ratio t and (|uu> -
-    |dd>)/sqrt2.
+    """The six nonzero entries, in np.tril_indices(3) order, of the
+    lower-triangular W_e with rho = V3 W_e (V3 W_e)^dagger at each point of
+    the broadcast of the mixing ratios t = 1/(gamma + alpha), the spreads
+    2 gamma and the rates R (a float array each; t and spread of one shape);
+    trusted input.  An entry that does not depend on R keeps the shape of t.
+    V3 holds the eigenvectors of the levels -gamma, -alpha and gamma, which
+    carry |dd> (the singlet at alpha does not): the symmetric-sector
+    vectors mixed with the ratio t and (|uu> - |dd>)/sqrt2.
 
     The energy-basis state c_i c_j K_ij, with c = (n, -1/sqrt2, t n), n =
     1/sqrt(2 + 2 t^2), the real weights of |dd>, has closed-form Cholesky
@@ -617,12 +620,13 @@ def _ness_cholesky(t: np.ndarray, spread: np.ndarray, R: np.ndarray) -> tuple:
     pivot c1' underflows to 0 with t/R (as at alpha = 1e150, R = 1e300),
     column 1 is zero and c3'' = c3'; |K|, |U| <= 1, so W_e is finite."""
     n = 1.0 / np.sqrt(2.0 + 2.0 * t * t)
-    gaps = np.empty((3, *t.shape, 1))
-    gaps[0, ..., 0], gaps[1, ..., 0] = t, spread
-    np.subtract(spread, t, out=gaps[2, ..., 0])
+    # the three gaps along a leading axis, for one call of _kernels
+    gaps = np.empty((3, *np.broadcast(t, R).shape))
+    gaps[0], gaps[1] = t, spread
+    np.subtract(spread, t, out=gaps[2])
     (k10, k20, k21), (u10, u20, u21) = _kernels(gaps, R)
-    c0, c1, c3 = n[..., None], -math.sqrt(0.5), (t * n)[..., None]
+    c1, c3 = -math.sqrt(0.5), t * n
     c1p, c3p = c1 * u10, c3 * u20
     pivot = c1p != 0.0
-    return (c0, c1 * k10, c1p, c3 * k20,
+    return (n, c1 * k10, c1p, c3 * k20,
             np.where(pivot, c3p * k21, 0.0), np.where(pivot, c3p * u21, c3p))

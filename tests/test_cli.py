@@ -90,6 +90,17 @@ class TestNess:
         assert report["concurrence"] == pytest.approx(0.2035801390, abs=1e-8)
         assert len(report["ness_matrix"]) == 16
 
+    def test_generic_pure_reduced_state_prints_positive_zero(self, tmp_path, capsys):
+        # H = diag(1, 0, 0, -1) keeps |dd> stationary, so the reduced state is
+        # pure and its entropy is +0, not -0
+        hpath, rpath = tmp_path / "zz.json", tmp_path / "dd.json"
+        save_matrix(np.diag([1.0, 0.0, 0.0, -1.0]).astype(complex), hpath)
+        save_matrix(np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex), rpath)
+        assert run(["ness", "--hamiltonian", str(hpath), "--rho0", str(rpath), "--r", "0.5",
+                    "--split", "2:2"]) == 0
+        out = capsys.readouterr().out
+        assert '"entropy_subsystem_a": 0,' in out and "-0" not in out
+
     def test_generic_levels_closer_than_the_tolerance(self, tmp_path):
         # levels 0.6 degeneracy tolerances apart form one cluster, so the
         # state at a tiny rate is rho0 itself and PSD

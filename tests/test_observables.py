@@ -63,6 +63,11 @@ class TestEntropy:
     def test_pure_projector(self):
         assert von_neumann_entropy(projector(DOWN)) == 0.0
 
+    @pytest.mark.parametrize("rho", [np.diag([1.0, 0.0]), np.diag([0.0, 0.0, 1.0, 0.0])])
+    def test_pure_spectrum_is_positive_zero(self, rho):
+        # -(1 ln 1) would be -0.0, which prints as -0
+        assert math.copysign(1.0, von_neumann_entropy(rho)) == 1.0
+
     def test_maximally_mixed(self):
         assert von_neumann_entropy(np.eye(2, dtype=complex) / 2) == pytest.approx(
             np.log(2.0), abs=1e-14

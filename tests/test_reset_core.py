@@ -571,12 +571,13 @@ class TestNessFactor:
 
     @staticmethod
     def factor(alphas, rates):
-        """(alpha, n, 3, 3) W_e and (alpha, 4, 3) V3, whose columns are the
-        eigenvectors at -gamma, -alpha and gamma: the symmetric-sector vectors
-        mixed with the ratio t = 1/(gamma + alpha), and (|uu> - |dd>)/sqrt2."""
+        """(alpha, n, 3, 3) W_e on the grid of couplings by rates, and
+        (alpha, 4, 3) V3, whose columns are the eigenvectors at -gamma, -alpha
+        and gamma: the symmetric-sector vectors mixed with the ratio t = 1/(gamma
+        + alpha), and (|uu> - |dd>)/sqrt2."""
         gamma = np.hypot(alphas, 1.0)
         t = 1.0 / (gamma + alphas)
-        entries = np.broadcast_arrays(*_ness_cholesky(t, 2.0 * gamma, rates))
+        entries = np.broadcast_arrays(*_ness_cholesky(t[:, None], 2.0 * gamma[:, None], rates))
         w = np.zeros(entries[0].shape + (3, 3), dtype=complex)
         rows, cols = np.tril_indices(3)
         w[..., rows, cols] = np.stack(entries, axis=-1)

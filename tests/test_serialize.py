@@ -244,6 +244,14 @@ class TestWriteJson:
         doc = json.loads(buf.getvalue())
         assert doc["ok"] is True and doc["name"] == 'a "b"'
 
+    def test_float32_is_written_as_its_float64_value(self):
+        # a numpy float that is not a Python float: 0.1 in float32 is the
+        # float64 0.10000000149011612, not the "0.1" that str() prints
+        buf = io.StringIO()
+        write_json([("x", np.float32(0.1)), ("y", np.float32(2.0))], buf)
+        assert buf.getvalue() == '{"x": 0.10000000149011612, "y": 2}\n'
+        assert json.loads(buf.getvalue())["x"] == float(np.float32(0.1))
+
     def test_one_write_per_key_and_value(self):
         class Recorder:
             def __init__(self):

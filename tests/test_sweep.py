@@ -182,10 +182,9 @@ class TestOneClosedFormPass:
         grid = SweepGrid(np.geomspace(0.1, 10.0, 7), np.linspace(0.0, 3.0, 5))
         table = sweep_records(grid)
         assert calls == [35]
-        assert np.array_equal(table["entropy"],
-                              twospin.entropy_ness_array(table["r"], table["alpha"]))
-        assert np.array_equal(table["fidelity"],
-                              twospin.fidelity_ness_array(table["r"], table["alpha"]))
+        columns = twospin.ness_columns(table["r"], table["alpha"], ("entropy", "fidelity"))
+        assert np.array_equal(table["entropy"], columns["entropy"])
+        assert np.array_equal(table["fidelity"], columns["fidelity"])
         assert np.array_equal(table["purity"], table["fidelity"])
 
 
@@ -274,9 +273,9 @@ class TestStackedEqualsPointwise:
 
 
 class TestRowBlocks:
-    """sweep_records evaluates the grid in blocks of coupling rows sized to
-    sweep._BLOCK_BYTES; the block size changes neither the table nor, past
-    one block, the memory it takes."""
+    """sweep_records evaluates the flat grid in blocks of sweep._BLOCK_POINTS
+    points; the block size changes neither the table nor, past one block,
+    the memory it takes."""
 
     def test_block_size_does_not_change_the_table(self, monkeypatch):
         # alpha = 0 takes the degeneracy branch of the stationary state, and
@@ -298,8 +297,9 @@ class TestRowBlocks:
         near = relative_gap <= gap_rtol
         assert np.count_nonzero(near) == 7
         tables, stacks = [], []
-        for budget in (1, 10**12):  # one row per block, then the whole grid
-            monkeypatch.setattr(sweep, "_BLOCK_BYTES", budget)
+        n_r, n_points = len(grid.r_values), grid.r_values.size * grid.alpha_values.size
+        for points in (n_r, n_points):  # one row per block, then the whole grid
+            monkeypatch.setattr(sweep, "_BLOCK_POINTS", points)
             handed.clear()
             tables.append(sweep_records(grid))
             stacks.append([len(tau) for tau in handed])
@@ -324,18 +324,26 @@ class TestRowBlocks:
         assert sweep_records(grid)["concurrence"].shape == (6,)
         assert optimize_concurrence(2.0, 0.01, 10.0).flag == "interior"
 
-    @pytest.mark.parametrize("n_alpha", [50, 500])
-    def test_temporaries_stay_within_the_budget(self, n_alpha):
-        grid = SweepGrid(r_values=tuple(np.geomspace(0.01, 10.0, 400)),
-                         alpha_values=tuple(np.linspace(0.0, 5.0, n_alpha)))
+    @staticmethod
+    def temporaries(n_r, n_alpha):
+        """tracemalloc's peak over sweep_records beyond the table it returns."""
+        grid = SweepGrid(r_values=np.geomspace(0.01, 10.0, n_r),
+                         alpha_values=np.linspace(0.0, 5.0, n_alpha))
         tracemalloc.start()
         try:
             table = sweep_records(grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        table_bytes = sum(column.nbytes for column in table.values())
-        assert peak - table_bytes <= 2 * sweep._BLOCK_BYTES
+        return peak - sum(column.nbytes for column in table.values())
+
+    # a block's temporaries are about 1 KB a point, so about 3 MiB
+    @pytest.mark.parametrize("n_alpha", [50, 500])
+    def test_temporaries_stay_within_the_budget(self, n_alpha):
+        assert self.temporaries(400, n_alpha) <= 4 * 2**20
+
+    def test_one_long_row_is_many_blocks(self):
+        assert self.temporaries(100_000, 1) <= 4 * 2**20
 
 
 class TestTimeseries:
@@ -387,6 +395,14 @@ class TestTimeseries:
         p = TwoSpinParams.from_dimensionless(1.0, 0.0)
         with pytest.raises(ValueError, match="t values must be finite, >= 0, ascending"):
             timeseries(p, ts)
+
+    @pytest.mark.parametrize("observables", [("purity",), ("entropy", "concurrence")])
+    def test_rejects_stationary_only_observables(self, observables):
+        p = TwoSpinParams.from_dimensionless(1.0, 0.0)
+        bad = sorted(set(observables) - {"entropy"})
+        with pytest.raises(ValueError) as info:
+            timeseries(p, [0.0, 1.0], observables)
+        assert str(info.value) == f"timeseries supports entropy/fidelity, got {bad}"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("R, t_max", [(0.0, 1e300)])
@@ -619,18 +635,18 @@ class TestEntropyPeakRate:
                                           (math.nan, 0.0), (math.inf, 0.0)])
     def test_validates_once_at_entry(self, t, alpha, monkeypatch):
         calls = []
-        monkeypatch.setattr(twospin, "entropy_reset_array", lambda *a: calls.append(a))
+        monkeypatch.setattr(twospin, "finite_time_columns", lambda *a: calls.append(a))
         with pytest.raises(ValueError):
             find_entropy_peak_rate(t, alpha, 0.1, 1.0)
         assert calls == []
 
     def test_probes_go_in_one_call(self, monkeypatch):
         sizes = []
-        body = twospin.entropy_reset_array
-        monkeypatch.setattr(twospin, "entropy_reset_array",
-                            lambda t, R, alpha: sizes.append(R.size) or body(t, R, alpha))
+        body = twospin.finite_time_columns
+        monkeypatch.setattr(twospin, "finite_time_columns", lambda t, R, alpha, observables: (
+            sizes.append((R.size, observables)) or body(t, R, alpha, observables)))
         find_entropy_peak_rate(5.0, 0.3, 1e-3, 3.0)
-        assert set(sizes) == {65} and len(sizes) <= 10
+        assert set(sizes) == {(65, ("entropy",))} and len(sizes) <= 10
 
 
 # (R, alpha, dS/dalpha, d2S/dalpha2) from 60-digit arithmetic on the

@@ -310,6 +310,16 @@ class TestEstimateDensity:
         with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
             TrajectoryConfig(n_traj=10, master_seed=-1, t_final=0.0, rate=0.0)
 
+    @pytest.mark.parametrize("rate", [-1.0, math.nan, math.inf])
+    def test_rejects_a_negative_or_non_finite_rate(self, rate):
+        with pytest.raises(ValueError, match=f"^rate must be finite and >= 0, got {rate}$"):
+            TrajectoryConfig(n_traj=10, master_seed=0, t_final=1.0, rate=rate)
+
+    @pytest.mark.parametrize("chunks", [[], [np.array([])], [np.array([]), np.array([])]])
+    def test_no_ages_is_refused(self, chunks):
+        with pytest.raises(ValueError, match="^no ages to average over$"):
+            density_from_ages(two_spin_system(), chunks)
+
 
 class TestResetAges:
     @pytest.mark.parametrize("rate, t_final", [(0.01, 2.0), (1.0, 0.7), (1.0, 3.0),

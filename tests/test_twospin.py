@@ -29,14 +29,12 @@ from qreset.twospin import (
     concurrence_ness_stack,
     entropy_at_time,
     entropy_ness,
-    entropy_ness_array,
     entropy_zero_reset,
     fidelity_ness,
-    fidelity_ness_array,
     hamiltonian,
-    entropy_reset_array,
     finite_time_columns,
     infidelity_reset_array,
+    ness_columns,
     phase_budget,
     quantum_system,
     reduced_state_array,
@@ -44,6 +42,19 @@ from qreset.twospin import (
 )
 
 SPLIT = SubsystemSplit(2, 2)
+
+
+def ness_entropy(R, alpha):
+    return ness_columns(R, alpha, ("entropy",))["entropy"]
+
+
+def ness_fidelity(R, alpha):
+    return ness_columns(R, alpha, ("fidelity",))["fidelity"]
+
+
+def transient_entropy(t, R, alpha):
+    return finite_time_columns(t, R, alpha, ("entropy",))["entropy"]
+
 
 R_GRID = (0.01, 0.1, 0.5, 1.0, 2.0, 10.0)
 ALPHA_GRID = (0.0, 0.5, 1.0, 2.0, 10.0)
@@ -98,6 +109,11 @@ class TestParams:
     def test_rejects_negative_coupling(self):
         with pytest.raises(ValueError):
             TwoSpinParams(omega=1.0, j=-1.0, r=1.0)
+
+    @pytest.mark.parametrize("r", [-1.0, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_rate(self, r):
+        with pytest.raises(ValueError, match=f"^r must be finite and >= 0, got {r}$"):
+            TwoSpinParams(omega=1.0, j=1.0, r=r)
 
 
 class TestHamiltonian:
@@ -226,7 +242,7 @@ class TestZeroResetLimit:
         st = stationary_matrix(params(1e-300, 1.0))
         assert st[0, 0] == 0.5
         assert st[0, 1].real == -0.125 and abs(st[0, 1].imag) <= 1e-300
-        assert entropy_zero_reset(1.0) == entropy_ness_array(np.array([0.0]), np.array([1.0]))[0]
+        assert entropy_zero_reset(1.0) == ness_entropy(np.array([0.0]), np.array([1.0]))[0]
 
     def test_strong_coupling_coherence_decays(self):
         st = stationary_matrix(params(1e-300, 1e6))
@@ -286,7 +302,7 @@ class TestTransientArrays:
                              for r in csv.DictReader(f)])
         assert rows.shape == (2400, 4)
         t, R, alpha, entropy = rows.T
-        errors = np.abs(entropy_reset_array(t, R, alpha) - entropy)
+        errors = np.abs(transient_entropy(t, R, alpha) - entropy)
         main, short, stationary = errors[:2000], errors[2000:2200], errors[2200:]
         assert main.max() <= 2.5e-15
         assert short.max() <= 5e-15
@@ -297,10 +313,10 @@ class TestTransientArrays:
         t, alpha = rng.uniform(0.0, 40.0, 200), rng.uniform(0.0, 12.0, 200)
         R = 10.0 ** rng.uniform(-3.0, 3.0, 200)
         scalar = [entropy_at_time(*x) for x in zip(t.tolist(), map(params, R, alpha))]
-        assert np.array_equal(entropy_reset_array(t, R, alpha), scalar)
+        assert np.array_equal(transient_entropy(t, R, alpha), scalar)
         # one time column against scalar rate and coupling broadcasts
-        assert np.array_equal(entropy_reset_array(t, R[0], alpha[0]),
-                              entropy_reset_array(t, np.full(200, R[0]), np.full(200, alpha[0])))
+        assert np.array_equal(transient_entropy(t, R[0], alpha[0]),
+                              transient_entropy(t, np.full(200, R[0]), np.full(200, alpha[0])))
         for bad in (-1.0, math.nan):
             with pytest.raises(ValueError, match="time must be >= 0"):
                 entropy_at_time(bad, params(1.0, 1.0))
@@ -312,7 +328,7 @@ class TestTransientArrays:
     def test_finite_beyond_the_square_root_of_the_float_range(self, t, R, alpha):
         up, coherence = reduced_state_array(np.array([t]), np.array([R]), np.array([alpha]))
         assert np.all(np.isfinite(up)) and np.all(np.isfinite(coherence))
-        s = entropy_reset_array(np.array([t]), np.array([R]), np.array([alpha]))
+        s = transient_entropy(np.array([t]), np.array([R]), np.array([alpha]))
         assert 0.0 <= s[0] <= LN2
 
 
@@ -382,7 +398,7 @@ class TestTransientFidelity:
         # exp(-R t) is 0: the transient takes phase 0, and within 4 ulps the
         # row is the stationary fidelity
         fid = finite_time_columns(1e308, R, alpha, ("fidelity",))["fidelity"]
-        ness = fidelity_ness_array(R, alpha)
+        ness = ness_fidelity(R, alpha)
         assert np.all(np.abs(fid - ness) <= 4.0 * np.spacing(ness))
 
 
@@ -581,14 +597,14 @@ class TestArrayClosedForms:
 
     def test_entropy_matches_the_high_precision_reference(self):
         R, alpha, ref = zip(*self.ENTROPY_REFERENCE)
-        got = entropy_ness_array(np.array(R), np.array(alpha))
+        got = ness_entropy(np.array(R), np.array(alpha))
         expected = np.array(ref, dtype=float)
         assert np.max(np.abs(got - expected)) <= 1e-15
 
     def test_scalar_entropy_is_a_view_of_the_array_body(self):
         R, alpha = self.random_points(200)
         scalar = [entropy_ness(params(r, a)) for r, a in zip(R.tolist(), alpha.tolist())]
-        assert np.array_equal(entropy_ness_array(R, alpha), scalar)
+        assert np.array_equal(ness_entropy(R, alpha), scalar)
         with pytest.raises(ValueError, match="needs r > 0"):
             entropy_ness(params(0.0, 1.0))
 
@@ -613,22 +629,22 @@ class TestArrayClosedForms:
         # digits of the smallest ones) and 2.2e-16 in fidelity
         R, alpha = self.random_points(2000)
         entropy, fidelity = map(np.array, zip(*map(self.reference, R.tolist(), alpha.tolist())))
-        got = entropy_ness_array(R, alpha)
+        got = ness_entropy(R, alpha)
         assert np.max(np.abs(got - entropy)) <= 2.3e-16
         assert np.max(np.abs(got - entropy) / entropy) <= 6.5 * np.finfo(float).eps
-        assert np.max(np.abs(fidelity_ness_array(R, alpha) - fidelity)) <= 1.7e-16
+        assert np.max(np.abs(ness_fidelity(R, alpha) - fidelity)) <= 1.7e-16
         assert [fidelity_ness(params(r, a)) for r, a in zip(R[:200], alpha[:200])] == \
-            fidelity_ness_array(R[:200], alpha[:200]).tolist()
+            ness_fidelity(R[:200], alpha[:200]).tolist()
 
     def test_fidelity_at_zero_rate(self):
-        assert fidelity_ness_array(np.array([0.0]), np.array([0.0]))[0] == 0.375
+        assert ness_fidelity(np.array([0.0]), np.array([0.0]))[0] == 0.375
 
     @pytest.mark.parametrize("big", [1e155, 1e200, 1e300, 1.7e308])
     def test_finite_beyond_the_square_root_of_the_float_range(self, big):
         # R^2 or alpha^2 overflows; the state still tends to rho0 as R grows
         R = np.array([big, big, big, 1.0, 1e-3])
         alpha = np.array([0.0, 1.0, big, big, big])
-        entropy, fidelity = entropy_ness_array(R, alpha), fidelity_ness_array(R, alpha)
+        entropy, fidelity = ness_entropy(R, alpha), ness_fidelity(R, alpha)
         assert np.all((0.0 <= entropy) & (entropy <= LN2))
         assert np.all((0.0 <= fidelity) & (fidelity <= 1.0))
         assert np.array_equal(entropy[:3], [0.0, 0.0, 0.0])
@@ -639,7 +655,7 @@ class TestArrayClosedForms:
     @pytest.mark.parametrize("z", [1e-3, 0.1, 1.0, 10.0, 1e3])
     def test_scaling_collapse_at_extreme_coupling(self, z):
         # alpha = 1e300, R = z 1e-300: alpha^2 overflows, alpha R = z does not
-        got = entropy_ness_array(np.array([z * 1e-300]), np.array([1e300]))[0]
+        got = ness_entropy(np.array([z * 1e-300]), np.array([1e300]))[0]
         expected = scaling_function(z)
         assert abs(got - expected) <= 2.0 * np.spacing(expected)
 
@@ -651,6 +667,47 @@ class TestPurityFidelityIdentity:
                 p = params(R, alpha)
                 rho = ness_density(quantum_system(p), ResetSpec(p.r))
                 assert abs(purity(rho) - fidelity_ness(p)) <= 1e-10
+
+
+class TestNessColumns:
+    """ness_columns is the one stationary entry: exactly the columns asked
+    for, at each point of the broadcast of R and alpha."""
+
+    R = np.geomspace(1e-3, 1e3, 7)
+    ALPHA = np.array([0.0, 1e-9, 0.5, 2.0, 11.5, 1e8, 1e150, 1e300])
+    SHAPE = (ALPHA.size, R.size)
+
+    def test_exactly_the_columns_asked_for(self):
+        every = ness_columns(self.R, self.ALPHA[:, None],
+                             ("entropy", "fidelity", "purity", "concurrence"))
+        assert list(every) == ["entropy", "fidelity", "purity", "concurrence"]
+        assert all(column.shape == self.SHAPE for column in every.values())
+        # rho0 is pure, so the purity is the fidelity array itself
+        assert every["purity"] is every["fidelity"]
+        for names in (("purity",), ("concurrence",), ("entropy", "concurrence")):
+            columns = ness_columns(self.R, self.ALPHA[:, None], names)
+            assert list(columns) == list(names)
+            for name in names:
+                assert columns[name].tobytes() == every[name].tobytes(), name
+        assert np.array_equal(every["concurrence"],
+                              concurrence_ness_stack(self.ALPHA[:, None], self.R))
+
+    def test_flat_points_equal_the_grid(self):
+        # a sweep block passes the grid's points flat, alpha outer
+        grid = ness_columns(self.R, self.ALPHA[:, None], ("entropy", "fidelity", "concurrence"))
+        flat = ness_columns(np.tile(self.R, self.ALPHA.size), np.repeat(self.ALPHA, self.R.size),
+                            ("entropy", "fidelity", "concurrence"))
+        for name in grid:
+            assert flat[name].tobytes() == grid[name].ravel().tobytes(), name
+
+    def test_concurrence_alone_evaluates_no_factors(self, monkeypatch):
+        monkeypatch.setattr(twospin, "_ness_factors", lambda R, alpha: pytest.fail("factors"))
+        columns = ness_columns(self.R, self.ALPHA[:, None], ("concurrence",))
+        assert columns["concurrence"].shape == self.SHAPE
+
+    def test_overflowing_spread_raises(self):
+        with pytest.raises(ValueError, match="spread"):
+            ness_columns(np.ones(2), np.array([1.0, 1e308]), ("entropy", "concurrence"))
 
 
 class TestConcurrenceNess:
@@ -689,12 +746,12 @@ class TestConcurrenceNess:
     def test_stacked_couplings_equal_one_at_a_time(self):
         alphas = np.array([0.0, 1e-9, 0.3, 1.0, 2.0, 11.5, 1e8, 1e150, 1e300])
         rates = np.geomspace(1e-3, 1e3, 7)
-        stack = concurrence_ness_stack(alphas, rates)
-        assert np.array_equal(concurrence_ness_stack(alphas.reshape(3, 3), rates),
+        stack = concurrence_ness_stack(alphas[:, None], rates)
+        assert np.array_equal(concurrence_ness_stack(alphas.reshape(3, 3)[..., None], rates),
                               stack.reshape(3, 3, 7))
         for alpha, values in zip(alphas, stack):
             one = concurrence_ness_stack(np.array([alpha]), rates)
-            assert np.array_equal(values, one[0])
+            assert np.array_equal(values, one)
 
 
 class TestConcurrenceReference:
@@ -744,7 +801,7 @@ class TestConcurrenceReference:
         clustered = _clustered(sys.eigensystem.eigenvalues)
         assert (clustered[0] == clustered[1]) == (alpha >= 1.6e4)
         rates = np.geomspace(1e-12, 1e12, 13)
-        body = concurrence_ness_stack(np.array([alpha]), rates)[0]
+        body = concurrence_ness_stack(np.array([alpha]), rates)
         spec = importlib.util.spec_from_file_location(
             "reference", self.DATA.parent / "make_concurrence_reference.py")
         reference = importlib.util.module_from_spec(spec)
@@ -831,7 +888,7 @@ class TestWootters3x3:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(twospin, "_wootters_3x3",
                           lambda tau: seen.append(tau.copy()) or closed_form(tau))
-            concurrence_ness_stack(alphas, rates)
+            concurrence_ness_stack(alphas[:, None], rates)
         return seen[0]
 
     @staticmethod
@@ -883,6 +940,6 @@ class TestWootters3x3:
             raise AssertionError("svd in the stationary concurrence")
 
         monkeypatch.setattr(np.linalg, "svd", refuse)
-        values = concurrence_ness_stack(np.linspace(0.0, 12.0, 241),
+        values = concurrence_ness_stack(np.linspace(0.0, 12.0, 241)[:, None],
                                         np.geomspace(1e-3, 20.0, 301))
         assert values.shape == (241, 301)
