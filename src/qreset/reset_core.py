@@ -23,7 +23,7 @@ engine passes every E_i - E_j, and the two-spin factor in ``twospin`` only
 the three gaps it needs.
 
 One degeneracy rule serves the stationary body: energies whose gaps are
-within a tolerance relative to ||E||_2 = ||H||_F form a cluster that
+within eigh's round-off relative to ||E||_2 = ||H||_F form a cluster that
 shares its lowest energy (``_clustered``), so within a cluster omega is
 exactly 0.  The finite-time state takes the raw energies, and so does the
 closed-form factor of the two-spin state in ``twospin``, whose gaps the
@@ -39,8 +39,8 @@ every product downstream keeps one dtype; any other takes the complex one.
 step, of the finite-time state; ``reset_density`` and ``unitary_evolve``
 are its one-matrix and rate-0 views.  The system was validated when it was
 built, so it is not validated again; nor are the states, each a mixture
-of states and so PSD by construction.  ``reset_density_stack`` refuses
-the times at which its phases keep no digits instead of returning them.
+of states and so PSD by construction.  ``_require_phase_digits`` refuses
+the times whose phases keep too few digits, the engine's and twospin's.
 """
 
 from __future__ import annotations
@@ -58,9 +58,15 @@ from .cmatrix import (
     require_hermitian,
 )
 
-# Relative spread below which two eigenvalues count as degenerate in the
-# stationary state (see _clustered).
-DEGENERACY_RTOL = 1e-9
+# Relative gap below which eigenvalues are degenerate (see _clustered): eigh's
+# are exact for H + dH, ||dH||_2 ~ eps ||H||_2.  On 240 periodic transverse-
+# field Ising chains (L = 3..8) exact degeneracies came out at most 5.6 eps
+# ||E||_2 apart, and every other gap at least 1.2e8 eps ||E||_2.
+DEGENERACY_RTOL = 64 * np.finfo(float).eps
+
+# Times are refused where the rounding of their phases can move the state by
+# this much: past sqrt(eps), under half the digits of an O(1) value are sure.
+PHASE_BUDGET = 2.0**-26
 
 
 @dataclass(frozen=True)
@@ -139,7 +145,7 @@ class QuantumSystem:
 
 def unitary_evolve(sys: QuantumSystem, t: float) -> np.ndarray:
     """Reset-free density matrix exp(-iHt) rho0 exp(iHt): the rate-0 state.
-    ValueError once the phases E t keep no digits (see reset_density_stack)."""
+    ValueError where reset_density_stack refuses t."""
     return reset_density_stack(sys, 0.0, [t])[0]
 
 
@@ -175,7 +181,7 @@ def _kernels(omega, rates) -> tuple[np.ndarray, np.ndarray]:
 
 def reset_density(sys: QuantumSystem, reset: ResetSpec, t: float) -> np.ndarray:
     """Density matrix at time t under resetting, via the renewal form;
-    ValueError where its phases keep no digits (see reset_density_stack)."""
+    ValueError where reset_density_stack refuses t."""
     return reset_density_stack(sys, reset.rate, [t])[0]
 
 
@@ -185,29 +191,54 @@ def reset_density_stack(sys: QuantumSystem, rate: float, t) -> np.ndarray:
 
     The kernel K + U exp(-r t) phi phi^dagger of the module docstring, on
     the raw energies.  A transient damped to 0 takes the phase at t = 0,
-    since a phase past the float range would make it nan.  Where the
-    transient is not damped to 0 and the round-off eps max|E| t of the
-    phases reaches a radian, they keep no digits, and ValueError names the
-    first such time.  Every state returned is PSD to round-off.
+    since a phase past the float range would make it nan.  ValueError where
+    _phase_budget reaches PHASE_BUDGET; each state is PSD to round-off.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim != 1 or not np.all(np.isfinite(t) & (t >= 0.0)):
         raise ValueError("times must be a 1-d array of finite values >= 0")
     energies = sys.eigensystem.eigenvalues
-    # products that overflow to inf compare correctly
+    k, u = _kernels(energies[:, None] - energies, float(rate))
+    _require_phase_digits(_phase_budget(sys, rate, t, u), t, rate)
     with np.errstate(over="ignore"):
         damp = np.exp(-rate * t)
-        live = damp > 0.0
-        blind = live & (np.finfo(float).eps * np.abs(energies).max() * t >= 1.0)
-    if blind.any():
-        raise ValueError(f"the phases E t keep no digits at t = {float(t[np.argmax(blind)])}: "
-                         "eps max|E| t >= 1 while exp(-r t) > 0")
-    k, u = _kernels(energies[:, None] - energies, float(rate))
-    phase = np.exp(-1j * energies * np.where(live, t, 0.0)[:, None])
+    phase = np.exp(-1j * energies * np.where(damp > 0.0, t, 0.0)[:, None])
     kernel = k + u * (damp[:, None, None] * phase[:, :, None] * phase.conj()[:, None, :])
     rho = sys._to_computational(sys._rho0_energy * kernel)
     rho[t == 0.0] = sys.rho0
     return rho
+
+
+def _phase_budget(sys: QuantumSystem, rate: float, t, u=None) -> np.ndarray:
+    """b = 2 eps sum_ij |rho0_e,ij U_ij| (max|E| t) exp(-r t) at the times t:
+    each phase E_i t rounds by at most eps max|E| t, so each entry's
+    transient rho0_e,ij U_ij exp(-r t - i (E_i - E_j) t) moves by 2 eps
+    max|E| t times its modulus, and an element sums the entries with
+    coefficients of modulus at most 1.  ``u`` is U on every E_i - E_j at
+    ``rate`` (formed if not given).  0 where exp(-r t) is 0; inf, or nan,
+    where max|E| t overflows while exp(-r t) > 0.  No numpy warning."""
+    energies = sys.eigensystem.eigenvalues
+    if u is None:
+        _, u = _kernels(energies[:, None] - energies, float(rate))
+    weight = 2.0 * np.finfo(float).eps * np.abs(sys._rho0_energy * u).sum()
+    with np.errstate(over="ignore", invalid="ignore"):
+        damp = np.exp(-rate * t)
+        # max|E| t alone, so its overflow gives inf or nan (0 * inf): folded
+        # in before t, the weight or exp(-r t) could underflow to 0
+        return weight * (np.abs(energies).max() * np.where(damp > 0.0, t, 0.0)) * damp
+
+
+def _require_phase_digits(budget, t, R) -> None:
+    """ValueError naming the first (t, R) of broadcastable arrays at which a
+    phase budget reaches PHASE_BUDGET (or is nan); the one such refusal."""
+    budget = np.atleast_1d(budget)
+    refused = ~(budget < PHASE_BUDGET)
+    if refused.any():
+        i = int(np.argmax(refused))
+        t_i, R_i = (float(np.broadcast_to(v, budget.shape)[i]) for v in (t, R))
+        raise ValueError(f"the phases keep too few digits at t = {t_i} (R = {R_i}): their "
+                         f"rounding can move the transient by {budget[i]:.2g} >= "
+                         f"{PHASE_BUDGET:.2g} while exp(-R t) > 0")
 
 
 def ness_density(sys: QuantumSystem, reset: ResetSpec) -> np.ndarray:

@@ -13,10 +13,10 @@ matrix is formed.  The concurrence optimizer calls
 coupling.  A time series takes its entropy and fidelity columns from one
 call of the transient closed forms (``twospin.finite_time_columns``), and
 the entropy peak search each round of probes; both refuse the times at
-which the transient's phases keep too few digits
-(``twospin.phase_budget``).  A round's probes are np.geomspace's, bit for
-bit, from its arithmetic alone (``_probes``): its argument handling costs
-several times the arithmetic.
+which the transient's phases keep too few digits (``twospin.phase_budget``,
+by ``reset_core``'s one rule).  A round's probes are np.geomspace's, bit
+for bit, from its arithmetic alone (``_probes``): its argument handling
+costs several times the arithmetic.
 
 Each column is in range by construction and is not checked again: an
 entropy is ``_spin_entropy`` of v clipped to [0, 1], so in [0, ln 2]; a
@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import twospin
+from . import reset_core, twospin
 from .reset_core import ResetSpec, ness_density, reset_density
 from .trajectories import TrajectoryConfig, estimate_density
 from .twospin import TwoSpinParams
@@ -42,13 +42,6 @@ ALL_OBSERVABLES = ("entropy", "fidelity", "purity", "concurrence")
 # Standard errors at or below this are treated as "deterministic entry"
 # when standardizing Monte Carlo deviations; see mc_validate.
 STDERR_FLOOR = 1e-12
-
-# At zero rate every trajectory is the same, and a deterministic entry is
-# exact up to the round-off of the phases E t: at most 0.26 eps max|E| t was
-# seen for t = 1e3 .. 1e9.  mc_validate allows PHASE_ROUNDOFF eps max|E| t,
-# weighted by exp(-r t), the share of trajectories that reach age t.
-PHASE_ROUNDOFF = 4.0
-
 
 # A sweep evaluates its flat table in runs of _BLOCK_POINTS points.  With
 # every observable, tracemalloc measures about 1 KB of temporaries a point
@@ -125,9 +118,8 @@ def timeseries(
     Entropy and fidelity (against the initial all-down state) come from the
     two-spin closed forms, from one evaluation of their phases
     (``twospin.finite_time_columns``); no density matrix is formed.
-    ValueError naming the first t at which the rounding of the phases can
-    move the transient by ``twospin.PHASE_BUDGET`` or more while exp(-R t)
-    > 0 (``twospin.phase_budget``; a phase that overflows is one such t).
+    ValueError naming the first t at which ``twospin.phase_budget`` reaches
+    ``reset_core.PHASE_BUDGET`` (a phase that overflows is one such t).
     Both columns are in range by construction: the entropy in [0, ln 2],
     the fidelity clipped to [0, 1].
     """
@@ -139,7 +131,7 @@ def timeseries(
     bad = set(observables) - {"entropy", "fidelity"}
     if bad:
         raise ValueError(f"timeseries supports entropy/fidelity, got {sorted(bad)}")
-    twospin._require_phase_digits(t, p.R, p.alpha)
+    reset_core._require_phase_digits(twospin.phase_budget(t, p.R, p.alpha), t, p.R)
     table = {"r": np.full(t.size, p.R), "alpha": np.full(t.size, p.alpha), "t": t}
     table.update(twospin.finite_time_columns(t, p.R, p.alpha, observables))
     return table
@@ -241,7 +233,7 @@ def find_entropy_peak_rate(
     alpha = TwoSpinParams.from_dimensionless(0.0, alpha).alpha
     # a bracket that is no bracket is _bracketed_max's to refuse
     if r_lo > 0.0:
-        twospin._require_phase_digits(t, r_lo, alpha)
+        reset_core._require_phase_digits(twospin.phase_budget(t, r_lo, alpha), t, r_lo)
     f = lambda rates: twospin.finite_time_columns(t, rates, alpha, ("entropy",))["entropy"]
     return _bracketed_max(f, r_lo, r_hi, tol)
 
@@ -338,12 +330,12 @@ def mc_validate(
     """Run the trajectory estimator and compare it entrywise to the exact
     density matrix at rescaled time t (or to the stationary one).
 
-    Deterministic entries are held to the phase round-off PHASE_ROUNDOFF *
-    eps * max|E| * t_phys * exp(-r t_phys), or STDERR_FLOOR if that is
-    larger.  One that misses it reports the largest finite float as
+    Deterministic entries are held to twice the engine's phase budget at
+    t_phys, since the engine and the estimator each round the phases once,
+    or to STDERR_FLOOR if that is larger.  One that misses it reports the largest finite float as
     max_std_dev, so the report stays a JSON number and fails.  ValueError
     for a config TrajectoryConfig refuses (n_traj < 2 among them), and
-    where the engine refuses t_phys because its phases keep no digits."""
+    where the engine refuses t_phys."""
     if not (math.isfinite(threshold) and threshold > 0.0):
         raise ValueError(f"threshold must be finite and > 0, got {threshold}")
     t_phys = t / p.omega
@@ -356,9 +348,7 @@ def mc_validate(
     else:
         raise ValueError(f"against must be 'reset' or 'ness', got {against!r}")
     estimate = estimate_density(sys, cfg)
-    max_energy = float(np.max(np.abs(sys.eigensystem[0])))
-    roundoff = PHASE_ROUNDOFF * np.finfo(float).eps * max_energy * t_phys
-    tol = max(STDERR_FLOOR, roundoff * math.exp(-p.r * t_phys))
+    tol = max(STDERR_FLOOR, 2.0 * float(reset_core._phase_budget(sys, p.r, t_phys)))
     z_re, z_im = standardized_deviations(estimate, exact, tol)
     worst = float(min(max(z_re.max(), z_im.max()), np.finfo(float).max))
     return McValidationReport(

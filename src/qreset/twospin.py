@@ -30,7 +30,7 @@ relative digits as t -> 0 (``infidelity_reset_array``).  Both finite-time
 columns come from one evaluation of the phases alpha t and t/P
 (``finite_time_columns``), and ``phase_budget`` gives what the rounding of
 those phases can move them by; their callers refuse the times where it
-reaches ``PHASE_BUDGET``.
+reaches ``PHASE_BUDGET`` by ``reset_core``'s one rule.
 On the three levels that carry |dd>, whose gaps the coupling gives
 exactly, the stationary state's factor (``_ness_cholesky``) and
 sigma_y x sigma_y are closed forms too: the concurrence of the two spins
@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .observables import _wootters_3x3
-from .reset_core import QuantumSystem, _kernels
+from .reset_core import QuantumSystem, _kernels, _require_phase_digits
 
 LN2 = math.log(2.0)
 LN8 = math.log(8.0)
@@ -147,11 +147,6 @@ def _ness_factors(R, alpha):
     return p, rp, k, s, w, v
 
 
-# A finite-time series or entropy peak is refused where the rounding of the
-# transient's phases can move it by this much (see phase_budget): past
-# sqrt(eps), fewer than half of the digits of a value of order one are sure.
-PHASE_BUDGET = 2.0**-26
-
 # Below these arguments the fidelity's bracket takes a power series (see
 # _infidelity): 1 - (1 + x) e^-x = sum_k (k - 1) (-x)^k/k! from k = 2 in x =
 # R t, and 1 - sin(wt)/(wt) = sum_k (-1)^(k+1) (wt)^(2k)/(2k + 1)! from k =
@@ -207,10 +202,9 @@ def phase_budget(t, R, alpha):
         b = 2 eps exp(-R t) sum over pairs of |c_i c_j U_ij| w t.
 
     It is the first-order size of that rounding, not a strict bound: 1 - F
-    meets its 50-digit reference within 2 (b + eps (1 - F)).
-
-    0 where exp(-R t) is 0 (the transient takes phase 0), inf where a
-    phase overflows while exp(-R t) > 0.  No numpy warning.
+    meets its 50-digit reference within 2 (b + eps (1 - F)).  0 where
+    exp(-R t) is 0 (the transient takes phase 0), inf where a phase
+    overflows while exp(-R t) > 0.  No numpy warning.
     """
     with np.errstate(all="ignore"):
         _, (a1, a2, a3), (q, _, _) = _level_pairs(R, alpha)
@@ -219,19 +213,6 @@ def phase_budget(t, R, alpha):
         # alpha t overflows first, and then the bound is inf
         rounding = 2.0 * (a2 + a3) * (alpha * t) + (a1 + a2 + 2.0 * a3) * (t * q)
         return 2.0 * np.finfo(float).eps * damp * rounding
-
-
-def _require_phase_digits(t, R, alpha) -> None:
-    """ValueError naming the first (t, R) of broadcastable arrays at which
-    phase_budget reaches PHASE_BUDGET (or is nan)."""
-    budget = np.atleast_1d(phase_budget(t, R, alpha))
-    refused = ~(budget < PHASE_BUDGET)
-    if refused.any():
-        i = int(np.argmax(refused))
-        t_i, R_i = (float(np.broadcast_to(v, budget.shape)[i]) for v in (t, R))
-        raise ValueError(f"the phases keep too few digits at t = {t_i} (R = {R_i}): their "
-                         f"rounding can move the transient by {budget[i]:.2g} >= "
-                         f"{PHASE_BUDGET:.2g} while exp(-R t) > 0")
 
 
 class _Phases(NamedTuple):
@@ -401,7 +382,7 @@ def entropy_at_time(t: float, p: TwoSpinParams) -> float:
     ValueError for the times sweep.timeseries refuses (see phase_budget)."""
     if not (t >= 0 and math.isfinite(t)):
         raise ValueError(f"time must be >= 0 and finite, got {t}")
-    _require_phase_digits(t, p.R, p.alpha)
+    _require_phase_digits(phase_budget(t, p.R, p.alpha), t, p.R)
     columns = finite_time_columns(np.array([t]), np.array([p.R]), np.array([p.alpha]),
                                   ("entropy",))
     return float(columns["entropy"][0])

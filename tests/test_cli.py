@@ -809,21 +809,23 @@ class TestMcValidate:
 
     def test_zero_rate_state_stays_a_state_while_the_phases_keep_digits(self):
         # rho0 conjugated by the phases exp(-i E t) is PSD to round-off
-        # however inexact the phases; the renewal kernel's own phases
-        # (E - E') t once gave an eigenvalue of -4.5e-8 here (exit 4)
-        proc = run_process(["mc-validate", "--R", "0", "--alpha", "1", "--t", "1e9",
+        # however inexact the phases (the per-level phases are checked in
+        # test_reset_core's TestFiniteTimeStates)
+        proc = run_process(["mc-validate", "--R", "0", "--alpha", "1", "--t", "1e6",
                             "--ntraj", "10", "--seed", "1"],
                            timeout=30, interpreter_flags=("-W", "error"))
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["passed"] is True
-        # once eps max|E| t reaches a radian the phases keep no digits, and
-        # the engine refuses the time
-        proc = run_process(["mc-validate", "--R", "0", "--alpha", "1", "--t", "1e16",
+        # once the rounding of the phases can move the state by the closed
+        # forms' budget, the engine refuses the time, with their message
+        proc = run_process(["mc-validate", "--R", "0", "--alpha", "1", "--t", "1e9",
                             "--ntraj", "10"], timeout=30, interpreter_flags=("-W", "error"))
         assert proc.returncode == 4
         assert proc.stdout == ""
-        assert proc.stderr.startswith("error: the phases E t keep no digits at t = 1e+16")
+        assert proc.stderr == (
+            "error: the phases keep too few digits at t = 1000000000.0 (R = 0.0): their "
+            "rounding can move the transient by 1e-06 >= 1.5e-08 while exp(-R t) > 0\n")
 
     @pytest.mark.parametrize("t", ["1e5", "1e6"])
     def test_zero_rate_at_long_times_passes(self, capsys, t):
@@ -855,13 +857,14 @@ class TestMcValidate:
         assert report["max_std_dev"] == sys.float_info.max
 
     def test_non_finite_exact_matrix_is_config_error(self, capsys):
-        # at rate 0 the phases omega t overflow: the engine refuses the time
+        # at rate 0 the phases E t keep no digits: the engine refuses the time
         rc = run(["mc-validate", "--R", "0", "--alpha", "1", "--t", "1e308",
                   "--ntraj", "10"])
         captured = capsys.readouterr()
         assert rc == 4
         assert captured.out == ""
-        assert captured.err.startswith("error: the phases E t keep no digits at t = 1e+308")
+        assert captured.err.startswith("error: the phases keep too few digits at t = 1e+308 "
+                                       "(R = 0.0): their rounding can move the transient by")
 
     @pytest.mark.parametrize("R", ["1", "0"])
     def test_one_trajectory_is_a_config_error(self, tmp_path, capsys, R):

@@ -8,6 +8,7 @@ from scipy.linalg import expm
 from qreset.cmatrix import hermitize
 from qreset.reset_core import (
     DEGENERACY_RTOL,
+    PHASE_BUDGET,
     QuantumSystem,
     ResetSpec,
     SubsystemSplit,
@@ -21,6 +22,8 @@ from qreset.reset_core import (
 from qreset.twospin import (
     TwoSpinParams,
     _ness_cholesky,
+    infidelity_reset_array,
+    phase_budget,
     quantum_system,
     reduced_state_array,
 )
@@ -137,6 +140,36 @@ class TestQuantumSystem:
         # alpha = 0 and 1e300 have degenerate pairs, the others none
         assert [int(np.count_nonzero(np.diff(c) == 0.0)) for c in clustered] == [
             1, 0, 0, 2, 0, 0, 0, 3]
+
+    @pytest.mark.filterwarnings("error")
+    def test_exact_degeneracies_cluster(self):
+        # eigh's eigenvalues are exact for H + dH with ||dH||_2 of order eps
+        # ||H||_2: repeated levels of a diagonal H rotated by a random
+        # unitary come out a few eps ||E||_2 apart, and cluster
+        rng = np.random.default_rng(46)
+        repeats = 0
+        for _ in range(100):
+            d = int(rng.integers(2, 9))
+            levels = np.sort(rng.integers(-2, 3, size=d) * 10.0 ** rng.uniform(-3.0, 3.0))
+            q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+            h = hermitize(q @ np.diag(levels) @ q.conj().T)
+            clustered = _clustered(QuantumSystem(h, np.eye(d) / d).eigensystem.eigenvalues)
+            assert np.array_equal(np.diff(clustered) == 0.0, np.diff(levels) == 0.0)
+            repeats += int(np.count_nonzero(np.diff(levels) == 0.0))
+        assert repeats > 100
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_gap_of_a_thousand_tolerances_stays_apart(self):
+        rng = np.random.default_rng(47)
+        for _ in range(100):
+            d = int(rng.integers(2, 9))
+            levels = np.sort(rng.normal(size=d)) * 10.0 ** rng.uniform(-3.0, 3.0)
+            for _ in range(3):
+                levels[1] = levels[0] + 1e3 * DEGENERACY_RTOL * np.linalg.norm(levels)
+            q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+            h = hermitize(q @ np.diag(levels) @ q.conj().T)
+            clustered = _clustered(QuantumSystem(h, np.eye(d) / d).eigensystem.eigenvalues)
+            assert np.all(np.diff(clustered) > 0.0)
 
     def test_immutable(self):
         sys = two_spin_system()
@@ -384,25 +417,37 @@ class TestResetDensity:
 
 class TestFiniteTimeStates:
     """Every state that reset_density_stack returns is Hermitian, of unit
-    trace and PSD to round-off, so no caller checks it again; where exp(-r t)
-    > 0 and the phases E t keep no digits (eps max|E| t >= 1) it raises
-    instead, naming the first such time."""
+    trace and PSD to round-off, so no caller checks it again; where the
+    first-order rounding of its phases, b = 2 eps sum |rho0_e U| max|E| t
+    exp(-r t), reaches PHASE_BUDGET it raises instead, naming the first
+    such time."""
 
     T_TWO_SPIN = np.r_[0.0, np.geomspace(1e-3, 1e16, 39)]
     T_RANDOM = np.r_[0.0, np.geomspace(1e-3, 1e17, 41)]
 
     @staticmethod
-    def check(sys, rate, ts):
+    def budget(sys, rate, ts):
+        """b at the times ts, from the energies, the vectors and rho0."""
+        energies, v = sys.eigensystem
+        rho0_e = v.conj().T @ sys.rho0 @ v
+        omega = energies[:, None] - energies
+        with np.errstate(all="ignore"):
+            u = np.where(omega == 0.0, 0.0, 1j * omega / (rate + 1j * omega))
+            damp = np.exp(-rate * ts)
+            live = np.where(damp > 0.0, ts, 0.0)
+            weight = 2.0 * np.finfo(float).eps * np.abs(rho0_e * u).sum()
+            return weight * (np.abs(energies).max() * live) * damp
+
+    @classmethod
+    def check(cls, sys, rate, ts):
         """Assert the rule on the whole grid, then the states on the times
         it keeps (all of them if it returns)."""
-        eps = np.finfo(float).eps * np.abs(sys.eigensystem.eigenvalues).max()
-        with np.errstate(over="ignore"):
-            kept = (np.exp(-rate * ts) == 0.0) | (eps * ts < 1.0)
+        kept = cls.budget(sys, rate, ts) < PHASE_BUDGET
         if kept.all():
             rho = reset_density_stack(sys, rate, ts)
         else:
-            first = float(ts[np.argmin(kept)])
-            with pytest.raises(ValueError, match=re.escape(f"digits at t = {first}:")):
+            first = re.escape(f"digits at t = {float(ts[np.argmin(kept)])} (R = {float(rate)}):")
+            with pytest.raises(ValueError, match=first):
                 reset_density_stack(sys, rate, ts)
             rho = reset_density_stack(sys, rate, ts[kept])
         assert np.abs(rho - rho.conj().swapaxes(-1, -2)).max() <= 1e-15
@@ -418,13 +463,16 @@ class TestFiniteTimeStates:
             for alpha in (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
                 kept = self.check(two_spin_system(R, alpha), R, self.T_TWO_SPIN)
                 refused += int(not kept.all())
-        # from rate 1e-12 on, exp(-r t) is 0 before the phases lose their
-        # digits; at rate 0 they lose them at t = 1e16
-        assert refused == 7
+        # every coupling refuses a time at rates 0 .. 1e-8, and alpha = 10
+        # at 1e-7; from 1e-6 on exp(-r t) damps the transient before its
+        # phases reach the budget
+        assert refused == 6 * 7 + 1
 
     def test_per_level_phases_at_rate_zero(self):
-        # phases formed pair by pair once gave an eigenvalue of -4.47e-8 here
-        self.check(two_spin_system(0.0, 1.0), 0.0, np.array([1e9]))
+        # phases formed pair by pair once gave an eigenvalue of -4.47e-8 at
+        # t = 1e9; 1e7 is the largest decade the rule keeps here (it refuses
+        # from t = 1.43e7)
+        assert self.check(two_spin_system(0.0, 1.0), 0.0, np.array([1e7])).all()
 
     @pytest.mark.filterwarnings("error")
     def test_random_systems(self):
@@ -443,7 +491,7 @@ class TestFiniteTimeStates:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("rate, ts, first", [
-        (0.0, [0.0, 1e9, 1e16, 1e17], "1e+16"),
+        (0.0, [0.0, 1e6, 1e16, 1e17], "1e+16"),
         (0.0, [1e308], "1e+308"),
         (1e-300, [0.0, 1e17], "1e+17"),
     ])
@@ -451,15 +499,58 @@ class TestFiniteTimeStates:
         sys = two_spin_system(rate, 1.0)
         with pytest.raises(ValueError) as err:
             reset_density_stack(sys, rate, ts)
-        assert str(err.value) == (f"the phases E t keep no digits at t = {first}: "
-                                  "eps max|E| t >= 1 while exp(-r t) > 0")
-        # the one-matrix views refuse the last time, which keeps no digits either
-        last = re.escape(f"digits at t = {float(ts[-1])}:")
+        # the closed forms' message, with the engine's budget
+        message = str(err.value)
+        assert message.startswith(f"the phases keep too few digits at t = {first} "
+                                  f"(R = {rate}): their rounding can move the transient by ")
+        assert message.endswith(" >= 1.5e-08 while exp(-R t) > 0")
+        # the one-matrix views refuse the last time, which keeps too few digits too
+        last = re.escape(f"digits at t = {float(ts[-1])} ")
         with pytest.raises(ValueError, match=last):
             reset_density(sys, ResetSpec(rate), ts[-1])
         if rate == 0.0:
             with pytest.raises(ValueError, match=last):
                 unitary_evolve(sys, ts[-1])
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_stationary_rho0_refuses_a_phase_past_the_float_range(self):
+        # rho0 is diagonal in the energy basis, so the budget's sum is 0;
+        # max|E| t = 2e308 overflows, and 0 * inf = nan refuses the time
+        # rather than accepting it and returning nan
+        sys = QuantumSystem(np.diag([2.0, 0.0, 0.0, -2.0]), np.outer(DOWN_DOWN, DOWN_DOWN))
+        assert np.array_equal(reset_density_stack(sys, 0.0, [1e307])[0], sys.rho0)
+        with pytest.raises(ValueError, match=re.escape("t = 1e+308 (R = 0.0): their "
+                                                       "rounding can move the transient by nan")):
+            reset_density_stack(sys, 0.0, [1e308])
+
+    @pytest.mark.filterwarnings("error")
+    def test_the_engine_is_within_the_closed_forms_budget(self):
+        # on the two-spin H the engine never keeps a time that the closed
+        # forms refuse, and where both keep it their <dd|rho|dd> agree
+        # within twice the two budgets (at most 0.77 of it, over 2941
+        # times); above alpha = 10 the engine's stationary error (eps
+        # max|E|/gap in its eigenvectors) dominates
+        ts = np.geomspace(1e-2, 1e12, 57)
+        worst, compared = 0.0, 0
+        for R in np.r_[0.0, np.geomspace(1e-9, 1.0, 10)]:
+            for alpha in (0.0, 0.3, 1.0, 3.0, 10.0):
+                sys = two_spin_system(R, alpha)
+                engine = self.budget(sys, R, ts)
+                closed = phase_budget(ts, R, alpha)
+                assert not np.any((engine < PHASE_BUDGET) & ~(closed < PHASE_BUDGET))
+                for t in ts[~(closed < PHASE_BUDGET)]:
+                    with pytest.raises(ValueError, match="keep too few digits"):
+                        reset_density_stack(sys, R, [t])
+                both = (engine < PHASE_BUDGET) & (closed < PHASE_BUDGET)
+                if not both.any():
+                    continue
+                dd = reset_density_stack(sys, R, ts[both])[:, 3, 3].real
+                gap = np.abs(dd - (1.0 - infidelity_reset_array(ts[both], R, alpha)))
+                bound = 2.0 * (engine[both] + closed[both]) + 4e-15
+                worst = max(worst, float((gap / bound).max()))
+                compared += int(both.sum())
+        assert worst <= 1.0
+        assert compared >= 2900
 
 
 class TestNessDensity:

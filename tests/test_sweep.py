@@ -13,7 +13,7 @@ import pytest
 from qreset import observables, sweep, twospin
 
 from qreset.observables import fidelity_pure
-from qreset.reset_core import ResetSpec, reset_density
+from qreset.reset_core import ResetSpec, _phase_budget, reset_density
 from qreset.sweep import (
     SolverError,
     SweepGrid,
@@ -931,9 +931,9 @@ class TestMcValidate:
             self, monkeypatch, offset, passed):
         p0 = TwoSpinParams(omega=2.0, j=2.0, r=0.0)
         t = 1e6  # rescaled; the physical time is t / omega
-        energies = quantum_system(p0).eigensystem[0]
-        # the documented tolerance, 4 eps max|E| t at the physical time
-        tol = 4.0 * np.finfo(float).eps * np.abs(energies).max() * t / 2.0
+        # the documented tolerance, twice the engine's phase budget at the
+        # physical time
+        tol = 2.0 * float(_phase_budget(quantum_system(p0), 0.0, t / 2.0))
         assert tol > 100 * sweep.STDERR_FLOOR
         real = sweep.estimate_density
 

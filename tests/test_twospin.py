@@ -793,13 +793,14 @@ class TestConcurrenceReference:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("alpha", [1.5e4, 1.58e4, 1.6e4, 1.7e4])
     def test_the_clustering_edge(self, alpha):
-        # the engine's degeneracy rule keeps the levels -gamma and -alpha
-        # apart at 1.58e4 and merges them from 1.6e4 on; the factor takes
-        # their gap as 1/(gamma + alpha) on both sides and meets the 50-digit
-        # concurrence across the edge
+        # a degeneracy rule of 1e-9 relative merged the levels -gamma and
+        # -alpha from 1.6e4 on; the engine's rule, at eigh's round-off,
+        # keeps them apart across that edge (and through 1e6, below).  The
+        # factor takes their gap as 1/(gamma + alpha) and meets the 50-digit
+        # concurrence on both sides
         sys = quantum_system(params(1.0, alpha))
         clustered = _clustered(sys.eigensystem.eigenvalues)
-        assert (clustered[0] == clustered[1]) == (alpha >= 1.6e4)
+        assert clustered[0] < clustered[1]
         rates = np.geomspace(1e-12, 1e12, 13)
         body = concurrence_ness_stack(np.array([alpha]), rates)
         spec = importlib.util.spec_from_file_location(
@@ -808,14 +809,19 @@ class TestConcurrenceReference:
         spec.loader.exec_module(reference)
         exact = np.array([float(reference.concurrence(r, alpha)) for r in rates])
         assert np.abs(body - exact).max() <= 1e-15
-        # below the edge the engine's eigh of H carries eps ||H||/gap ~ 1e-7
-        # into the vectors of the pair 1/(gamma + alpha) apart, and its eigh
-        # of a near-pure rho keeps about 1e-10 of the concurrence; above it
-        # the engine sets that gap to 0 (ROADMAP, Standing (n))
-        if alpha < 1.6e4:
-            engine = concurrence_stack(np.array([ness_density(sys, ResetSpec(r))
-                                                 for r in rates]))
-            assert np.abs(body - engine[0]).max() <= 1e-6
+        # the engine's eigh of H carries eps ||H||/gap ~ 1e-7 into the
+        # vectors of the pair 1/(gamma + alpha) apart, and its eigh of a
+        # near-pure rho keeps about 1e-10 of the concurrence
+        engine = concurrence_stack(np.array([ness_density(sys, ResetSpec(r)) for r in rates]))
+        assert np.abs(body - engine[0]).max() <= 1e-6
+
+    @pytest.mark.filterwarnings("error")
+    def test_the_pair_stays_apart_through_a_million(self):
+        # the gap 1/(gamma + alpha) ~ 1/(2 alpha) meets the tolerance
+        # DEGENERACY_RTOL ||E||_2 ~ 128 eps alpha near alpha = 4.2e6
+        for alpha in np.geomspace(1.6e4, 1e6, 9):
+            clustered = _clustered(quantum_system(params(1.0, alpha)).eigensystem.eigenvalues)
+            assert clustered[0] < clustered[1]
 
 
 class TestUfuncClamp:
