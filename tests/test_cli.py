@@ -29,6 +29,15 @@ def read(path):
     return path.read_bytes()
 
 
+def load_oracle():
+    """perfbench/oracle.py, which imports no qreset."""
+    spec = importlib.util.spec_from_file_location(
+        "oracle", pathlib.Path(__file__).parents[1] / "perfbench" / "oracle.py")
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    return oracle
+
+
 def run_process(args, timeout, interpreter_flags=(), env_overrides=()):
     """Run the CLI in a fresh interpreter; fails the test if it is still
     running after ``timeout`` seconds."""
@@ -236,10 +245,7 @@ class TestNess:
         # Ising chains of L = 2..4 reset to a product state.  Through the
         # square roots of rho and rho0 and one SVD the parent measured a worst
         # error of 2.9e-15; through the d x 1 factor of rho0, 2.1e-15.
-        spec = importlib.util.spec_from_file_location(
-            "oracle", pathlib.Path(__file__).parents[1] / "perfbench" / "oracle.py")
-        oracle = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(oracle)
+        oracle = load_oracle()
         data = pathlib.Path(__file__).parent / "data" / "fidelity_reference.json"
         rows = json.loads(data.read_text())["chains"]
         assert sorted({row["L"] for row in rows}) == [2, 3, 4]
@@ -462,19 +468,6 @@ class TestBeyondFloatRange:
             assert all(0.0 <= float(row[name]) <= 1.0
                        for name in ("fidelity", "purity", "concurrence"))
 
-    def test_energy_spread_beyond_float_range_is_a_config_error(self, tmp_path):
-        # each energy is finite, E_max - E_min is not
-        hpath, rpath = tmp_path / "h.json", tmp_path / "rho.json"
-        save_matrix(np.diag([1e308, -1e308]), hpath)
-        save_matrix(np.diag([0.0, 1.0]), rpath)
-        for args in (["ness", "--R", "1", "--alpha", "1.7e308",
-                      "--observables", "purity,concurrence"],
-                     ["ness", "--hamiltonian", str(hpath), "--rho0", str(rpath), "--r", "1"]):
-            proc = run_process(args, timeout=30, interpreter_flags=("-W", "error"))
-            assert proc.returncode == 4
-            assert proc.stdout == ""
-            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-
 
 class TestTransientBeyondFloatRange:
     # the transient closed form squares nothing that can overflow: finite
@@ -500,27 +493,6 @@ class TestTransientBeyondFloatRange:
                       for line in lines]
         assert len(values) >= 1
         assert all(0.0 <= v <= math.log(2.0) for v in values)
-
-    @pytest.mark.parametrize("args", [
-        ["peak-r", "--t", "1", "--alpha", "-1", "--r-bounds", "0.1:1"],
-        ["peak-r", "--t", "1", "--alpha", "nan", "--r-bounds", "0.1:1"],
-        ["peak-r", "--t", "1", "--alpha", "inf", "--r-bounds", "0.1:1"],
-        ["timeseries", "--R", "1", "--alpha", "nan", "--grid-t", "0:1:2"],
-    ])
-    def test_bad_coupling_is_a_config_error(self, args):
-        proc = run_process(args, timeout=30, interpreter_flags=("-W", "error"))
-        assert (proc.returncode, proc.stdout) == (4, "")
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-
-
-    @pytest.mark.parametrize("observables", ["entropy", "fidelity", "entropy,fidelity"])
-    def test_overflowing_phase_is_a_config_error(self, observables):
-        # alpha t overflows at R = 0, where nothing damps the transient
-        proc = run_process(["timeseries", "--R", "0", "--alpha", "1e300",
-                            "--grid-t", "0:1e10:3", "--observables", observables],
-                           timeout=30, interpreter_flags=("-W", "error"))
-        assert (proc.returncode, proc.stdout) == (4, "")
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 class TestFailingRunsWriteNothing:
@@ -690,12 +662,13 @@ class TestCritical:
         "1e-9:1e9:0:1e9",
         "1e-6:1e6:0:1e3",
         "5e-324:1.7e308:0:1.7e308",
-        "2:3:5:6",             # holds no inflection point
+        "2:3:5:6",             # these two hold no inflection point
+        "0.2:0.3:0.8:2",
     ])
     def test_extreme_box_exits_0_or_3(self, box):
         proc = run_process(["critical", "--box", box], timeout=20,
                            interpreter_flags=("-W", "error"))
-        assert proc.returncode in (0, 3)
+        assert proc.returncode == (3 if box in ("2:3:5:6", "0.2:0.3:0.8:2") else 0)
         assert "Traceback" not in proc.stderr
         if proc.returncode == 0:
             report = json.loads(proc.stdout)
@@ -980,6 +953,155 @@ class TestConfigErrors:
         assert captured.out == ""
         assert captured.err.startswith("error: Unable to allocate")
         assert captured.err.count("\n") == 1
+
+
+def console(args):
+    return run_process(args, timeout=60, interpreter_flags=("-W", "error"))
+
+
+def hermitian_report(out):
+    """Whether the written ness_matrix is exactly Hermitian, pair by pair."""
+    doc = json.loads(out)
+    m = np.array(doc["ness_matrix"], dtype=float).view(complex).reshape(doc["dim"], doc["dim"])
+    return np.array_equal(m, m.conj().T)
+
+
+def reruns(line):
+    """A row whose second run prints the bytes of its first."""
+    return line, 0, lambda out: out == console(line.split()).stdout
+
+
+@pytest.fixture(scope="module")
+def console_files(tmp_path_factory):
+    """The rows' interchange files by name: a random H (h8) with a pure and
+    a rank-2 state (pure8, mixed8); the L = 3 Ising ring (ising3) with a
+    real and a complex state (real8, complex8); H = diag(1, 0, 0, -1) (zz)
+    with |dd><dd| (dd); an H whose energy spread overflows (wide) with
+    diag(0, 1) (low); and a document nested 200000 lists deep (deep)."""
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    matrices = {"h8": (a + a.conj().T) / 2}
+    factors = {name: rng.normal(size=(8, rank)) + 1j * rng.normal(size=(8, rank))
+               for name, rank in (("pure8", 1), ("mixed8", 2))}
+    factors["complex8"] = np.random.default_rng(3).normal(size=(8, 2, 2)) @ [1, 1j]
+    for name, f in factors.items():
+        rho = f @ f.conj().T
+        matrices[name] = rho / np.trace(rho).real
+    psi = np.arange(1.0, 9.0) / np.sqrt(204.0)
+    matrices.update(ising3=load_oracle().ising_chain(3, 1.1, 0.7), real8=np.outer(psi, psi),
+                    zz=np.diag([1.0, 0.0, 0.0, -1.0]), dd=np.diag([0.0, 0.0, 0.0, 1.0]),
+                    wide=np.diag([1e308, -1e308]), low=np.diag([0.0, 1.0]))
+    folder = tmp_path_factory.mktemp("console")
+    paths = {name: str(folder / f"{name}.json") for name in [*matrices, "deep"]}
+    for name, m in matrices.items():
+        save_matrix(m, paths[name])
+    pathlib.Path(paths["deep"]).write_text("[" * 200000 + "]" * 200000)
+    return paths
+
+
+class TestConsole:
+    """Command lines at the edges, each run as `python -W error -m
+    qreset.cli` in a fresh interpreter: the exit code; on exit 0 an empty
+    stderr, so no warning and no traceback; on exit 4 an empty stdout and
+    one stderr line that names the failure; and the row's check of stdout,
+    where it has one.  {name} is a file of console_files."""
+
+    ROWS = [
+        # rates over 600 decades, whose squares overflow, raise no warning
+        ("sweep --grid-r 1e-300:1e300:7:log --grid-alpha 0:1:2 --observables purity,concurrence",
+         0, None),
+        # the concurrence's factor takes its gaps from the coupling, and the
+        # spread 2 gamma stays finite
+        ("sweep --grid-r 1e-3:1e3:3:log --grid-alpha 0:1e300:3 --observables concurrence",
+         0, None),
+        # strong coupling at small rates: the pair gap 1/(gamma + alpha) of the
+        # stationary factor, and Wootters' closed form handing LAPACK the
+        # points whose top pair nears
+        ("sweep --grid-r 1e-6:1e-2:5:log --grid-alpha 1e3:1.5e4:3 --observables concurrence",
+         0, None),
+        ("sweep --grid-r 1e-8:1e-4:5:log --grid-alpha 10:1e4:4 --observables concurrence",
+         0, None),
+        ("ness --R 1e-5 --alpha 1e4", 0, None),
+        # one row of 1e5 rates is many blocks of points
+        ("sweep --grid-r 1e-3:10:100000:log --grid-alpha 2:2:1 --observables concurrence", 0,
+         lambda out: len(out.splitlines()) == 100001),
+        # above alpha ~ 1.6e4, where a degeneracy rule of 1e-9 relative would
+        # merge -gamma and -alpha, the concurrence and its peak survive, and
+        # the trajectories meet the engine's stationary state
+        ("optimize --alpha 2e4 --r-bounds 1e-8:1", 0,
+         lambda out: json.loads(out)["flag"] == "interior" and json.loads(out)["c_star"] > 0.49),
+        ("ness --R 1e-5 --alpha 2e4", 0,
+         lambda out: float(dict(zip(*(line.split(",") for line in out.splitlines())))
+                           ["concurrence"]) > 0.3),
+        ("mc-validate --R 1e-5 --alpha 2e4 --t 3e6 --ntraj 4000 --against ness --seed 0", 0, None),
+        # the fidelity keeps 1 - F's digits as R t -> 0, and is the stationary
+        # one where exp(-R t) underflows
+        ("timeseries --R 1e-3 --alpha 1 --grid-t 0:1e-9:3 --observables fidelity", 0, None),
+        ("timeseries --R 1 --alpha 1 --grid-t 0:1e308:3 --observables fidelity", 0, None),
+        # the engine (mc-validate) and the closed forms (timeseries, for both
+        # columns, and peak-r) refuse, by one phase budget, times whose phases
+        # keep too few digits while exp(-r t) > 0
+        ("mc-validate --R 0 --alpha 1 --t 1e15 --ntraj 100 --seed 0", 4, None),
+        ("mc-validate --R 0 --alpha 1 --t 1e16 --ntraj 10", 4, None),
+        ("timeseries --observables fidelity --R 0 --alpha 1 --grid-t 0:1e16:2", 4, None),
+        ("timeseries --R 0 --alpha 1 --grid-t 0:1e16:2", 4, None),
+        ("peak-r --t 1e17 --alpha 1 --r-bounds 1e-20:1", 4, None),
+        # alpha t overflows at R = 0, where nothing damps the transient
+        *((f"timeseries --observables {observables} --R 0 --alpha 1e300 --grid-t 0:1e10:3", 4,
+           None) for observables in ("entropy", "fidelity", "entropy,fidelity")),
+        # one trajectory, and a negative seed at a rate that makes no stream
+        ("mc-validate --R 1 --alpha 1 --t 1 --ntraj 1", 4, None),
+        ("mc-validate --R 0 --alpha 1 --t 1 --ntraj 10 --seed -1", 4, None),
+        # the estimator's block sums are byte-deterministic
+        reruns("mc-validate --R 1 --alpha 1 --t 3 --ntraj 4000 --seed 7"),
+        reruns("mc-validate --R 1 --alpha 1 --t 50 --against ness --ntraj 4000 --seed 7"),
+        # the probe rounds stay on the peak over the float range, a tol below one
+        # ulp terminates, and a bracket whose ends have equal log10 is flat
+        ("optimize --alpha 7 --r-bounds 1e-300:1e300", 0, None),
+        ("peak-r --t 5 --alpha 0.3 --r-bounds 0.001:3 --tol 1e-300", 0, None),
+        ("optimize --alpha 7 --r-bounds 5e-324:1.7e308", 0,
+         lambda out: json.loads(out)["flag"] == "interior"),
+        ("optimize --alpha 7 --r-bounds 1e300:1.0000000000000002e300", 0,
+         lambda out: json.loads(out)["flag"] == "degenerate"),
+        # a coupling the searches refuse
+        *((f"peak-r --t 1 --alpha {alpha} --r-bounds 0.1:1", 4, None)
+          for alpha in ("-1", "nan", "inf")),
+        ("timeseries --R 1 --alpha nan --grid-t 0:1:2", 4, None),
+        # the generic ness, pure and rank-2 rho0, complex and real H: the
+        # written matrix keeps the exact conjugate symmetry of each pair
+        *((line, 0, hermitian_report) for line in (
+            "ness --hamiltonian {h8} --rho0 {pure8} --r 0.7 --split 2:4",
+            "ness --hamiltonian {h8} --rho0 {mixed8} --r 0.7 --split 2:4",
+            "ness --hamiltonian {ising3} --rho0 {real8} --r 0.7 --split 2:4",
+            "ness --hamiltonian {ising3} --rho0 {complex8} --r 0.7 --split 2:4")),
+        # |dd> is stationary under zz: the reduced state is pure, and its
+        # entropy prints as 0, not -0
+        ("ness --hamiltonian {zz} --rho0 {dd} --r 0.5 --split 2:2", 0,
+         lambda out: '"entropy_subsystem_a": 0,' in out),
+        # the generic ness refuses the two-spin output flags, a split of
+        # another dimension, a document nested too deeply, and an energy
+        # spread (as the two-spin one) beyond the float range
+        ("ness --hamiltonian {h8} --rho0 {pure8} --r 1 --format jsonl --observables entropy",
+         4, None),
+        ("ness --hamiltonian {h8} --rho0 {pure8} --r 1 --split 3:3", 4, None),
+        ("ness --hamiltonian {h8} --rho0 {deep} --r 1", 4, None),
+        ("ness --hamiltonian {wide} --rho0 {low} --r 1", 4, None),
+        ("ness --R 1 --alpha 1.7e308 --observables purity,concurrence", 4, None),
+        # 10^15 points: numpy refuses the allocation at once
+        ("sweep --grid-r 0.1:1:1000000000000000:log --grid-alpha 0:1:1", 4, None),
+        ("timeseries --R 1 --alpha 1 --grid-t 0:1:1000000000000000", 4, None),
+    ]
+
+    @pytest.mark.parametrize("line, code, check", ROWS, ids=[row[0] for row in ROWS])
+    def test_row(self, console_files, line, code, check):
+        proc = console([arg.format(**console_files) for arg in line.split()])
+        assert proc.returncode == code, proc.stderr
+        if code == 0:
+            assert proc.stderr == ""
+        else:
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert check is None or check(proc.stdout), proc.stdout[-500:]
 
 
 class TestParsing:

@@ -132,6 +132,8 @@ class TestFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             fidelity(np.eye(2, dtype=complex) / 2, np.eye(4, dtype=complex) / 4)
+        with pytest.raises(ValueError, match="state vector dimension does not match"):
+            fidelity_pure(np.eye(2, dtype=complex) / 2, UP_UP)
 
     def test_stack_equals_one_by_one(self):
         rng = np.random.default_rng(35)

@@ -19,6 +19,8 @@ from qreset.reset_core import (
     reset_density_stack,
     unitary_evolve,
 )
+from qreset.sweep import standardized_deviations
+from qreset.trajectories import TrajectoryConfig, estimate_density
 from qreset.twospin import (
     TwoSpinParams,
     _ness_cholesky,
@@ -194,13 +196,14 @@ class TestQuantumSystem:
             QuantumSystem(np.eye(2, dtype=complex), np.diag([1.2, -0.2]).astype(complex))
 
 
-def ising_ring(L, J, h):
-    """Periodic transverse-field Ising H -J sum Z_i Z_i+1 - h sum X_i, spin 0
-    slowest, as perfbench/oracle.py's ising_chain builds it: real, with a
-    degenerate spectrum."""
+def ising_chain(L, J, h, periodic=True):
+    """Transverse-field Ising H -J sum Z_i Z_i+1 - h sum X_i, spin 0 slowest,
+    as perfbench/oracle.py's ising_chain builds it: real, and by default
+    periodic, with a degenerate spectrum."""
     states = np.arange(2**L)
     z = 1.0 - 2.0 * ((states[:, None] >> (L - 1 - np.arange(L))) & 1)
-    H = np.diag(-J * np.sum(z * np.roll(z, -1, axis=1), axis=1)).astype(complex)
+    bonds = z * np.roll(z, -1, axis=1)
+    H = np.diag(-J * np.sum(bonds if periodic else bonds[:, :-1], axis=1)).astype(complex)
     for i in range(L):
         H[states, states ^ (1 << (L - 1 - i))] -= h
     return H
@@ -223,7 +226,7 @@ class TestRealSolver:
             a = rng.normal(size=(d, d))
             yield (a + a.T) / 2
         for L, J, h in ((3, 1.1, 0.7), (4, 0.9, 1.3), (5, 1.0, 0.4)):
-            yield ising_ring(L, J, h)
+            yield ising_chain(L, J, h)
 
     @staticmethod
     def reference(h, rho0, rate, ts):
@@ -268,7 +271,7 @@ class TestRealSolver:
     @pytest.mark.parametrize("entry", [(0, 2), (1, 1)])
     def test_any_imaginary_part_takes_the_complex_solver(self, monkeypatch, entry):
         # an off-diagonal pair, or a diagonal part far inside the Hermitian tolerance
-        h = ising_ring(3, 1.1, 0.7)
+        h = ising_chain(3, 1.1, 0.7)
         i, j = entry
         h[i, j] += 1e-3j if i != j else 1e-30j
         h[j, i] = h[i, j].conjugate() if i != j else h[i, j]
@@ -730,6 +733,61 @@ class TestNessFactor:
             rho = w @ w.conj().swapaxes(-1, -2)
             ness = [self.exact_state(alpha, rate, digits=700) for rate in rates]
             assert np.abs(rho - ness).max() <= 1e-15
+
+
+class TestChains:
+    """The engine on Ising chains built by ising_chain."""
+
+    def test_the_open_pair_is_the_two_spin_system(self):
+        # -alpha Z Z - (X + X)/2 is the two-spin H conjugated by Z x Z, which
+        # keeps rho0 = |dd><dd|: conjugated back, its stationary state is
+        # twospin's factor W W^dagger, and at each time its reduced state and
+        # <dd|rho|dd> are twospin's closed forms
+        flip = np.diag([1.0, -1.0, -1.0, 1.0])
+        ts = np.array([0.0, 0.3, 2.0, 40.0])
+        for R, alpha in ((0.1, 0.0), (1.0, 1.0), (3.0, 10.0)):
+            h = ising_chain(2, alpha, 0.5, periodic=False)
+            sys = QuantumSystem(h, np.outer(DOWN_DOWN, DOWN_DOWN))
+            w_e, v3 = TestNessFactor.factor(np.array([alpha]), np.array([R]))
+            w = (v3[:, None] @ w_e)[0, 0]
+            ness = flip @ ness_density(sys, ResetSpec(R)) @ flip
+            assert np.abs(ness - w @ w.conj().T).max() <= 1e-14
+            rho = flip @ reset_density_stack(sys, R, ts) @ flip
+            dd = 1.0 - infidelity_reset_array(ts, R, alpha)
+            assert np.abs(rho[:, 3, 3].real - dd).max() <= 1e-14
+            for t, state in zip(ts, rho):
+                reduced = partial_trace(state, SPLIT)
+                assert np.abs(reduced - reduced_matrix(t, R, alpha)).max() <= 1e-14
+
+    def test_rate_limits_on_a_degenerate_ring(self):
+        # r -> infinity gives rho0; r -> 0+ keeps rho0's energy-basis entries
+        # within each of _clustered's clusters and drops the rest: each entry
+        # is off by at most max|omega|/r or r/(smallest gap), 1e-12, so an
+        # element by d = 16 times that (measured: 9.1e-14)
+        rng = np.random.default_rng(72)
+        psi = random_pure(rng, 16)
+        sys = QuantumSystem(ising_chain(4, 1.0, 0.6), np.outer(psi, psi.conj()))
+        energies, v = sys.eigensystem
+        clusters = _clustered(energies)
+        gaps = np.diff(clusters)
+        assert np.count_nonzero(gaps == 0.0) == 5
+        same = clusters[:, None] == clusters
+        dephased = v @ ((v.conj().T @ sys.rho0 @ v) * same) @ v.conj().T
+        slow = ness_density(sys, ResetSpec(1e-12 * gaps[gaps > 0.0].min()))
+        assert np.abs(slow - dephased).max() <= 1.6e-11
+        fast = ness_density(sys, ResetSpec(1e12 * (energies[-1] - energies[0])))
+        assert np.abs(fast - sys.rho0).max() <= 1.6e-11
+
+    def test_the_estimator_at_d_256(self):
+        # a ring of 8 spins: the largest of the 2 d^2 standardized deviations
+        # of the estimate from reset_density stays within 7 sigma (over
+        # master seeds 1000-1059 it read at most 4.3, median 2.7)
+        psi = random_pure(np.random.default_rng(256), 256)
+        sys = QuantumSystem(ising_chain(8, 1.0, 0.6), np.outer(psi, psi.conj()))
+        cfg = TrajectoryConfig(n_traj=1000, master_seed=256, t_final=2.0, rate=0.7)
+        exact = reset_density(sys, ResetSpec(cfg.rate), cfg.t_final)
+        z_re, z_im = standardized_deviations(estimate_density(sys, cfg), exact)
+        assert max(z_re.max(), z_im.max()) <= 7.0
 
 
 class TestPartialTrace:

@@ -149,6 +149,8 @@ class TestEvolveTrajectory:
             evolve_trajectory(sys, [1.0, 0.5], 2.0)
         with pytest.raises(ValueError):
             evolve_trajectory(sys, [2.5], 2.0)
+        with pytest.raises(ValueError, match="^t_final must be finite and >= 0, got inf$"):
+            evolve_trajectory(sys, [], math.inf)
 
 
 class TestEstimateDensity:
@@ -323,9 +325,10 @@ class TestEstimateDensity:
 
 class TestResetAges:
     @pytest.mark.parametrize("rate, t_final", [(0.01, 2.0), (1.0, 0.7), (1.0, 3.0),
-                                               (4.0, 25.0)])
+                                               (1.0, 6.0), (4.0, 25.0)])
     def test_matches_literal_event_lists(self, rate, t_final):
-        # r*t from 0.02 to 100: the atom at t_final dominates, then vanishes
+        # r*t from 0.02 to 100: the atom at t_final dominates, then vanishes;
+        # at r*t = 6 one literal list outruns its first 16 gaps and draws more
         n = 3000
         cfg = TrajectoryConfig(n_traj=n, master_seed=13, t_final=t_final, rate=rate)
         result = stats.ks_2samp(ages_of(cfg), oracle_ages(rate, t_final, n, 14))
