@@ -12,9 +12,9 @@ This module is the one place that says what a valid density matrix is
 it works on a stack of matrices with shape (..., d, d) and trusts its
 input, as stacks built from a validated system may be.  ``psd_sqrt``
 validates one matrix and takes its square root from that factor.
-``density_factor`` validates a density matrix with one eigendecomposition
-and keeps the nonzero columns of its factor, so a pure state gives a d x 1
-factor.
+``density_factor`` validates a density matrix and keeps the nonzero
+columns of its factor: a rank-one matrix gives its d x 1 factor from one
+column in O(d^2), any other takes one eigendecomposition.
 """
 
 from __future__ import annotations
@@ -153,16 +153,40 @@ def density_spectrum(rho) -> tuple[np.ndarray, np.ndarray]:
 def density_factor(rho) -> tuple[np.ndarray, np.ndarray]:
     """Validate ``rho`` as a density matrix (see :func:`density_spectrum`).
 
-    Returns the validated copy and its factor F = V sqrt(w), F F^dagger =
-    rho, with the eigenvalues flattened as in :func:`psd_factor_stack` and
-    only the nonzero columns kept (d x 1 for a pure state).  The PSD check
-    and the factor come from one ``eigh``.
+    Returns the validated copy and its factor F, F F^dagger = rho, with
+    only the nonzero columns kept.  A rank-one rho takes the d x 1 factor
+    of :func:`_rank_one_factor`, with no eigendecomposition; any other
+    takes F = V sqrt(w) from one ``eigh``, which also makes the PSD check,
+    with the eigenvalues flattened as in :func:`psd_factor_stack`.
     """
     m = _hermitian_unit_trace(rho)
+    f = _rank_one_factor(m)
+    if f is not None:
+        return m, f
     w, v = np.linalg.eigh(m)
     _require_psd_spectrum(w, "density matrix")
     keep = flatten_null(w) > 0.0
     return m, v[:, keep] * np.sqrt(w[keep])
+
+
+def _rank_one_factor(m: np.ndarray) -> np.ndarray | None:
+    """f = m[:, p] / sqrt(m_pp), p the largest diagonal entry (positive,
+    since the trace is one), as a d x 1 factor of the Hermitian ``m`` if the
+    residual R = m - f f^dagger has ||R||_F <= PSD_NULL_RTOL ||f||^2, else
+    None.  By Weyl every other eigenvalue of m is then within ||R||_F of
+    0: eigh would pass the PSD check and flatten them to zeros."""
+    diagonal = m.real.diagonal()
+    p = int(np.argmax(diagonal))
+    f = m[:, p:p + 1] / math.sqrt(diagonal[p])
+    with np.errstate(over="ignore", invalid="ignore"):
+        # entries far beyond the diagonal overflow: m is then not rank one
+        r = f * f.conj().T
+        np.subtract(m, r, out=r)
+        residual = math.sqrt(np.vdot(r.view(float), r.view(float)))
+        weight = float(np.vdot(f.view(float), f.view(float)))
+    if math.isfinite(weight) and residual <= PSD_NULL_RTOL * weight:
+        return f
+    return None
 
 
 def _hermitian_unit_trace(rho) -> np.ndarray:

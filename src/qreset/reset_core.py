@@ -97,12 +97,16 @@ class QuantumSystem:
 
     Construction validates the inputs (Hermitian Hamiltonian with a finite
     energy spread; Hermitian, PSD, trace-one rho0) and performs the
-    eigendecomposition of each once, the Hamiltonian's by the real solver
-    where its imaginary parts are all exactly zero.  rho0's gives
-    ``rho0_factor``, the nonzero columns of F0 = V sqrt(w) with
-    rho0 = F0 F0^dagger (d x 1 for a pure rho0).  _clustered takes the
-    degeneracy tolerance from the eigenvalues.  The instance is immutable
-    afterwards and safe to share across workers.
+    Hamiltonian's eigendecomposition once, by the real solver where its
+    imaginary parts are all exactly zero.  ``rho0_factor`` is F0 with
+    rho0 = F0 F0^dagger and only nonzero columns (``density_factor``): for a
+    pure rho0 the d x 1 column of rho0 through its largest diagonal entry,
+    scaled, with no eigendecomposition; otherwise V sqrt(w) from rho0's own.
+    rho0 enters the energy basis through its factor, as G G^dagger with
+    G = V^dagger F0, which is O(d^2) for a pure rho0; eigenvalues that the
+    factor flattens to zero are left out of the evolved states too.
+    _clustered takes the degeneracy tolerance from the eigenvalues.  The
+    instance is immutable afterwards and safe to share across workers.
     """
 
     def __init__(self, hamiltonian, rho0):
@@ -131,8 +135,10 @@ class QuantumSystem:
             raise ValueError(f"hamiltonian energy spread E_max - E_min = {spread} "
                              "is not finite")
         v = self.eigensystem.eigenvectors
-        # rho0 expressed in the energy basis; every producer below starts here.
-        self._rho0_energy = v.conj().T @ rho @ v
+        # rho0 expressed in the energy basis, from its factor; every producer
+        # below starts here.
+        g = v.conj().T @ factor
+        self._rho0_energy = g @ g.conj().T
         for arr in (self.hamiltonian, self.rho0, self.rho0_factor, self._rho0_energy,
                     self.eigensystem.eigenvalues, self.eigensystem.eigenvectors):
             arr.flags.writeable = False

@@ -88,8 +88,9 @@ def sample_reset_times(rate: float, t_final: float, stream: np.random.Generator)
 
 
 def _pure_state_of(sys: QuantumSystem) -> np.ndarray:
-    """|psi0> of a pure rho0: the last column of its factor, that of the
-    largest eigenvalue, whose squared norm it is; reject mixed initial states."""
+    """|psi0> of a pure rho0: the last column of its factor, the only one
+    for a rank-one rho0 and otherwise that of the largest eigenvalue, whose
+    squared norm it is to round-off; reject mixed initial states."""
     psi = sys.rho0_factor[:, -1]
     largest = float(np.vdot(psi, psi).real)
     if largest < 1.0 - 1e-12:

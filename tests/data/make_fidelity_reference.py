@@ -38,6 +38,14 @@ double entries, and c = V^dagger psi for the double psi normalised at 60
 digits, the fidelity to rho0 = psi psi^dagger is
 
     psi^dagger rho psi = sum_ij |c_i|^2 |c_j|^2 r^2 / (r^2 + (E_i - E_j)^2).
+
+Each chain row also has the stationary state's purity, the sum of |rho_kl|^2
+over rho = V (c_i c_j^* r / (r + i (E_i - E_j)))_ij V^dagger, and the entropy
+-tr(rho_A ln rho_A) in nats of its reduction to subsystem A, the slowest
+L // 2 spins (``qreset ness --split 2^(L//2):2^(L - L//2)``), from a 60-digit
+eigendecomposition of rho_A.  For the pure rho0 the purity equals the
+fidelity, since |r / (r + i w)|^2 = Re r / (r + i w); the two are computed
+apart, so each checks the other.
 """
 
 from __future__ import annotations
@@ -160,15 +168,32 @@ def product_vector(L: int, theta: float, phi: float) -> np.ndarray:
 
 
 def chain_fidelity(L: int, J: float, h: float, theta: float, phi: float,
-                   r: float) -> mpmath.mpf:
+                   r: float) -> tuple[mpmath.mpf, mpmath.mpf, mpmath.mpf]:
+    """The fidelity to rho0, the purity and the subsystem-A entropy of the
+    stationary state of a chain row."""
     energies, v = mpmath.eigsy(mpmath.matrix(ising_chain(L, J, h).real.tolist()))
     psi = _mp(product_vector(L, theta, phi)[:, None])
     psi /= mpmath.sqrt(sum(abs(x) ** 2 for x in psi))
     c = v.T * psi
     p = [abs(c[i]) ** 2 for i in range(c.rows)]
     r = mpmath.mpf(r)
-    return sum(p[i] * p[j] * r**2 / (r**2 + (energies[i] - energies[j]) ** 2)
-               for i in range(c.rows) for j in range(c.rows))
+    fidelity = sum(p[i] * p[j] * r**2 / (r**2 + (energies[i] - energies[j]) ** 2)
+                   for i in range(c.rows) for j in range(c.rows))
+    d = c.rows
+    rho_e = mpmath.matrix(d, d)
+    for i in range(d):
+        for j in range(d):
+            rho_e[i, j] = c[i] * mpmath.conj(c[j]) * r / mpmath.mpc(r, energies[i] - energies[j])
+    rho = v * rho_e * v.T
+    purity = sum(abs(rho[k, l]) ** 2 for k in range(d) for l in range(d))
+    dim_a, dim_b = 2 ** (L // 2), 2 ** (L - L // 2)
+    rho_a = mpmath.matrix(dim_a, dim_a)
+    for i in range(dim_a):
+        for j in range(dim_a):
+            rho_a[i, j] = sum(rho[i * dim_b + a, j * dim_b + a] for a in range(dim_b))
+    w = mpmath.eighe(rho_a, eigvals_only=True)
+    entropy = -sum(x * mpmath.log(x) for x in w if x > 0)
+    return fidelity, purity, entropy
 
 
 def chains(rng: np.random.Generator) -> list[dict]:
@@ -179,7 +204,9 @@ def chains(rng: np.random.Generator) -> list[dict]:
                    "theta": float(rng.uniform(0.2, 2.9)),
                    "phi": float(rng.uniform(0.0, 2 * np.pi)),
                    "r": float(10.0 ** rng.uniform(-2.0, 2.0))}
-            row["fidelity_rho0"] = mpmath.nstr(chain_fidelity(**row), 30)
+            values = chain_fidelity(**row)
+            for key, value in zip(("fidelity_rho0", "purity", "entropy_subsystem_a"), values):
+                row[key] = mpmath.nstr(value, 30)
             out.append(row)
     return out
 

@@ -183,18 +183,8 @@ class TestNess:
         assert proc.returncode == 0
         assert proc.stderr == ""
 
-    def test_generic_validates_rho0_once_and_trusts_the_stationary_state(
-            self, tmp_path, monkeypatch):
-        hpath = tmp_path / "h.json"
-        rpath = tmp_path / "rho.json"
-        rng = np.random.default_rng(61)
-        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        h = (a + a.conj().T) / 2
-        save_matrix(h, hpath)
-        psi = rng.normal(size=8) + 1j * rng.normal(size=8)
-        psi /= np.linalg.norm(psi)
-        rho0 = np.outer(psi, psi.conj())
-        save_matrix(rho0, rpath)
+    @staticmethod
+    def count_solver_calls(monkeypatch):
         calls = []
 
         def counted(name):
@@ -207,20 +197,55 @@ class TestNess:
 
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counted(name))
+        return calls
+
+    def test_generic_validates_rho0_once_and_trusts_the_stationary_state(
+            self, tmp_path, monkeypatch):
+        hpath = tmp_path / "h.json"
+        rpath = tmp_path / "rho.json"
+        rng = np.random.default_rng(61)
+        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        h = (a + a.conj().T) / 2
+        save_matrix(h, hpath)
+        psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+        psi /= np.linalg.norm(psi)
+        rho0 = np.outer(psi, psi.conj())
+        save_matrix(rho0, rpath)
+        calls = self.count_solver_calls(monkeypatch)
         out = tmp_path / "report.json"
         assert run(["ness", "--hamiltonian", str(hpath), "--rho0", str(rpath),
                     "--r", "0.7", "--split", "2:4", "--out", str(out)]) == 0
-        # rho0 and the Hamiltonian when the system is built, then only the
-        # (2, 2) reduction: the 1 x 1 F0^dagger rho F0 of the fidelity needs
-        # no eigensolver
+        # the pure rho0 is validated and factored from one column, so only
+        # the Hamiltonian when the system is built, then only the (2, 2)
+        # reduction: the 1 x 1 F0^dagger rho F0 of the fidelity needs no
+        # eigensolver
         assert [(name, m.shape) for name, m in calls] == [
-            ("eigh", (8, 8)), ("eigh", (8, 8)), ("eigvalsh", (2, 2))]
-        assert np.array_equal(calls[0][1], rho0)
-        assert np.array_equal(calls[1][1], h)
+            ("eigh", (8, 8)), ("eigvalsh", (2, 2))]
+        assert np.array_equal(calls[0][1], h)
         report = json.loads(out.read_text())
         rho = np.array(report["ness_matrix"]).view(complex).reshape(8, 8)
         assert report["purity"] == purity(rho)
         assert abs(report["fidelity_rho0"] - (psi.conj() @ rho @ psi).real) <= 4e-16
+
+    def test_generic_mixed_rho0_takes_one_eigendecomposition(self, tmp_path, monkeypatch):
+        hpath, rpath, out = tmp_path / "h.json", tmp_path / "rho.json", tmp_path / "out.json"
+        rng = np.random.default_rng(63)
+        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        h = (a + a.conj().T) / 2
+        save_matrix(h, hpath)
+        b = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+        rho0 = b @ b.conj().T
+        rho0 /= np.trace(rho0).real
+        save_matrix(rho0, rpath)
+        calls = self.count_solver_calls(monkeypatch)
+        assert run(["ness", "--hamiltonian", str(hpath), "--rho0", str(rpath),
+                    "--r", "0.7", "--split", "2:4", "--out", str(out)]) == 0
+        # rho0's one eigh and the Hamiltonian's, then the stationary state's
+        # for the factor W of the fidelity, then the (2, 2) reduction
+        assert [(name, m.shape) for name, m in calls] == [
+            ("eigh", (8, 8)), ("eigh", (8, 8)), ("eigh", (8, 8)), ("eigvalsh", (2, 2))]
+        assert np.array_equal(calls[0][1], rho0)
+        assert np.array_equal(calls[1][1], h)
 
     def test_generic_mixed_rho0_fidelity_is_the_nuclear_norm(self, tmp_path):
         # a rank-2 rho0: fidelity_rho0 is the squared nuclear norm of
@@ -240,25 +265,43 @@ class TestNess:
         expected = np.linalg.svd(crossed, compute_uv=False).sum() ** 2
         assert abs(report["fidelity_rho0"] - expected) <= 1e-14
 
-    def test_generic_fidelity_rho0_matches_the_50_digit_reference(self, tmp_path):
-        # tests/data/make_fidelity_reference.py writes the data: periodic
-        # Ising chains of L = 2..4 reset to a product state.  Through the
-        # square roots of rho and rho0 and one SVD the parent measured a worst
-        # error of 2.9e-15; through the d x 1 factor of rho0, 2.1e-15.
+    @staticmethod
+    def chain_errors(tmp_path):
+        """Largest |qreset ness - 50-digit value| of each reported chain
+        observable over the "chains" rows of fidelity_reference.json."""
         oracle = load_oracle()
         data = pathlib.Path(__file__).parent / "data" / "fidelity_reference.json"
         rows = json.loads(data.read_text())["chains"]
         assert sorted({row["L"] for row in rows}) == [2, 3, 4]
         hpath, rpath, out = tmp_path / "h.json", tmp_path / "rho.json", tmp_path / "out.json"
-        worst = 0.0
+        worst = dict.fromkeys(("fidelity_rho0", "purity", "entropy_subsystem_a"), 0.0)
         for row in rows:
-            save_matrix(oracle.ising_chain(row["L"], row["J"], row["h"]), hpath)
-            save_matrix(oracle.product_state(row["L"], row["theta"], row["phi"]), rpath)
+            L = row["L"]
+            save_matrix(oracle.ising_chain(L, row["J"], row["h"]), hpath)
+            save_matrix(oracle.product_state(L, row["theta"], row["phi"]), rpath)
             assert run(["ness", "--hamiltonian", str(hpath), "--rho0", str(rpath),
-                        "--r", repr(row["r"]), "--out", str(out)]) == 0
-            got = json.loads(out.read_text())["fidelity_rho0"]
-            worst = max(worst, abs(got - float(row["fidelity_rho0"])))
-        assert worst <= 2.9e-15
+                        "--r", repr(row["r"]), "--split", f"{2 ** (L // 2)}:{2 ** (L - L // 2)}",
+                        "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            for key in worst:
+                worst[key] = max(worst[key], abs(report[key] - float(row[key])))
+        return worst
+
+    def test_generic_fidelity_rho0_matches_the_50_digit_reference(self, tmp_path):
+        # tests/data/make_fidelity_reference.py writes the data: periodic
+        # Ising chains of L = 2..4 reset to a product state.  Through the
+        # square roots of rho and rho0 and one SVD a worst error of 2.9e-15
+        # was measured; through the d x 1 factor of rho0 from its eigh,
+        # 2.4e-15, and from its one column, 2.3e-15.
+        assert self.chain_errors(tmp_path)["fidelity_rho0"] <= 2.9e-15
+
+    def test_generic_purity_and_entropy_match_the_50_digit_reference(self, tmp_path):
+        # with rho0 in the energy basis as V^dagger rho0 V the worst errors
+        # read 4.3e-15 (purity) and 1.8e-15 (entropy); through the one
+        # column of the pure rho0, 4.7e-15 and 2.0e-15
+        worst = self.chain_errors(tmp_path)
+        assert worst["purity"] <= 1e-14
+        assert worst["entropy_subsystem_a"] <= 5e-15
 
     def test_generic_rejects_a_rho0_that_is_not_psd(self, tmp_path, capsys):
         hpath = tmp_path / "h.json"

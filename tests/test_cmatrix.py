@@ -5,6 +5,7 @@ from qreset.cmatrix import (
     HermitianEigensystem,
     as_cmatrix,
     as_density_matrix,
+    density_factor,
     density_spectrum,
     hermitian_eig,
     hermitize,
@@ -13,6 +14,8 @@ from qreset.cmatrix import (
     psd_sqrt,
     require_hermitian,
 )
+from qreset.reset_core import QuantumSystem
+from qreset.twospin import TwoSpinParams, quantum_system
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
@@ -224,3 +227,123 @@ class TestDensityValidation:
         density_spectrum(rho)
         von_neumann_entropy(rho)
         assert calls == [(4, 4)] * 3
+
+
+def random_pure(rng, dim):
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return psi / np.linalg.norm(psi)
+
+
+def product_vector(rng, n_qubits):
+    psi = np.ones(1, dtype=complex)
+    for _ in range(n_qubits):
+        psi = np.kron(psi, random_pure(rng, 2))
+    return psi
+
+
+def near_pure(rng, dim, second):
+    # (1 - second) psi psi^dagger + second phi phi^dagger, psi orthogonal to phi
+    q, _ = np.linalg.qr(rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2)))
+    return ((1.0 - second) * np.outer(q[:, 0], q[:, 0].conj())
+            + second * np.outer(q[:, 1], q[:, 1].conj()))
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The shapes of the matrices handed to np.linalg.eigh."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+class TestRankOneFactor:
+    """density_factor's rank-one route: a matrix whose residual after the
+    column through its largest diagonal entry is within PSD_NULL_RTOL ||f||^2
+    gives that one column with no eigendecomposition; any other matrix takes
+    one eigh, with today's checks and messages."""
+
+    PURE = ([("random", d) for d in (2, 3, 4, 8, 16, 64, 256)]
+            + [("product", d) for d in (2, 4, 16, 256)] + [("uniform", 256)])
+
+    @pytest.mark.parametrize("kind, dim", PURE)
+    def test_pure_states_take_one_column(self, eigh_calls, kind, dim):
+        rng = np.random.default_rng(dim)
+        if kind == "random":
+            psi = random_pure(rng, dim)
+        elif kind == "product":
+            psi = product_vector(rng, dim.bit_length() - 1)
+        else:
+            # every rho0_pp is 1/256: the tolerance scales with ||f||^2
+            # (here 1), not with the pivot
+            psi = np.full(dim, 1.0 / 16.0, dtype=complex)
+        rho = np.outer(psi, psi.conj())
+        m, f = density_factor(rho)
+        assert eigh_calls == []
+        assert f.shape == (dim, 1)
+        assert np.array_equal(m, rho)
+        assert np.abs(f @ f.conj().T - rho).max() <= 1e-15
+        assert abs(np.vdot(f, f).real - 1.0) <= 1e-14
+        # f is psi up to a phase
+        assert abs(abs(np.vdot(f[:, 0], psi)) - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("second, columns, eighs", [(1e-16, 1, 0), (1e-12, 2, 1)])
+    def test_near_pure_mixture(self, eigh_calls, second, columns, eighs):
+        rho = near_pure(np.random.default_rng(31), 8, second)
+        _, f = density_factor(rho)
+        assert f.shape == (8, columns)
+        assert eigh_calls == [(8, 8)] * eighs
+        assert np.abs(f @ f.conj().T - rho).max() <= 1e-15
+
+    def test_a_negative_diagonal_entry_is_refused_by_the_eigh_route(self, eigh_calls):
+        rho = np.diag([1.0 + 1e-9, 0.0, 0.0, -1e-9]).astype(complex)
+        with pytest.raises(ValueError, match=r"^density matrix not PSD: eigenvalue -1\.000e-09$"):
+            density_factor(rho)
+        assert eigh_calls == [(4, 4)]
+
+    def test_a_round_off_negative_eigenvalue_is_flattened(self, eigh_calls):
+        _, f = density_factor(np.diag([1.0 + 1e-12, 0.0, -1e-12]).astype(complex))
+        assert eigh_calls == [(3, 3)]
+        assert np.array_equal(np.abs(f[:, 0]), [1.0 + 5e-13, 0.0, 0.0])
+
+    @pytest.mark.parametrize("bad, message", [
+        # rank one but not Hermitian: psi phi^dagger with unit trace
+        ("non-Hermitian", "density matrix is not Hermitian"),
+        ("twice", "density matrix trace is"),
+    ])
+    def test_the_checks_before_it_come_first(self, eigh_calls, bad, message):
+        rng = np.random.default_rng(32)
+        psi, phi = random_pure(rng, 4), random_pure(rng, 4)
+        if bad == "non-Hermitian":
+            rho = np.outer(psi, phi.conj()) / np.vdot(phi, psi)
+        else:
+            rho = 2.0 * np.outer(psi, psi.conj())
+        with pytest.raises(ValueError, match=message):
+            density_factor(rho)
+        assert eigh_calls == []
+
+    def test_overflowing_residual_takes_the_eigh_route(self, eigh_calls):
+        # Hermitian with unit trace, entries far beyond the diagonal
+        rho = np.array([[0.5, 1e200], [1e200, 0.5]], dtype=complex)
+        with pytest.raises(ValueError, match="density matrix not PSD"):
+            density_factor(rho)
+        assert eigh_calls == [(2, 2)]
+
+    def test_generic_system_of_a_pure_rho0_takes_only_the_hamiltonians_eigh(
+            self, eigh_calls):
+        rng = np.random.default_rng(33)
+        h = hermitize(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
+        psi = random_pure(rng, 16)
+        sys = QuantumSystem(h, np.outer(psi, psi.conj()))
+        assert eigh_calls == [(16, 16)]
+        assert sys.rho0_factor.shape == (16, 1)
+
+    def test_two_spin_system_takes_only_the_hamiltonians_eigh(self, eigh_calls):
+        sys = quantum_system(TwoSpinParams.from_dimensionless(0.3, 1.7))
+        assert eigh_calls == [(4, 4)]
+        assert np.array_equal(sys.rho0_factor, [[0.0], [0.0], [0.0], [1.0]])

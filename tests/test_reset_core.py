@@ -13,6 +13,7 @@ from qreset.reset_core import (
     ResetSpec,
     SubsystemSplit,
     _clustered,
+    _kernels,
     ness_density,
     partial_trace,
     reset_density,
@@ -613,6 +614,31 @@ class TestNessDensity:
         fine = quadrature(16001)
         assert np.abs(fine - coarse).max() < 1e-8
         assert np.abs(fine - ness_density(sys, ResetSpec(rate))).max() < 1e-7
+
+    def test_evolves_the_flattened_rho0(self):
+        # rho0 has an eigenvalue of -1e-12, inside PSD_CLIP_TOL: its factor
+        # F0 leaves it out, and rho0 enters the energy basis as F0 F0^dagger,
+        # so the stationary state is that of F0 F0^dagger, which the fidelity
+        # already used; the finite-time state at t = 0 is still rho0 itself
+        rng = np.random.default_rng(47)
+        h = hermitize(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        w = np.array([-1e-12, 0.0, 0.1, 0.2, 0.3, 0.4 + 1e-12])
+        rho0 = hermitize((q * w) @ q.conj().T)
+        sys = QuantumSystem(h, rho0)
+        f = sys.rho0_factor
+        assert f.shape == (6, 4)
+        flattened = QuantumSystem(h, hermitize(f @ f.conj().T))
+        rate = ResetSpec(0.6)
+        assert np.abs(ness_density(sys, rate) - ness_density(flattened, rate)).max() <= 1e-15
+        # the unflattened rho0 in the energy basis moves it by about 1e-12
+        v = sys.eigensystem.eigenvectors
+        k, _ = _kernels(_clustered(sys.eigensystem.eigenvalues)[:, None]
+                        - _clustered(sys.eigensystem.eigenvalues), 0.6)
+        unflattened = v @ ((v.conj().T @ rho0 @ v) * k) @ v.conj().T
+        assert np.abs(ness_density(sys, rate) - unflattened).max() >= 1e-13
+        stack = reset_density_stack(sys, 0.6, [0.0, 1.0])
+        assert np.array_equal(stack[0], rho0)
 
     def test_non_commuting_limits(self):
         sys = two_spin_system(1.0, 1.0)
