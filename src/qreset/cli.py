@@ -287,11 +287,11 @@ def _cmd_mc_validate(args) -> int:
     _emit(args.out, write_json, [
         ("R", p.R),
         ("alpha", p.alpha),
-        ("t", report.t),
-        ("n_traj", report.n_traj),
-        ("compared_to", report.compared_to),
+        ("t", args.t),
+        ("n_traj", args.ntraj),
+        ("compared_to", args.against),
         ("max_std_dev", report.max_std_dev),
-        ("threshold", report.threshold),
+        ("threshold", args.threshold),
         ("passed", report.passed),
     ])
     return EXIT_OK if report.passed else EXIT_VALIDATION

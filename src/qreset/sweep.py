@@ -40,7 +40,7 @@ from .twospin import TwoSpinParams
 ALL_OBSERVABLES = ("entropy", "fidelity", "purity", "concurrence")
 
 # Standard errors at or below this are treated as "deterministic entry"
-# when standardizing Monte Carlo deviations; see mc_validate.
+# when standardizing Monte Carlo deviations; see worst_deviation.
 STDERR_FLOOR = 1e-12
 
 # A sweep evaluates its flat table in runs of _BLOCK_POINTS points.  With
@@ -291,32 +291,29 @@ def find_inflection(
 
 @dataclass(frozen=True)
 class McValidationReport:
+    """What mc_validate measured: the worst standardized deviation of the
+    estimate from the exact state, and whether it is within the threshold."""
+
     max_std_dev: float
-    threshold: float
     passed: bool
-    n_traj: int
-    t: float
-    compared_to: str  # "reset" or "ness"
 
 
-def standardized_deviations(estimate, exact: np.ndarray, tol: float = STDERR_FLOOR):
-    """Per-entry |estimate - exact| / stderr, real and imaginary separately,
-    with each stderr at least STDERR_FLOOR.
+def worst_deviation(estimate, exact: np.ndarray, tol: float = STDERR_FLOOR) -> float:
+    """The largest |estimate - exact| / stderr over every entry's real and
+    imaginary parts, each stderr taken at least STDERR_FLOOR, capped at the
+    largest finite float so that it stays a JSON number.
 
     Entries whose standard error is at or below STDERR_FLOOR are
-    deterministic up to round-off; they standardize to zero when the
-    deviation is within ``tol`` and to infinity otherwise.
+    deterministic up to round-off; they count 0 when the deviation is
+    within ``tol`` and the cap otherwise.
     """
-
-    def z(dev, err):
-        out = dev / np.maximum(err, STDERR_FLOOR)
-        deterministic = err <= STDERR_FLOOR
-        out[deterministic] = np.where(dev[deterministic] <= tol, 0.0, np.inf)
-        return out
-
-    z_re = z(np.abs(estimate.rho_hat.real - exact.real), estimate.stderr_re)
-    z_im = z(np.abs(estimate.rho_hat.imag - exact.imag), estimate.stderr_im)
-    return z_re, z_im
+    diff = estimate.rho_hat - exact
+    dev = np.abs(np.stack((diff.real, diff.imag)))
+    err = np.stack((estimate.stderr_re, estimate.stderr_im))
+    z = dev / np.maximum(err, STDERR_FLOOR)
+    deterministic = err <= STDERR_FLOOR
+    z[deterministic] = np.where(dev[deterministic] <= tol, 0.0, np.inf)
+    return float(min(z.max(), np.finfo(float).max))
 
 
 def mc_validate(
@@ -328,14 +325,16 @@ def mc_validate(
     threshold: float = 5.0,
 ) -> McValidationReport:
     """Run the trajectory estimator and compare it entrywise to the exact
-    density matrix at rescaled time t (or to the stationary one).
+    density matrix at rescaled time t (or to the stationary one), by
+    worst_deviation.
 
-    Deterministic entries are held to twice the engine's phase budget at
-    t_phys, since the engine and the estimator each round the phases once,
-    or to STDERR_FLOOR if that is larger.  One that misses it reports the largest finite float as
-    max_std_dev, so the report stays a JSON number and fails.  ValueError
-    for a config TrajectoryConfig refuses (n_traj < 2 among them), and
-    where the engine refuses t_phys."""
+    Both comparisons refuse by the engine's one rule: ValueError where the
+    phase budget b at t_phys reaches PHASE_BUDGET, as reset_density
+    refuses, before any trajectory runs.  Deterministic entries are held to
+    2b, since the engine and the estimator each round the phases once, or
+    to STDERR_FLOOR if that is larger; past the refusal 2b < 2**-25.
+    ValueError also for a config TrajectoryConfig refuses (n_traj < 2
+    among them) and for a state the engine refuses."""
     if not (math.isfinite(threshold) and threshold > 0.0):
         raise ValueError(f"threshold must be finite and > 0, got {threshold}")
     t_phys = t / p.omega
@@ -347,15 +346,8 @@ def mc_validate(
         exact = ness_density(sys, ResetSpec(p.r))
     else:
         raise ValueError(f"against must be 'reset' or 'ness', got {against!r}")
-    estimate = estimate_density(sys, cfg)
-    tol = max(STDERR_FLOOR, 2.0 * float(reset_core._phase_budget(sys, p.r, t_phys)))
-    z_re, z_im = standardized_deviations(estimate, exact, tol)
-    worst = float(min(max(z_re.max(), z_im.max()), np.finfo(float).max))
-    return McValidationReport(
-        max_std_dev=worst,
-        threshold=threshold,
-        passed=worst <= threshold,
-        n_traj=n_traj,
-        t=t,
-        compared_to=against,
-    )
+    budget = reset_core._phase_budget(sys, p.r, t_phys)
+    reset_core._require_phase_digits(budget, t_phys, p.r)
+    worst = worst_deviation(estimate_density(sys, cfg), exact,
+                            max(STDERR_FLOOR, 2.0 * float(budget)))
+    return McValidationReport(max_std_dev=worst, passed=worst <= threshold)

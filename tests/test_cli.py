@@ -1014,6 +1014,11 @@ def reruns(line):
     return line, 0, lambda out: out == console(line.split()).stdout
 
 
+def refuses_as(line, other):
+    """A row that exits 4 with the stderr line of the command line other."""
+    return line, 4, lambda err: err == console(other.split()).stderr
+
+
 @pytest.fixture(scope="module")
 def console_files(tmp_path_factory):
     """The rows' interchange files by name: a random H (h8) with a pure and
@@ -1044,10 +1049,11 @@ def console_files(tmp_path_factory):
 
 class TestConsole:
     """Command lines at the edges, each run as `python -W error -m
-    qreset.cli` in a fresh interpreter: the exit code; on exit 0 an empty
-    stderr, so no warning and no traceback; on exit 4 an empty stdout and
-    one stderr line that names the failure; and the row's check of stdout,
-    where it has one.  {name} is a file of console_files."""
+    qreset.cli` in a fresh interpreter: the exit code; on exit 0 or 2 an
+    empty stderr, so no warning and no traceback; on exit 4 an empty stdout
+    and one stderr line that names the failure; and the row's check, where
+    it has one, of stdout, or of that stderr line on exit 4.  {name} is a
+    file of console_files."""
 
     ROWS = [
         # rates over 600 decades, whose squares overflow, raise no warning
@@ -1086,6 +1092,13 @@ class TestConsole:
         # keep too few digits while exp(-r t) > 0
         ("mc-validate --R 0 --alpha 1 --t 1e15 --ntraj 100 --seed 0", 4, None),
         ("mc-validate --R 0 --alpha 1 --t 1e16 --ntraj 10", 4, None),
+        # the stationary comparison refuses where the finite-time one does,
+        # though every age is t and every standard error 0; at a time it
+        # keeps, such a run fails on the real mismatch
+        refuses_as("mc-validate --R 1e-300 --alpha 1 --t 1e200 --ntraj 10 --against ness",
+                   "mc-validate --R 1e-300 --alpha 1 --t 1e200 --ntraj 10 --against reset"),
+        ("mc-validate --R 1e-6 --alpha 1 --t 1 --ntraj 10 --against ness", 2,
+         lambda out: json.loads(out)["passed"] is False),
         ("timeseries --observables fidelity --R 0 --alpha 1 --grid-t 0:1e16:2", 4, None),
         ("timeseries --R 0 --alpha 1 --grid-t 0:1e16:2", 4, None),
         ("peak-r --t 1e17 --alpha 1 --r-bounds 1e-20:1", 4, None),
@@ -1139,12 +1152,13 @@ class TestConsole:
     def test_row(self, console_files, line, code, check):
         proc = console([arg.format(**console_files) for arg in line.split()])
         assert proc.returncode == code, proc.stderr
-        if code == 0:
-            assert proc.stderr == ""
-        else:
+        if code == 4:
             assert proc.stdout == ""
             assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-        assert check is None or check(proc.stdout), proc.stdout[-500:]
+        else:
+            assert proc.stderr == ""
+        printed = proc.stderr if code == 4 else proc.stdout
+        assert check is None or check(printed), printed[-500:]
 
 
 class TestParsing:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import random_density, random_pure
 
 from qreset.cmatrix import (
     HermitianEigensystem,
@@ -25,12 +26,6 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 def random_hermitian(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return hermitize(a)
-
-
-def random_density(rng, dim):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho)
 
 
 class TestValidation:
@@ -227,11 +222,6 @@ class TestDensityValidation:
         density_spectrum(rho)
         von_neumann_entropy(rho)
         assert calls == [(4, 4)] * 3
-
-
-def random_pure(rng, dim):
-    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return psi / np.linalg.norm(psi)
 
 
 def product_vector(rng, n_qubits):

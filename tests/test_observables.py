@@ -4,6 +4,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from helpers import BELL, DOWN, DOWN_DOWN, SPLIT, UP, random_density, random_pure
 
 from qreset.cmatrix import PSD_CLIP_TOL, density_factor, hermitize, psd_factor_stack
 from qreset.observables import (
@@ -19,38 +20,20 @@ from qreset.observables import (
     spin_flip,
     von_neumann_entropy,
 )
-from qreset.reset_core import ResetSpec, SubsystemSplit, ness_density, partial_trace
+from qreset.reset_core import ResetSpec, ness_density, partial_trace
 from qreset.twospin import TwoSpinParams, quantum_system
 
-SPLIT = SubsystemSplit(2, 2)
-
-UP = np.array([1.0, 0.0], dtype=complex)
-DOWN = np.array([0.0, 1.0], dtype=complex)
 UP_UP = np.kron(UP, UP)
-DOWN_DOWN = np.kron(DOWN, DOWN)
-BELL = (UP_UP + DOWN_DOWN) / np.sqrt(2.0)
 
 
 def projector(psi):
     return np.outer(psi, psi.conj())
 
 
-def random_density(rng, dim, rank=None):
-    rank = rank or dim
-    a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho)
-
-
 def random_unitary(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(a)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def random_pure(rng, dim):
-    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return psi / np.linalg.norm(psi)
 
 
 def ness_reduction(R, alpha):

@@ -3,6 +3,17 @@ import re
 import mpmath
 import numpy as np
 import pytest
+from helpers import (
+    BELL,
+    DOWN,
+    DOWN_DOWN,
+    SPLIT,
+    params,
+    random_density,
+    random_pure,
+    reduced_matrix,
+    two_spin_system,
+)
 from scipy.linalg import expm
 
 from qreset.cmatrix import hermitize
@@ -20,7 +31,7 @@ from qreset.reset_core import (
     reset_density_stack,
     unitary_evolve,
 )
-from qreset.sweep import standardized_deviations
+from qreset.sweep import worst_deviation
 from qreset.trajectories import TrajectoryConfig, estimate_density
 from qreset.twospin import (
     TwoSpinParams,
@@ -28,36 +39,7 @@ from qreset.twospin import (
     infidelity_reset_array,
     phase_budget,
     quantum_system,
-    reduced_state_array,
 )
-
-SPLIT = SubsystemSplit(2, 2)
-
-UP = np.array([1.0, 0.0], dtype=complex)
-DOWN = np.array([0.0, 1.0], dtype=complex)
-DOWN_DOWN = np.kron(DOWN, DOWN)
-BELL = (np.kron(UP, UP) + np.kron(DOWN, DOWN)) / np.sqrt(2.0)
-
-
-def two_spin_system(R=1.0, alpha=1.0):
-    return quantum_system(TwoSpinParams.from_dimensionless(R, alpha))
-
-
-def reduced_matrix(t, R, alpha):
-    # [[up, c], [c*, 1 - up]] of the two-spin transient closed form
-    up, c = (x.item() for x in reduced_state_array(np.array(t), np.array(R), np.array(alpha)))
-    return np.array([[up, c], [np.conj(c), 1.0 - up]])
-
-
-def random_pure(rng, dim):
-    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return psi / np.linalg.norm(psi)
-
-
-def random_density(rng, dim):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho)
 
 
 def assert_valid_density(rho, tol=1e-12):
@@ -327,7 +309,7 @@ class TestUnitaryEvolve:
         p = TwoSpinParams.from_dimensionless(1.0, 1.0)
         sys = quantum_system(p)
         reduced = partial_trace(unitary_evolve(sys, 0.7), SPLIT, "A")
-        assert np.abs(reduced - reduced_matrix(0.7, 0.0, p.alpha)).max() < 1e-12
+        assert np.abs(reduced - reduced_matrix(0.7, params(0.0, p.alpha))).max() < 1e-12
 
     def test_preserves_density_properties(self):
         sys = two_spin_system(alpha=2.0)
@@ -362,7 +344,7 @@ class TestResetDensity:
         p = TwoSpinParams.from_dimensionless(1.0, 1.0)
         sys = quantum_system(p)
         reduced = partial_trace(reset_density(sys, ResetSpec(1.0), 2.0), SPLIT, "A")
-        assert np.abs(reduced - reduced_matrix(2.0, 1.0, 1.0)).max() < 1e-10
+        assert np.abs(reduced - reduced_matrix(2.0, params(1.0, 1.0))).max() < 1e-10
 
     def test_preserves_density_properties(self):
         for R, alpha in [(0.1, 0.0), (1.0, 1.0), (5.0, 2.0)]:
@@ -783,7 +765,7 @@ class TestChains:
             assert np.abs(rho[:, 3, 3].real - dd).max() <= 1e-14
             for t, state in zip(ts, rho):
                 reduced = partial_trace(state, SPLIT)
-                assert np.abs(reduced - reduced_matrix(t, R, alpha)).max() <= 1e-14
+                assert np.abs(reduced - reduced_matrix(t, params(R, alpha))).max() <= 1e-14
 
     def test_rate_limits_on_a_degenerate_ring(self):
         # r -> infinity gives rho0; r -> 0+ keeps rho0's energy-basis entries
@@ -812,8 +794,7 @@ class TestChains:
         sys = QuantumSystem(ising_chain(8, 1.0, 0.6), np.outer(psi, psi.conj()))
         cfg = TrajectoryConfig(n_traj=1000, master_seed=256, t_final=2.0, rate=0.7)
         exact = reset_density(sys, ResetSpec(cfg.rate), cfg.t_final)
-        z_re, z_im = standardized_deviations(estimate_density(sys, cfg), exact)
-        assert max(z_re.max(), z_im.max()) <= 7.0
+        assert worst_deviation(estimate_density(sys, cfg), exact) <= 7.0
 
 
 class TestPartialTrace:

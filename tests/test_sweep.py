@@ -916,6 +916,23 @@ class TestMcValidate:
         with pytest.raises(ValueError):
             mc_validate(p, t=1.0, n_traj=10, seed=0, against="exact")
 
+    @pytest.mark.parametrize("R", [1e-300, 1e-12, 1.0])
+    @pytest.mark.parametrize("t", [1.0, 1e7, 1e13, 1e200])
+    def test_both_references_refuse_by_one_phase_budget(self, R, t):
+        # where few trajectories reset, every age is t, the standard errors
+        # are 0 and the tolerance is 2b: the stationary comparison must
+        # refuse where the finite-time one does, with its message
+        p = TwoSpinParams.from_dimensionless(R, 1.0)
+
+        def refusal(against):
+            try:
+                mc_validate(p, t=t, n_traj=10, seed=0, against=against)
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        assert refusal("ness") == refusal("reset")
+
     @pytest.mark.parametrize("t", [1e5, 1e6])
     def test_zero_rate_passes_at_long_times(self, t):
         # the trajectories are identical, so every standard error is 0 and

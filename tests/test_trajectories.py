@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import two_spin_system
 from scipy import stats
 
 from qreset.reset_core import QuantumSystem, ResetSpec, reset_density, unitary_evolve
@@ -14,17 +15,12 @@ from qreset.trajectories import (
     reset_age_chunks,
     sample_reset_times,
 )
-from qreset.twospin import TwoSpinParams, quantum_system
 
 MC_SEED = 20240817
 # One estimate's error at a single seed scatters by tens of percent, enough
 # to move a three-point slope fit out of its window about half the time; the
 # mean error over these seeds pins the slope to a few hundredths.
 SLOPE_SEEDS = range(MC_SEED, MC_SEED + 32)
-
-
-def two_spin_system(R=1.0, alpha=1.0):
-    return quantum_system(TwoSpinParams.from_dimensionless(R, alpha))
 
 
 def random_pure_system(d, seed):

@@ -6,6 +6,7 @@ import pathlib
 import mpmath
 import numpy as np
 import pytest
+from helpers import SPLIT, params, reduced_matrix
 
 from qreset import observables, twospin
 from qreset.observables import (
@@ -16,7 +17,6 @@ from qreset.observables import (
 from qreset.reset_core import (
     ResetSpec,
     _clustered,
-    SubsystemSplit,
     ness_density,
     partial_trace,
     reset_density,
@@ -41,8 +41,6 @@ from qreset.twospin import (
     scaling_function,
 )
 
-SPLIT = SubsystemSplit(2, 2)
-
 
 def ness_entropy(R, alpha):
     return ness_columns(R, alpha, ("entropy",))["entropy"]
@@ -59,16 +57,6 @@ def transient_entropy(t, R, alpha):
 R_GRID = (0.01, 0.1, 0.5, 1.0, 2.0, 10.0)
 ALPHA_GRID = (0.0, 0.5, 1.0, 2.0, 10.0)
 T_GRID = (0.0, 0.3, 1.0, 3.0, 10.0)
-
-
-def params(R, alpha):
-    return TwoSpinParams.from_dimensionless(R, alpha)
-
-
-def reduced_matrix(t, p):
-    # [[up, c], [c*, 1 - up]] of the transient closed form at rescaled time t
-    up, c = (x.item() for x in reduced_state_array(np.array(t), np.array(p.R), np.array(p.alpha)))
-    return np.array([[up, c], [np.conj(c), 1.0 - up]])
 
 
 def stationary_matrix(p):
