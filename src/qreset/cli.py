@@ -13,7 +13,9 @@ mc-validate  Monte Carlo trajectory check of the exact engine
 
 Parameters are either dimensionless (--R, --alpha; unit transverse field,
 rescaled time) or physical (--omega, --j, --r; all three together) -- the
-two styles are mutually exclusive.  Grids use lo:hi:n or lo:hi:n:log.
+two styles are mutually exclusive.  Grids use lo:hi:n or lo:hi:n:log, whose
+points are np.linspace's or np.geomspace's, bit for bit (sweep.spaced); the
+width hi - lo must not overflow.
 
 Generic Hamiltonian/state input uses a JSON interchange document:
 
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 
@@ -52,6 +55,7 @@ from .sweep import (
     find_inflection,
     mc_validate,
     optimize_concurrence,
+    spaced,
     sweep_records,
     timeseries,
 )
@@ -79,13 +83,13 @@ def _parse_grid(spec: str, name: str) -> np.ndarray:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ValueError(f"cannot parse {name} spec {spec!r}") from None
-    if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi or n < 1:
+    if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi or n < 1:
         raise ValueError(f"{name} needs finite lo <= hi and n >= 1, got {spec!r}")
-    if len(parts) == 4:
-        if lo <= 0:
-            raise ValueError(f"{name}: logarithmic spacing needs lo > 0")
-        return np.geomspace(lo, hi, n)
-    return np.linspace(lo, hi, n)
+    if len(parts) == 4 and lo <= 0:
+        raise ValueError(f"{name}: logarithmic spacing needs lo > 0")
+    if hi - lo == math.inf:
+        raise ValueError(f"{name}: the width hi - lo overflows, got {spec!r}")
+    return spaced(lo, hi, n, log=len(parts) == 4)
 
 
 def _parse_floats(spec: str, name: str, form: str) -> tuple[float, ...]:

@@ -7,15 +7,17 @@ losslessly and identical invocations produce byte-identical files.
 ``write_table`` every observable table.
 
 The table and matrix writers format each distinct magnitude once: one
-``np.unique`` over the values' bit patterns with the sign bit cleared finds
-them, each is printed with ``"%.17g"``, and a value whose sign bit is set
-takes its magnitude's string behind a ``"-"``.  The bytes are those of
-``format_float`` on every value: equal bits print equal strings, and
-``%.17g`` of a finite double is the string of its magnitude with a leading
-``-`` exactly when the sign bit is set (-0.0 prints ``-0``).  Most printed
-values repeat (Hermitian pairs and symmetries in a stationary matrix, tiled
-grid columns in a table), so the per-value cost of ``%.17g`` is paid per
-distinct magnitude.
+argsort of the values' bit patterns with the sign bit cleared finds them (a
+neighbour compare of the sorted patterns marks each first one, and a cumsum
+of the marks, scattered back through the sort, gives every value the index
+of its magnitude), each is printed with ``"%.17g"``, and a value whose sign
+bit is set takes its magnitude's string behind a ``"-"``.  The bytes are
+those of ``format_float`` on every value: equal bits print equal strings,
+and ``%.17g`` of a finite double is the string of its magnitude with a
+leading ``-`` exactly when the sign bit is set (-0.0 prints ``-0``).  Most
+printed values repeat (Hermitian pairs and symmetries in a stationary
+matrix, tiled grid columns in a table), so the per-value cost of ``%.17g``
+is paid per distinct magnitude.
 
 Matrix interchange document (JSON):
 
@@ -73,10 +75,24 @@ def _formatted(values: np.ndarray) -> tuple:
     """format_float of each value of a finite float64 array, in C order,
     formatting each distinct magnitude once (see the module docstring); a
     tuple, for "%" to take directly."""
-    flat = np.ravel(values)
-    magnitudes, inverse = np.unique(flat.view(np.uint64) & _MAGNITUDE, return_inverse=True)
+    flat = values.ravel()
+    bits = flat.view(np.uint64) & _MAGNITUDE
+    order = bits.argsort()
+    bits = bits[order]
+    first = np.empty(bits.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=first[1:])
+    magnitudes = bits[first].view(float)
+    # each sorted value's rank among the magnitudes, in the sorted bits'
+    # buffer, scattered back to the values' order
+    ranks = first.cumsum(out=bits.view(np.int64))
+    del first
+    ranks -= 1
+    inverse = np.empty_like(ranks)
+    inverse[order] = ranks
+    del order, bits, ranks
     # one "%" over a joined template; no formatted float holds a comma
-    strings = ("%.17g," * magnitudes.size % tuple(magnitudes.view(float).tolist())).split(",")
+    strings = ("%.17g," * magnitudes.size % tuple(magnitudes.tolist())).split(",")
     strings.pop()  # the empty string after the last comma
     strings = np.array(strings, dtype=object)[inverse]
     negative = np.signbit(flat)
@@ -141,11 +157,12 @@ def write_table(table, stream, fmt: str = "csv") -> None:
     with absent columns blank, or JSON lines with the present fields only.
 
     Values print as format_float prints them.  Rows go out in chunks of
-    ``_WRITE_ROWS``: the chunk's columns are stacked row-major, formatted
-    by ``_formatted`` (each distinct magnitude once, bytes equal to
-    format_float's), and written by one "%" over the row template repeated
-    for the chunk.  A non-finite value or columns of unequal length raise
-    ValueError, naming the column, before any byte is written."""
+    ``_WRITE_ROWS``: the chunk's columns are assigned one by one into a
+    row-major array, formatted by ``_formatted`` (each distinct magnitude
+    once, bytes equal to format_float's), and written by one "%" over the
+    row template repeated for the chunk.  A non-finite value or columns of
+    unequal length raise ValueError, naming the column, before any byte is
+    written."""
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"format must be 'csv' or 'jsonl', got {fmt!r}")
     names = [name for name in FIELD_NAMES if name in table]
@@ -165,8 +182,11 @@ def write_table(table, stream, fmt: str = "csv") -> None:
     else:
         row = "{" + ", ".join(f'"{name}": %s' for name in names) + "}"
     row += "\n"
-    for start in range(0, len(columns[0]) if columns else 0, _WRITE_ROWS):
-        chunk = np.stack([c[start:start + _WRITE_ROWS] for c in columns], axis=1)
+    n = len(columns[0]) if columns else 0
+    for start in range(0, n, _WRITE_ROWS):
+        chunk = np.empty((min(n - start, _WRITE_ROWS), len(columns)))
+        for k, c in enumerate(columns):
+            chunk[:, k] = c[start:start + _WRITE_ROWS]
         stream.write(row * len(chunk) % _formatted(chunk))
 
 

@@ -14,9 +14,11 @@ coupling.  A time series takes its entropy and fidelity columns from one
 call of the transient closed forms (``twospin.finite_time_columns``), and
 the entropy peak search each round of probes; both refuse the times at
 which the transient's phases keep too few digits (``twospin.phase_budget``,
-by ``reset_core``'s one rule).  A round's probes are np.geomspace's, bit
-for bit, from its arithmetic alone (``_probes``): its argument handling
-costs several times the arithmetic.
+by ``reset_core``'s one rule).  ``spaced`` is the one spacing of points:
+np.linspace's or np.geomspace's, bit for bit, from their arithmetic alone,
+since their argument handling costs several times the arithmetic.  A
+round's probes are its 65 geometric points, and the command line's grids
+are its points too.
 
 Each column is in range by construction and is not checked again: an
 entropy is ``_spin_entropy`` of v clipped to [0, 1], so in [0, ln 2]; a
@@ -96,8 +98,9 @@ def sweep_records(grid: SweepGrid) -> dict[str, np.ndarray]:
     observables, alpha-outer / rate-inner row-major order, each in range
     by construction (entropy in [0, ln 2], the others in [0, 1])."""
     observables, n_r, n_alpha = grid.observables, grid.r_values.size, grid.alpha_values.size
-    table = {"r": np.tile(grid.r_values, n_alpha),
-             "alpha": np.repeat(grid.alpha_values, n_r)}
+    r = np.empty(n_r * n_alpha)
+    r.reshape(n_alpha, n_r)[:] = grid.r_values
+    table = {"r": r, "alpha": grid.alpha_values.repeat(n_r)}
     table.update((name, np.empty(n_r * n_alpha)) for name in observables)
     for start in range(0, n_r * n_alpha, _BLOCK_POINTS):
         block = slice(start, start + _BLOCK_POINTS)
@@ -148,28 +151,42 @@ class OptimizeResult:
 
 
 _PROBES = 65  # probes per round of _bracketed_max
-_PROBE_INDEX = np.arange(float(_PROBES))
 
 
-def _probes(a, b) -> np.ndarray:
-    """np.geomspace(a, b, _PROBES) for 0 < a < b, bit for bit: its own
-    arithmetic without its argument handling.  The logs of the ends are
-    spread linearly, as np.linspace spreads them, with the last set to
-    log10(b); the probes are 10 to those powers, with both ends set
-    exactly."""
-    log_a, log_b = np.log10(a), np.log10(b)
-    delta = log_b - log_a
-    step = delta / (_PROBES - 1)
-    if step == 0.0:
-        # np.linspace's branch for a zero step: the logs of the ends are equal
-        y = _PROBE_INDEX / (_PROBES - 1) * delta
+def spaced(lo, hi, n: int, log: bool = False) -> np.ndarray:
+    """np.linspace(lo, hi, n), or np.geomspace(lo, hi, n) with ``log``, bit
+    for bit, for finite lo <= hi whose width hi - lo is finite (0 < lo with
+    ``log``) and n >= 1: their own arithmetic without their argument
+    handling, which costs several times the arithmetic.
+
+    A geometric spacing spreads log10(lo) and log10(hi) linearly and takes
+    10 to those powers.  The linear spread follows np.linspace's three
+    branches: n = 1 (the one point is 0 * width + lo, so lo = -0.0 gives
+    0.0), a step that underflows to 0, and any other step.  Its last point
+    is set to hi, and a geometric one's first to lo; the last point's
+    product and power are never formed, so they cannot overflow, and an
+    interior power that overflows (only within a few ulps of the largest
+    float) is inf without a warning."""
+    a, b = (np.log10(lo), np.log10(hi)) if log else (lo, hi)
+    y = np.arange(n, dtype=float)
+    y[-1] = 0.0  # for n > 1 the last point is hi, set below, never computed
+    div = n - 1
+    if div == 0:
+        y *= b - a
+    elif (b - a) / div == 0.0:
+        # a width of 0 or too small for its step: np.linspace scales by it last
+        y /= div
+        y *= b - a
     else:
-        y = _PROBE_INDEX * step
-    y += log_a
-    y[-1] = log_b
-    xs = 10.0 ** y
-    xs[0], xs[-1] = a, b
-    return xs
+        y *= (b - a) / div
+    y += a
+    if log:
+        with np.errstate(over="ignore"):
+            np.power(10.0, y, out=y)
+        y[0] = lo
+    if div:
+        y[-1] = hi
+    return y
 
 
 def _bracketed_max(
@@ -194,7 +211,7 @@ def _bracketed_max(
         raise ValueError(f"need finite 0 < r_lo < r_hi, got ({lo}, {hi})")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be finite and > 0, got {tol}")
-    xs, best = _probes(lo, hi), None
+    xs, best = spaced(lo, hi, _PROBES, log=True), None
     while True:
         vals = np.asarray(f(xs), dtype=float)
         i = int(vals.argmax())
@@ -205,7 +222,7 @@ def _bracketed_max(
         if best is None or vals[i] > best.value:
             best = OptimizeResult(x=float(xs[i]), value=float(vals[i]), flag="interior")
         x, a, b = xs[i], xs[max(i - 1, 0)], xs[min(i + 1, _PROBES - 1)]
-        xs = _probes(a, b)
+        xs = spaced(a, b, _PROBES, log=True)
         if max(x - a, b - x) <= 0.5 * tol or not (xs[1:] > xs[:-1]).all():
             return best
 

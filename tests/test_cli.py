@@ -997,6 +997,13 @@ class TestConfigErrors:
         assert captured.err.startswith("error: Unable to allocate")
         assert captured.err.count("\n") == 1
 
+    # 10^400 points, beyond any size numpy takes and beyond the float range
+    @pytest.mark.parametrize("spec", ["0.1:1:1" + "0" * 400, "0.1:1:1" + "0" * 400 + ":log"],
+                             ids=["linear", "log"])
+    def test_a_grid_beyond_numpy_sizes(self, capsys, spec):
+        assert run(["sweep", "--grid-r", spec, "--grid-alpha", "0:1:1"]) == 4
+        assert capsys.readouterr() == ("", "error: Maximum allowed size exceeded\n")
+
 
 def console(args):
     return run_process(args, timeout=60, interpreter_flags=("-W", "error"))
@@ -1143,6 +1150,27 @@ class TestConsole:
         ("ness --hamiltonian {h8} --rho0 {deep} --r 1", 4, None),
         ("ness --hamiltonian {wide} --rho0 {low} --r 1", 4, None),
         ("ness --R 1 --alpha 1.7e308 --observables purity,concurrence", 4, None),
+        # a linear grid whose width hi - lo overflows is refused by its flag,
+        # before any point is formed
+        *((line, 4, lambda err, flag=flag: err.startswith(f"error: {flag}: the width hi - lo "
+                                                           "overflows"))
+          for line, flag in (
+              ("sweep --grid-r 0.1:1:2 --grid-alpha=-1e308:1e308:3", "--grid-alpha"),
+              ("sweep --grid-r=-1e308:1e308:2 --grid-alpha 0:1:1", "--grid-r"),
+              ("timeseries --R 1 --alpha 1 --grid-t=-1e308:1e308:3", "--grid-t"))),
+        # grids that end at the largest float, where np.linspace's last product
+        # and np.geomspace's last power overflow (with a warning) before the
+        # end replaces them; their points are numpy's
+        *((line, 0, lambda out, column=column, grid=grid: [
+            row.split(",")[column] for row in out.splitlines()[1:]] == grid)
+          for line, column, grid in (
+              ("timeseries --R 1 --alpha 1 --grid-t 0:1.7976931348623157e308:4 "
+               "--observables fidelity", 2,
+               ["0", "5.9923104495410527e+307", "1.1984620899082105e+308",
+                "1.7976931348623157e+308"]),
+              ("sweep --grid-r 1:1.7976931348623157e308:3:log --grid-alpha 0:1:1 "
+               "--observables purity,concurrence", 0,
+               ["1", "1.3407807929942642e+154", "1.7976931348623157e+308"]))),
         # 10^15 points: numpy refuses the allocation at once
         ("sweep --grid-r 0.1:1:1000000000000000:log --grid-alpha 0:1:1", 4, None),
         ("timeseries --R 1 --alpha 1 --grid-t 0:1:1000000000000000", 4, None),

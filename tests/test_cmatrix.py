@@ -81,6 +81,14 @@ class TestRequireHermitian:
         assert max_entry(np.zeros((2, 2))) == 0.0
         assert np.isnan(max_entry(np.array([[1.0, np.nan]])))
 
+    def test_real_matrix_judged_as_given(self):
+        # a real input within tolerance passes and is left as given
+        a = np.array([[1.0, 1e-17], [0.0, 1.0]])
+        require_hermitian(a)
+        assert a.tolist() == [[1.0, 1e-17], [0.0, 1.0]]
+        with pytest.raises(ValueError, match=r"deviation 1\.414e\+00"):
+            require_hermitian(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
 
 class TestHermitianEig:
     def test_identity(self):

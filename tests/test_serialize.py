@@ -76,6 +76,27 @@ class TestFormattedValues:
         assert serialize._formatted(np.full(7, -2.5)) == ("-2.5",) * 7
         assert serialize._formatted(np.empty(0)) == ()
 
+    def test_edge_values_and_their_repeats(self):
+        rng = np.random.default_rng(73)
+        edges = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                          -1e-310, 1.7976931348623157e308, -1.7976931348623157e308, 1.0])
+        x = edges[rng.integers(0, edges.size, size=(300, 7))]
+        assert serialize._formatted(x) == self.per_value(x)
+        for value in edges.tolist():
+            assert serialize._formatted(np.array([value])) == (format_float(value),)
+            assert serialize._formatted(np.full((4, 3), value)) == (format_float(value),) * 12
+
+    @pytest.mark.parametrize("rows", [1023, 1024, 1025])
+    def test_tables_around_the_chunk_size(self, rows):
+        assert serialize._WRITE_ROWS == 1024
+        rng = np.random.default_rng(rows)
+        pool = np.array([0.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1, -0.1, 1.0 / 3.0])
+        table = {name: pool[rng.integers(0, pool.size, rows)] for name in FIELD_NAMES}
+        table["t"] = rng.normal(size=rows)
+        expected = "".join(",".join(format_float(v) for v in row) + "\n"
+                           for row in zip(*(c.tolist() for c in table.values())))
+        assert written(table, "csv") == CSV_HEADER + "\n" + expected
+
 
 class TestRecordLines:
     """The bytes of write_table, pinned literally."""

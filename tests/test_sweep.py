@@ -89,10 +89,86 @@ class TestSweepGrid:
             assert axis.tolist() == expected
 
 
+def numpy_spacing(lo, hi, n, log):
+    # numpy warns where a last product or power overflows before it is
+    # replaced by hi; spaced forms neither
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (np.geomspace if log else np.linspace)(lo, hi, n)
+
+
+def assert_bits_equal(lo, hi, n, log=False):
+    got, expected = sweep.spaced(lo, hi, n, log), numpy_spacing(lo, hi, n, log)
+    assert got.dtype == np.float64 and got.shape == (n,)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), (lo, hi, n, log)
+
+
+class TestSpaced:
+    """sweep.spaced(lo, hi, n, log) is np.linspace(lo, hi, n), or with log
+    np.geomspace(lo, hi, n), bit for bit, from their arithmetic without
+    their argument handling, so grids and the probe rounds do not change
+    with it; it raises no numpy warning (the suite makes one an error)."""
+
+    SMALLEST = 5e-324
+    LARGEST = np.finfo(float).max
+
+    @pytest.mark.parametrize("log", [False, True])
+    def test_random_ends_over_the_float_range(self, log):
+        rng = np.random.default_rng(35)
+        mags = 10.0 ** rng.uniform(-323.0, 308.25, (4000, 2))
+        if not log:
+            mags *= rng.choice([-1.0, 1.0], mags.shape)
+        ends = np.sort(mags, axis=1)
+        if not log:
+            # ends of either sign, whose widths reach the largest float
+            ends = ends[np.isfinite(ends[:, 1] - ends[:, 0])]
+        ns = rng.integers(1, 200, len(ends)).tolist()
+        assert len(ends) > 3000
+        for (lo, hi), n in zip(ends.tolist(), ns):
+            assert_bits_equal(lo, hi, n, log)
+
+    @pytest.mark.parametrize("log", [False, True])
+    def test_one_point_and_equal_ends(self, log):
+        for lo, hi in ((1.0, 10.0), (0.1, 0.1), (3.0, 3.0), (1e-300, 1e300), (7e307, 7e307)):
+            for n in (1, 2, 3, 65):
+                assert_bits_equal(lo, hi, n, log)
+        for n in (1, 2, 5):
+            assert_bits_equal(-2.5, -2.5, n)
+            assert_bits_equal(0.0, 0.0, n)
+
+    def test_negative_zero_lo(self):
+        # np.linspace's one point is 0 * width + lo: 0.0, never -0.0
+        for hi in (-0.0, 0.0, 1.0):
+            for n in (1, 2, 3, 4):
+                assert_bits_equal(-0.0, hi, n)
+        assert math.copysign(1.0, sweep.spaced(-0.0, 1.0, 1)[0]) == 1.0
+
+    def test_subnormal_ends(self):
+        for lo, hi in ((self.SMALLEST, 1e-323), (self.SMALLEST, 3e-320), (-1e-323, 2e-323),
+                       (self.SMALLEST, 1.0), (1e-320, 1e308), (self.SMALLEST, self.LARGEST)):
+            for n in (1, 2, 3, 7, 65, 1000):
+                assert_bits_equal(lo, hi, n)
+                if lo > 0.0:
+                    assert_bits_equal(lo, hi, n, log=True)
+        # the step of (SMALLEST, 1e-323) over 3 points underflows to 0: its
+        # points take np.linspace's branch for that
+        assert (1e-323 - self.SMALLEST) / 2 == 0.0
+
+    def test_overflowing_last_points_raise_no_warning(self):
+        # np.linspace's last product and np.geomspace's last power overflow
+        # here, and np.geomspace's interior powers of a bracket a few ulps
+        # below the largest float
+        half = self.LARGEST / 2
+        for n in (2, 3, 4, 7, 65):
+            assert_bits_equal(-half, half, n)
+            assert_bits_equal(1.0, self.LARGEST, n, log=True)
+            assert_bits_equal(np.nextafter(self.LARGEST, 0.0), self.LARGEST, n, log=True)
+        assert np.isinf(sweep.spaced(np.nextafter(self.LARGEST, 0.0), self.LARGEST, 3, True)[1])
+
+
 class TestProbes:
-    """sweep._probes(a, b) is np.geomspace(a, b, 65) bit for bit, from its
-    arithmetic without its argument handling, so the probe rounds and the
-    optimizers' output bytes do not change with it."""
+    """A probe round is sweep.spaced(a, b, 65, log=True): np.geomspace's
+    probes bit for bit, so the probe rounds and the optimizers' output bytes
+    do not change with it."""
 
     @staticmethod
     def brackets():
@@ -116,9 +192,7 @@ class TestProbes:
         assert len(brackets) >= 10_000
         equal_logs = 0
         for a, b in brackets:
-            expected = np.geomspace(a, b, sweep._PROBES)
-            assert np.array_equal(sweep._probes(a, b).view(np.uint64),
-                                  expected.view(np.uint64)), (a, b)
+            assert_bits_equal(a, b, sweep._PROBES, log=True)
             equal_logs += bool(np.log10(a) == np.log10(b))
         # the step == 0 branch
         assert equal_logs >= 100
@@ -127,7 +201,7 @@ class TestProbes:
         # the probes between the ends repeat one float, so the bracket is flat
         a, b = 1e300, 1.0000000000000002e300
         assert np.log10(a) == np.log10(b)
-        assert np.unique(sweep._probes(a, b)[1:-1]).size == 1
+        assert np.unique(sweep.spaced(a, b, sweep._PROBES, log=True)[1:-1]).size == 1
         assert optimize_concurrence(7.0, a, b).flag == "degenerate"
 
 
