@@ -27,6 +27,16 @@ PSD, unit trace for density matrices).
 
 Exit codes: 0 success, 2 Monte Carlo mismatch (mc-validate only), 3 solver
 failure, 4 configuration or I/O error, a grid too large to allocate included.
+
+Reading the command line (a note for readers of the source; the help text
+ends above).  build_parser declares the grammar once, with argparse.  A
+command line of the plain form, COMMAND then pairs --flag value in which
+every flag is the exact name of one of COMMAND's single-valued options and
+no value starts with '-', is read in one pass through a flag table taken
+from those declarations (_read_plain), to the namespace argparse would
+give.  Any other command line, and one whose value the option's type or
+choices refuse, goes to argparse's parse_args as it is: help, usage and
+error messages are argparse's, unchanged.
 """
 
 from __future__ import annotations
@@ -67,7 +77,40 @@ EXIT_SOLVER = 3
 EXIT_CONFIG = 4
 
 
+# the keywords of a plain option: a store option of one value, which
+# _read_plain reads as argparse would
+_PLAIN_KEYWORDS = frozenset({"default", "type", "choices", "required", "help", "metavar",
+                             "dest"})
+
+
 class _Parser(argparse.ArgumentParser):
+    """argparse's parser, keeping what _plain_commands reads of the grammar
+    declared on it: in ``declared`` each action that its add_argument and
+    add_subparsers returned, with whether it is a plain option; in
+    ``preset`` the names that its set_defaults set; and in ``subcommands``
+    the parsers of its subcommands by name.  An option added through an
+    argument group or a parent parser is not kept, so build_parser adds
+    none that way."""
+
+    def __init__(self, *args, **kwargs):
+        self.declared, self.preset, self.subcommands = [], [], {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.declared.append((action, kwargs.keys() <= _PLAIN_KEYWORDS))
+        return action
+
+    def add_subparsers(self, **kwargs):
+        action = super().add_subparsers(**kwargs)
+        self.declared.append((action, False))
+        self.subcommands = action.choices
+        return action
+
+    def set_defaults(self, **kwargs):
+        super().set_defaults(**kwargs)
+        self.preset.extend(kwargs)
+
     # argparse exits with 2 on bad arguments; remap to the config code.
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -89,7 +132,13 @@ def _parse_grid(spec: str, name: str) -> np.ndarray:
         raise ValueError(f"{name}: logarithmic spacing needs lo > 0")
     if hi - lo == math.inf:
         raise ValueError(f"{name}: the width hi - lo overflows, got {spec!r}")
-    return spaced(lo, hi, n, log=len(parts) == 4)
+    points = spaced(lo, hi, n, log=len(parts) == 4)
+    # a log grid's interior powers can round past the largest float (ends
+    # within about 1e-13 of it); they ascend, so the last one is the largest
+    if n > 2 and points[-2] == math.inf:
+        raise ValueError(f"{name}: a point of the grid rounds past the largest float, "
+                         f"got {spec!r}")
+    return points
 
 
 def _parse_floats(spec: str, name: str, form: str) -> tuple[float, ...]:
@@ -304,7 +353,9 @@ def _cmd_mc_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="qreset", description=__doc__,
+    # the help text is the module docstring up to its note on reading argv
+    description = __doc__.partition("\n\nReading the command line")[0]
+    parser = _Parser(prog="qreset", description=description,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     tol_help = ("tolerance on the rate (default 1e-8); below about 1e-8 relative to "
@@ -383,17 +434,88 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    # one parser per process: parsing leaves it unchanged, and building it
-    # costs about as much as a small job
+    # one parser per process, and one flag table read from it
+    # (_plain_commands), built at the first call, not at import: parsing
+    # leaves the parser unchanged, and building it costs about as much as a
+    # small job
     return build_parser()
+
+
+def _initial_values(parser: _Parser) -> dict:
+    """The namespace entries argparse sets before it reads an argument:
+    each action's default, then each set_defaults name that no action has."""
+    values = {}
+    for action, _ in parser.declared:
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            values.setdefault(action.dest, action.default)
+    for name in parser.preset:
+        values.setdefault(name, parser.get_default(name))
+    return values
+
+
+@functools.cache
+def _plain_commands() -> dict:
+    """The flag table: for each subcommand that takes only options, its name
+    -> (its plain options by option string, the namespace before any option
+    is read, its required options)."""
+    parser = _parser()
+    table = {}
+    for name, sp in parser.subcommands.items():
+        if not all(action.option_strings for action, _ in sp.declared):
+            continue
+        values = _initial_values(parser)
+        values["command"] = name
+        values.update(_initial_values(sp))
+        for action, _ in sp.declared:
+            # argparse converts a string default of an option not given by
+            # its type, as it would convert that string on the command line
+            if (isinstance(action.default, str) and action.type is not None
+                    and values.get(action.dest) is action.default):
+                values[action.dest] = action.type(action.default)
+        flags = {flag: action for action, plain in sp.declared if plain
+                 for flag in action.option_strings}
+        required = {action for action, _ in (*parser.declared, *sp.declared) if action.required}
+        table[name] = flags, values, required
+    return table
+
+
+def _read_plain(argv: list) -> argparse.Namespace | None:
+    """parse_args(argv)'s namespace where argv is COMMAND then pairs --flag
+    value: each flag exactly the option string of one of COMMAND's plain
+    options, no value starting with '-', and every value one that its
+    option's type and choices take.  None for any other argv, which
+    argparse then reads, with its help, usage and error messages."""
+    command = _plain_commands().get(argv[0]) if len(argv) % 2 else None
+    if command is None:
+        return None
+    flags, initial, required = command
+    values, given = dict(initial), set()
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        action = flags.get(flag)
+        if action is None or text.startswith("-"):
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+        given.add(action)
+    if not required <= given:
+        return None
+    return argparse.Namespace(**values)
 
 
 def main(argv=None) -> int:
     parser = _parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_plain(argv)
+    if args is None:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     if not hasattr(args, "func"):
         parser.print_usage(sys.stderr)
         return EXIT_CONFIG

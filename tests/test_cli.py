@@ -1,9 +1,13 @@
+import argparse
 import dataclasses
 import importlib.util
 import json
 import math
 import os
 import pathlib
+import random
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -1171,6 +1175,17 @@ class TestConsole:
               ("sweep --grid-r 1:1.7976931348623157e308:3:log --grid-alpha 0:1:1 "
                "--observables purity,concurrence", 0,
                ["1", "1.3407807929942642e+154", "1.7976931348623157e+308"]))),
+        # a log grid whose ends lie within about 1e-13 of the largest float,
+        # whose interior powers round past it, is refused by its flag
+        *((line, 4, lambda err, flag=flag: err.startswith(f"error: {flag}: a point of the "
+                                                           "grid rounds past the largest float"))
+          for line, flag in (
+              ("sweep --grid-r 1.7976931348623155e308:1.7976931348623157e308:3:log "
+               "--grid-alpha 0:1:1", "--grid-r"),
+              ("sweep --grid-r 0.1:1:2 "
+               "--grid-alpha 1.7976931348623155e308:1.7976931348623157e308:4:log", "--grid-alpha"),
+              ("timeseries --R 1 --alpha 1 "
+               "--grid-t 1.7976931348623155e308:1.7976931348623157e308:3:log", "--grid-t"))),
         # 10^15 points: numpy refuses the allocation at once
         ("sweep --grid-r 0.1:1:1000000000000000:log --grid-alpha 0:1:1", 4, None),
         ("timeseries --R 1 --alpha 1 --grid-t 0:1:1000000000000000", 4, None),
@@ -1246,3 +1261,203 @@ class TestParsing:
         assert bad_first == good_first
         assert all(rc == 4 and err for rc, _, err in (bad_first[tuple(a)] for a in bad))
         assert all(rc == 0 and out for rc, out, _ in (bad_first[tuple(a)] for a in good))
+
+
+# one command line per subcommand in the benchmark's forms; {out} is the
+# output path
+BENCHMARK_LINES = [
+    "sweep --grid-r 0.0123:4.56:40:log --grid-alpha 0.5:2.5:4 --format jsonl --out {out}",
+    "sweep --grid-r 0.0123:4.56:40:log --grid-alpha 0.5:2.5:2 --format csv --threads 2 "
+    "--out {out}",
+    "timeseries --R 0.7 --alpha 1.3 --grid-t 0:12.5:11 --observables entropy --out {out}",
+    "timeseries --R 0.7 --alpha 1.3 --grid-t 0:12.5:11 --observables entropy,fidelity "
+    "--format jsonl --out {out}",
+    "optimize --alpha 3.2 --r-bounds 0.01:10.0 --tol 1e-05 --out {out}",
+    "peak-r --t 4.5 --alpha 0.3 --r-bounds 0.001:3.0 --tol 1e-06 --out {out}",
+    "critical --out {out}",
+    "mc-validate --R 0.8 --alpha 1.2 --t 3.5 --ntraj 4000 --seed 12 --against reset "
+    "--threshold 6.0 --out {out}",
+    "ness --hamiltonian h.json --rho0 rho.json --r 0.9 --split 2:4 --out {out}",
+]
+
+
+def readme_lines():
+    """The command lines of README's examples, without `qreset`."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return [m[1] for m in re.finditer(r"^qreset ([a-z][^#\n]*)", text, re.M)]
+
+
+def plain_read_corpus():
+    """TestConsole's command lines (their files named, not made), README's
+    examples and BENCHMARK_LINES, split as a shell splits them."""
+    lines = [row[0] for row in TestConsole.ROWS] + readme_lines() + BENCHMARK_LINES
+    return [shlex.split(re.sub(r"{(\w+)}", r"\1.json", line)) for line in lines]
+
+
+def mutant(argv, rng):
+    """argv after one to three of the edits the plain read must leave to
+    argparse, or must read as argparse does."""
+    argv = list(argv)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(1, len(argv)) if len(argv) > 1 else 0
+        flag_at = i if i % 2 else i - 1  # the flag of the pair that holds i
+        edit = rng.randrange(12)
+        if edit == 0 and flag_at >= 1 and flag_at + 1 < len(argv):
+            argv[flag_at:flag_at + 2] = [f"{argv[flag_at]}={argv[flag_at + 1]}"]
+        elif edit == 1 and flag_at >= 1 and len(argv[flag_at]) > 2:
+            argv[flag_at] = argv[flag_at][:rng.randint(2, len(argv[flag_at]) - 1)]
+        elif edit == 2 and i % 2 == 0 and i:
+            argv[i] = rng.choice(["-1", "-0", "-", "--", "-1e308:1:3", "-inf"])
+        elif edit == 3:
+            argv.insert(rng.randint(0, len(argv)), rng.choice(["-h", "--help", "--"]))
+        elif edit == 4 and flag_at >= 1:
+            argv += [argv[flag_at], rng.choice(["2", "0.5:1:3", "jsonl", "ness", "x"])]
+        elif edit == 5 and flag_at >= 1:
+            argv.append(argv[flag_at])
+        elif edit == 6:
+            argv[i:i] = rng.choice([["--bogus", "1"], ["--bogus"], ["--RR", "1"], ["-R", "1"]])
+        elif edit == 7 and i % 2 == 0 and i:
+            argv[i] = rng.choice(["abc", "nan", "inf", "-nan", "1e999", "0x10", "1_0", " 3 ",
+                                  "1e-400", "٣"])
+        elif edit == 8 and i % 2 == 0 and i:
+            argv[i] = rng.choice(["xml", "CSV", "both", "reset,ness", "csv "])
+        elif edit == 9 and argv:
+            argv[i] = ""
+        elif edit == 10 and argv:
+            argv[0] = rng.choice(["sweep", "ness", "critical", "peak-r", "frobnicate", "Sweep",
+                                  "swee", "--help", "mc-validate"])
+        elif edit == 11 and flag_at >= 1:
+            del argv[flag_at:flag_at + 2]
+    return argv
+
+
+def argparse_outcome(argv, capsys):
+    """parse_args(argv)'s namespace, or None where argparse exits (on an
+    error or on help)."""
+    try:
+        return cli._parser().parse_args(argv)
+    except SystemExit:
+        return None
+    finally:
+        capsys.readouterr()
+
+
+class TestPlainRead:
+    """main reads a command line of the form COMMAND --flag value ... from a
+    flag table taken from build_parser's declarations, and leaves every
+    other one to argparse."""
+
+    # forms that only argparse reads
+    FALLBACK_LINES = [
+        "sweep --grid-r=0.1:1:2 --grid-alpha 0:1:2",
+        "sweep --grid-r 0.1:1:2 --grid-a 0:1:2",
+        "mc-validate --R 0 --alpha 1 --t 1 --ntraj 10 --seed -1",
+        "ness --R 1 --alpha 1 --out -",
+        "ness --R 1 --alpha 1 --",
+        "-- ness --R 1",
+        "--help",
+        "-h",
+        "sweep --help",
+        "optimize --alpha 1 -h --r-bounds 0.1:1",
+        "ness --R 1 --bogus 2",
+        "sweep --grid-r 0.1:1:2",
+        "",
+        "frobnicate",
+        "ness --R 1 --alpha",
+        "ness --R abc",
+        "ness --R 1 --alpha 1 --format xml",
+        "sweep --grid-r 0.1:1:2 --grid-alpha 0:1:2 --threads ''",
+    ]
+
+    def test_corpus_read_as_argparse_reads_it(self, capsys):
+        accepted = 0
+        for argv in plain_read_corpus():
+            ours, theirs = cli._read_plain(argv), argparse_outcome(argv, capsys)
+            if theirs is None:
+                assert ours is None, argv
+            elif ours is not None:
+                assert repr(ours) == repr(theirs), argv
+                accepted += 1
+        assert accepted > len(TestConsole.ROWS)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mutants_read_as_argparse_reads_them(self, capsys, seed):
+        rng = random.Random(seed)
+        corpus = plain_read_corpus()
+        accepted = 0
+        for _ in range(1500):
+            argv = mutant(rng.choice(corpus), rng)
+            ours, theirs = cli._read_plain(argv), argparse_outcome(argv, capsys)
+            if theirs is None:
+                assert ours is None, argv
+            elif ours is not None:
+                # nan != nan, so namespaces compare by repr
+                assert repr(ours) == repr(theirs), argv
+                accepted += 1
+        assert accepted > 100
+
+    @pytest.mark.parametrize("line", [line for line in BENCHMARK_LINES
+                                      if not line.startswith(("ness", "peak-r", "critical"))],
+                             ids=lambda line: line.split()[0])
+    def test_benchmark_forms_never_reach_parse_args(self, tmp_path, capsys, monkeypatch, line):
+        out = tmp_path / "out"
+        argv = line.replace("{out}", str(out)).split()
+        outcomes = []
+        for patch in ((cli, "_read_plain", lambda argv: None),
+                      (cli._Parser, "parse_args", pytest.fail)):
+            with monkeypatch.context() as m:
+                m.setattr(*patch)
+                outcomes.append((main(argv), capsys.readouterr(), out.read_bytes()))
+            out.unlink()
+        assert outcomes[0][0] == 0 and outcomes[0][2]
+        assert outcomes[1] == outcomes[0]
+
+    @pytest.mark.parametrize("line", FALLBACK_LINES)
+    def test_other_forms_reach_parse_args(self, capsys, monkeypatch, line):
+        argv = shlex.split(line)
+        seen = []
+        parse_args = cli._Parser.parse_args
+
+        def recorded(self, args=None, namespace=None):
+            seen.append(args)
+            return parse_args(self, args, namespace)
+
+        monkeypatch.setattr(cli._Parser, "parse_args", recorded)
+        main(argv)
+        assert seen == [argv]
+
+    @pytest.fixture
+    def other_grammar(self, monkeypatch):
+        """build_parser replaced by a grammar with the declarations the
+        qreset grammar lacks: a typed string default, a flag that is not a
+        plain option, a suppressed default, a set_defaults name of no
+        option, and a subcommand with a positional, here one whose default
+        its choices refuse."""
+        def grammar():
+            parser = cli._Parser(prog="other")
+            sub = parser.add_subparsers(dest="command")
+            sp = sub.add_parser("a")
+            sp.add_argument("--n", type=int, default="7")
+            sp.add_argument("--on", action="store_true")
+            sp.add_argument("--x", default=argparse.SUPPRESS)
+            sp.set_defaults(func=len, level=3)
+            sub.add_parser("b").add_argument("name", nargs="?", type=int, choices=[1],
+                                             default="5")
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", grammar)
+        cli._parser.cache_clear()
+        cli._plain_commands.cache_clear()
+        yield
+        cli._parser.cache_clear()
+        cli._plain_commands.cache_clear()
+
+    @pytest.mark.parametrize("line, read", [
+        ("a", True), ("a --n 3", True), ("a --x v --n 03", True), ("a --on", False),
+        ("a --n 3 --on", False), ("b", False), ("a --n three", False)])
+    def test_declarations_beyond_the_grammar(self, other_grammar, capsys, line, read):
+        argv = line.split()
+        ours = cli._read_plain(argv)
+        assert (ours is not None) == read
+        if read:
+            assert repr(ours) == repr(argparse_outcome(argv, capsys))
